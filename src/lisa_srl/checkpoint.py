@@ -3,7 +3,7 @@
 Layout, all integers little-endian:
 
     magic  b"LISA"
-    u32    format version (currently 1)
+    u32    format version (currently 2)
     u64    metadata byte length, then that many bytes of UTF-8 JSON
     u32    tensor count
     per tensor, sorted by name:
@@ -34,7 +34,7 @@ from .errors import CompatibilityError, CorpusFormatError, NonFiniteError
 from .model import EMBED_STATIC, LisaModel
 
 CHECKPOINT_MAGIC = b"LISA"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _PRETRAINED_KEY = "frozen.pretrained"
 _UNK_KEY = "frozen.unk"
@@ -136,7 +136,11 @@ def load_checkpoint(path) -> LoadedCheckpoint:
     (meta_len,) = struct.unpack_from("<Q", blob, 8)
     meta = json.loads(blob[16 : 16 + meta_len].decode("utf-8"))
     tensors = _read_tensors(blob, 16 + meta_len)
+    del blob  # the tensors are copies; free the bytes before the model is built
 
+    unknown = sorted(set(meta["config"]) - {f.name for f in dataclasses.fields(RunConfig)})
+    if unknown:
+        raise CompatibilityError(f"checkpoint config has unknown keys {unknown}")
     config = RunConfig(**meta["config"])
     config.validate()
     joint = LabelSpace(meta["joint_labels"])
@@ -186,5 +190,5 @@ def load_checkpoint(path) -> LoadedCheckpoint:
             raise CompatibilityError(
                 f"{p.name}: checkpoint shape {saved.shape} != model {p.value.data.shape}"
             )
-        p.value.data = saved.copy()
+        p.value.data = saved
     return LoadedCheckpoint(model, config, int(meta["step"]), transitions)

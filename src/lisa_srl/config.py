@@ -34,7 +34,6 @@ class RunConfig:
     n_layers: int = 2
     n_heads: int = 4
     d_k: int = 16
-    d_q: int = 16
     d_v: int = 16
     d_model: int = 64
     parse_layer: int = 2
@@ -43,8 +42,6 @@ class RunConfig:
     d_role: int = 32
     embed_convs: int = 2
     n_context_layers: int = 3
-    positional_static: bool = True
-    positional_contextual: bool = True
     harden_self_parse: bool = False
     # optimization
     lr: float = 0.02
@@ -104,7 +101,6 @@ class RunConfig:
             n_layers=self.n_layers,
             n_heads=self.n_heads,
             d_k=self.d_k,
-            d_q=self.d_q,
             d_v=self.d_v,
             d_model=self.d_model,
             parse_layer=self.parse_layer,
@@ -120,9 +116,6 @@ class RunConfig:
             d_role=self.d_role,
             embed_convs=self.embed_convs,
             n_context_layers=self.n_context_layers,
-            positional_static=self.positional_static,
-            positional_contextual=self.positional_contextual,
-            harden_self_parse=self.harden_self_parse,
         )
 
     def source(self) -> ParseSource:

@@ -13,7 +13,6 @@ whitespace; the writer emits tabs.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -451,15 +450,8 @@ def estimate_transitions(
 
 
 # ---------------------------------------------------------------------------
-# Small shared statistics helpers
+# Vocabulary
 
 
 def vocabulary(corpus: Sequence[AnnotatedSentence]) -> list[str]:
     return sorted({w for sent in corpus for w in sent.tokens})
-
-
-def pos_counts(corpus: Sequence[AnnotatedSentence]) -> Counter:
-    c: Counter = Counter()
-    for sent in corpus:
-        c.update(sent.pos)
-    return c

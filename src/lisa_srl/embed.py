@@ -3,7 +3,8 @@
 The static path adds a learned residual to fixed pretrained vectors and
 runs the sum through K width-3 residual convolutions. The contextual path
 mixes precomputed frozen layer representations with softmax weights and a
-global scale. Either way positional encodings can be added before layer 1.
+global scale. Either way sinusoidal positional encodings are added before
+layer 1.
 """
 
 from __future__ import annotations
@@ -122,10 +123,7 @@ def init_conv_stack(k: int, d: int, prefix: str) -> list[ConvLayer]:
 
 def conv3(tape: Tape, x: Tensor, layer: ConvLayer) -> Tensor:
     """Width-3 convolution over rows; out-of-range neighbors read as zero."""
-    left = tape.matmul(tape.shift_rows(x, 1), layer.w_left.value)
-    center = tape.matmul(x, layer.w_center.value)
-    right = tape.matmul(tape.shift_rows(x, -1), layer.w_right.value)
-    return tape.add_row(tape.add(tape.add(left, center), right), layer.bias.value)
+    return tape.conv3(x, *(p.value for p in layer.parameters()))
 
 
 def conv_stack(tape: Tape, x: Tensor, stack) -> Tensor:
@@ -135,14 +133,7 @@ def conv_stack(tape: Tape, x: Tensor, stack) -> Tensor:
     return x
 
 
-def static_embed(
-    tape: Tape,
-    tokens,
-    table: StaticTable,
-    convs,
-    *,
-    positional: bool = True,
-) -> Tensor:
+def static_embed(tape: Tape, tokens, table: StaticTable, convs) -> Tensor:
     """(pretrained + residual) per token, K residual convolutions, encodings."""
     if convs and convs[0].w_center.value.shape[0] != table.dim:
         raise ConfigError(
@@ -153,9 +144,7 @@ def static_embed(
     picked = tape.matmul(Tensor(table.selection(tokens)), table.residual.value)
     x = tape.add(base, picked)
     x = conv_stack(tape, x, convs)
-    if positional:
-        x = tape.add(x, Tensor(positional_encoding(len(tokens), x.shape[1])))
-    return x
+    return tape.add(x, Tensor(positional_encoding(len(tokens), x.shape[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -199,17 +188,9 @@ def scalar_mix(tape: Tape, layers: np.ndarray, mix: ScalarMix) -> Tensor:
     return tape.scale_by(mixed, mix.gamma.value)
 
 
-def contextual_embed(
-    tape: Tape,
-    layers: np.ndarray,
-    mix: ScalarMix,
-    *,
-    positional: bool = True,
-) -> Tensor:
+def contextual_embed(tape: Tape, layers: np.ndarray, mix: ScalarMix) -> Tensor:
     out = scalar_mix(tape, layers, mix)
-    if positional:
-        out = tape.add(out, Tensor(positional_encoding(*out.shape)))
-    return out
+    return tape.add(out, Tensor(positional_encoding(*out.shape)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Multi-head self-attention encoder with one syntactically-supervised head.
 
 Each layer runs H scaled dot-product attention heads whose concatenation
-spans the model width (H * d_v == d_model), then applies a width-3
-residual convolution as the feed-forward sublayer. One designated head at
+spans the model width (H * d_v == d_model), then adds a width-3
+convolution of it as a residual feed-forward sublayer. One designated head at
 one designated layer carries the parse: its attention row for token t is
 trained to put its mass on t's syntactic head (root attends to itself),
 and at that head an externally supplied parse can be injected as a
@@ -35,8 +35,7 @@ class ParseSource(enum.Enum):
 class EncoderConfig:
     n_layers: int = 2
     n_heads: int = 4
-    d_k: int = 16
-    d_q: int = 16
+    d_k: int = 16  # query and key width per head
     d_v: int = 16
     d_model: int = 64
     parse_layer: int = 2  # 1-based layer whose attention carries the parse
@@ -58,10 +57,6 @@ class EncoderConfig:
             raise ConfigError(
                 f"parse_head {self.parse_head} outside [0, {self.n_heads})"
             )
-        if self.d_q != self.d_k:
-            raise ConfigError(
-                f"query/key widths must agree for dot products: {self.d_q} != {self.d_k}"
-            )
         for name in ("d_k", "d_v", "d_model"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
@@ -73,24 +68,12 @@ class EncoderConfig:
 
 
 @dataclass
-class HeadParams:
-    wq: Parameter
-    wk: Parameter
-    wv: Parameter
-
-    def parameters(self) -> list[Parameter]:
-        return [self.wq, self.wk, self.wv]
-
-
-@dataclass
 class LayerParams:
-    heads: list[HeadParams]
+    qkv: Parameter  # [d_model, H*(2*d_k+d_v)]: per head, query | key | value
     conv: ConvLayer  # post-concat convolutional sublayer
 
     def parameters(self) -> list[Parameter]:
-        out = [p for h in self.heads for p in h.parameters()]
-        out.extend(self.conv.parameters())
-        return out
+        return [self.qkv, *self.conv.parameters()]
 
 
 @dataclass
@@ -105,7 +88,11 @@ class EncoderTrace:
     attentions: dict[tuple[int, int], Tensor] = field(default_factory=dict)
     layer_outputs: dict[int, Tensor] = field(default_factory=dict)
     parse_logits: Tensor | None = None
-    parse_attention: Tensor | None = None
+
+    @property
+    def parse_attention(self) -> Tensor:
+        """The parse head's own softmax attention, before any injection."""
+        return Tape().softmax_rows(self.parse_logits)
 
     def consumed_parse_attention(self, config: EncoderConfig) -> Tensor:
         return self.attentions[(config.parse_layer, config.parse_head)]
@@ -118,21 +105,15 @@ class Encoder:
 
     @classmethod
     def build(cls, config: EncoderConfig, rng: np.random.Generator) -> "Encoder":
+        scale = 1.0 / np.sqrt(config.d_model)
+        widths = (config.d_k, config.d_k, config.d_v) * config.n_heads
         layers = []
         for j in range(1, config.n_layers + 1):
-            heads = []
-            for h in range(config.n_heads):
-                scale = 1.0 / np.sqrt(config.d_model)
-                name = f"enc.l{j}.h{h}"
-                heads.append(
-                    HeadParams(
-                        Parameter(f"{name}.wq", rng.normal(0, scale, (config.d_model, config.d_q))),
-                        Parameter(f"{name}.wk", rng.normal(0, scale, (config.d_model, config.d_k))),
-                        Parameter(f"{name}.wv", rng.normal(0, scale, (config.d_model, config.d_v))),
-                    )
-                )
+            qkv = np.concatenate(
+                [rng.normal(0, scale, (config.d_model, w)) for w in widths], axis=1
+            )
             (conv,) = init_conv_stack(1, config.d_model, f"enc.l{j}")
-            layers.append(LayerParams(heads, conv))
+            layers.append(LayerParams(Parameter(f"enc.l{j}.qkv", qkv), conv))
         return cls(config, layers)
 
     def parameters(self) -> list[Parameter]:
@@ -143,32 +124,24 @@ class Encoder:
         tape: Tape,
         x: Tensor,
         injected_heads=None,
+        harden: bool = False,
     ) -> tuple[Tensor, EncoderTrace]:
-        """Run all layers; returns final representations and the trace."""
+        """Run all layers; returns final representations and the trace.
+
+        `injected_heads` replaces the parse head's attention with that parse;
+        failing that, `harden` replaces it with the one-hot of its own argmax.
+        """
         if x.ndim != 2 or x.shape[1] != self.config.d_model:
             raise ConfigError(
                 f"encoder expects [T, {self.config.d_model}] input, got {x.shape}"
             )
         trace = EncoderTrace()
         for j, layer in enumerate(self.layers, start=1):
-            x = encode_layer(tape, x, layer, self.config, j, injected_heads, trace)
+            x = encode_layer(
+                tape, x, layer, self.config, j, injected_heads, harden, trace
+            )
             trace.layer_outputs[j] = x
         return x, trace
-
-
-def attention_weights(
-    tape: Tape, s_prev: Tensor, head: HeadParams, d_k: int
-) -> tuple[Tensor, Tensor]:
-    """Row-stochastic attention and its pre-softmax logits for one head."""
-    q = tape.matmul(s_prev, head.wq.value)
-    k = tape.matmul(s_prev, head.wk.value)
-    logits = tape.scale(tape.matmul(q, tape.transpose(k)), d_k ** -0.5)
-    return tape.softmax_rows(logits), logits
-
-
-def attend(tape: Tape, attention: Tensor, values: Tensor) -> Tensor:
-    """Row t of the output is the attention-weighted sum of value rows."""
-    return tape.matmul(attention, values)
 
 
 def encode_layer(
@@ -178,22 +151,25 @@ def encode_layer(
     config: EncoderConfig,
     layer_index: int,
     injected_heads,
+    harden: bool,
     trace: EncoderTrace,
 ) -> Tensor:
-    """One layer: H attention heads, concat, projection, residual, conv."""
-    outputs = []
-    for h, head in enumerate(layer.heads):
-        attention, logits = attention_weights(tape, x, head, config.d_k)
-        is_parse = layer_index == config.parse_layer and h == config.parse_head
-        if is_parse:
-            trace.parse_logits = logits
-            trace.parse_attention = attention
-            if injected_heads is not None:
-                attention = Tensor(parse_adjacency(injected_heads, x.shape[0]))
-        trace.attentions[(layer_index, h)] = attention
-        values = tape.matmul(x, head.wv.value)
-        outputs.append(attend(tape, attention, values))
-    m = tape.concat_cols(outputs)
+    """One layer: H attention heads side by side (m), then m + conv3(relu(m))."""
+    is_parse = layer_index == config.parse_layer
+    inject = None
+    if is_parse and (injected_heads is not None or harden):
+
+        def inject(own: np.ndarray) -> np.ndarray:
+            heads = extract_parse(own) if injected_heads is None else injected_heads
+            return parse_adjacency(heads, len(own))
+
+    m, logits, weights = tape.attention(
+        x, layer.qkv.value, config.n_heads, config.d_k, config.parse_head, inject
+    )
+    for h in range(config.n_heads):
+        trace.attentions[(layer_index, h)] = Tensor(weights[h])
+    if is_parse:
+        trace.parse_logits = tape.pick_row(logits, config.parse_head)
     return tape.add(m, conv3(tape, tape.relu(m), layer.conv))
 
 

@@ -21,7 +21,6 @@ from .corpus import (
 )
 from .decode import DecodeProblem, viterbi_decode
 from .embed import (
-    ContextualStore,
     ScalarMix,
     StaticTable,
     contextual_embed,
@@ -33,7 +32,6 @@ from .encoder import (
     EncoderConfig,
     ParseSource,
     extract_parse,
-    parse_adjacency,
     parse_loss,
 )
 from .errors import CompatibilityError, ConfigError
@@ -66,9 +64,6 @@ class ModelConfig:
     d_role: int = 32
     embed_convs: int = 2  # K for the static path
     n_context_layers: int = 3  # scalar-mix size for the contextual path
-    positional_static: bool = True
-    positional_contextual: bool = True
-    harden_self_parse: bool = False  # one-hot the self-parse before downstream use
 
     def __post_init__(self) -> None:
         if self.variant not in (VARIANT_SYNTAX, VARIANT_AGNOSTIC):
@@ -85,7 +80,6 @@ class ModelConfig:
 
 @dataclass
 class ForwardOutputs:
-    embeddings: Tensor
     final: Tensor
     trace: object
     pos_logits: Tensor
@@ -197,13 +191,7 @@ class LisaModel:
 
     def embed(self, tape: Tape, sentence: AnnotatedSentence, ctx_layers) -> Tensor:
         if self.config.embedding == EMBED_STATIC:
-            return static_embed(
-                tape,
-                sentence.tokens,
-                self.static_table,
-                self.convs,
-                positional=self.config.positional_static,
-            )
+            return static_embed(tape, sentence.tokens, self.static_table, self.convs)
         if ctx_layers is None:
             raise ConfigError("contextual embedding path needs layer stacks")
         if ctx_layers.shape[2] != self.config.encoder.d_model:
@@ -216,9 +204,7 @@ class LisaModel:
                 f"contextual stack covers {ctx_layers.shape[1]} tokens, "
                 f"sentence has {len(sentence)}"
             )
-        return contextual_embed(
-            tape, ctx_layers, self.mix, positional=self.config.positional_contextual
-        )
+        return contextual_embed(tape, ctx_layers, self.mix)
 
     def forward(
         self,
@@ -228,22 +214,18 @@ class LisaModel:
         source: ParseSource = ParseSource.SELF,
         external_heads=None,
         ctx_layers=None,
-        harden: bool | None = None,
+        harden: bool = False,
     ) -> ForwardOutputs:
-        """`harden` one-hots the self-predicted parse before downstream use;
-        None defers to the config flag."""
+        """`harden` one-hots the self-predicted parse before downstream use."""
         injected = self._injection_heads(source, sentence, external_heads)
         x = self.embed(tape, sentence, ctx_layers)
-        harden = self.config.harden_self_parse if harden is None else harden
-        if injected is None and harden and self.config.is_syntactic:
-            # run once to harden the self-parse, then inject it
-            _, probe = self.encoder.encode(tape, x)
-            injected = extract_parse(probe.parse_attention)
-        final, trace = self.encoder.encode(tape, x, injected)
+        final, trace = self.encoder.encode(
+            tape, x, injected, harden and self.config.is_syntactic
+        )
         pos_logits = pos_pred_logits(
             tape, trace.layer_outputs[self.config.encoder.pos_layer], self.pos_head
         )
-        return ForwardOutputs(x, final, trace, pos_logits)
+        return ForwardOutputs(final, trace, pos_logits)
 
     def loss(
         self,
@@ -253,6 +235,7 @@ class LisaModel:
         source: ParseSource = ParseSource.SELF,
         external_heads=None,
         ctx_layers=None,
+        harden: bool = False,
     ) -> LossBundle:
         """Multi-task training loss; predicates are gold during training."""
         fw = self.forward(
@@ -261,6 +244,7 @@ class LisaModel:
             source=source,
             external_heads=external_heads,
             ctx_layers=ctx_layers,
+            harden=harden,
         )
         if self.config.is_syntactic:
             parse = parse_loss(tape, fw.trace.parse_logits, sentence.heads)
@@ -285,7 +269,7 @@ class LisaModel:
         source: ParseSource = ParseSource.SELF,
         external_heads=None,
         ctx_layers=None,
-        harden: bool | None = None,
+        harden: bool = False,
     ) -> SentencePrediction:
         """Decode POS tags, predicates, dependency heads and role frames."""
         if transitions.labels != self.scorer.labels:
@@ -313,12 +297,15 @@ class LisaModel:
         for f, score in scores.items():
             emissions = tape.log_softmax_rows(score).data
             tags = viterbi_decode(DecodeProblem(emissions, transitions))
-            frames[f] = tuple(role_space.name(i) for i in tags)
+            # tuples from lists, not generators, here and below: a tuple
+            # built from a generator is resized, so freeing it grows
+            # CPython's tuple free lists until the next full collection
+            frames[f] = tuple([role_space.name(i) for i in tags])
         predicted = AnnotatedSentence(
             sentence.tokens,
             tuple(pos_tags),
             tuple(heads),
-            tuple(i in set(predicates) for i in range(len(sentence))),
+            tuple([i in set(predicates) for i in range(len(sentence))]),
             frames,
         )
         return SentencePrediction(predicted, heads, predicates, frames)

@@ -1,8 +1,9 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-The whole model runs on a deliberately small op set: enough for projections,
-scaled dot-product attention, width-3 convolutions (built from row shifts and
-matmuls), bilinear scoring, scalar mixing and cross-entropy style losses.
+The whole model runs on a deliberately small op set: matmuls and elementwise
+arithmetic, one fused op for a whole multi-head self-attention layer, one for
+a width-3 convolution, bilinear scoring, scalar mixing, softmaxes and the
+gathers and reductions of cross-entropy style losses.
 Everything is float64 and row-major; there is no broadcasting beyond the few
 shapes the ops below accept. Tensors are immutable once created (the SGD
 optimizer mutates parameter storage only *between* tapes).
@@ -121,20 +122,6 @@ class Tape:
         self._record(back)
         return out
 
-    def sub(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.shape != b.shape:
-            raise DimensionError(f"sub shapes differ: {a.shape} vs {b.shape}")
-        out = Tensor(a.data - b.data)
-
-        def back() -> None:
-            if out.grad is None:
-                return
-            _accumulate(a, out.grad)
-            _accumulate(b, -out.grad)
-
-        self._record(back)
-        return out
-
     def mul(self, a: Tensor, b: Tensor) -> Tensor:
         if a.shape != b.shape:
             raise DimensionError(f"mul shapes differ: {a.shape} vs {b.shape}")
@@ -190,58 +177,10 @@ class Tape:
         self._record(back)
         return out
 
-    def concat_cols(self, parts: Sequence[Tensor]) -> Tensor:
-        rows = parts[0].shape[0]
-        for p in parts:
-            if p.ndim != 2 or p.shape[0] != rows:
-                raise DimensionError(
-                    f"concat_cols row mismatch: {[p.shape for p in parts]}"
-                )
-        widths = [p.shape[1] for p in parts]
-        out = Tensor(np.concatenate([p.data for p in parts], axis=1))
-
-        def back() -> None:
-            if out.grad is None:
-                return
-            start = 0
-            for p, w in zip(parts, widths):
-                _accumulate(p, out.grad[:, start : start + w])
-                start += w
-
-        self._record(back)
-        return out
-
-    def shift_rows(self, a: Tensor, k: int) -> Tensor:
-        """Shift rows down by k (up for negative k), filling with zeros."""
-        out_data = np.zeros_like(a.data)
-        if k == 0:
-            out_data[...] = a.data
-        elif k > 0:
-            out_data[k:] = a.data[:-k] if k < a.shape[0] else 0.0
-        else:
-            out_data[:k] = a.data[-k:] if -k < a.shape[0] else 0.0
-        out = Tensor(out_data)
-
-        def back() -> None:
-            if out.grad is None:
-                return
-            g = np.zeros_like(a.data)
-            if k == 0:
-                g[...] = out.grad
-            elif k > 0:
-                if k < a.shape[0]:
-                    g[:-k] = out.grad[k:]
-            else:
-                if -k < a.shape[0]:
-                    g[-k:] = out.grad[:k]
-            _accumulate(a, g)
-
-        self._record(back)
-        return out
-
     def pick_row(self, a: Tensor, i: int) -> Tensor:
-        if a.ndim != 2:
-            raise DimensionError(f"pick_row needs a matrix, got {a.shape}")
+        """out = a[i], indexing the first axis of a matrix or a stack."""
+        if a.ndim < 2:
+            raise DimensionError(f"pick_row needs at least two axes, got {a.shape}")
         out = Tensor(a.data[i].copy())
 
         def back() -> None:
@@ -288,27 +227,123 @@ class Tape:
         self._record(back)
         return out
 
-    def vecmat(self, v: Tensor, w: Tensor) -> Tensor:
-        if v.ndim != 1 or w.ndim != 2 or v.shape[0] != w.shape[0]:
-            raise DimensionError(f"vecmat shapes incompatible: {v.shape} x {w.shape}")
-        out = Tensor(v.data @ w.data)
+    def attention(
+        self,
+        x: Tensor,
+        w: Tensor,
+        n_heads: int,
+        d_k: int,
+        head: int = 0,
+        inject: Callable[[np.ndarray], np.ndarray] | None = None,
+    ) -> tuple[Tensor, Tensor, np.ndarray]:
+        """All heads of one scaled dot-product self-attention layer.
+
+        `w` is [d, H*(2*d_k+d_v)]: head h owns columns h*(2*d_k+d_v) onward,
+        its query, key and value projections side by side. `inject`, if
+        given, receives head `head`'s softmax attention and returns the [T, T]
+        matrix that head attends with instead; no gradient flows through
+        that matrix, but the head's logits keep theirs.
+
+        Returns the head outputs side by side [T, H*d_v], the pre-softmax
+        logits [H, T, T] (gradient may arrive through both) and the attention
+        each head applied [H, T, T], a constant.
+        """
+        t_len = x.shape[0]
+        width, extra = divmod(w.shape[-1], n_heads)
+        if (
+            x.ndim != 2
+            or w.ndim != 2
+            or x.shape[1] != w.shape[0]
+            or extra
+            or width <= 2 * d_k
+            or not 0 <= head < n_heads
+        ):
+            raise DimensionError(
+                f"attention: x {x.shape}, w {w.shape}, {n_heads} heads of d_k={d_k},"
+                f" head {head}"
+            )
+        d_v = width - 2 * d_k
+        c = d_k ** -0.5
+        qkv = (x.data @ w.data).reshape(t_len, n_heads, width).transpose(1, 0, 2)
+        q, v = qkv[..., :d_k], qkv[..., 2 * d_k :]
+        # k^T made contiguous: BLAS rounds a product with a transposed view
+        # differently, and this form matches separate per-head matmuls bitwise
+        k_t = qkv[..., d_k : 2 * d_k].transpose(0, 2, 1).copy()
+        logits = Tensor((q @ k_t) * c)
+        shifted = logits.data - logits.data.max(axis=2, keepdims=True)
+        e = np.exp(shifted)
+        weights = e / e.sum(axis=2, keepdims=True)
+        if inject is not None:
+            weights[head] = inject(weights[head])
+        out = Tensor((weights @ v).transpose(1, 0, 2).reshape(t_len, n_heads * d_v))
 
         def back() -> None:
-            if out.grad is None:
+            if out.grad is None and logits.grad is None:
                 return
-            _accumulate(v, out.grad @ w.data.T)
-            _accumulate(w, np.outer(v.data, out.grad))
+            if out.grad is None:
+                g_scores = np.zeros_like(logits.data)
+                g_v = np.zeros_like(v)
+            else:
+                g_out = out.grad.reshape(t_len, n_heads, d_v).transpose(1, 0, 2)
+                g_weights = g_out @ v.transpose(0, 2, 1)
+                g_v = weights.transpose(0, 2, 1) @ g_out
+                g_scores = weights * (
+                    g_weights - (g_weights * weights).sum(axis=2, keepdims=True)
+                )
+                if inject is not None:
+                    g_scores[head] = 0.0
+            if logits.grad is not None:
+                g_scores = logits.grad + g_scores
+            g_scores = g_scores * c
+            g_q = g_scores @ k_t.transpose(0, 2, 1)
+            g_k = (q.transpose(0, 2, 1) @ g_scores).transpose(0, 2, 1)
+            g_qkv = np.concatenate([g_q, g_k, g_v], axis=2)
+            _accumulate(w, x.data.T @ g_qkv.transpose(1, 0, 2).reshape(t_len, -1))
+            # head by head in reverse, v then k then q: the summation order,
+            # and so the rounding, of separate per-head projections
+            for h in reversed(range(n_heads)):
+                for lo, hi in ((2 * d_k, width), (d_k, 2 * d_k), (0, d_k)):
+                    cols = slice(h * width + lo, h * width + hi)
+                    _accumulate(x, g_qkv[h, :, lo:hi] @ w.data[:, cols].T)
 
         self._record(back)
-        return out
+        return out, logits, weights
 
-    def transpose(self, a: Tensor) -> Tensor:
-        out = Tensor(a.data.T.copy())
+    def conv3(
+        self, x: Tensor, w_left: Tensor, w_center: Tensor, w_right: Tensor, bias: Tensor
+    ) -> Tensor:
+        """Width-3 convolution over rows; out-of-range neighbours read as zero.
+
+        out[t] = x[t-1] @ w_left + x[t] @ w_center + x[t+1] @ w_right + bias
+        """
+        if x.ndim != 2 or bias.ndim != 1 or any(
+            m.shape != (x.shape[1], bias.shape[0]) for m in (w_left, w_center, w_right)
+        ):
+            raise DimensionError(
+                f"conv3 shapes: x {x.shape}, taps {w_left.shape}, {w_center.shape},"
+                f" {w_right.shape}, bias {bias.shape}"
+            )
+        before = np.zeros_like(x.data)
+        before[1:] = x.data[:-1]
+        after = np.zeros_like(x.data)
+        after[:-1] = x.data[1:]
+        out = Tensor(
+            before @ w_left.data + x.data @ w_center.data + after @ w_right.data
+            + bias.data
+        )
 
         def back() -> None:
             if out.grad is None:
                 return
-            _accumulate(a, out.grad.T)
+            g = out.grad
+            _accumulate(bias, g.sum(axis=0))
+            _accumulate(w_right, after.T @ g)
+            _accumulate(w_center, x.data.T @ g)
+            _accumulate(w_left, before.T @ g)
+            g_x = g @ w_center.data.T
+            g_x[1:] = (g @ w_right.data.T)[:-1] + g_x[1:]
+            g_x[:-1] += (g @ w_left.data.T)[1:]
+            _accumulate(x, g_x)
 
         self._record(back)
         return out

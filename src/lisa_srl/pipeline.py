@@ -39,7 +39,7 @@ from .encoder import ParseSource
 from .errors import AlignmentError, ConfigError, NonFiniteError
 from .evaluation import MetricsReport, evaluate_corpus, export_metrics, srl_prf
 from .model import EMBED_CONTEXTUAL, EMBED_STATIC, LisaModel
-from .synth import GrammarParams, full_vocabulary, gen_splits, pretrained_vectors
+from .synth import GrammarParams, gen_splits, pretrained_vectors
 from .numerics import Tape
 
 LOG_FLOAT = "%.17g"
@@ -114,7 +114,7 @@ def _predict_corpus(
     data: SplitData,
     transitions: TransitionTable,
     source: ParseSource,
-    harden: bool | None = None,
+    harden: bool = False,
 ) -> list[AnnotatedSentence]:
     out = []
     for i, sent in enumerate(data.corpus):
@@ -177,6 +177,7 @@ def train(config: RunConfig, emit: Callable[[str], None] | None = None) -> Train
                 tape,
                 train_data.corpus[i],
                 source=sent_source,
+                harden=config.harden_self_parse,
                 **train_data.forward_kwargs(int(i)),
             )
             total = bundle.total.item()

@@ -36,7 +36,7 @@ from lisa_srl.pipeline import GenSynthParams, evaluate, gen_synth, predict, trai
 from lisa_srl.synth import GrammarParams, gen_synthetic, pretrained_vectors
 
 
-def _decode_corpus(model, transitions, corpus, source, harden=None):
+def _decode_corpus(model, transitions, corpus, source, harden=False):
     return [
         model.predict_sentence(s, transitions, source=source, harden=harden).sentence
         for s in corpus
@@ -155,7 +155,7 @@ def test_gradients_match_finite_differences(acceptance_report):
     pretrained = {w: rng.normal(0, 0.5, 6) for s in corpus for w in s.tokens}
     config = ModelConfig(
         encoder=EncoderConfig(
-            n_layers=2, n_heads=2, d_k=3, d_q=3, d_v=3, d_model=6,
+            n_layers=2, n_heads=2, d_k=3, d_v=3, d_model=6,
             parse_layer=2, pos_layer=1,
         ),
         d_role=3,
@@ -211,7 +211,6 @@ def test_distributions_are_normalized(acceptance_report):
                 n_layers=n_layers,
                 n_heads=n_heads,
                 d_k=d_kq,
-                d_q=d_kq,
                 d_v=d_v,
                 d_model=d_model,
                 parse_layer=int(rng.integers(1, n_layers + 1)),
@@ -345,7 +344,7 @@ def _tiny_run_config(data_dir, work_dir, **kw):
     defaults = dict(
         variant="lisa",
         parse_source="self",
-        n_layers=2, n_heads=2, d_k=4, d_q=4, d_v=4, d_model=8, d_role=4,
+        n_layers=2, n_heads=2, d_k=4, d_v=4, d_model=8, d_role=4,
         lr=0.05, epochs=2,
         train_path=str(data_dir / "train.conll"),
         dev_path=str(data_dir / "dev.conll"),

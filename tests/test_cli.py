@@ -108,7 +108,7 @@ def data_dir(tmp_path_factory):
 
 def _tiny_config(data_dir, tmp_path, **overrides) -> RunConfig:
     values = dict(
-        n_layers="2", n_heads="2", d_k="4", d_q="4", d_v="4", d_model="8",
+        n_layers="2", n_heads="2", d_k="4", d_v="4", d_model="8",
         parse_layer="2", pos_layer="1", d_role="4",
         lr="0.05", epochs="2", seed="0",
         train_path=str(data_dir / "train.conll"),
@@ -290,9 +290,10 @@ def test_checkpoint_rejects_bad_magic_and_version(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(CorpusFormatError, match="magic"):
         load_checkpoint(path)
-    path.write_bytes(b"LISA" + struct.pack("<I", 99) + b"\x00" * 16)
-    with pytest.raises(CorpusFormatError, match="version"):
-        load_checkpoint(path)
+    for version in (1, 99):
+        path.write_bytes(b"LISA" + struct.pack("<I", version) + b"\x00" * 16)
+        with pytest.raises(CorpusFormatError, match="version"):
+            load_checkpoint(path)
 
 
 def _drop_tensor(blob: bytes, victim: str) -> bytes:
@@ -326,6 +327,23 @@ def test_checkpoint_with_missing_tensor_is_incompatible(data_dir, tmp_path):
     broken = tmp_path / "broken.ckpt"
     broken.write_bytes(_drop_tensor(blob, "pos.b"))
     with pytest.raises(CompatibilityError, match="pos.b"):
+        load_checkpoint(broken)
+
+
+def test_checkpoint_with_unknown_config_key_is_incompatible(data_dir, tmp_path):
+    config = _tiny_config(data_dir, tmp_path, epochs=1)
+    train(config)
+    blob = (tmp_path / "model.ckpt").read_bytes()
+    (meta_len,) = struct.unpack_from("<Q", blob, 8)
+    meta = json.loads(blob[16 : 16 + meta_len])
+    meta["config"]["d_q"] = 4
+    meta_bytes = json.dumps(meta, sort_keys=True).encode()
+    broken = tmp_path / "broken.ckpt"
+    broken.write_bytes(
+        blob[:8] + struct.pack("<Q", len(meta_bytes)) + meta_bytes
+        + blob[16 + meta_len :]
+    )
+    with pytest.raises(CompatibilityError, match="d_q"):
         load_checkpoint(broken)
 
 
@@ -412,7 +430,7 @@ def test_cli_gen_synth_and_full_run(tmp_path, capsys):
         "--dev-path", str(data / "dev.conll"),
         "--pretrained-path", str(data / "pretrained.vec"),
         "--checkpoint-out", str(ckpt),
-        "--n-layers", "2", "--n-heads", "2", "--d-k", "4", "--d-q", "4",
+        "--n-layers", "2", "--n-heads", "2", "--d-k", "4",
         "--d-v", "4", "--d-model", "8", "--d-role", "4",
         "--epochs", "2", "--lr", "0.1", "--seed", "0",
     ])
@@ -461,7 +479,7 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
                  "--n-dev", "3", "--n-test", "3", "--dim", "8"]) == 0
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
-        "n_layers = 2\nn_heads = 2\nd_k = 4\nd_q = 4\nd_v = 4\nd_model = 8\n"
+        "n_layers = 2\nn_heads = 2\nd_k = 4\nd_v = 4\nd_model = 8\n"
         f"d_role = 4\nepochs = 9\nlr = 0.1\ntrain_path = {data}/train.conll\n"
         f"dev_path = {data}/dev.conll\npretrained_path = {data}/pretrained.vec\n"
     )

@@ -44,24 +44,26 @@ def _table(d=4, extra_pretrained=()):
 
 def test_zero_residual_init_reproduces_pretrained():
     table = _table()
-    out = static_embed(Tape(), ["the", "dog", "ran"], table, [], positional=False)
+    out = static_embed(Tape(), ["the", "dog", "ran"], table, [])
     expected = np.stack([table.pretrained[w] for w in ("the", "dog", "ran")])
-    assert np.array_equal(out.data, expected)
+    assert np.allclose(out.data - positional_encoding(3, 4), expected, rtol=0, atol=1e-15)
 
 
 def test_unknown_word_uses_unk_vector():
     table = _table()
-    out = static_embed(Tape(), ["wug"], table, [], positional=False)
-    assert np.array_equal(out.data[0], table.unk)
+    out = static_embed(Tape(), ["wug"], table, [])
+    assert np.allclose(out.data[0] - positional_encoding(1, 4)[0], table.unk, rtol=0, atol=1e-15)
 
 
 def test_training_word_missing_from_pretrained_gets_unk_plus_residual():
     rng = np.random.default_rng(1)
-    pre = {"dog": rng.normal(size=3)}
+    pre = {"dog": rng.normal(size=4)}
     table = StaticTable.build(["dog", "wug"], pre)
-    table.residual.value.data[table.index["wug"]] = [1.0, 2.0, 3.0]
-    out = static_embed(Tape(), ["wug"], table, [], positional=False)
-    assert np.allclose(out.data[0], table.unk + [1.0, 2.0, 3.0])
+    table.residual.value.data[table.index["wug"]] = [1.0, 2.0, 3.0, 4.0]
+    out = static_embed(Tape(), ["wug"], table, [])
+    assert np.allclose(
+        out.data[0] - positional_encoding(1, 4)[0], table.unk + [1.0, 2.0, 3.0, 4.0]
+    )
 
 
 def test_conv3_matches_sliding_window_oracle():

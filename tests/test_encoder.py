@@ -14,10 +14,7 @@ from lisa_srl.numerics import Parameter, Tape, Tensor, finite_difference_check
 from lisa_srl.encoder import (
     Encoder,
     EncoderConfig,
-    HeadParams,
     ParseSource,
-    attend,
-    attention_weights,
     extract_parse,
     parse_adjacency,
     parse_loss,
@@ -26,16 +23,28 @@ from lisa_srl.synth import gen_synthetic
 
 
 def _head(rng, d_model, d_k, d_v=None):
-    return HeadParams(
-        Parameter("t.wq", rng.normal(0, 0.5, (d_model, d_k))),
-        Parameter("t.wk", rng.normal(0, 0.5, (d_model, d_k))),
-        Parameter("t.wv", rng.normal(0, 0.5, (d_model, d_v or d_k))),
-    )
+    """One head's fused [wq | wk | wv] projection."""
+    return Parameter("t.qkv", rng.normal(0, 0.5, (d_model, 2 * d_k + (d_v or d_k))))
+
+
+def _attention_weights(x, qkv, d_k):
+    """Row-stochastic attention and its pre-softmax logits for one head."""
+    _, logits, weights = Tape().attention(x, qkv.value, 1, d_k)
+    return weights[0], logits.data[0]
+
+
+def _attend(attention, values):
+    """Row t of the output is the attention-weighted sum of value rows: the
+    head attends with `attention` injected, and projects values by identity."""
+    d_v = np.shape(values)[1]
+    qkv = Tensor(np.hstack([np.zeros((d_v, 2)), np.eye(d_v)]))
+    out, _, _ = Tape().attention(Tensor(values), qkv, 1, 1, 0, lambda own: attention)
+    return out
 
 
 def _small_config(**kw):
     base = dict(
-        n_layers=2, n_heads=2, d_k=3, d_q=3, d_v=3, d_model=6,
+        n_layers=2, n_heads=2, d_k=3, d_v=3, d_model=6,
         parse_layer=2, pos_layer=1, parse_head=0,
     )
     base.update(kw)
@@ -43,61 +52,51 @@ def _small_config(**kw):
 
 
 # ---------------------------------------------------------------------------
-# attention_weights / attend
+# Tape.attention: one head's weights and weighted sums
 
 
 def test_zero_queries_give_uniform_attention():
     rng = np.random.default_rng(0)
     head = _head(rng, 4, 3)
-    head.wq.value.data[...] = 0.0
+    head.value.data[:, :3] = 0.0
     x = Tensor(rng.normal(size=(5, 4)))
-    attention, _ = attention_weights(Tape(), x, head, 3)
-    assert np.max(np.abs(attention.data - 0.2)) < 1e-12
+    attention, _ = _attention_weights(x, head, 3)
+    assert np.max(np.abs(attention - 0.2)) < 1e-12
 
 
 def test_scale_factor_for_dk_64():
     assert 64 ** -0.5 == 0.125
     rng = np.random.default_rng(1)
-    head = HeadParams(
-        Parameter("t.wq", np.eye(64)),
-        Parameter("t.wk", np.eye(64)),
-        Parameter("t.wv", np.eye(64)),
-    )
+    head = Parameter("t.qkv", np.hstack([np.eye(64)] * 3))
     x = rng.normal(size=(2, 64))
-    _, logits = attention_weights(Tape(), Tensor(x), head, 64)
-    assert np.max(np.abs(logits.data - 0.125 * (x @ x.T))) < 1e-12
+    _, logits = _attention_weights(Tensor(x), head, 64)
+    assert np.max(np.abs(logits - 0.125 * (x @ x.T))) < 1e-12
 
 
 def test_two_token_attention_matches_frozen_oracle():
     # x=[[1],[2]], wq=[[0.5]], wk=[[2]] -> logits [[1,2],[2,4]]; softmax rows
     # frozen from a 30-digit mpmath evaluation
-    head = HeadParams(
-        Parameter("t.wq", [[0.5]]),
-        Parameter("t.wk", [[2.0]]),
-        Parameter("t.wv", [[1.0]]),
-    )
-    attention, logits = attention_weights(
-        Tape(), Tensor([[1.0], [2.0]]), head, 1
-    )
-    assert np.max(np.abs(logits.data - [[1.0, 2.0], [2.0, 4.0]])) < 1e-12
+    head = Parameter("t.qkv", [[0.5, 2.0, 1.0]])
+    attention, logits = _attention_weights(Tensor([[1.0], [2.0]]), head, 1)
+    assert np.max(np.abs(logits - [[1.0, 2.0], [2.0, 4.0]])) < 1e-12
     expected = [
         [0.26894142136999512075, 0.73105857863000487925],
         [0.11920292202211755594, 0.88079707797788244406],
     ]
-    assert np.max(np.abs(attention.data - expected)) < 1e-15
+    assert np.max(np.abs(attention - expected)) < 1e-15
 
 
 def test_attend_identity_returns_values():
     rng = np.random.default_rng(2)
     v = rng.normal(size=(4, 3))
-    out = attend(Tape(), Tensor(np.eye(4)), Tensor(v))
+    out = _attend(np.eye(4), v)
     assert np.array_equal(out.data, v)
 
 
 def test_attend_uniform_returns_mean_row():
     rng = np.random.default_rng(3)
     v = rng.normal(size=(4, 3))
-    out = attend(Tape(), Tensor(np.full((4, 4), 0.25)), Tensor(v))
+    out = _attend(np.full((4, 4), 0.25), v)
     for t in range(4):
         assert np.max(np.abs(out.data[t] - v.mean(axis=0))) < 1e-12
 
@@ -107,7 +106,7 @@ def test_attend_matches_double_loop_oracle():
     raw = rng.random((5, 5))
     attention = raw / raw.sum(axis=1, keepdims=True)
     v = rng.normal(size=(5, 3))
-    out = attend(Tape(), Tensor(attention), Tensor(v))
+    out = _attend(attention, v)
     expected = np.zeros((5, 3))
     for t in range(5):
         for q in range(5):
@@ -124,8 +123,8 @@ def test_attend_ignores_unattended_value_rows():
     v1 = rng.normal(size=(3, 2))
     v2 = v1.copy()
     v2[2] = rng.normal(size=2)
-    out1 = attend(Tape(), Tensor(attention), Tensor(v1))
-    out2 = attend(Tape(), Tensor(attention), Tensor(v2))
+    out1 = _attend(attention, v1)
+    out2 = _attend(attention, v2)
     assert np.array_equal(out1.data, out2.data)
 
 
@@ -136,15 +135,13 @@ def test_attend_ignores_unattended_value_rows():
 def test_single_head_identity_conv_layer_is_pure_attention():
     rng = np.random.default_rng(6)
     config = EncoderConfig(
-        n_layers=1, n_heads=1, d_k=3, d_q=3, d_v=4, d_model=4,
+        n_layers=1, n_heads=1, d_k=3, d_v=4, d_model=4,
         parse_layer=1, pos_layer=1,
     )
     enc = Encoder.build(config, rng)
     x = Tensor(rng.normal(size=(5, 4)))
     out, _ = enc.encode(Tape(), x)
-    tape = Tape()
-    attention, _ = attention_weights(tape, x, enc.layers[0].heads[0], 3)
-    expected = attend(tape, attention, tape.matmul(x, enc.layers[0].heads[0].wv.value))
+    expected, _, _ = Tape().attention(x, enc.layers[0].qkv.value, 1, 3)
     assert np.array_equal(out.data, expected.data)
 
 
@@ -177,8 +174,6 @@ def test_encoder_rejects_wrong_width():
 def test_config_validation():
     with pytest.raises(ConfigError, match="parse_layer"):
         _small_config(parse_layer=3)
-    with pytest.raises(ConfigError, match="query/key"):
-        _small_config(d_q=4)
     with pytest.raises(ConfigError, match="concatenated"):
         _small_config(d_v=4)
     with pytest.raises(ConfigError, match="pos_layer"):
@@ -221,6 +216,23 @@ def test_injection_changes_only_the_parse_head():
     )
     injected = gold_trace.consumed_parse_attention(config)
     assert np.array_equal(injected.data, parse_adjacency([1, 1, 1, 2], 4))
+
+
+def test_parse_attention_is_the_heads_own_softmax():
+    rng = np.random.default_rng(15)
+    config = _small_config()
+    enc = Encoder.build(config, rng)
+    x = Tensor(rng.normal(size=(4, 6)))
+    _, self_trace = enc.encode(Tape(), x)
+    _, gold_trace = enc.encode(Tape(), x, [1, 1, 1, 2])
+    _, hard_trace = enc.encode(Tape(), x, harden=True)
+    own = self_trace.consumed_parse_attention(config).data
+    assert np.array_equal(self_trace.parse_attention.data, own)
+    assert np.array_equal(gold_trace.parse_attention.data, own)
+    assert np.array_equal(
+        hard_trace.consumed_parse_attention(config).data,
+        parse_adjacency(extract_parse(own), 4),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +317,10 @@ def test_parse_loss_finite_differences():
     run(backward=True)
     checked = 0
     for p in enc.parameters():
-        if p.name.startswith("enc.l1") or ".wq" in p.name or ".wk" in p.name:
+        if p.name.startswith("enc.l1") or p.name.endswith(".qkv"):
             assert finite_difference_check(run, p, 1e-5) < 1e-4
             checked += 1
-    assert checked >= 8
+    assert checked == 6
 
 
 def test_parse_source_enum_values():

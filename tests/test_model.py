@@ -55,7 +55,7 @@ def _config(**kw):
     enc = kw.pop(
         "encoder",
         EncoderConfig(
-            n_layers=2, n_heads=2, d_k=3, d_q=3, d_v=3, d_model=6,
+            n_layers=2, n_heads=2, d_k=3, d_v=3, d_model=6,
             parse_layer=2, pos_layer=1,
         ),
     )
@@ -194,11 +194,25 @@ def test_parse_source_swap_leaves_parameters_untouched():
 
 def test_hardened_self_parse_consumes_one_hot():
     corpus = _tiny_corpus()
-    model = _model(corpus, harden_self_parse=True)
-    fw = model.forward(Tape(), corpus[1])
+    model = _model(corpus)
+    fw = model.forward(Tape(), corpus[1], harden=True)
     consumed = fw.trace.consumed_parse_attention(model.config.encoder).data
     assert np.array_equal(np.sort(np.unique(consumed)), [0.0, 1.0])
     assert np.array_equal(consumed.sum(axis=1), np.ones(5))
+
+
+def test_default_training_step_records_few_tape_ops():
+    # one fused op per attention layer and per convolution
+    corpus = gen_synthetic(20, 0)
+    sent = next(s for s in corpus if len(s.predicate_indices) == 1)
+    joint, roles = _spaces(corpus)
+    vocab = sorted({w for s in corpus for w in s.tokens})
+    model = LisaModel.build(
+        ModelConfig(), joint, roles, vocab, _pretrained(corpus, 64), 0
+    )
+    tape = Tape()
+    model.loss(tape, sent)
+    assert len(tape._backprops) <= 45
 
 
 def test_contextual_path_forward_and_gradients():

@@ -138,15 +138,6 @@ class TestCompositeOps:
         t.backward(t.sum_all(picked))
         assert np.array_equal(x.gradient, [[0, 0, 1], [1, 0, 0]])
 
-    def test_shift_rows_round_trip_grad(self):
-        x = Parameter("x", np.arange(8.0).reshape(4, 2))
-        t = Tape()
-        shifted = t.shift_rows(x.value, 1)
-        assert np.array_equal(shifted.data[0], [0.0, 0.0])
-        assert np.array_equal(shifted.data[1:], x.value.data[:-1])
-        t.backward(t.sum_all(shifted))
-        assert np.array_equal(x.gradient, [[1, 1], [1, 1], [1, 1], [0, 0]])
-
     def test_bilinear_matches_triple_loop(self):
         rng = np.random.default_rng(11)
         p = rng.standard_normal(3)
@@ -163,15 +154,161 @@ class TestCompositeOps:
                 expect[tt, ll] = acc
         assert np.abs(out.data - expect).max() <= 1e-12
 
-    def test_concat_cols_splits_gradient(self):
-        a = Parameter("a", np.ones((2, 2)))
-        b = Parameter("b", np.ones((2, 3)))
+    def test_pick_row_indexes_first_axis_of_a_stack(self):
+        x = Parameter("x", np.arange(12.0).reshape(3, 2, 2))
         t = Tape()
-        out = t.concat_cols([a.value, b.value])
-        assert out.shape == (2, 5)
-        t.backward(t.mean_all(out))
-        assert np.allclose(a.gradient, 0.1)
-        assert np.allclose(b.gradient, 0.1)
+        picked = t.pick_row(x.value, 1)
+        assert np.array_equal(picked.data, [[4.0, 5.0], [6.0, 7.0]])
+        t.backward(t.sum_all(picked))
+        assert np.array_equal(x.gradient[1], np.ones((2, 2)))
+        assert np.array_equal(x.gradient[[0, 2]], np.zeros((2, 2, 2)))
+
+
+def attention_oracle(x, w, n_heads, d_k, head=0, adjacency=None):
+    """Plain per-head numpy: projections, scaled scores, softmax, weighted values."""
+    width = w.shape[1] // n_heads
+    outputs, logits = [], []
+    for h in range(n_heads):
+        block = w[:, h * width : (h + 1) * width]
+        q, k, v = x @ block[:, :d_k], x @ block[:, d_k : 2 * d_k], x @ block[:, 2 * d_k :]
+        scores = q @ k.T / np.sqrt(d_k)
+        a = np.exp(scores - scores.max(axis=1, keepdims=True))
+        a /= a.sum(axis=1, keepdims=True)
+        if h == head and adjacency is not None:
+            a = adjacency
+        outputs.append(a @ v)
+        logits.append(scores)
+    return np.concatenate(outputs, axis=1), np.stack(logits)
+
+
+def _injected(t_len):
+    """Row-stochastic, mostly on (t + 1) mod T: unlike any softmax, and not
+    one-hot, so a softmax gradient leaking through it would show."""
+    return 0.75 * np.eye(t_len)[(np.arange(t_len) + 1) % t_len] + 0.25 / t_len
+
+
+class TestAttention:
+    D, D_K, D_V = 4, 2, 3
+
+    def _inputs(self, n_heads, t_len, seed=0):
+        rng = np.random.default_rng(seed)
+        x = Parameter("x", rng.standard_normal((t_len, self.D)))
+        w = Parameter(
+            "w", rng.standard_normal((self.D, n_heads * (2 * self.D_K + self.D_V)))
+        )
+        return rng, x, w
+
+    @pytest.mark.parametrize("inject", [False, True])
+    def test_forward_matches_per_head_oracle(self, inject):
+        _, x, w = self._inputs(3, 5)
+        adjacency = _injected(5) if inject else None
+        out, logits, weights = Tape().attention(
+            x.value, w.value, 3, self.D_K, 1, (lambda own: adjacency) if inject else None
+        )
+        expect_out, expect_logits = attention_oracle(
+            x.value.data, w.value.data, 3, self.D_K, 1, adjacency
+        )
+        assert out.shape == (5, 3 * self.D_V)
+        assert np.abs(out.data - expect_out).max() <= 1e-12
+        assert np.abs(logits.data - expect_logits).max() <= 1e-12
+        assert np.abs(weights.sum(axis=2) - 1.0).max() <= 1e-12
+        if inject:
+            assert np.array_equal(weights[1], adjacency)
+
+    def test_inject_receives_the_heads_own_softmax(self):
+        _, x, w = self._inputs(2, 4)
+        seen = []
+
+        def inject(own):
+            seen.append(own.copy())
+            return np.eye(4)
+
+        _, logits, _ = Tape().attention(x.value, w.value, 2, self.D_K, 1, inject)
+        s = logits.data[1]
+        own = np.exp(s - s.max(axis=1, keepdims=True))
+        assert np.abs(seen[0] - own / own.sum(axis=1, keepdims=True)).max() <= 1e-15
+
+    def test_rejects_bad_shapes(self):
+        _, x, w = self._inputs(2, 3)
+        with pytest.raises(DimensionError):
+            Tape().attention(x.value, w.value, 3, self.D_K)  # width not a multiple
+        with pytest.raises(DimensionError):
+            Tape().attention(x.value, w.value, 2, 4)  # no columns left for values
+        with pytest.raises(DimensionError):
+            Tape().attention(x.value, w.value, 2, self.D_K, head=2)
+
+    @pytest.mark.parametrize("through", ["output", "logits", "both"])
+    @pytest.mark.parametrize("inject", [False, True])
+    @pytest.mark.parametrize("t_len", [1, 4])
+    @pytest.mark.parametrize("n_heads", [1, 3])
+    def test_finite_differences(self, n_heads, t_len, inject, through):
+        rng, x, w = self._inputs(n_heads, t_len, seed=n_heads * 10 + t_len)
+        head = n_heads - 1
+        adjacency = _injected(t_len)
+        probe_out = Tensor(rng.standard_normal((t_len, n_heads * self.D_V)))
+        probe_logits = Tensor(rng.standard_normal((n_heads, t_len, t_len)))
+
+        def run(backward=False) -> float:
+            t = Tape()
+            out, logits, _ = t.attention(
+                x.value, w.value, n_heads, self.D_K, head,
+                (lambda own: adjacency) if inject else None,
+            )
+            terms = []
+            if through in ("output", "both"):
+                terms.append(t.sum_all(t.mul(out, probe_out)))
+            if through in ("logits", "both"):
+                terms.append(t.sum_all(t.mul(logits, probe_logits)))
+            loss = terms[0] if len(terms) == 1 else t.add(*terms)
+            if backward:
+                t.backward(loss)
+            return loss.item()
+
+        for p in (x, w):
+            p.reset_gradient()
+        run(backward=True)
+        for p in (x, w):
+            assert finite_difference_check(run, p, 1e-5) < 1e-7, p.name
+
+
+class TestConv3:
+    def test_matches_sliding_window_oracle(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((4, 3))
+        taps = [rng.standard_normal((3, 2)) for _ in range(3)]
+        bias = rng.standard_normal(2)
+        out = Tape().conv3(Tensor(x), *(Tensor(m) for m in taps), Tensor(bias))
+        padded = np.vstack([np.zeros((1, 3)), x, np.zeros((1, 3))])
+        for t in range(4):
+            expect = sum(padded[t + i] @ taps[i] for i in range(3)) + bias
+            assert np.abs(out.data[t] - expect).max() <= 1e-12
+
+    def test_rejects_mismatched_taps(self):
+        x = Tensor(np.zeros((2, 3)))
+        good, bad = Tensor(np.zeros((3, 2))), Tensor(np.zeros((2, 2)))
+        with pytest.raises(DimensionError):
+            Tape().conv3(x, good, bad, good, Tensor(np.zeros(2)))
+
+    @pytest.mark.parametrize("t_len", [1, 2, 5])
+    def test_finite_differences(self, t_len):
+        rng = np.random.default_rng(t_len)
+        params = [Parameter("x", rng.standard_normal((t_len, 3)))]
+        params += [Parameter(n, rng.standard_normal((3, 2))) for n in ("l", "c", "r")]
+        params.append(Parameter("b", rng.standard_normal(2)))
+        probe = Tensor(rng.standard_normal((t_len, 2)))
+
+        def run(backward=False) -> float:
+            t = Tape()
+            loss = t.sum_all(t.mul(t.conv3(*(p.value for p in params)), probe))
+            if backward:
+                t.backward(loss)
+            return loss.item()
+
+        for p in params:
+            p.reset_gradient()
+        run(backward=True)
+        for p in params:
+            assert finite_difference_check(run, p, 1e-5) < 1e-8, p.name
 
 
 class TestFiniteDifference:
