@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import RunConfig
-from .corpus import LabelSpace, TransitionTable
+from .corpus import BlobReader, LabelSpace, TransitionTable
 from .errors import CompatibilityError, CorpusFormatError, NonFiniteError
 from .model import EMBED_STATIC, LisaModel
 
@@ -39,6 +40,9 @@ CHECKPOINT_VERSION = 2
 _PRETRAINED_KEY = "frozen.pretrained"
 _UNK_KEY = "frozen.unk"
 _TRANS_KEYS = ("transitions.matrix", "transitions.start", "transitions.end")
+_META_KEYS = frozenset(
+    {"config", "step", "joint_labels", "role_labels", "train_words", "pretrained_words"}
+)
 
 
 @dataclass
@@ -101,42 +105,41 @@ def save_checkpoint(
             fh.write(arr.tobytes())
 
 
-def _read_tensors(blob: bytes, offset: int) -> dict[str, np.ndarray]:
-    (count,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
+def _read_tensors(reader: BlobReader) -> dict[str, np.ndarray]:
+    (count,) = reader.unpack("<I", "tensor count")
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        name = blob[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        (rank,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        shape = struct.unpack_from(f"<{rank}Q", blob, offset)
-        offset += 8 * rank
-        n_items = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=n_items, offset=offset)
-        offset += 8 * n_items
-        out[name] = arr.astype(np.float64).reshape(shape)
-    if offset != len(blob):
-        raise CorpusFormatError(f"{len(blob) - offset} trailing bytes in checkpoint")
+        (name_len,) = reader.unpack("<I", "tensor name length")
+        name = reader.text(name_len, "tensor name")
+        (rank,) = reader.unpack("<I", f"rank of {name}")
+        shape = reader.unpack(f"<{rank}Q", f"shape of {name}")
+        out[name] = reader.floats("<f8", math.prod(shape), f"data of {name}").reshape(shape)
+    if reader.remaining:
+        raise CorpusFormatError(f"{reader.remaining} trailing bytes in checkpoint")
     return out
 
 
 def load_checkpoint(path) -> LoadedCheckpoint:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
+        reader = BlobReader(fh.read(), "checkpoint")
+    magic = reader.take(4, "magic")
+    if magic != CHECKPOINT_MAGIC:
         raise CorpusFormatError(
-            f"bad checkpoint magic {blob[:4]!r}, expected {CHECKPOINT_MAGIC!r}"
+            f"bad checkpoint magic {magic!r}, expected {CHECKPOINT_MAGIC!r}"
         )
-    (version,) = struct.unpack_from("<I", blob, 4)
+    (version,) = reader.unpack("<I", "version")
     if version != CHECKPOINT_VERSION:
         raise CorpusFormatError(f"unsupported checkpoint version {version}")
-    (meta_len,) = struct.unpack_from("<Q", blob, 8)
-    meta = json.loads(blob[16 : 16 + meta_len].decode("utf-8"))
-    tensors = _read_tensors(blob, 16 + meta_len)
-    del blob  # the tensors are copies; free the bytes before the model is built
+    (meta_len,) = reader.unpack("<Q", "metadata length")
+    try:
+        meta = json.loads(reader.text(meta_len, "metadata"))
+    except json.JSONDecodeError as err:
+        raise CorpusFormatError(f"checkpoint metadata is not JSON: {err}") from None
+    missing = _META_KEYS - set(meta) if isinstance(meta, dict) else _META_KEYS
+    if missing:
+        raise CorpusFormatError(f"checkpoint metadata lacks {sorted(missing)}")
+    tensors = _read_tensors(reader)
+    del reader  # the tensors are copies; free the bytes before the model is built
 
     unknown = sorted(set(meta["config"]) - {f.name for f in dataclasses.fields(RunConfig)})
     if unknown:

@@ -13,6 +13,7 @@ whitespace; the writer emits tabs.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -330,6 +331,50 @@ def write_heads_file(path, heads: Iterable[Sequence[int]]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for hs in heads:
             fh.write(" ".join(str(h) for h in hs) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# Binary files
+
+
+class BlobReader:
+    """Bounds-checked little-endian reads over the bytes of a binary file:
+    a short read or non-UTF-8 text raises CorpusFormatError naming the field.
+    """
+
+    def __init__(self, blob: bytes, kind: str) -> None:
+        self.blob, self.kind, self.offset = blob, kind, 0
+
+    @property
+    def remaining(self) -> int:
+        return len(self.blob) - self.offset
+
+    def _advance(self, n: int, what: str) -> int:
+        """Claim the next n bytes; returns where they start."""
+        if n > self.remaining:
+            raise CorpusFormatError(
+                f"truncated {self.kind}: {what} needs {n} bytes at offset"
+                f" {self.offset}, {self.remaining} left"
+            )
+        self.offset += n
+        return self.offset - n
+
+    def take(self, n: int, what: str) -> bytes:
+        return self.blob[self._advance(n, what) : self.offset]
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack_from(fmt, self.blob, self._advance(struct.calcsize(fmt), what))
+
+    def text(self, n: int, what: str) -> str:
+        try:
+            return self.take(n, what).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CorpusFormatError(f"{self.kind}: {what} is not UTF-8") from None
+
+    def floats(self, dtype: str, count: int, what: str) -> np.ndarray:
+        """`count` values of `dtype`, widened to float64."""
+        start = self._advance(count * np.dtype(dtype).itemsize, what)
+        return np.frombuffer(self.blob, dtype, count, start).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------

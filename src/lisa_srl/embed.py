@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import CorpusFormatError
+from .corpus import BlobReader, CorpusFormatError
 from .errors import ConfigError
 from .numerics import Parameter, Tape, Tensor
 
@@ -283,29 +283,22 @@ def write_contextual(path, store: ContextualStore) -> None:
 
 def read_contextual(path) -> ContextualStore:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CTXL_MAGIC:
-        raise CorpusFormatError(f"bad magic {blob[:4]!r}, expected {CTXL_MAGIC!r}")
-    version, n_layers, dim = struct.unpack_from("<III", blob, 4)
+        reader = BlobReader(fh.read(), "contextual file")
+    magic = reader.take(4, "magic")
+    if magic != CTXL_MAGIC:
+        raise CorpusFormatError(f"bad magic {magic!r}, expected {CTXL_MAGIC!r}")
+    version, n_layers, dim = reader.unpack("<III", "header")
     if version != CTXL_VERSION:
         raise CorpusFormatError(f"unsupported contextual-file version {version}")
     if n_layers < 1:
         raise CorpusFormatError("layer count must be >= 1")
-    offset = 16
     layers: dict[str, np.ndarray] = {}
-    while offset < len(blob):
-        (sid_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        sid = blob[offset : offset + sid_len].decode("utf-8")
-        offset += sid_len
-        (t_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        count = n_layers * t_len * dim
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-        offset += 4 * count
-        layers[sid] = (
-            arr.astype(np.float64).reshape(n_layers, t_len, dim)
-        )
+    while reader.remaining:
+        (sid_len,) = reader.unpack("<I", "sentence id length")
+        sid = reader.text(sid_len, "sentence id")
+        (t_len,) = reader.unpack("<I", f"token count of sentence {sid!r}")
+        arr = reader.floats("<f4", n_layers * t_len * dim, f"layers of sentence {sid!r}")
+        layers[sid] = arr.reshape(n_layers, t_len, dim)
     return ContextualStore(n_layers, dim, layers)
 
 

@@ -80,22 +80,18 @@ class LayerParams:
 class EncoderTrace:
     """Per-run record of attention activity for supervision and extraction.
 
-    `attentions` holds the matrices actually consumed by value attention
-    (so the parse head's entry is the injected adjacency when injecting);
-    `parse_logits` are always the model's own pre-softmax parse scores.
+    `attentions[j]` holds layer j's [H, T, T] attention as consumed by value
+    attention (so the parse head's matrix is the injected adjacency when
+    injecting); `parse_logits` are always the model's own pre-softmax parse
+    scores.
     """
 
-    attentions: dict[tuple[int, int], Tensor] = field(default_factory=dict)
+    attentions: dict[int, np.ndarray] = field(default_factory=dict)
     layer_outputs: dict[int, Tensor] = field(default_factory=dict)
     parse_logits: Tensor | None = None
 
-    @property
-    def parse_attention(self) -> Tensor:
-        """The parse head's own softmax attention, before any injection."""
-        return Tape().softmax_rows(self.parse_logits)
-
-    def consumed_parse_attention(self, config: EncoderConfig) -> Tensor:
-        return self.attentions[(config.parse_layer, config.parse_head)]
+    def consumed_parse_attention(self, config: EncoderConfig) -> np.ndarray:
+        return self.attentions[config.parse_layer][config.parse_head]
 
 
 class Encoder:
@@ -166,10 +162,9 @@ def encode_layer(
     m, logits, weights = tape.attention(
         x, layer.qkv.value, config.n_heads, config.d_k, config.parse_head, inject
     )
-    for h in range(config.n_heads):
-        trace.attentions[(layer_index, h)] = Tensor(weights[h])
+    trace.attentions[layer_index] = weights
     if is_parse:
-        trace.parse_logits = tape.pick_row(logits, config.parse_head)
+        trace.parse_logits = logits
     return tape.add(m, conv3(tape, tape.relu(m), layer.conv))
 
 
@@ -187,8 +182,7 @@ def parse_adjacency(heads, t_len: int) -> np.ndarray:
 
 def extract_parse(attention) -> list[int]:
     """Per-token head = argmax attention weight; ties go to the lowest index."""
-    data = attention.data if isinstance(attention, Tensor) else np.asarray(attention)
-    return [int(i) for i in np.argmax(data, axis=1)]
+    return [int(i) for i in np.argmax(attention, axis=1)]
 
 
 def parse_loss(tape: Tape, parse_logits: Tensor, gold_heads) -> Tensor:
@@ -202,6 +196,4 @@ def parse_loss(tape: Tape, parse_logits: Tensor, gold_heads) -> Tensor:
         raise InjectionError(
             f"{len(gold_heads)} gold heads for {parse_logits.shape[0]} tokens"
         )
-    log_probs = tape.log_softmax_rows(parse_logits)
-    picked = tape.take_per_row(log_probs, list(gold_heads))
-    return tape.neg(tape.mean_all(picked))
+    return tape.cross_entropy(parse_logits, gold_heads)

@@ -157,11 +157,8 @@ def bucket_by_length(
               for i in range(len(edges))]
     out = []
     for lo, hi in bounds:
-        members = [(g, p) for g, p in zip(gold, predicted) if lo < len(g) <= hi]
-        counts = Counts()
-        for g, p in members:
-            gs, ps = frame_spans(g), frame_spans(p)
-            counts += Counts(len(gs & ps), len(ps - gs), len(gs - ps))
+        members = [i for i, g in enumerate(gold) if lo < len(g) <= hi]
+        counts = srl_counts([gold[i] for i in members], [predicted[i] for i in members])
         _, _, f1 = counts.prf()
         out.append(BucketMetrics(lo, hi, counts, f1, len(members)))
     return out

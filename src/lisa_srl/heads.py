@@ -5,7 +5,8 @@ predicts into the joint space where predicate-bearing tags carry a
 ":predicate" twin, so one softmax does both tagging and predicate
 detection. The SRL scorer projects the final layer into predicate and
 role representations and scores every (predicate, token, label) triple
-with a rank-3 bilinear operator.
+with a rank-3 bilinear operator, all predicates in one `Tape.bilinear`.
+Each loss is one `Tape.cross_entropy`.
 """
 
 from __future__ import annotations
@@ -58,8 +59,7 @@ def pos_pred_loss(tape: Tape, logits: Tensor, sentence, head: PosPredHead) -> Te
         head.labels.of(joint_label(tag, is_pred))
         for tag, is_pred in zip(sentence.pos, sentence.predicates)
     ]
-    log_probs = tape.log_softmax_rows(logits)
-    return tape.neg(tape.mean_all(tape.take_per_row(log_probs, gold)))
+    return tape.cross_entropy(logits, gold)
 
 
 def decode_pos_pred(logits, labels: LabelSpace) -> tuple[list[str], list[bool]]:
@@ -106,44 +106,30 @@ class SrlScorer:
         return [self.w_pred, self.w_role, self.u]
 
 
-def srl_scores(
-    tape: Tape, s_final: Tensor, predicates, scorer: SrlScorer
-) -> dict[int, Tensor]:
-    """Bilinear role scores [T, |roles|] for each predicate token index."""
+def srl_scores(tape: Tape, s_final: Tensor, predicates, scorer: SrlScorer) -> Tensor:
+    """Bilinear role scores [P, T, |roles|], row k for predicate token predicates[k]."""
     t_len = s_final.shape[0]
     for f in predicates:
         if not 0 <= f < t_len:
             raise ContractError(f"predicate index {f} outside [0, {t_len})")
     if not predicates:
-        return {}
+        return Tensor(np.zeros((0, t_len, len(scorer.labels))))
     pred_proj = tape.matmul(s_final, scorer.w_pred.value)
     role_proj = tape.matmul(s_final, scorer.w_role.value)
-    out = {}
-    for f in predicates:
-        s_pred = tape.pick_row(pred_proj, f)
-        out[f] = tape.bilinear(s_pred, scorer.u.value, role_proj)
-    return out
+    return tape.bilinear(pred_proj, predicates, scorer.u.value, role_proj)
 
 
-def srl_loss(
-    tape: Tape, scores: dict[int, Tensor], frames, labels: LabelSpace
-) -> Tensor:
+def srl_loss(tape: Tape, scores: Tensor, gold_frames, labels: LabelSpace) -> Tensor:
     """Cross-entropy per (predicate, token), averaged per frame then overall.
 
-    The two-stage mean keeps the loss magnitude independent of how many
-    predicates a sentence happens to contain.
+    `gold_frames[k]` is the gold tag sequence of score row k. The two-stage
+    mean keeps the loss magnitude independent of how many predicates a
+    sentence happens to contain.
     """
-    if not scores:
+    if not scores.shape[0]:
         return Tensor(0.0)
-    per_frame = []
-    for f in sorted(scores):
-        gold = [labels.of(tag) for tag in frames[f]]
-        log_probs = tape.log_softmax_rows(scores[f])
-        per_frame.append(tape.neg(tape.mean_all(tape.take_per_row(log_probs, gold))))
-    total = per_frame[0]
-    for term in per_frame[1:]:
-        total = tape.add(total, term)
-    return tape.scale(total, 1.0 / len(per_frame))
+    gold = [[labels.of(tag) for tag in frame] for frame in gold_frames]
+    return tape.cross_entropy(scores, gold)
 
 
 @dataclass

@@ -48,7 +48,7 @@ from .heads import (
     srl_scores,
     total_loss,
 )
-from .numerics import Parameter, Tape, Tensor
+from .numerics import Parameter, Tape, Tensor, log_softmax
 
 VARIANT_SYNTAX = "lisa"
 VARIANT_AGNOSTIC = "sa"
@@ -256,7 +256,9 @@ class LisaModel:
             self.pos_head.labels,
         )
         scores = srl_scores(tape, fw.final, predicates, self.scorer)
-        srl = srl_loss(tape, scores, sentence.frames, self.scorer.labels)
+        srl = srl_loss(
+            tape, scores, [sentence.frames[f] for f in predicates], self.scorer.labels
+        )
         return total_loss(tape, srl, parse, pos)
 
     # -- prediction -----------------------------------------------------------
@@ -294,8 +296,7 @@ class LisaModel:
         scores = srl_scores(tape, fw.final, predicates, self.scorer)
         frames: dict[int, tuple[str, ...]] = {}
         role_space = self.scorer.labels
-        for f, score in scores.items():
-            emissions = tape.log_softmax_rows(score).data
+        for f, emissions in zip(predicates, log_softmax(scores.data)):
             tags = viterbi_decode(DecodeProblem(emissions, transitions))
             # tuples from lists, not generators, here and below: a tuple
             # built from a generator is resized, so freeing it grows

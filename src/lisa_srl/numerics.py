@@ -2,8 +2,9 @@
 
 The whole model runs on a deliberately small op set: matmuls and elementwise
 arithmetic, one fused op for a whole multi-head self-attention layer, one for
-a width-3 convolution, bilinear scoring, scalar mixing, softmaxes and the
-gathers and reductions of cross-entropy style losses.
+a width-3 convolution, one bilinear op scoring every predicate at once,
+scalar mixing, a row softmax, a sum, and one cross-entropy op that serves
+all three losses.
 Everything is float64 and row-major; there is no broadcasting beyond the few
 shapes the ops below accept. Tensors are immutable once created (the SGD
 optimizer mutates parameter storage only *between* tapes).
@@ -136,17 +137,6 @@ class Tape:
         self._record(back)
         return out
 
-    def scale(self, a: Tensor, c: float) -> Tensor:
-        out = Tensor(a.data * c)
-
-        def back() -> None:
-            if out.grad is None:
-                return
-            _accumulate(a, out.grad * c)
-
-        self._record(back)
-        return out
-
     def scale_by(self, a: Tensor, s: Tensor) -> Tensor:
         """Multiply a tensor by a scalar tensor; gradients reach both."""
         if s.ndim != 0:
@@ -173,40 +163,6 @@ class Tape:
                 return
             _accumulate(a, out.grad)
             _accumulate(b, out.grad.sum(axis=0))
-
-        self._record(back)
-        return out
-
-    def pick_row(self, a: Tensor, i: int) -> Tensor:
-        """out = a[i], indexing the first axis of a matrix or a stack."""
-        if a.ndim < 2:
-            raise DimensionError(f"pick_row needs at least two axes, got {a.shape}")
-        out = Tensor(a.data[i].copy())
-
-        def back() -> None:
-            if out.grad is None:
-                return
-            g = np.zeros_like(a.data)
-            g[i] = out.grad
-            _accumulate(a, g)
-
-        self._record(back)
-        return out
-
-    def take_per_row(self, a: Tensor, cols: Sequence[int]) -> Tensor:
-        """out[t] = a[t, cols[t]]; the gather used by all cross-entropies."""
-        idx = np.asarray(cols, dtype=np.intp)
-        if a.ndim != 2 or idx.shape[0] != a.shape[0]:
-            raise DimensionError(f"take_per_row: {a.shape} with {idx.shape[0]} indices")
-        rows = np.arange(a.shape[0])
-        out = Tensor(a.data[rows, idx])
-
-        def back() -> None:
-            if out.grad is None:
-                return
-            g = np.zeros_like(a.data)
-            np.add.at(g, (rows, idx), out.grad)
-            _accumulate(a, g)
 
         self._record(back)
         return out
@@ -244,9 +200,9 @@ class Tape:
         matrix that head attends with instead; no gradient flows through
         that matrix, but the head's logits keep theirs.
 
-        Returns the head outputs side by side [T, H*d_v], the pre-softmax
-        logits [H, T, T] (gradient may arrive through both) and the attention
-        each head applied [H, T, T], a constant.
+        Returns the head outputs side by side [T, H*d_v], head `head`'s
+        pre-softmax logits [T, T] (gradient may arrive through both) and the
+        attention each head applied [H, T, T], a constant.
         """
         t_len = x.shape[0]
         width, extra = divmod(w.shape[-1], n_heads)
@@ -269,8 +225,9 @@ class Tape:
         # k^T made contiguous: BLAS rounds a product with a transposed view
         # differently, and this form matches separate per-head matmuls bitwise
         k_t = qkv[..., d_k : 2 * d_k].transpose(0, 2, 1).copy()
-        logits = Tensor((q @ k_t) * c)
-        shifted = logits.data - logits.data.max(axis=2, keepdims=True)
+        scores = (q @ k_t) * c
+        logits = Tensor(scores[head])
+        shifted = scores - scores.max(axis=2, keepdims=True)
         e = np.exp(shifted)
         weights = e / e.sum(axis=2, keepdims=True)
         if inject is not None:
@@ -281,7 +238,7 @@ class Tape:
             if out.grad is None and logits.grad is None:
                 return
             if out.grad is None:
-                g_scores = np.zeros_like(logits.data)
+                g_scores = np.zeros_like(scores)
                 g_v = np.zeros_like(v)
             else:
                 g_out = out.grad.reshape(t_len, n_heads, d_v).transpose(1, 0, 2)
@@ -293,7 +250,7 @@ class Tape:
                 if inject is not None:
                     g_scores[head] = 0.0
             if logits.grad is not None:
-                g_scores = logits.grad + g_scores
+                g_scores[head] = logits.grad + g_scores[head]
             g_scores = g_scores * c
             g_q = g_scores @ k_t.transpose(0, 2, 1)
             g_k = (q.transpose(0, 2, 1) @ g_scores).transpose(0, 2, 1)
@@ -348,25 +305,36 @@ class Tape:
         self._record(back)
         return out
 
-    def bilinear(self, p: Tensor, u: Tensor, r: Tensor) -> Tensor:
-        """scores[t, l] = p . U[:, l, :] . r[t]  for a rank-3 operator U."""
-        if p.ndim != 1 or u.ndim != 3 or r.ndim != 2:
+    def bilinear(self, p: Tensor, rows: Sequence[int], u: Tensor, r: Tensor) -> Tensor:
+        """scores[k, t, l] = p[rows[k]] . U[:, l, :] . r[t]  for a rank-3 operator U.
+
+        Scores the selected rows of `p` against every row of `r` at once,
+        giving [len(rows), T, L].
+        """
+        idx = np.asarray(rows, dtype=np.intp)
+        if (
+            p.ndim != 2 or u.ndim != 3 or r.ndim != 2 or idx.ndim != 1
+            or u.shape[0] != p.shape[1] or u.shape[2] != r.shape[1]
+            or not np.all((0 <= idx) & (idx < p.shape[0]))
+        ):
             raise DimensionError(
-                f"bilinear ranks: {p.shape}, {u.shape}, {r.shape}"
+                f"bilinear: {p.shape} at rows {idx.tolist()}, {u.shape}, {r.shape}"
             )
-        if u.shape[0] != p.shape[0] or u.shape[2] != r.shape[1]:
-            raise DimensionError(
-                f"bilinear dims incompatible: {p.shape}, {u.shape}, {r.shape}"
-            )
-        out = Tensor(np.einsum("i,ilj,tj->tl", p.data, u.data, r.data))
+        picked = p.data[idx]
+        out = Tensor(np.einsum("ki,ilj,tj->ktl", picked, u.data, r.data))
 
         def back() -> None:
             if out.grad is None:
                 return
-            g = out.grad
-            _accumulate(p, np.einsum("tl,ilj,tj->i", g, u.data, r.data))
-            _accumulate(u, np.einsum("i,tl,tj->ilj", p.data, g, r.data))
-            _accumulate(r, np.einsum("tl,i,ilj->tj", g, p.data, u.data))
+            g_p = np.zeros_like(p.data)
+            # row by row in reverse: the summation order, and so the
+            # rounding, of separate per-row products
+            for k in reversed(range(len(idx))):
+                g = out.grad[k]
+                g_p[idx[k]] += np.einsum("tl,ilj,tj->i", g, u.data, r.data)
+                _accumulate(u, np.einsum("i,tl,tj->ilj", picked[k], g, r.data))
+                _accumulate(r, np.einsum("tl,i,ilj->tj", g, picked[k], u.data))
+            _accumulate(p, g_p)
 
         self._record(back)
         return out
@@ -425,18 +393,38 @@ class Tape:
         self._record(back)
         return out
 
-    def log_softmax_rows(self, x: Tensor) -> Tensor:
-        if x.ndim != 2:
-            raise DimensionError(f"log_softmax_rows needs a matrix, got {x.shape}")
-        shifted = x.data - x.data.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        out = Tensor(shifted - lse)
+    def cross_entropy(self, logits: Tensor, gold) -> Tensor:
+        """Mean over tokens of -log softmax(logits)[gold]: every head's loss.
+
+        `logits` is [T, C] with `gold` [T] class indices, or a stack of
+        frames [P, T, C] with `gold` [P, T]. A stack takes the token mean
+        per frame, then the mean over frames, so its loss does not grow with
+        the number of frames.
+        """
+        idx = np.asarray(gold, dtype=np.intp)
+        if (
+            logits.ndim not in (2, 3)
+            or idx.shape != logits.shape[:-1]
+            or 0 in logits.shape
+            or idx.min() < 0
+            or idx.max() >= logits.shape[-1]
+        ):
+            raise DimensionError(f"cross_entropy: logits {logits.shape}, gold {idx.tolist()}")
+        log_probs = log_softmax(logits.data).reshape(-1, *logits.shape[-2:])
+        n_frames, t_len, _ = log_probs.shape
+        at = (np.arange(n_frames)[:, None], np.arange(t_len), idx.reshape(n_frames, t_len))
+        frame_losses = -(log_probs[at].sum(axis=1) / t_len)
+        # frames summed left to right, then scaled by the reciprocal
+        out = Tensor(np.add.accumulate(frame_losses)[-1] * (1.0 / n_frames))
 
         def back() -> None:
             if out.grad is None:
                 return
-            g = out.grad
-            _accumulate(x, g - np.exp(out.data) * g.sum(axis=1, keepdims=True))
+            # the reverse of the forward's scale, negation and token mean
+            g_gold = out.grad * (1.0 / n_frames) * -1.0 / t_len
+            g = np.zeros_like(log_probs)
+            g[at] = g_gold
+            _accumulate(logits, (g - np.exp(log_probs) * g_gold).reshape(logits.shape))
 
         self._record(back)
         return out
@@ -454,21 +442,6 @@ class Tape:
         self._record(back)
         return out
 
-    def mean_all(self, a: Tensor) -> Tensor:
-        n = a.data.size
-        out = Tensor(np.asarray(a.data.sum() / n))
-
-        def back() -> None:
-            if out.grad is None:
-                return
-            _accumulate(a, np.full_like(a.data, float(out.grad) / n))
-
-        self._record(back)
-        return out
-
-    def neg(self, a: Tensor) -> Tensor:
-        return self.scale(a, -1.0)
-
     # -- reverse pass -------------------------------------------------------
 
     def backward(self, loss: Tensor) -> None:
@@ -484,6 +457,12 @@ class Tape:
         loss.grad += 1.0
         for fn in reversed(self._backprops):
             fn()
+
+
+def log_softmax(x: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis, with max subtraction for stability."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def finite_difference_check(

@@ -31,7 +31,7 @@ from lisa_srl.embed import gen_contextual_layers
 from lisa_srl.encoder import EncoderConfig, ParseSource
 from lisa_srl.evaluation import corpus_uas, srl_prf
 from lisa_srl.model import LisaModel, ModelConfig
-from lisa_srl.numerics import Tape, finite_difference_check
+from lisa_srl.numerics import Tape, Tensor, finite_difference_check
 from lisa_srl.pipeline import GenSynthParams, evaluate, gen_synth, predict, train
 from lisa_srl.synth import GrammarParams, gen_synthetic, pretrained_vectors
 
@@ -248,8 +248,8 @@ def test_distributions_are_normalized(acceptance_report):
 
         sums = []
         for attention in fw.trace.attentions.values():
-            sums.append(attention.data.sum(axis=-1))
-            rows_checked += attention.shape[0]
+            sums.append(attention.sum(axis=-1))
+            rows_checked += attention.shape[0] * attention.shape[1]
         if contextual:
             sums.append(model.mix.coefficients().sum())
             rows_checked += 1
@@ -260,8 +260,8 @@ def test_distributions_are_normalized(acceptance_report):
 
         for score in srl_scores(
             tape, fw.final, list(sent.predicate_indices), model.scorer
-        ).values():
-            role_probs = tape.softmax_rows(score)
+        ).data:
+            role_probs = tape.softmax_rows(Tensor(score))
             sums.append(role_probs.data.sum(axis=-1))
             rows_checked += role_probs.shape[0]
         for s in sums:

@@ -347,6 +347,50 @@ def test_checkpoint_with_unknown_config_key_is_incompatible(data_dir, tmp_path):
         load_checkpoint(broken)
 
 
+@pytest.fixture(scope="module")
+def contextual_checkpoint(data_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("ctx") / "ctx.ckpt"
+    train(_tiny_config(
+        data_dir, out.parent, embedding="contextual",
+        train_ctxl_path=data_dir / "train.ctxl", dev_ctxl_path=data_dir / "dev.ctxl",
+        checkpoint_out=out, epochs=1,
+    ))
+    return out
+
+
+def _cut(blob: bytes, kind: str, where: str) -> int:
+    """A length that ends the file inside the named field."""
+    if where == "header":
+        return 10  # inside the version (.ckpt) or the header triple (.ctxl)
+    if kind == "ckpt":
+        (meta_len,) = struct.unpack_from("<Q", blob, 8)
+        return 16 + meta_len // 2 if where == "metadata" else len(blob) - 12
+    # .ctxl: the first sentence id starts at byte 20
+    return 20 if where == "metadata" else len(blob) - 6
+
+
+@pytest.mark.parametrize("where", ["header", "metadata", "data"])
+@pytest.mark.parametrize("kind", ["ckpt", "ctxl"])
+def test_cli_truncated_binary_inputs_are_format_errors(
+    data_dir, contextual_checkpoint, tmp_path, capsys, kind, where
+):
+    paths = {"ckpt": contextual_checkpoint, "ctxl": data_dir / "test.ctxl"}
+    blob = paths[kind].read_bytes()
+    paths[kind] = tmp_path / f"cut.{kind}"
+    paths[kind].write_bytes(blob[: _cut(blob, kind, where)])
+    code = main([
+        "predict",
+        "--checkpoint-in", str(paths["ckpt"]),
+        "--test-path", str(data_dir / "test.conll"),
+        "--test-ctxl-path", str(paths["ctxl"]),
+        "--predictions-path", str(tmp_path / "pred.conll"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error category=corpus-format:"), err[0]
+
+
 def test_checkpoint_refuses_non_finite_parameters(data_dir, tmp_path):
     config = _tiny_config(data_dir, tmp_path, epochs=1)
     result = train(config)

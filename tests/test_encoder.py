@@ -30,7 +30,7 @@ def _head(rng, d_model, d_k, d_v=None):
 def _attention_weights(x, qkv, d_k):
     """Row-stochastic attention and its pre-softmax logits for one head."""
     _, logits, weights = Tape().attention(x, qkv.value, 1, d_k)
-    return weights[0], logits.data[0]
+    return weights[0], logits.data
 
 
 def _attend(attention, values):
@@ -188,8 +188,10 @@ def test_all_attention_rows_stochastic():
     x = Tensor(rng.normal(size=(6, 6)))
     for injected in (None, [1, 1, 4, 1, 4, 4]):
         _, trace = enc.encode(Tape(), x, injected)
+        assert sorted(trace.attentions) == [1, 2]
         for attention in trace.attentions.values():
-            sums = attention.data.sum(axis=1)
+            assert attention.shape == (2, 6, 6)
+            sums = attention.sum(axis=-1)
             assert np.max(np.abs(sums - 1.0)) <= 1e-9
 
 
@@ -200,12 +202,11 @@ def test_injection_changes_only_the_parse_head():
     x = Tensor(rng.normal(size=(4, 6)))
     _, self_trace = enc.encode(Tape(), x)
     _, gold_trace = enc.encode(Tape(), x, [1, 1, 1, 2])
-    for key in self_trace.attentions:
-        if key == (config.parse_layer, config.parse_head):
-            continue
-        assert np.array_equal(
-            self_trace.attentions[key].data, gold_trace.attentions[key].data
-        )
+    for layer, attention in self_trace.attentions.items():
+        for head in range(config.n_heads):
+            if (layer, head) == (config.parse_layer, config.parse_head):
+                continue
+            assert np.array_equal(attention[head], gold_trace.attentions[layer][head])
     # pre-injection logits are the model's own either way
     assert np.array_equal(
         self_trace.parse_logits.data, gold_trace.parse_logits.data
@@ -215,7 +216,7 @@ def test_injection_changes_only_the_parse_head():
         self_trace.layer_outputs[1].data, gold_trace.layer_outputs[1].data
     )
     injected = gold_trace.consumed_parse_attention(config)
-    assert np.array_equal(injected.data, parse_adjacency([1, 1, 1, 2], 4))
+    assert np.array_equal(injected, parse_adjacency([1, 1, 1, 2], 4))
 
 
 def test_parse_attention_is_the_heads_own_softmax():
@@ -226,11 +227,13 @@ def test_parse_attention_is_the_heads_own_softmax():
     _, self_trace = enc.encode(Tape(), x)
     _, gold_trace = enc.encode(Tape(), x, [1, 1, 1, 2])
     _, hard_trace = enc.encode(Tape(), x, harden=True)
-    own = self_trace.consumed_parse_attention(config).data
-    assert np.array_equal(self_trace.parse_attention.data, own)
-    assert np.array_equal(gold_trace.parse_attention.data, own)
+    own = self_trace.consumed_parse_attention(config)
+    logits = self_trace.parse_logits.data
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    assert np.array_equal(own, e / e.sum(axis=1, keepdims=True))
+    assert np.array_equal(gold_trace.parse_logits.data, logits)
     assert np.array_equal(
-        hard_trace.consumed_parse_attention(config).data,
+        hard_trace.consumed_parse_attention(config),
         parse_adjacency(extract_parse(own), 4),
     )
 

@@ -109,7 +109,7 @@ def test_bilinear_scores_analytic_instance():
     )
     s_final = Tensor([[1.0], [2.0]])
     scores = srl_scores(Tape(), s_final, [0], scorer)
-    assert np.array_equal(scores[0].data, [[0.0, 1.0, 2.0], [0.0, 2.0, 4.0]])
+    assert np.array_equal(scores.data, [[[0.0, 1.0, 2.0], [0.0, 2.0, 4.0]]])
 
 
 def test_zero_bilinear_gives_uniform_roles():
@@ -117,7 +117,7 @@ def test_zero_bilinear_gives_uniform_roles():
     scorer = SrlScorer.build(4, 3, ROLES, rng)
     scores = srl_scores(Tape(), Tensor(rng.normal(size=(3, 4))), [1], scorer)
     tape = Tape()
-    probs = tape.softmax_rows(scores[1])
+    probs = tape.softmax_rows(Tensor(scores.data[0]))
     assert np.max(np.abs(probs.data - 1.0 / 3.0)) < 1e-12
 
 
@@ -127,17 +127,21 @@ def test_bilinear_matches_triple_loop_oracle():
     scorer = SrlScorer.build(d_model, d_r, ROLES, rng)
     scorer.u.value.data[...] = rng.normal(size=scorer.u.value.shape)
     x = rng.normal(size=(t_len, d_model))
-    scores = srl_scores(Tape(), Tensor(x), [2], scorer)
+    predicates = [3, 0]
+    scores = srl_scores(Tape(), Tensor(x), predicates, scorer)
 
-    pred = x[2] @ scorer.w_pred.value.data
     role = x @ scorer.w_role.value.data
-    expected = np.zeros((t_len, len(ROLES)))
-    for t in range(t_len):
-        for l in range(len(ROLES)):
-            for i in range(d_r):
-                for j in range(d_r):
-                    expected[t, l] += pred[i] * scorer.u.value.data[i, l, j] * role[t, j]
-    assert np.max(np.abs(scores[2].data - expected)) < 1e-12
+    expected = np.zeros((len(predicates), t_len, len(ROLES)))
+    for k, f in enumerate(predicates):
+        pred = x[f] @ scorer.w_pred.value.data
+        for t in range(t_len):
+            for l in range(len(ROLES)):
+                for i in range(d_r):
+                    for j in range(d_r):
+                        expected[k, t, l] += (
+                            pred[i] * scorer.u.value.data[i, l, j] * role[t, j]
+                        )
+    assert np.max(np.abs(scores.data - expected)) < 1e-12
 
 
 def test_srl_scores_rejects_bad_predicate_index():
@@ -150,7 +154,10 @@ def test_srl_scores_rejects_bad_predicate_index():
 def test_srl_scores_empty_predicates():
     rng = np.random.default_rng(6)
     scorer = SrlScorer.build(3, 2, ROLES, rng)
-    assert srl_scores(Tape(), Tensor(rng.normal(size=(2, 3))), [], scorer) == {}
+    tape = Tape()
+    scores = srl_scores(tape, Tensor(rng.normal(size=(2, 3))), [], scorer)
+    assert scores.shape == (0, 2, len(ROLES))
+    assert tape._backprops == []
 
 
 def test_role_distributions_normalized():
@@ -159,8 +166,8 @@ def test_role_distributions_normalized():
     scorer.u.value.data[...] = rng.normal(size=scorer.u.value.shape)
     scores = srl_scores(Tape(), Tensor(rng.normal(size=(5, 4))), [0, 3], scorer)
     tape = Tape()
-    for s in scores.values():
-        sums = tape.softmax_rows(s).data.sum(axis=1)
+    for s in scores.data:
+        sums = tape.softmax_rows(Tensor(s)).data.sum(axis=1)
         assert np.max(np.abs(sums - 1.0)) <= 1e-9
 
 
@@ -179,9 +186,9 @@ def test_total_gradient_is_sum_of_component_gradients():
 
     def build(tape):
         h = tape.matmul(x, w.value)
-        a = tape.mean_all(tape.relu(h))
+        a = tape.sum_all(tape.relu(h))
         b = tape.sum_all(tape.mul(h, h))
-        c = tape.mean_all(tape.softmax_rows(h))
+        c = tape.cross_entropy(h, [1, 0])
         return a, b, c
 
     tape = Tape()
@@ -203,11 +210,11 @@ def test_total_gradient_is_sum_of_component_gradients():
 def test_srl_loss_two_stage_mean():
     # two frames with hand-computed cross-entropies; the sentence loss is
     # the plain mean of the two frame losses
-    scores = {
-        0: Tensor(np.log(np.array([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25]]))),
-        1: Tensor(np.log(np.array([[0.8, 0.1, 0.1], [0.6, 0.2, 0.2]]))),
-    }
-    frames = {0: ("O", "B-A0"), 1: ("O", "O")}
+    scores = Tensor(np.log(np.array([
+        [[0.5, 0.25, 0.25], [0.25, 0.5, 0.25]],
+        [[0.8, 0.1, 0.1], [0.6, 0.2, 0.2]],
+    ])))
+    frames = [("O", "B-A0"), ("O", "O")]
     tape = Tape()
     loss = srl_loss(tape, scores, frames, ROLES)
     frame0 = -(np.log(0.5) + np.log(0.5)) / 2.0
@@ -216,4 +223,4 @@ def test_srl_loss_two_stage_mean():
 
 
 def test_srl_loss_empty_is_zero():
-    assert srl_loss(Tape(), {}, {}, ROLES).item() == 0.0
+    assert srl_loss(Tape(), Tensor(np.zeros((0, 2, 3))), [], ROLES).item() == 0.0

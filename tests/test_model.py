@@ -196,23 +196,28 @@ def test_hardened_self_parse_consumes_one_hot():
     corpus = _tiny_corpus()
     model = _model(corpus)
     fw = model.forward(Tape(), corpus[1], harden=True)
-    consumed = fw.trace.consumed_parse_attention(model.config.encoder).data
+    consumed = fw.trace.consumed_parse_attention(model.config.encoder)
     assert np.array_equal(np.sort(np.unique(consumed)), [0.0, 1.0])
     assert np.array_equal(consumed.sum(axis=1), np.ones(5))
 
 
 def test_default_training_step_records_few_tape_ops():
-    # one fused op per attention layer and per convolution
-    corpus = gen_synthetic(20, 0)
-    sent = next(s for s in corpus if len(s.predicate_indices) == 1)
+    # one fused op per attention layer and per convolution, one bilinear op
+    # for all predicates and one cross-entropy op per loss
+    corpus = gen_synthetic(40, 0)
     joint, roles = _spaces(corpus)
     vocab = sorted({w for s in corpus for w in s.tokens})
     model = LisaModel.build(
         ModelConfig(), joint, roles, vocab, _pretrained(corpus, 64), 0
     )
-    tape = Tape()
-    model.loss(tape, sent)
-    assert len(tape._backprops) <= 45
+    counts = []
+    for n_predicates in (1, 2):
+        sent = next(s for s in corpus if len(s.predicate_indices) == n_predicates)
+        tape = Tape()
+        model.loss(tape, sent)
+        counts.append(len(tape._backprops))
+    assert counts[0] <= 27
+    assert counts[1] == counts[0]
 
 
 def test_contextual_path_forward_and_gradients():

@@ -130,38 +130,23 @@ class TestBackward:
 
 
 class TestCompositeOps:
-    def test_take_per_row_and_grad(self):
-        x = Parameter("x", np.arange(6.0).reshape(2, 3))
-        t = Tape()
-        picked = t.take_per_row(x.value, [2, 0])
-        assert np.array_equal(picked.data, [2.0, 3.0])
-        t.backward(t.sum_all(picked))
-        assert np.array_equal(x.gradient, [[0, 0, 1], [1, 0, 0]])
-
     def test_bilinear_matches_triple_loop(self):
         rng = np.random.default_rng(11)
-        p = rng.standard_normal(3)
+        p = rng.standard_normal((4, 3))
         u = rng.standard_normal((3, 4, 5))
         r = rng.standard_normal((6, 5))
-        out = Tape().bilinear(Tensor(p), Tensor(u), Tensor(r))
-        expect = np.zeros((6, 4))
-        for tt in range(6):
-            for ll in range(4):
-                acc = 0.0
-                for i in range(3):
-                    for j in range(5):
-                        acc += p[i] * u[i, ll, j] * r[tt, j]
-                expect[tt, ll] = acc
+        rows = [3, 1]
+        out = Tape().bilinear(Tensor(p), rows, Tensor(u), Tensor(r))
+        expect = np.zeros((2, 6, 4))
+        for k, row in enumerate(rows):
+            for tt in range(6):
+                for ll in range(4):
+                    acc = 0.0
+                    for i in range(3):
+                        for j in range(5):
+                            acc += p[row, i] * u[i, ll, j] * r[tt, j]
+                    expect[k, tt, ll] = acc
         assert np.abs(out.data - expect).max() <= 1e-12
-
-    def test_pick_row_indexes_first_axis_of_a_stack(self):
-        x = Parameter("x", np.arange(12.0).reshape(3, 2, 2))
-        t = Tape()
-        picked = t.pick_row(x.value, 1)
-        assert np.array_equal(picked.data, [[4.0, 5.0], [6.0, 7.0]])
-        t.backward(t.sum_all(picked))
-        assert np.array_equal(x.gradient[1], np.ones((2, 2)))
-        assert np.array_equal(x.gradient[[0, 2]], np.zeros((2, 2, 2)))
 
 
 def attention_oracle(x, w, n_heads, d_k, head=0, adjacency=None):
@@ -209,8 +194,9 @@ class TestAttention:
             x.value.data, w.value.data, 3, self.D_K, 1, adjacency
         )
         assert out.shape == (5, 3 * self.D_V)
+        assert logits.shape == (5, 5)
         assert np.abs(out.data - expect_out).max() <= 1e-12
-        assert np.abs(logits.data - expect_logits).max() <= 1e-12
+        assert np.abs(logits.data - expect_logits[1]).max() <= 1e-12
         assert np.abs(weights.sum(axis=2) - 1.0).max() <= 1e-12
         if inject:
             assert np.array_equal(weights[1], adjacency)
@@ -224,7 +210,7 @@ class TestAttention:
             return np.eye(4)
 
         _, logits, _ = Tape().attention(x.value, w.value, 2, self.D_K, 1, inject)
-        s = logits.data[1]
+        s = logits.data
         own = np.exp(s - s.max(axis=1, keepdims=True))
         assert np.abs(seen[0] - own / own.sum(axis=1, keepdims=True)).max() <= 1e-15
 
@@ -246,7 +232,7 @@ class TestAttention:
         head = n_heads - 1
         adjacency = _injected(t_len)
         probe_out = Tensor(rng.standard_normal((t_len, n_heads * self.D_V)))
-        probe_logits = Tensor(rng.standard_normal((n_heads, t_len, t_len)))
+        probe_logits = Tensor(rng.standard_normal((t_len, t_len)))
 
         def run(backward=False) -> float:
             t = Tape()
@@ -311,6 +297,136 @@ class TestConv3:
             assert finite_difference_check(run, p, 1e-5) < 1e-8, p.name
 
 
+class TestCrossEntropy:
+    @staticmethod
+    def _oracle(logits, gold):
+        """Per-frame token mean of -log softmax at gold, then the frame mean."""
+        stack = logits.reshape(-1, *logits.shape[-2:])
+        gold = np.asarray(gold).reshape(stack.shape[:2])
+        frame_losses = []
+        for scores, tags in zip(stack, gold):
+            e = np.exp(scores - scores.max(axis=1, keepdims=True))
+            probs = e / e.sum(axis=1, keepdims=True)
+            frame_losses.append(-np.mean(np.log(probs[np.arange(len(tags)), tags])))
+        return np.mean(frame_losses)
+
+    @pytest.mark.parametrize("shape", [(1, 5), (4, 5), (1, 4, 5), (3, 4, 5)])
+    def test_matches_oracle(self, shape):
+        rng = np.random.default_rng(len(shape) * 10 + shape[0])
+        logits = rng.standard_normal(shape) * 3.0
+        gold = rng.integers(0, shape[-1], shape[:-1])
+        out = Tape().cross_entropy(Tensor(logits), gold)
+        assert out.ndim == 0
+        assert abs(out.item() - self._oracle(logits, gold)) <= 1e-12
+
+    def test_stack_keeps_the_two_stage_summation_order(self):
+        # frame by frame: -(sum / T), frames added left to right, then * (1 / P)
+        rng = np.random.default_rng(9)
+        for n_frames in (1, 2, 3, 9):
+            logits = rng.standard_normal((n_frames, 7, 5)) * 4.0
+            gold = rng.integers(0, 5, (n_frames, 7))
+            total = None
+            for scores, tags in zip(logits, gold):
+                shifted = scores - scores.max(axis=1, keepdims=True)
+                log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+                frame = -(log_probs[np.arange(7), tags].sum() / 7)
+                total = frame if total is None else total + frame
+            out = Tape().cross_entropy(Tensor(logits), gold)
+            assert out.item() == total * (1.0 / n_frames)
+
+    def test_rejects_misshapen_or_out_of_range_gold(self):
+        logits = Tensor(np.zeros((2, 3)))
+        for gold in ([0], [0, 3], [-1, 0], [[0, 1]]):
+            with pytest.raises(DimensionError):
+                Tape().cross_entropy(logits, gold)
+        with pytest.raises(DimensionError):
+            Tape().cross_entropy(Tensor(np.zeros((0, 2, 3))), np.zeros((0, 2)))
+
+    @pytest.mark.parametrize("shape", [(1, 5), (4, 5), (1, 4, 5), (3, 4, 5)])
+    def test_finite_differences(self, shape):
+        rng = np.random.default_rng(len(shape) + shape[0])
+        x = Parameter("x", rng.standard_normal(shape) * 2.0)
+        gold = rng.integers(0, shape[-1], shape[:-1])
+        upstream = Tensor(-1.7)  # so the incoming gradient is not 1
+
+        def run(backward=False) -> float:
+            t = Tape()
+            loss = t.scale_by(t.cross_entropy(x.value, gold), upstream)
+            if backward:
+                t.backward(loss)
+            return loss.item()
+
+        x.reset_gradient()
+        run(backward=True)
+        assert finite_difference_check(run, x, 1e-5) < 1e-8
+
+
+class TestBilinear:
+    @staticmethod
+    def _inputs(seed, n_rows=6, d_p=3, n_labels=4, d_r=5, t_len=4):
+        rng = np.random.default_rng(seed)
+        return (
+            rng,
+            Parameter("p", rng.standard_normal((n_rows, d_p))),
+            Parameter("u", rng.standard_normal((d_p, n_labels, d_r))),
+            Parameter("r", rng.standard_normal((t_len, d_r))),
+        )
+
+    def test_batched_equals_a_per_row_loop_bitwise(self):
+        for seed in range(40):
+            rng, p, u, r = self._inputs(seed, t_len=int(seed % 7) + 1)
+            rows = [int(i) for i in rng.permutation(6)[: seed % 4 + 1]]
+            t = Tape()
+            out = t.bilinear(p.value, rows, u.value, r.value)
+            g = rng.standard_normal(out.shape)
+            t.backward(t.sum_all(t.mul(out, Tensor(g))))
+            # the per-row form: one product per row, gradients accumulated
+            # in the reverse of the order the rows were scored in
+            expect_p = np.zeros_like(p.value.data)
+            expect_u = np.zeros_like(u.value.data)
+            expect_r = np.zeros_like(r.value.data)
+            for k in reversed(range(len(rows))):
+                row = p.value.data[rows[k]]
+                assert np.array_equal(
+                    out.data[k], np.einsum("i,ilj,tj->tl", row, u.value.data, r.value.data)
+                )
+                expect_p[rows[k]] += np.einsum("tl,ilj,tj->i", g[k], u.value.data, r.value.data)
+                expect_u += np.einsum("i,tl,tj->ilj", row, g[k], r.value.data)
+                expect_r += np.einsum("tl,i,ilj->tj", g[k], row, u.value.data)
+            assert np.array_equal(p.gradient, expect_p)
+            assert np.array_equal(u.gradient, expect_u)
+            assert np.array_equal(r.gradient, expect_r)
+
+    def test_rejects_bad_rows_and_shapes(self):
+        _, p, u, r = self._inputs(0)
+        with pytest.raises(DimensionError):
+            Tape().bilinear(p.value, [6], u.value, r.value)
+        with pytest.raises(DimensionError):
+            Tape().bilinear(p.value, [[0]], u.value, r.value)
+        with pytest.raises(DimensionError):
+            Tape().bilinear(r.value, [0], u.value, r.value)
+
+    @pytest.mark.parametrize("rows", [[4], [5, 0, 2]])
+    def test_finite_differences(self, rows):
+        rng, p, u, r = self._inputs(len(rows))
+        probe = Tensor(rng.standard_normal((len(rows), 4, 4)))
+
+        def run(backward=False) -> float:
+            t = Tape()
+            loss = t.sum_all(t.mul(t.bilinear(p.value, rows, u.value, r.value), probe))
+            if backward:
+                t.backward(loss)
+            return loss.item()
+
+        for param in (p, u, r):
+            param.reset_gradient()
+        run(backward=True)
+        for param in (p, u, r):
+            assert finite_difference_check(run, param, 1e-5) < 1e-8, param.name
+        unused = [i for i in range(6) if i not in rows]
+        assert np.array_equal(p.gradient[unused], np.zeros((len(unused), 3)))
+
+
 class TestFiniteDifference:
     def test_linear_function_all_ones(self):
         p = Parameter("p", np.array([[1.0, -2.0], [0.5, 4.0]]))
@@ -358,10 +474,10 @@ class TestFiniteDifference:
         def run() -> float:
             t = Tape()
             h = t.relu(t.matmul(Tensor(x), w.value))
-            return t.mean_all(t.log_softmax_rows(h)).item()
+            return t.cross_entropy(h, [2, 0, 1, 1]).item()
 
         w.reset_gradient()
         t = Tape()
         h = t.relu(t.matmul(Tensor(x), w.value))
-        t.backward(t.mean_all(t.log_softmax_rows(h)))
+        t.backward(t.cross_entropy(h, [2, 0, 1, 1]))
         assert finite_difference_check(run, w, 1e-5) < 1e-7
