@@ -112,6 +112,8 @@ def _read_tensors(reader: BlobReader) -> dict[str, np.ndarray]:
         (name_len,) = reader.unpack("<I", "tensor name length")
         name = reader.text(name_len, "tensor name")
         (rank,) = reader.unpack("<I", f"rank of {name}")
+        if rank > 32:  # the most axes any numpy version supports
+            raise CorpusFormatError(f"tensor {name} has rank {rank}")
         shape = reader.unpack(f"<{rank}Q", f"shape of {name}")
         out[name] = reader.floats("<f8", math.prod(shape), f"data of {name}").reshape(shape)
     if reader.remaining:

@@ -13,9 +13,10 @@ whitespace; the writer emits tabs.
 
 from __future__ import annotations
 
+import io
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -195,6 +196,18 @@ PRED_MARK = "Y"
 NO_PRED_MARK = "-"
 
 
+def text_lines(path) -> Iterator[tuple[int, str]]:
+    """Numbered lines, from 1, of a UTF-8 text file; bytes not UTF-8 are a format error."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = blob.count(b"\n", 0, err.start) + 1
+        raise CorpusFormatError(f"line {line}: not UTF-8") from None
+    return enumerate(io.StringIO(text, newline=None), 1)
+
+
 def read_conll(path, *, repair: bool = False) -> list[AnnotatedSentence]:
     sentences, _ = read_conll_counted(path, repair=repair)
     return sentences
@@ -282,16 +295,15 @@ def read_conll_counted(
         )
         rows.clear()
 
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                flush()
-                continue
-            cols = line.split()
-            if len(cols) < 4:
-                raise CorpusFormatError(f"line {lineno}: expected >= 4 columns")
-            rows.append((lineno, cols))
+    for lineno, raw in text_lines(path):
+        line = raw.rstrip("\n")
+        if not line.strip():
+            flush()
+            continue
+        cols = line.split()
+        if len(cols) < 4:
+            raise CorpusFormatError(f"line {lineno}: expected >= 4 columns")
+        rows.append((lineno, cols))
     flush()
     return sentences, total_repairs
 
@@ -315,15 +327,14 @@ def write_conll(path, sentences: Iterable[AnnotatedSentence]) -> None:
 def read_heads_file(path) -> list[list[int]]:
     """External parses: one sentence per line, space-separated head indices."""
     out: list[list[int]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                out.append([int(x) for x in line.split()])
-            except ValueError:
-                raise CorpusFormatError(f"line {lineno}: bad head index")
+    for lineno, raw in text_lines(path):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            out.append([int(x) for x in line.split()])
+        except ValueError:
+            raise CorpusFormatError(f"line {lineno}: bad head index")
     return out
 
 

@@ -48,25 +48,31 @@ def viterbi_decode(problem: DecodeProblem) -> list[int]:
     """Best valid tag sequence; ties break to the lexicographically smallest.
 
     The table is filled backwards (best achievable suffix score per tag),
-    then the sequence is rebuilt greedily from the front taking the lowest
-    index among maximizers at each step, which is exactly the smallest
-    optimal sequence in lexicographic order.
+    recording as backpointer back[t, i] the lowest-index next tag j that
+    maximizes trans[i, j] + best[t + 1, j]. Following the backpointers from
+    the lowest-index best first tag then gives exactly the smallest optimal
+    sequence in lexicographic order.
     """
     e = problem.emissions
     trans = problem.transitions.matrix
     t_len, n_labels = e.shape
+    rows = np.arange(n_labels)
     best = np.empty((t_len, n_labels))
+    back = np.empty((t_len - 1, n_labels), dtype=np.intp)
     best[t_len - 1] = e[t_len - 1] + problem.transitions.end
     for t in range(t_len - 2, -1, -1):
         cont = trans + best[t + 1][None, :]
-        best[t] = e[t] + np.max(cont, axis=1)
+        arg = cont.argmax(axis=1)
+        back[t] = arg
+        best[t] = e[t] + cont[rows, arg]
     first = problem.transitions.start + best[0]
-    if np.max(first) == -np.inf:
+    tag = int(first.argmax())
+    if first[tag] == -np.inf:
         raise DecodeError("no valid tag sequence has finite score")
-    seq = [int(np.argmax(first))]
-    for t in range(1, t_len):
-        cand = trans[seq[-1]] + best[t]
-        seq.append(int(np.argmax(cand)))
+    seq = [tag]
+    for row in back.tolist():
+        tag = row[tag]
+        seq.append(tag)
     return seq
 
 

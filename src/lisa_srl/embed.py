@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import BlobReader, CorpusFormatError
+from .corpus import BlobReader, CorpusFormatError, text_lines
 from .errors import ConfigError
 from .numerics import Parameter, Tape, Tensor
 
 VEC_FLOAT_FORMAT = "%.17g"  # round-trips float64 exactly
 CTXL_MAGIC = b"CTXL"
-CTXL_VERSION = 1
+CTXL_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -217,24 +217,21 @@ def positional_encoding(t_len: int, d_model: int) -> np.ndarray:
 def read_vec_file(path) -> dict[str, np.ndarray]:
     table: dict[str, np.ndarray] = {}
     dim = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            parts = raw.split()
-            if not parts:
-                continue
-            if len(parts) < 2:
-                raise CorpusFormatError(f"line {lineno}: word with no values")
-            try:
-                vec = np.array([float(x) for x in parts[1:]])
-            except ValueError:
-                raise CorpusFormatError(f"line {lineno}: non-numeric value")
-            if dim is None:
-                dim = vec.shape[0]
-            elif vec.shape[0] != dim:
-                raise CorpusFormatError(
-                    f"line {lineno}: {vec.shape[0]} values, expected {dim}"
-                )
-            table[parts[0]] = vec
+    for lineno, raw in text_lines(path):
+        parts = raw.split()
+        if not parts:
+            continue
+        if len(parts) < 2:
+            raise CorpusFormatError(f"line {lineno}: word with no values")
+        try:
+            vec = np.array([float(x) for x in parts[1:]])
+        except ValueError:
+            raise CorpusFormatError(f"line {lineno}: non-numeric value")
+        if dim is None:
+            dim = vec.shape[0]
+        elif vec.shape[0] != dim:
+            raise CorpusFormatError(f"line {lineno}: {vec.shape[0]} values, expected {dim}")
+        table[parts[0]] = vec
     if not table:
         raise CorpusFormatError("empty vector file")
     return table
@@ -268,7 +265,8 @@ class ContextualStore:
 def write_contextual(path, store: ContextualStore) -> None:
     with open(path, "wb") as fh:
         fh.write(CTXL_MAGIC)
-        fh.write(struct.pack("<III", CTXL_VERSION, store.n_layers, store.dim))
+        header = (CTXL_VERSION, store.n_layers, store.dim, len(store.layers))
+        fh.write(struct.pack("<IIII", *header))
         for sid, arr in store.layers.items():
             if arr.shape[0] != store.n_layers or arr.shape[2] != store.dim:
                 raise ConfigError(
@@ -287,9 +285,10 @@ def read_contextual(path) -> ContextualStore:
     magic = reader.take(4, "magic")
     if magic != CTXL_MAGIC:
         raise CorpusFormatError(f"bad magic {magic!r}, expected {CTXL_MAGIC!r}")
-    version, n_layers, dim = reader.unpack("<III", "header")
+    (version,) = reader.unpack("<I", "version")
     if version != CTXL_VERSION:
         raise CorpusFormatError(f"unsupported contextual-file version {version}")
+    n_layers, dim, n_sentences = reader.unpack("<III", "header")
     if n_layers < 1:
         raise CorpusFormatError("layer count must be >= 1")
     layers: dict[str, np.ndarray] = {}
@@ -299,6 +298,8 @@ def read_contextual(path) -> ContextualStore:
         (t_len,) = reader.unpack("<I", f"token count of sentence {sid!r}")
         arr = reader.floats("<f4", n_layers * t_len * dim, f"layers of sentence {sid!r}")
         layers[sid] = arr.reshape(n_layers, t_len, dim)
+    if len(layers) != n_sentences:
+        raise CorpusFormatError(f"{len(layers)} sentence stacks, header says {n_sentences}")
     return ContextualStore(n_layers, dim, layers)
 
 

@@ -11,7 +11,6 @@ Each loss is one `Tape.cross_entropy`.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,13 +18,6 @@ import numpy as np
 from .corpus import PREDICATE_SUFFIX, LabelSpace, joint_label
 from .errors import ContractError
 from .numerics import Parameter, Tape, Tensor
-
-
-class PredicateMode(enum.Enum):
-    """Whose predicates condition the role scorer."""
-
-    GOLD_TRAIN = "gold-train"
-    PREDICTED_TEST = "predicted-test"
 
 
 @dataclass
@@ -66,20 +58,12 @@ def decode_pos_pred(logits, labels: LabelSpace) -> tuple[list[str], list[bool]]:
     """Argmax decode into plain POS tags plus predicate flags."""
     data = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
     tags, flags = [], []
-    for row in data:
-        name = labels.name(int(np.argmax(row)))
+    for j in data.argmax(axis=1).tolist():
+        name = labels.name(j)
         is_pred = name.endswith(PREDICATE_SUFFIX)
         tags.append(name[: -len(PREDICATE_SUFFIX)] if is_pred else name)
         flags.append(is_pred)
     return tags, flags
-
-
-def select_predicates(logits, mode: PredicateMode, gold_flags, labels: LabelSpace):
-    """Predicate token indices: the gold set in training, argmax at test."""
-    if mode is PredicateMode.GOLD_TRAIN:
-        return [i for i, flag in enumerate(gold_flags) if flag]
-    _, flags = decode_pos_pred(logits, labels)
-    return [i for i, flag in enumerate(flags) if flag]
 
 
 @dataclass

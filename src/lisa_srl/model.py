@@ -38,12 +38,10 @@ from .errors import CompatibilityError, ConfigError
 from .heads import (
     LossBundle,
     PosPredHead,
-    PredicateMode,
     SrlScorer,
     decode_pos_pred,
     pos_pred_logits,
     pos_pred_loss,
-    select_predicates,
     srl_loss,
     srl_scores,
     total_loss,
@@ -251,10 +249,7 @@ class LisaModel:
         else:
             parse = Tensor(0.0)
         pos = pos_pred_loss(tape, fw.pos_logits, sentence, self.pos_head)
-        predicates = select_predicates(
-            fw.pos_logits, PredicateMode.GOLD_TRAIN, sentence.predicates,
-            self.pos_head.labels,
-        )
+        predicates = sentence.predicate_indices
         scores = srl_scores(tape, fw.final, predicates, self.scorer)
         srl = srl_loss(
             tape, scores, [sentence.frames[f] for f in predicates], self.scorer.labels
@@ -287,11 +282,8 @@ class LisaModel:
             ctx_layers=ctx_layers,
             harden=harden,
         )
-        pos_tags, _ = decode_pos_pred(fw.pos_logits, self.pos_head.labels)
-        predicates = select_predicates(
-            fw.pos_logits, PredicateMode.PREDICTED_TEST, sentence.predicates,
-            self.pos_head.labels,
-        )
+        pos_tags, flags = decode_pos_pred(fw.pos_logits, self.pos_head.labels)
+        predicates = [i for i, flag in enumerate(flags) if flag]
         heads = extract_parse(fw.trace.consumed_parse_attention(self.config.encoder))
         scores = srl_scores(tape, fw.final, predicates, self.scorer)
         frames: dict[int, tuple[str, ...]] = {}
@@ -306,7 +298,7 @@ class LisaModel:
             sentence.tokens,
             tuple(pos_tags),
             tuple(heads),
-            tuple([i in set(predicates) for i in range(len(sentence))]),
+            tuple(flags),
             frames,
         )
         return SentencePrediction(predicted, heads, predicates, frames)

@@ -2,9 +2,9 @@
 
 The whole model runs on a deliberately small op set: matmuls and elementwise
 arithmetic, one fused op for a whole multi-head self-attention layer, one for
-a width-3 convolution, one bilinear op scoring every predicate at once,
-scalar mixing, a row softmax, a sum, and one cross-entropy op that serves
-all three losses.
+a width-3 convolution, one bilinear op scoring every predicate at once in
+two matmuls (predicate rows times the flattened operator, then role rows),
+scalar mixing, a row softmax, a sum, and one cross-entropy op for all losses.
 Everything is float64 and row-major; there is no broadcasting beyond the few
 shapes the ops below accept. Tensors are immutable once created (the SGD
 optimizer mutates parameter storage only *between* tapes).
@@ -309,7 +309,10 @@ class Tape:
         """scores[k, t, l] = p[rows[k]] . U[:, l, :] . r[t]  for a rank-3 operator U.
 
         Scores the selected rows of `p` against every row of `r` at once,
-        giving [len(rows), T, L].
+        giving [len(rows), T, L]. U [d_p, L, d_r] is contracted in two
+        matmuls: pu = p[rows] @ U viewed as [d_p, L*d_r], then pu @ r^T, so
+        each score sums over the role axis j of the already summed p axis i.
+        The backward is three matmuls; repeated rows accumulate their gradients.
         """
         idx = np.asarray(rows, dtype=np.intp)
         if (
@@ -321,19 +324,20 @@ class Tape:
                 f"bilinear: {p.shape} at rows {idx.tolist()}, {u.shape}, {r.shape}"
             )
         picked = p.data[idx]
-        out = Tensor(np.einsum("ki,ilj,tj->ktl", picked, u.data, r.data))
+        u_flat = u.data.reshape(u.shape[0], -1)
+        pu = (picked @ u_flat).reshape(len(idx), *u.shape[1:])
+        out = Tensor((pu @ r.data.T).transpose(0, 2, 1))
 
         def back() -> None:
             if out.grad is None:
                 return
+            g = out.grad
+            g_pu = (g.transpose(0, 2, 1) @ r.data).reshape(len(idx), -1)
+            g_r = g.transpose(1, 0, 2).reshape(r.shape[0], -1) @ pu.reshape(-1, r.shape[1])
+            _accumulate(r, g_r)
+            _accumulate(u, (picked.T @ g_pu).reshape(u.shape))
             g_p = np.zeros_like(p.data)
-            # row by row in reverse: the summation order, and so the
-            # rounding, of separate per-row products
-            for k in reversed(range(len(idx))):
-                g = out.grad[k]
-                g_p[idx[k]] += np.einsum("tl,ilj,tj->i", g, u.data, r.data)
-                _accumulate(u, np.einsum("i,tl,tj->ilj", picked[k], g, r.data))
-                _accumulate(r, np.einsum("tl,i,ilj->tj", g, picked[k], u.data))
+            np.add.at(g_p, idx, g_pu @ u_flat.T)
             _accumulate(p, g_p)
 
         self._record(back)

@@ -5,15 +5,19 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lisa_srl.checkpoint import load_checkpoint, save_checkpoint
 from lisa_srl.cli import main
 from lisa_srl.config import RunConfig, build_run_config, parse_config_file
 from lisa_srl.corpus import read_conll, read_heads_file
+from lisa_srl.embed import read_contextual, read_vec_file
 from lisa_srl.errors import (
     CompatibilityError,
     ConfigError,
     CorpusFormatError,
+    LisaError,
     NonFiniteError,
 )
 from lisa_srl.evaluation import corpus_uas, srl_prf
@@ -358,26 +362,36 @@ def contextual_checkpoint(data_dir, tmp_path_factory):
     return out
 
 
-def _cut(blob: bytes, kind: str, where: str) -> int:
+def _cut(blob: bytes, kind: str, where: str, data_dir) -> int:
     """A length that ends the file inside the named field."""
     if where == "header":
-        return 10  # inside the version (.ckpt) or the header triple (.ctxl)
+        return 10  # inside the version (.ckpt) or the header (.ctxl)
     if kind == "ckpt":
         (meta_len,) = struct.unpack_from("<Q", blob, 8)
         return 16 + meta_len // 2 if where == "metadata" else len(blob) - 12
-    # .ctxl: the first sentence id starts at byte 20
-    return 20 if where == "metadata" else len(blob) - 6
+    if where == "record":
+        # drop the whole last sentence record: u32 id length, id, u32 token
+        # count and the layer stack of float32 values
+        n_layers, dim = struct.unpack_from("<II", blob, 8)
+        sentences = read_conll(data_dir / "test.conll")
+        sid = str(len(sentences) - 1)
+        return len(blob) - (8 + len(sid) + 4 * n_layers * len(sentences[-1]) * dim)
+    # .ctxl: the first sentence id starts at byte 24
+    return 24 if where == "metadata" else len(blob) - 6
 
 
-@pytest.mark.parametrize("where", ["header", "metadata", "data"])
-@pytest.mark.parametrize("kind", ["ckpt", "ctxl"])
+@pytest.mark.parametrize(
+    "kind, where",
+    [(kind, where) for kind in ("ckpt", "ctxl") for where in ("header", "metadata", "data")]
+    + [("ctxl", "record")],
+)
 def test_cli_truncated_binary_inputs_are_format_errors(
     data_dir, contextual_checkpoint, tmp_path, capsys, kind, where
 ):
     paths = {"ckpt": contextual_checkpoint, "ctxl": data_dir / "test.ctxl"}
     blob = paths[kind].read_bytes()
     paths[kind] = tmp_path / f"cut.{kind}"
-    paths[kind].write_bytes(blob[: _cut(blob, kind, where)])
+    paths[kind].write_bytes(blob[: _cut(blob, kind, where, data_dir)])
     code = main([
         "predict",
         "--checkpoint-in", str(paths["ckpt"]),
@@ -389,6 +403,54 @@ def test_cli_truncated_binary_inputs_are_format_errors(
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error category=corpus-format:"), err[0]
+
+
+READERS = {
+    "ckpt": load_checkpoint,
+    "ctxl": read_contextual,
+    "conll": read_conll,
+    "heads": read_heads_file,
+    "vec": read_vec_file,
+}
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(data_dir, contextual_checkpoint):
+    names = {"ckpt": contextual_checkpoint, "vec": data_dir / "pretrained.vec"}
+    return {
+        kind: (names.get(kind) or data_dir / f"test.{kind}").read_bytes()
+        for kind in READERS
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_inputs_load_or_raise_a_lisa_error(valid_inputs, tmp_path_factory, kind, data):
+    blob = bytearray(valid_inputs[kind])
+    for _ in range(data.draw(st.integers(0, 3), label="flips")):
+        at = data.draw(st.integers(0, len(blob) - 1), label="flip at")
+        blob[at] ^= data.draw(st.integers(1, 255), label="xor")
+    blob = blob[: data.draw(st.integers(0, len(blob)), label="length")]
+    path = tmp_path_factory.getbasetemp() / f"mutated.{kind}"
+    path.write_bytes(bytes(blob))
+    try:
+        READERS[kind](path)
+    except LisaError:
+        pass
+
+
+def test_checkpoint_tensor_rank_beyond_numpy_is_a_format_error(
+    contextual_checkpoint, tmp_path
+):
+    blob = bytearray(contextual_checkpoint.read_bytes())
+    (meta_len,) = struct.unpack_from("<Q", blob, 8)
+    (name_len,) = struct.unpack_from("<I", blob, 16 + meta_len + 4)
+    struct.pack_into("<I", blob, 16 + meta_len + 8 + name_len, 100)
+    path = tmp_path / "rank.ckpt"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CorpusFormatError, match="rank 100"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_refuses_non_finite_parameters(data_dir, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from lisa_srl.corpus import (
     AnnotatedSentence,
     LabelSpace,
+    TransitionTable,
     estimate_transitions,
     valid_start,
     valid_successor,
@@ -17,7 +18,7 @@ from lisa_srl.decode import (
     sequence_score,
     viterbi_decode,
 )
-from lisa_srl.errors import ContractError, OracleSizeError
+from lisa_srl.errors import ContractError, DecodeError, OracleSizeError
 
 SPACE = LabelSpace(["O", "B-A0", "I-A0", "B-A1", "I-A1"])
 
@@ -81,8 +82,6 @@ def test_uniform_everything_decodes_all_outside():
     starts = np.array([valid_start(s) for s in labels])
     start = np.where(starts, np.log(1.0 / starts.sum()), -np.inf)
     end = np.full(n, np.log(1.0 / n))
-    from lisa_srl.corpus import TransitionTable
-
     table = TransitionTable(labels, matrix, start, end)
     # uniform transition rows are not what estimation produces, but they
     # are structurally valid for decoding purposes
@@ -121,6 +120,33 @@ def test_matches_brute_force_on_tie_heavy_grid():
         emissions = 0.5 * rng.integers(-2, 3, size=(t_len, 5)).astype(float)
         problem = DecodeProblem(emissions, table)
         assert viterbi_decode(problem) == brute_force_decode(problem)
+
+
+def test_matches_brute_force_when_whole_rows_are_unreachable():
+    # extra -inf entries in start, end and transitions make whole rows of
+    # trans + best[t + 1] -inf, where every entry ties at -inf
+    base = _transitions(15)
+    rng = np.random.default_rng(16)
+    dead_rows = decoded = 0
+    for _ in range(300):
+        table = TransitionTable(
+            SPACE,
+            np.where(rng.random((5, 5)) < 0.4, -np.inf, base.matrix),
+            np.where(rng.random(5) < 0.3, -np.inf, base.start),
+            np.where(rng.random(5) < 0.3, -np.inf, base.end),
+        )
+        t_len = int(rng.integers(2, 6))
+        problem = DecodeProblem(rng.normal(0, 2, size=(t_len, 5)), table)
+        dead_rows += np.isneginf(table.matrix + table.end).all(axis=1).any()
+        try:
+            expected = brute_force_decode(problem)
+        except DecodeError:
+            with pytest.raises(DecodeError):
+                viterbi_decode(problem)
+            continue
+        assert viterbi_decode(problem) == expected
+        decoded += 1
+    assert dead_rows >= 100 and decoded >= 100
 
 
 def test_constant_shift_invariance():

@@ -5,6 +5,8 @@ sinusoid and softmax-saturation values, and finite differences for the
 gradient paths.
 """
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -308,6 +310,13 @@ def test_contextual_bad_magic(tmp_path):
     path = tmp_path / "c.ctxl"
     path.write_bytes(b"NOPE" + b"\x00" * 12)
     with pytest.raises(CorpusFormatError, match="magic"):
+        read_contextual(path)
+
+
+def test_contextual_version_1_is_refused(tmp_path):
+    path = tmp_path / "c.ctxl"
+    path.write_bytes(b"CTXL" + struct.pack("<III", 1, 3, 8))
+    with pytest.raises(CorpusFormatError, match="unsupported contextual-file version 1"):
         read_contextual(path)
 
 

@@ -12,12 +12,10 @@ from lisa_srl.errors import ContractError
 from lisa_srl.numerics import Parameter, Tape, Tensor, finite_difference_check
 from lisa_srl.heads import (
     PosPredHead,
-    PredicateMode,
     SrlScorer,
     decode_pos_pred,
     pos_pred_logits,
     pos_pred_loss,
-    select_predicates,
     srl_loss,
     srl_scores,
     total_loss,
@@ -46,34 +44,21 @@ def test_zero_weights_give_uniform_joint_distribution():
 
 
 def test_predicate_set_from_argmax_suffix():
-    head = PosPredHead.build(2, JOINT)
-    logits = np.zeros((3, 4))
+    logits = np.zeros((4, 4))
     logits[0, JOINT.of("DT")] = 5.0
     logits[1, JOINT.of("VB")] = 5.0
     logits[2, JOINT.of("VB:predicate")] = 5.0
+    # a tie goes to the lower label index
+    logits[3, [JOINT.of("VB"), JOINT.of("VB:predicate")]] = 5.0
     tags, flags = decode_pos_pred(Tensor(logits), JOINT)
-    assert tags == ["DT", "VB", "VB"]
-    assert flags == [False, False, True]
-    picked = select_predicates(
-        Tensor(logits), PredicateMode.PREDICTED_TEST, [False, False, False], JOINT
-    )
-    assert picked == [2]
-
-
-def test_gold_mode_ignores_logits():
-    rng = np.random.default_rng(1)
-    logits = Tensor(rng.normal(size=(3, 4)))
-    picked = select_predicates(logits, PredicateMode.GOLD_TRAIN, [False, True, False], JOINT)
-    assert picked == [1]
+    assert tags == ["DT", "VB", "VB", "VB"]
+    assert flags == [False, False, True, False]
 
 
 def test_predicted_mode_empty_when_nothing_argmaxes_to_predicate():
     logits = np.zeros((2, 4))
     logits[:, JOINT.of("NN")] = 3.0
-    picked = select_predicates(
-        Tensor(logits), PredicateMode.PREDICTED_TEST, [True, True], JOINT
-    )
-    assert picked == []
+    assert decode_pos_pred(logits, JOINT)[1] == [False, False]
 
 
 def test_pos_pred_loss_finite_differences():

@@ -11,6 +11,7 @@ from lisa_srl.corpus import (
 )
 from lisa_srl.encoder import EncoderConfig, ParseSource
 from lisa_srl.errors import ConfigError
+from lisa_srl.heads import decode_pos_pred, srl_loss, srl_scores
 from lisa_srl.model import (
     EMBED_CONTEXTUAL,
     VARIANT_AGNOSTIC,
@@ -190,6 +191,20 @@ def test_parse_source_swap_leaves_parameters_untouched():
         corpus[0], table, source=ParseSource.EXTERNAL, external_heads=[1, 1, 1]
     )
     assert model.checksum() == before
+
+
+def test_training_scores_the_gold_predicates_whatever_the_logits():
+    corpus = _tiny_corpus()
+    model = _model(corpus)
+    # every token argmaxes to a predicate, but the gold predicate is token 2
+    model.pos_head.bias.value.data[model.pos_head.labels.of("VB:predicate")] = 50.0
+    sent = corpus[1]
+    fw = model.forward(Tape(), sent)
+    assert all(decode_pos_pred(fw.pos_logits, model.pos_head.labels)[1])
+    tape = Tape()
+    gold = srl_scores(tape, fw.final, [2], model.scorer)
+    expected = srl_loss(tape, gold, [sent.frames[2]], model.scorer.labels)
+    assert model.loss(Tape(), sent).srl.item() == expected.item()
 
 
 def test_hardened_self_parse_consumes_one_hot():

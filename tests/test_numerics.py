@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -372,30 +374,33 @@ class TestBilinear:
             Parameter("r", rng.standard_normal((t_len, d_r))),
         )
 
-    def test_batched_equals_a_per_row_loop_bitwise(self):
+    def test_batched_equals_a_per_row_loop(self):
+        # BLAS blocks a batched product differently from one row at a time,
+        # so the two agree to rounding, not bitwise
+        close = functools.partial(np.testing.assert_allclose, rtol=1e-13, atol=1e-13)
         for seed in range(40):
             rng, p, u, r = self._inputs(seed, t_len=int(seed % 7) + 1)
-            rows = [int(i) for i in rng.permutation(6)[: seed % 4 + 1]]
+            n_rows = seed % 4 + 1
+            rows = [int(i) for i in rng.integers(0, 6, n_rows)]
             t = Tape()
             out = t.bilinear(p.value, rows, u.value, r.value)
             g = rng.standard_normal(out.shape)
             t.backward(t.sum_all(t.mul(out, Tensor(g))))
-            # the per-row form: one product per row, gradients accumulated
-            # in the reverse of the order the rows were scored in
+            # the per-row form of the two-matmul contraction
+            u_flat = u.value.data.reshape(3, -1)
             expect_p = np.zeros_like(p.value.data)
-            expect_u = np.zeros_like(u.value.data)
+            expect_u = np.zeros_like(u_flat)
             expect_r = np.zeros_like(r.value.data)
-            for k in reversed(range(len(rows))):
-                row = p.value.data[rows[k]]
-                assert np.array_equal(
-                    out.data[k], np.einsum("i,ilj,tj->tl", row, u.value.data, r.value.data)
-                )
-                expect_p[rows[k]] += np.einsum("tl,ilj,tj->i", g[k], u.value.data, r.value.data)
-                expect_u += np.einsum("i,tl,tj->ilj", row, g[k], r.value.data)
-                expect_r += np.einsum("tl,i,ilj->tj", g[k], row, u.value.data)
-            assert np.array_equal(p.gradient, expect_p)
-            assert np.array_equal(u.gradient, expect_u)
-            assert np.array_equal(r.gradient, expect_r)
+            for k, row in enumerate(rows):
+                pu = (p.value.data[row] @ u_flat).reshape(4, 5)
+                close(out.data[k], r.value.data @ pu.T)
+                g_pu = (g[k].T @ r.value.data).reshape(-1)
+                expect_p[row] += u_flat @ g_pu
+                expect_u += np.outer(p.value.data[row], g_pu)
+                expect_r += g[k] @ pu
+            close(p.gradient, expect_p)
+            close(u.gradient, expect_u.reshape(u.gradient.shape))
+            close(r.gradient, expect_r)
 
     def test_rejects_bad_rows_and_shapes(self):
         _, p, u, r = self._inputs(0)
@@ -406,25 +411,26 @@ class TestBilinear:
         with pytest.raises(DimensionError):
             Tape().bilinear(r.value, [0], u.value, r.value)
 
-    @pytest.mark.parametrize("rows", [[4], [5, 0, 2]])
+    @pytest.mark.parametrize("rows", [[4], [5, 0, 2], [2, 0, 2]])
     def test_finite_differences(self, rows):
-        rng, p, u, r = self._inputs(len(rows))
-        probe = Tensor(rng.standard_normal((len(rows), 4, 4)))
+        for t_len in (4, 1):
+            rng, p, u, r = self._inputs(len(rows), t_len=t_len)
+            probe = Tensor(rng.standard_normal((len(rows), t_len, 4)))
 
-        def run(backward=False) -> float:
-            t = Tape()
-            loss = t.sum_all(t.mul(t.bilinear(p.value, rows, u.value, r.value), probe))
-            if backward:
-                t.backward(loss)
-            return loss.item()
+            def run(backward=False) -> float:
+                t = Tape()
+                loss = t.sum_all(t.mul(t.bilinear(p.value, rows, u.value, r.value), probe))
+                if backward:
+                    t.backward(loss)
+                return loss.item()
 
-        for param in (p, u, r):
-            param.reset_gradient()
-        run(backward=True)
-        for param in (p, u, r):
-            assert finite_difference_check(run, param, 1e-5) < 1e-8, param.name
-        unused = [i for i in range(6) if i not in rows]
-        assert np.array_equal(p.gradient[unused], np.zeros((len(unused), 3)))
+            for param in (p, u, r):
+                param.reset_gradient()
+            run(backward=True)
+            for param in (p, u, r):
+                assert finite_difference_check(run, param, 1e-5) < 1e-8, (param.name, t_len)
+            unused = [i for i in range(6) if i not in rows]
+            assert np.array_equal(p.gradient[unused], np.zeros((len(unused), 3)))
 
 
 class TestFiniteDifference:
