@@ -115,7 +115,13 @@ def _read_tensors(reader: BlobReader) -> dict[str, np.ndarray]:
         if rank > 32:  # the most axes any numpy version supports
             raise CorpusFormatError(f"tensor {name} has rank {rank}")
         shape = reader.unpack(f"<{rank}Q", f"shape of {name}")
-        out[name] = reader.floats("<f8", math.prod(shape), f"data of {name}").reshape(shape)
+        arr = reader.floats("<f8", math.prod(shape), f"data of {name}").reshape(shape)
+        finite = np.isfinite(arr)
+        if name in _TRANS_KEYS:
+            finite |= arr == -np.inf  # how the transition model forbids a BIO move
+        if not finite.all():
+            raise CorpusFormatError(f"tensor {name} holds NaN or infinity")
+        out[name] = arr
     if reader.remaining:
         raise CorpusFormatError(f"{reader.remaining} trailing bytes in checkpoint")
     return out

@@ -9,6 +9,7 @@ layer 1.
 
 from __future__ import annotations
 
+import functools
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -197,8 +198,9 @@ def contextual_embed(tape: Tape, layers: np.ndarray, mix: ScalarMix) -> Tensor:
 # Positional encodings
 
 
+@functools.lru_cache(maxsize=256)
 def positional_encoding(t_len: int, d_model: int) -> np.ndarray:
-    """Interleaved sinusoids: even columns sin, odd columns cos."""
+    """Interleaved sinusoids: even columns sin, odd columns cos; cached, read-only."""
     if d_model % 2 != 0:
         raise ConfigError(f"positional encoding needs even width, got {d_model}")
     pos = np.arange(t_len)[:, None]
@@ -207,6 +209,7 @@ def positional_encoding(t_len: int, d_model: int) -> np.ndarray:
     out = np.empty((t_len, d_model))
     out[:, 0::2] = np.sin(angle)
     out[:, 1::2] = np.cos(angle)
+    out.setflags(write=False)
     return out
 
 
@@ -227,6 +230,8 @@ def read_vec_file(path) -> dict[str, np.ndarray]:
             vec = np.array([float(x) for x in parts[1:]])
         except ValueError:
             raise CorpusFormatError(f"line {lineno}: non-numeric value")
+        if not np.isfinite(vec).all():
+            raise CorpusFormatError(f"line {lineno}: NaN or infinite value")
         if dim is None:
             dim = vec.shape[0]
         elif vec.shape[0] != dim:
@@ -297,6 +302,8 @@ def read_contextual(path) -> ContextualStore:
         sid = reader.text(sid_len, "sentence id")
         (t_len,) = reader.unpack("<I", f"token count of sentence {sid!r}")
         arr = reader.floats("<f4", n_layers * t_len * dim, f"layers of sentence {sid!r}")
+        if not np.isfinite(arr).all():
+            raise CorpusFormatError(f"layers of sentence {sid!r} hold NaN or infinity")
         layers[sid] = arr.reshape(n_layers, t_len, dim)
     if len(layers) != n_sentences:
         raise CorpusFormatError(f"{len(layers)} sentence stacks, header says {n_sentences}")

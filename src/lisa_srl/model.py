@@ -34,7 +34,7 @@ from .encoder import (
     extract_parse,
     parse_loss,
 )
-from .errors import CompatibilityError, ConfigError
+from .errors import CompatibilityError, ConfigError, NonFiniteError
 from .heads import (
     LossBundle,
     PosPredHead,
@@ -112,7 +112,13 @@ class LisaModel:
         self.static_table = static_table
         self.convs = convs
         self.mix = mix
-        names = [p.name for p in self.parameters()]
+        self._parameters: list[Parameter] = [
+            *([static_table.residual] if static_table is not None else []),
+            *[p for layer in convs for p in layer.parameters()],
+            *([mix.w, mix.gamma] if mix is not None else []),
+            *encoder.parameters(), *pos_head.parameters(), *scorer.parameters(),
+        ]
+        names = [p.name for p in self._parameters]
         if len(names) != len(set(names)):
             raise ConfigError("duplicate parameter names in model")
 
@@ -150,17 +156,7 @@ class LisaModel:
     # -- parameter plumbing -------------------------------------------------
 
     def parameters(self) -> list[Parameter]:
-        out: list[Parameter] = []
-        if self.static_table is not None:
-            out.append(self.static_table.residual)
-        for layer in self.convs:
-            out.extend(layer.parameters())
-        if self.mix is not None:
-            out.extend([self.mix.w, self.mix.gamma])
-        out.extend(self.encoder.parameters())
-        out.extend(self.pos_head.parameters())
-        out.extend(self.scorer.parameters())
-        return out
+        return self._parameters
 
     def reset_gradients(self) -> None:
         for p in self.parameters():
@@ -286,6 +282,8 @@ class LisaModel:
         predicates = [i for i, flag in enumerate(flags) if flag]
         heads = extract_parse(fw.trace.consumed_parse_attention(self.config.encoder))
         scores = srl_scores(tape, fw.final, predicates, self.scorer)
+        if not all(np.isfinite(t.data).all() for t in (fw.final, fw.pos_logits, scores)):
+            raise NonFiniteError("decode met NaN or infinity in the model's outputs")
         frames: dict[int, tuple[str, ...]] = {}
         role_space = self.scorer.labels
         for f, emissions in zip(predicates, log_softmax(scores.data)):

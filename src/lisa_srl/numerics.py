@@ -14,6 +14,11 @@ recorded operations in exact reverse order, accumulating gradients into the
 `.grad` buffers of every tensor on the path from `loss` back to the leaves.
 `Parameter` wraps a persistent leaf tensor whose gradient buffer survives
 across tapes until `reset_gradient()` is called.
+
+Finiteness is checked where values enter, not per op: `Tensor(...)` (so
+every `Parameter`), the file readers and `load_checkpoint` reject NaN and
+infinity, and training checks each loss and gradient norm and
+`predict_sentence` its outputs, raising NonFiniteError. Op outputs skip it.
 """
 
 from __future__ import annotations
@@ -28,9 +33,8 @@ from .errors import ContractError, DimensionError, NonFiniteError, OracleError
 class Tensor:
     """An immutable dense float64 array plus a gradient buffer.
 
-    All entries must be finite; constructing a tensor from data containing
-    NaN or infinity raises NonFiniteError, which is how training divergence
-    is first detected.
+    `Tensor(data)` rejects NaN and infinity with NonFiniteError; tape ops
+    build their outputs unchecked; see the module docstring.
     """
 
     __slots__ = ("data", "grad")
@@ -57,10 +61,18 @@ class Tensor:
         return f"Tensor(shape={self.data.shape})"
 
 
+def _unchecked(data: np.ndarray) -> Tensor:
+    """An op output: a Tensor over float64 `data` with no finiteness check."""
+    t = Tensor.__new__(Tensor)
+    t.data, t.grad = data, None
+    return t
+
+
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.array(g, dtype=np.float64)  # a copy: g may be another grad
+    else:
+        t.grad += g
 
 
 class Parameter:
@@ -84,7 +96,7 @@ class Parameter:
         return self.value.grad
 
     def reset_gradient(self) -> None:
-        self.value.grad = np.zeros_like(self.value.data)
+        self.value.grad.fill(0.0)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Parameter({self.name!r}, shape={self.value.shape})"
@@ -112,7 +124,7 @@ class Tape:
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         if a.shape != b.shape:
             raise DimensionError(f"add shapes differ: {a.shape} vs {b.shape}")
-        out = Tensor(a.data + b.data)
+        out = _unchecked(a.data + b.data)
 
         def back() -> None:
             if out.grad is None:
@@ -126,7 +138,7 @@ class Tape:
     def mul(self, a: Tensor, b: Tensor) -> Tensor:
         if a.shape != b.shape:
             raise DimensionError(f"mul shapes differ: {a.shape} vs {b.shape}")
-        out = Tensor(a.data * b.data)
+        out = _unchecked(a.data * b.data)
 
         def back() -> None:
             if out.grad is None:
@@ -141,7 +153,7 @@ class Tape:
         """Multiply a tensor by a scalar tensor; gradients reach both."""
         if s.ndim != 0:
             raise DimensionError(f"scale_by needs a scalar, got shape {s.shape}")
-        out = Tensor(a.data * s.data)
+        out = _unchecked(np.asarray(a.data * s.data))
 
         def back() -> None:
             if out.grad is None:
@@ -156,7 +168,7 @@ class Tape:
         """Add a length-n vector to every row of an m-by-n matrix."""
         if a.ndim != 2 or b.ndim != 1 or a.shape[1] != b.shape[0]:
             raise DimensionError(f"add_row shapes: {a.shape} + {b.shape}")
-        out = Tensor(a.data + b.data[None, :])
+        out = _unchecked(a.data + b.data[None, :])
 
         def back() -> None:
             if out.grad is None:
@@ -172,7 +184,7 @@ class Tape:
     def matmul(self, a: Tensor, b: Tensor) -> Tensor:
         if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
             raise DimensionError(f"matmul shapes incompatible: {a.shape} x {b.shape}")
-        out = Tensor(a.data @ b.data)
+        out = _unchecked(a.data @ b.data)
 
         def back() -> None:
             if out.grad is None:
@@ -226,13 +238,13 @@ class Tape:
         # differently, and this form matches separate per-head matmuls bitwise
         k_t = qkv[..., d_k : 2 * d_k].transpose(0, 2, 1).copy()
         scores = (q @ k_t) * c
-        logits = Tensor(scores[head])
+        logits = _unchecked(scores[head])
         shifted = scores - scores.max(axis=2, keepdims=True)
         e = np.exp(shifted)
         weights = e / e.sum(axis=2, keepdims=True)
         if inject is not None:
             weights[head] = inject(weights[head])
-        out = Tensor((weights @ v).transpose(1, 0, 2).reshape(t_len, n_heads * d_v))
+        out = _unchecked((weights @ v).transpose(1, 0, 2).reshape(t_len, n_heads * d_v))
 
         def back() -> None:
             if out.grad is None and logits.grad is None:
@@ -284,7 +296,7 @@ class Tape:
         before[1:] = x.data[:-1]
         after = np.zeros_like(x.data)
         after[:-1] = x.data[1:]
-        out = Tensor(
+        out = _unchecked(
             before @ w_left.data + x.data @ w_center.data + after @ w_right.data
             + bias.data
         )
@@ -326,7 +338,7 @@ class Tape:
         picked = p.data[idx]
         u_flat = u.data.reshape(u.shape[0], -1)
         pu = (picked @ u_flat).reshape(len(idx), *u.shape[1:])
-        out = Tensor((pu @ r.data.T).transpose(0, 2, 1))
+        out = _unchecked((pu @ r.data.T).transpose(0, 2, 1))
 
         def back() -> None:
             if out.grad is None:
@@ -353,7 +365,7 @@ class Tape:
             raise DimensionError(
                 f"mix_layers: coeffs {coeffs.shape} vs {layers.shape[0]} layers"
             )
-        out = Tensor(np.einsum("l,ltd->td", coeffs.data[0], layers))
+        out = _unchecked(np.einsum("l,ltd->td", coeffs.data[0], layers))
 
         def back() -> None:
             if out.grad is None:
@@ -366,7 +378,7 @@ class Tape:
     # -- nonlinearities and normalizers -----------------------------------
 
     def relu(self, a: Tensor) -> Tensor:
-        out = Tensor(np.maximum(a.data, 0.0))
+        out = _unchecked(np.maximum(a.data, 0.0))
 
         def back() -> None:
             if out.grad is None:
@@ -386,7 +398,7 @@ class Tape:
         shifted = x.data - x.data.max(axis=1, keepdims=True)
         e = np.exp(shifted)
         y = e / e.sum(axis=1, keepdims=True)
-        out = Tensor(y)
+        out = _unchecked(y)
 
         def back() -> None:
             if out.grad is None:
@@ -419,7 +431,7 @@ class Tape:
         at = (np.arange(n_frames)[:, None], np.arange(t_len), idx.reshape(n_frames, t_len))
         frame_losses = -(log_probs[at].sum(axis=1) / t_len)
         # frames summed left to right, then scaled by the reciprocal
-        out = Tensor(np.add.accumulate(frame_losses)[-1] * (1.0 / n_frames))
+        out = _unchecked(np.asarray(np.add.accumulate(frame_losses)[-1] * (1.0 / n_frames)))
 
         def back() -> None:
             if out.grad is None:
@@ -436,7 +448,7 @@ class Tape:
     # -- reductions --------------------------------------------------------
 
     def sum_all(self, a: Tensor) -> Tensor:
-        out = Tensor(np.asarray(a.data.sum()))
+        out = _unchecked(np.asarray(a.data.sum()))
 
         def back() -> None:
             if out.grad is None:
@@ -456,9 +468,7 @@ class Tape:
         """
         if loss.ndim != 0:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-        if loss.grad is None:
-            loss.grad = np.zeros_like(loss.data)
-        loss.grad += 1.0
+        _accumulate(loss, np.ones(()))
         for fn in reversed(self._backprops):
             fn()
 

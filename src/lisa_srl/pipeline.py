@@ -129,8 +129,8 @@ def _predict_corpus(
 def train(config: RunConfig, emit: Callable[[str], None] | None = None) -> TrainResult:
     """SGD over single-sentence batches; keeps the best-dev checkpoint.
 
-    A non-finite loss aborts the run; whatever checkpoint was best so far
-    stays on disk untouched.
+    A non-finite loss or gradient norm aborts the run; whatever checkpoint
+    was best so far stays on disk untouched.
     """
     config.validate()
     require_paths(config, "train_path", "dev_path")
@@ -192,6 +192,10 @@ def train(config: RunConfig, emit: Callable[[str], None] | None = None) -> Train
                 norm = np.sqrt(
                     sum(float((p.gradient ** 2).sum()) for p in model.parameters())
                 )
+                if not np.isfinite(norm):
+                    raise NonFiniteError(
+                        f"gradient diverged at epoch {epoch}, sentence {int(i)}"
+                    )
                 if norm > config.clip_norm:
                     scale *= config.clip_norm / norm
             for p in model.parameters():

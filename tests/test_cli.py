@@ -242,6 +242,19 @@ def test_divergence_aborts_and_keeps_previous_checkpoint(data_dir, tmp_path):
     assert (tmp_path / "model.ckpt").read_bytes() == good_bytes
 
 
+def test_non_finite_gradient_aborts_before_the_update(data_dir, tmp_path, monkeypatch):
+    backward = Tape.backward
+
+    def backward_from_inf(self, loss):
+        loss.grad = np.array(np.inf)  # the seed every other gradient scales
+        backward(self, loss)
+
+    monkeypatch.setattr(Tape, "backward", backward_from_inf)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NonFiniteError, match="gradient diverged at epoch 1, sentence"):
+            train(_tiny_config(data_dir, tmp_path, epochs=1, checkpoint_out=""))
+
+
 def test_early_stop_halts_at_threshold(data_dir, tmp_path):
     config = _tiny_config(data_dir, tmp_path, early_stop_f1=0.0, checkpoint_out="")
     result = train(config)
@@ -300,13 +313,12 @@ def test_checkpoint_rejects_bad_magic_and_version(tmp_path):
             load_checkpoint(path)
 
 
-def _drop_tensor(blob: bytes, victim: str) -> bytes:
-    """Re-encode a checkpoint without one named tensor."""
+def _tensor_records(blob: bytes) -> dict[str, tuple[int, int, int]]:
+    """Checkpoint tensor name -> (record start, data start, record end)."""
     (meta_len,) = struct.unpack_from("<Q", blob, 8)
-    head_end = 16 + meta_len
-    (count,) = struct.unpack_from("<I", blob, head_end)
-    offset = head_end + 4
-    records = []
+    (count,) = struct.unpack_from("<I", blob, 16 + meta_len)
+    offset = 16 + meta_len + 4
+    records = {}
     for _ in range(count):
         start = offset
         (name_len,) = struct.unpack_from("<I", blob, offset)
@@ -317,11 +329,22 @@ def _drop_tensor(blob: bytes, victim: str) -> bytes:
         offset += 4
         shape = struct.unpack_from(f"<{rank}Q", blob, offset)
         offset += 8 * rank
+        data = offset
         offset += 8 * (int(np.prod(shape)) if rank else 1)
-        records.append((name, blob[start:offset]))
-    kept = [raw for name, raw in records if name != victim]
-    assert len(kept) == count - 1
-    return blob[:head_end] + struct.pack("<I", count - 1) + b"".join(kept)
+        records[name] = (start, data, offset)
+    return records
+
+
+def _drop_tensor(blob: bytes, victim: str) -> bytes:
+    """Re-encode a checkpoint without one named tensor."""
+    (meta_len,) = struct.unpack_from("<Q", blob, 8)
+    head_end = 16 + meta_len
+    records = _tensor_records(blob)
+    start, _, end = records[victim]
+    return (
+        blob[:head_end] + struct.pack("<I", len(records) - 1)
+        + blob[head_end + 4 : start] + blob[end:]
+    )
 
 
 def test_checkpoint_with_missing_tensor_is_incompatible(data_dir, tmp_path):
@@ -349,6 +372,34 @@ def test_checkpoint_with_unknown_config_key_is_incompatible(data_dir, tmp_path):
     )
     with pytest.raises(CompatibilityError, match="d_q"):
         load_checkpoint(broken)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("srl.u", np.nan),
+        ("enc.l1.qkv", np.inf),
+        ("frozen.pretrained", -np.inf),
+        ("frozen.unk", np.nan),
+        ("transitions.matrix", np.nan),
+        ("transitions.start", np.inf),
+        ("transitions.end", -np.inf),  # how BIO forbids a transition: allowed
+    ],
+)
+def test_checkpoint_with_a_non_finite_value_is_a_format_error(
+    data_dir, tmp_path, name, value
+):
+    train(_tiny_config(data_dir, tmp_path, epochs=1))
+    blob = bytearray((tmp_path / "model.ckpt").read_bytes())
+    _, data, _ = _tensor_records(bytes(blob))[name]
+    struct.pack_into("<d", blob, data, value)
+    patched = tmp_path / "patched.ckpt"
+    patched.write_bytes(bytes(blob))
+    if name.startswith("transitions.") and value == -np.inf:
+        assert load_checkpoint(patched).transitions.end[0] == -np.inf
+        return
+    with pytest.raises(CorpusFormatError, match=f"tensor {name} holds NaN or infinity"):
+        load_checkpoint(patched)
 
 
 @pytest.fixture(scope="module")
@@ -403,6 +454,39 @@ def test_cli_truncated_binary_inputs_are_format_errors(
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error category=corpus-format:"), err[0]
+
+
+@pytest.mark.parametrize("kind", ["ctxl", "vec"])
+def test_cli_non_finite_input_values_are_format_errors(
+    data_dir, contextual_checkpoint, tmp_path, capsys, kind
+):
+    if kind == "ctxl":
+        blob = bytearray((data_dir / "test.ctxl").read_bytes())
+        struct.pack_into("<f", blob, len(blob) - 4, np.nan)  # last sentence's stack
+        (tmp_path / "nan.ctxl").write_bytes(bytes(blob))
+        argv = [
+            "predict", "--checkpoint-in", str(contextual_checkpoint),
+            "--test-path", str(data_dir / "test.conll"),
+            "--test-ctxl-path", str(tmp_path / "nan.ctxl"),
+            "--predictions-path", str(tmp_path / "pred.conll"),
+        ]
+        where = "sentence '5'"
+    else:
+        lines = (data_dir / "pretrained.vec").read_text().splitlines()
+        parts = lines[2].split()
+        lines[2] = " ".join([parts[0], "nan", *parts[2:]])
+        (tmp_path / "nan.vec").write_text("\n".join(lines) + "\n")
+        argv = [
+            "train", "--train-path", str(data_dir / "train.conll"),
+            "--dev-path", str(data_dir / "dev.conll"),
+            "--pretrained-path", str(tmp_path / "nan.vec"),
+        ]
+        where = "line 3"
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error category=corpus-format:"), err[0]
+    assert where in err[0]
 
 
 READERS = {

@@ -249,6 +249,14 @@ def test_positional_row_zero_alternates():
     assert np.array_equal(pe[0], [0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
 
 
+def test_positional_encoding_is_cached_and_read_only():
+    pe = positional_encoding(4, 6)
+    assert positional_encoding(4, 6) is pe
+    with pytest.raises(ValueError):
+        pe[0, 0] = 1.0
+    assert np.array_equal(pe[0], [0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
+
+
 def test_positional_range():
     pe = positional_encoding(50, 16)
     assert np.all(pe <= 1.0) and np.all(pe >= -1.0)

@@ -1,16 +1,19 @@
 """Full-model assembly: forward, multi-task loss, prediction, variants."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from lisa_srl.corpus import (
+    PREDICATE_SUFFIX,
     AnnotatedSentence,
     build_joint_pos_pred_space,
     build_role_space,
     estimate_transitions,
 )
 from lisa_srl.encoder import EncoderConfig, ParseSource
-from lisa_srl.errors import ConfigError
+from lisa_srl.errors import ConfigError, NonFiniteError
 from lisa_srl.heads import decode_pos_pred, srl_loss, srl_scores
 from lisa_srl.model import (
     EMBED_CONTEXTUAL,
@@ -19,8 +22,7 @@ from lisa_srl.model import (
     ModelConfig,
     SentencePrediction,
 )
-from lisa_srl.numerics import finite_difference_check
-from lisa_srl.numerics import Tape
+from lisa_srl.numerics import Tape, Tensor, finite_difference_check
 from lisa_srl.synth import gen_synthetic
 
 
@@ -216,15 +218,21 @@ def test_hardened_self_parse_consumes_one_hot():
     assert np.array_equal(consumed.sum(axis=1), np.ones(5))
 
 
-def test_default_training_step_records_few_tape_ops():
-    # one fused op per attention layer and per convolution, one bilinear op
-    # for all predicates and one cross-entropy op per loss
+def _default_model():
+    """The default configuration on a 40-sentence synthetic corpus."""
     corpus = gen_synthetic(40, 0)
     joint, roles = _spaces(corpus)
     vocab = sorted({w for s in corpus for w in s.tokens})
     model = LisaModel.build(
         ModelConfig(), joint, roles, vocab, _pretrained(corpus, 64), 0
     )
+    return model, estimate_transitions(corpus, roles), corpus
+
+
+def test_default_training_step_records_few_tape_ops():
+    # one fused op per attention layer and per convolution, one bilinear op
+    # for all predicates and one cross-entropy op per loss
+    model, _, corpus = _default_model()
     counts = []
     for n_predicates in (1, 2):
         sent = next(s for s in corpus if len(s.predicate_indices) == n_predicates)
@@ -233,6 +241,45 @@ def test_default_training_step_records_few_tape_ops():
         counts.append(len(tape._backprops))
     assert counts[0] <= 27
     assert counts[1] == counts[0]
+
+
+def test_tape_ops_build_outputs_without_the_finiteness_check(monkeypatch):
+    # finiteness is checked on the loss, the gradient norm and the decoded
+    # outputs, not by a checked Tensor(...) inside every op
+    model, transitions, corpus = _default_model()
+    sent = next(s for s in corpus if len(s.predicate_indices) == 2)
+    in_ops = []
+    checked_init = Tensor.__init__
+
+    def counting_init(self, data):
+        caller = sys._getframe(1)
+        if isinstance(caller.f_locals.get("self"), Tape):
+            in_ops.append(caller.f_code.co_name)
+        checked_init(self, data)
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    tape = Tape()
+    bundle = model.loss(tape, sent)
+    model.reset_gradients()
+    tape.backward(bundle.total)
+    model.predict_sentence(sent, transitions)
+    assert in_ops == []
+
+
+def test_decode_with_a_non_finite_parameter_raises_non_finite_error():
+    model, transitions, corpus = _default_model()
+    sent = next(s for s in corpus if len(s.predicate_indices) == 2)
+    # make every token a predicate, so the role scorer's parameters are used
+    labels = list(model.pos_head.labels)
+    pred = next(i for i, name in enumerate(labels) if name.endswith(PREDICATE_SUFFIX))
+    model.pos_head.bias.value.data[pred] = 1.0
+    assert len(model.predict_sentence(sent, transitions).predicates) == len(sent)
+    for p in model.parameters():
+        saved = p.value.data.flat[0]
+        p.value.data.flat[0] = np.nan
+        with pytest.raises(NonFiniteError):
+            model.predict_sentence(sent, transitions)
+        p.value.data.flat[0] = saved
 
 
 def test_contextual_path_forward_and_gradients():

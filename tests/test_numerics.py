@@ -433,6 +433,63 @@ class TestBilinear:
             assert np.array_equal(p.gradient[unused], np.zeros((len(unused), 3)))
 
 
+class TestFirstWriteGradients:
+    """Backward stores a copy of the first gradient a tensor receives, so a
+    tensor used twice, or two tensors fed one upstream gradient, never share
+    a buffer that a later accumulation would write through."""
+
+    X = np.random.default_rng(21).standard_normal((3, 4))
+
+    @staticmethod
+    def graph(kind, w1, w2, b):
+        """The loss of one small graph, its tape and every tensor it made."""
+        t = Tape()
+        made = [Tensor(TestFirstWriteGradients.X)]
+
+        def op(name, *args):
+            made.append(getattr(t, name)(*args))
+            return made[-1]
+
+        h1, h2 = op("matmul", made[0], w1.value), op("matmul", made[0], w2.value)
+        if kind == "add(x, x)":
+            out = op("mul", op("add", h1, h1), op("add_row", h2, b.value))
+        elif kind == "mul(x, x)":
+            out = op("add", op("mul", h1, h1), op("add_row", h2, b.value))
+        elif kind == "add_row":
+            a = op("add_row", h1, b.value)
+            out = op("mul", op("mul", a, op("add_row", a, b.value)), h2)
+        else:
+            # add(s, r) feeds s and r, s = add(h1, h2) feeds h1 and h2, and
+            # the relu's backward, replayed last, adds into h1 once more
+            r = op("relu", h1)
+            s = op("add", h1, h2)
+            u = op("add_row", op("add", s, r), b.value)
+            out = op("mul", u, u)
+        return t, op("sum_all", out), made
+
+    @pytest.mark.parametrize("kind", ["add(x, x)", "mul(x, x)", "add_row", "fan-out"])
+    def test_finite_differences_and_no_shared_buffers(self, kind):
+        rng = np.random.default_rng(8)
+        w1 = Parameter("w1", rng.standard_normal((4, 3)))
+        w2 = Parameter("w2", rng.standard_normal((4, 3)))
+        b = Parameter("b", rng.standard_normal(3))
+        params = (w1, w2, b)
+        tape, loss, made = self.graph(kind, *params)
+        tape.backward(loss)
+
+        def run() -> float:
+            return self.graph(kind, *params)[1].item()
+
+        for p in params:
+            assert finite_difference_check(run, p, 1e-6) < 1e-6, p.name
+        grads = [t.grad for t in made if t.grad is not None]
+        grads += [p.gradient for p in params]
+        assert len(grads) == len(made) + len(params)
+        for i, g in enumerate(grads):
+            for other in grads[i + 1 :]:
+                assert not np.shares_memory(g, other)
+
+
 class TestFiniteDifference:
     def test_linear_function_all_ones(self):
         p = Parameter("p", np.array([[1.0, -2.0], [0.5, 4.0]]))
