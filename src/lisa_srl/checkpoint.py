@@ -33,6 +33,7 @@ from .config import RunConfig
 from .corpus import BlobReader, LabelSpace, TransitionTable
 from .errors import CompatibilityError, CorpusFormatError, NonFiniteError
 from .model import EMBED_STATIC, LisaModel
+from .numerics import Parameter
 
 CHECKPOINT_MAGIC = b"LISA"
 CHECKPOINT_VERSION = 2
@@ -156,50 +157,34 @@ def load_checkpoint(path) -> LoadedCheckpoint:
     config.validate()
     joint = LabelSpace(meta["joint_labels"])
     roles = LabelSpace(meta["role_labels"])
-    for key in _TRANS_KEYS:
-        if key not in tensors:
-            raise CompatibilityError(f"checkpoint is missing tensor {key!r}")
-    transitions = TransitionTable(
-        roles,
-        tensors[_TRANS_KEYS[0]],
-        tensors[_TRANS_KEYS[1]],
-        tensors[_TRANS_KEYS[2]],
-    )
 
-    pretrained = None
-    expected_extra = set(_TRANS_KEYS)
+    def pop(name: str) -> np.ndarray:
+        if name not in tensors:
+            raise CompatibilityError(f"checkpoint is missing tensor {name!r}")
+        return tensors.pop(name)
+
+    def saved(name: str, shape, draw=None) -> Parameter:
+        if name in tensors and tensors[name].shape != tuple(shape):
+            raise CompatibilityError(
+                f"{name}: checkpoint shape {tensors[name].shape} != model {tuple(shape)}"
+            )
+        return Parameter(name, pop(name))
+
+    transitions = TransitionTable(roles, *(pop(key) for key in _TRANS_KEYS))
+    pretrained = unk = None
     if config.embedding == EMBED_STATIC:
-        for key in (_PRETRAINED_KEY, _UNK_KEY):
-            if key not in tensors:
-                raise CompatibilityError(f"checkpoint is missing tensor {key!r}")
-        words = meta["pretrained_words"]
-        rows = tensors[_PRETRAINED_KEY]
+        words, rows, unk = meta["pretrained_words"], pop(_PRETRAINED_KEY), pop(_UNK_KEY)
         if len(words) != rows.shape[0]:
             raise CompatibilityError(
                 f"{len(words)} pretrained words for {rows.shape[0]} vector rows"
             )
-        pretrained = {w: rows[i] for i, w in enumerate(words)}
-        expected_extra |= {_PRETRAINED_KEY, _UNK_KEY}
-
+        pretrained = dict(zip(words, rows))
     model = LisaModel.build(
-        config.model_config(), joint, roles, meta["train_words"], pretrained, config.seed
+        config.model_config(), joint, roles, meta["train_words"], pretrained, config.seed,
+        saved,
     )
-    if model.static_table is not None:
-        model.static_table.unk = tensors[_UNK_KEY]
-
-    param_names = {p.name for p in model.parameters()}
-    saved_names = set(tensors) - expected_extra
-    if param_names != saved_names:
-        missing = sorted(param_names - saved_names)
-        unknown = sorted(saved_names - param_names)
-        raise CompatibilityError(
-            f"checkpoint/model parameter mismatch; missing={missing} unknown={unknown}"
-        )
-    for p in model.parameters():
-        saved = tensors[p.name]
-        if saved.shape != p.value.data.shape:
-            raise CompatibilityError(
-                f"{p.name}: checkpoint shape {saved.shape} != model {p.value.data.shape}"
-            )
-        p.value.data = saved
+    if unk is not None:
+        model.static_table.unk = unk
+    if tensors:
+        raise CompatibilityError(f"checkpoint holds tensors the model lacks: {sorted(tensors)}")
     return LoadedCheckpoint(model, config, int(meta["step"]), transitions)

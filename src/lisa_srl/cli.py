@@ -4,7 +4,7 @@ Four subcommands: gen-synth, train, predict, evaluate. Run options come
 from defaults, then an optional flat key=value config file, then flags;
 every RunConfig field has a flag of the same name with dashes. Failures
 exit nonzero after printing a single machine-parseable line of the form
-`error category=<category>: <message>`.
+`error category=<category>: <message>`; numpy's float warnings are off.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+
+import numpy as np
 
 from .config import RunConfig, build_run_config, parse_config_file
 from .errors import LisaError
@@ -109,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except LisaError as err:
         print(f"error category={err.category}: {err}", file=sys.stderr)
         return 1

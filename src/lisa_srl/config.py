@@ -96,27 +96,14 @@ class RunConfig:
             raise ConfigError(f"early_stop_f1 cannot exceed 1, got {self.early_stop_f1}")
         self.model_config()  # encoder/width checks
 
-    def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(
-            n_layers=self.n_layers,
-            n_heads=self.n_heads,
-            d_k=self.d_k,
-            d_v=self.d_v,
-            d_model=self.d_model,
-            parse_layer=self.parse_layer,
-            pos_layer=self.pos_layer,
-            parse_head=self.parse_head,
-        )
-
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            variant=self.variant,
-            embedding=self.embedding,
-            encoder=self.encoder_config(),
-            d_role=self.d_role,
-            embed_convs=self.embed_convs,
-            n_context_layers=self.n_context_layers,
-        )
+        """The model and encoder settings, each taken from the same-named field."""
+
+        def pick(cls, **given):
+            names = [f.name for f in dataclasses.fields(cls) if f.name not in given]
+            return cls(**given, **{name: getattr(self, name) for name in names})
+
+        return pick(ModelConfig, encoder=pick(EncoderConfig))
 
     def source(self) -> ParseSource:
         return ParseSource(self.parse_source)

@@ -13,6 +13,7 @@ whitespace; the writer emits tabs.
 
 from __future__ import annotations
 
+import functools
 import io
 import struct
 from dataclasses import dataclass, field
@@ -263,9 +264,7 @@ def read_conll_counted(
         frames: dict[int, tuple[str, ...]] = {}
         for k, pidx in enumerate(pred_idx):
             col = [cols[4 + k] for _, cols in rows]
-            for lineno, tag in zip((ln for ln, _ in rows), col):
-                _split_tag(tag)  # syntax check, raises with no line info
-            if not is_valid_bio(col):
+            if not is_valid_bio(col):  # raises on a malformed tag
                 if repair:
                     fixed, n = repair_bio(col)
                     total_repairs += n
@@ -451,6 +450,11 @@ class TransitionTable:
     matrix: np.ndarray
     start: np.ndarray
     end: np.ndarray
+
+    @functools.cached_property
+    def magnitude(self) -> float:  # the largest finite |log-prob|
+        values = np.concatenate([self.matrix.ravel(), self.start, self.end])
+        return float(np.abs(values[np.isfinite(values)]).max(initial=0.0))
 
     def check(self) -> None:
         n = len(self.labels)

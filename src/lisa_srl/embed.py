@@ -18,7 +18,7 @@ import numpy as np
 
 from .corpus import BlobReader, CorpusFormatError, text_lines
 from .errors import ConfigError
-from .numerics import Parameter, Tape, Tensor
+from .numerics import Parameter, Tape, Tensor, new_parameter
 
 VEC_FLOAT_FORMAT = "%.17g"  # round-trips float64 exactly
 CTXL_MAGIC = b"CTXL"
@@ -58,7 +58,7 @@ class StaticTable:
 
     @classmethod
     def build(
-        cls, train_vocab, pretrained: dict[str, np.ndarray]
+        cls, train_vocab, pretrained: dict[str, np.ndarray], make=new_parameter
     ) -> "StaticTable":
         """Zero-initialized residual so step-0 vectors equal the pretrained ones."""
         if not pretrained:
@@ -69,23 +69,14 @@ class StaticTable:
         (d,) = dims.pop()
         words = tuple(sorted(set(train_vocab)))
         unk = np.mean([pretrained[w] for w in sorted(pretrained)], axis=0)
-        residual = Parameter("embed.residual", np.zeros((len(words), d)))
+        residual = make("embed.residual", (len(words), d))
         return cls(words, pretrained, unk, residual)
 
-    def base_rows(self, tokens) -> np.ndarray:
-        """Frozen [T, d_w] pretrained (or unk) rows for a sentence."""
-        return np.stack(
-            [self.pretrained.get(w, self.unk) for w in tokens], axis=0
-        )
-
-    def selection(self, tokens) -> np.ndarray:
-        """One-hot [T, V] picking each in-vocabulary token's residual row."""
-        sel = np.zeros((len(tokens), len(self.words)))
-        for t, w in enumerate(tokens):
-            row = self.index.get(w)
-            if row is not None:
-                sel[t, row] = 1.0
-        return sel
+    def lookup(self, tokens) -> tuple[np.ndarray, list[int]]:
+        """Frozen [T, d_w] pretrained (or unk) rows for a sentence, and each
+        token's residual row, -1 for a word outside the training vocabulary."""
+        base = np.array([self.pretrained.get(w, self.unk) for w in tokens])
+        return base, [self.index.get(w, -1) for w in tokens]
 
 
 @dataclass
@@ -100,38 +91,26 @@ class ConvLayer:
     def parameters(self) -> list[Parameter]:
         return [self.w_left, self.w_center, self.w_right, self.bias]
 
+    def block(self, tape: Tape, x: Tensor) -> Tensor:
+        """The residual block x + conv3(relu(x)); neighbours out of range read zero."""
+        return tape.conv_block(x, *(p.value for p in self.parameters()))
 
-def init_conv_stack(k: int, d: int, prefix: str) -> list[ConvLayer]:
+
+def init_conv_stack(k: int, d: int, prefix: str, make=new_parameter) -> list[ConvLayer]:
     """K zero-initialized convolutions.
 
-    Together with the residual form x + conv3(relu(x)) used below, zero
+    Together with the residual form x + conv3(relu(x)) of `block`, zero
     taps make each layer an exact identity at step 0 (depth cannot destroy
     signal) while the relu sits before the convolution, so tap gradients
     are alive from the first step.
     """
-    stack = []
-    for i in range(k):
-        stack.append(
-            ConvLayer(
-                Parameter(f"{prefix}.c{i}.left", np.zeros((d, d))),
-                Parameter(f"{prefix}.c{i}.center", np.zeros((d, d))),
-                Parameter(f"{prefix}.c{i}.right", np.zeros((d, d))),
-                Parameter(f"{prefix}.c{i}.bias", np.zeros(d)),
-            )
+    return [
+        ConvLayer(
+            *(make(f"{prefix}.c{i}.{tap}", (d, d)) for tap in ("left", "center", "right")),
+            make(f"{prefix}.c{i}.bias", (d,)),
         )
-    return stack
-
-
-def conv3(tape: Tape, x: Tensor, layer: ConvLayer) -> Tensor:
-    """Width-3 convolution over rows; out-of-range neighbors read as zero."""
-    return tape.conv3(x, *(p.value for p in layer.parameters()))
-
-
-def conv_stack(tape: Tape, x: Tensor, stack) -> Tensor:
-    """Residual nonlinear convolutions: x <- x + conv3(relu(x)), K times."""
-    for layer in stack:
-        x = tape.add(x, conv3(tape, tape.relu(x), layer))
-    return x
+        for i in range(k)
+    ]
 
 
 def static_embed(tape: Tape, tokens, table: StaticTable, convs) -> Tensor:
@@ -141,10 +120,10 @@ def static_embed(tape: Tape, tokens, table: StaticTable, convs) -> Tensor:
             f"conv stack expects width {convs[0].w_center.value.shape[0]}, "
             f"table provides {table.dim}"
         )
-    base = Tensor(table.base_rows(tokens))
-    picked = tape.matmul(Tensor(table.selection(tokens)), table.residual.value)
-    x = tape.add(base, picked)
-    x = conv_stack(tape, x, convs)
+    base, rows = table.lookup(tokens)
+    x = tape.gather_add(base, table.residual.value, rows)
+    for layer in convs:
+        x = layer.block(tape, x)
     return tape.add(x, Tensor(positional_encoding(len(tokens), x.shape[1])))
 
 
@@ -160,10 +139,10 @@ class ScalarMix:
     gamma: Parameter
 
     @classmethod
-    def build(cls, n_layers: int, prefix: str = "mix") -> "ScalarMix":
+    def build(cls, n_layers: int, prefix: str = "mix", make=new_parameter) -> "ScalarMix":
         return cls(
-            Parameter(f"{prefix}.w", np.zeros((1, n_layers))),
-            Parameter(f"{prefix}.gamma", np.asarray(1.0)),
+            make(f"{prefix}.w", (1, n_layers)),
+            make(f"{prefix}.gamma", (), lambda: np.asarray(1.0)),
         )
 
     @property

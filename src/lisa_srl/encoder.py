@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embed import ConvLayer, conv3, init_conv_stack
+from .embed import ConvLayer, init_conv_stack
 from .errors import ConfigError, InjectionError
-from .numerics import Parameter, Tape, Tensor
+from .numerics import Parameter, Tape, Tensor, new_parameter
 
 
 class ParseSource(enum.Enum):
@@ -100,16 +100,21 @@ class Encoder:
         self.layers = layers
 
     @classmethod
-    def build(cls, config: EncoderConfig, rng: np.random.Generator) -> "Encoder":
-        scale = 1.0 / np.sqrt(config.d_model)
+    def build(
+        cls, config: EncoderConfig, rng: np.random.Generator, make=new_parameter
+    ) -> "Encoder":
+        d = config.d_model
+        scale = 1.0 / np.sqrt(d)
         widths = (config.d_k, config.d_k, config.d_v) * config.n_heads
+
+        def draw() -> np.ndarray:
+            return np.concatenate([rng.normal(0, scale, (d, w)) for w in widths], axis=1)
+
         layers = []
         for j in range(1, config.n_layers + 1):
-            qkv = np.concatenate(
-                [rng.normal(0, scale, (config.d_model, w)) for w in widths], axis=1
-            )
-            (conv,) = init_conv_stack(1, config.d_model, f"enc.l{j}")
-            layers.append(LayerParams(Parameter(f"enc.l{j}.qkv", qkv), conv))
+            qkv = make(f"enc.l{j}.qkv", (d, sum(widths)), draw)
+            (conv,) = init_conv_stack(1, d, f"enc.l{j}", make)
+            layers.append(LayerParams(qkv, conv))
         return cls(config, layers)
 
     def parameters(self) -> list[Parameter]:
@@ -131,41 +136,24 @@ class Encoder:
             raise ConfigError(
                 f"encoder expects [T, {self.config.d_model}] input, got {x.shape}"
             )
+        cfg = self.config
         trace = EncoderTrace()
         for j, layer in enumerate(self.layers, start=1):
-            x = encode_layer(
-                tape, x, layer, self.config, j, injected_heads, harden, trace
+            inject = None
+            if j == cfg.parse_layer and (injected_heads is not None or harden):
+
+                def inject(own: np.ndarray) -> np.ndarray:
+                    heads = extract_parse(own) if injected_heads is None else injected_heads
+                    return parse_adjacency(heads, len(own))
+
+            # H attention heads side by side (m), then m + conv3(relu(m))
+            m, logits, trace.attentions[j] = tape.attention(
+                x, layer.qkv.value, cfg.n_heads, cfg.d_k, cfg.parse_head, inject
             )
-            trace.layer_outputs[j] = x
+            if j == cfg.parse_layer:
+                trace.parse_logits = logits
+            x = trace.layer_outputs[j] = layer.conv.block(tape, m)
         return x, trace
-
-
-def encode_layer(
-    tape: Tape,
-    x: Tensor,
-    layer: LayerParams,
-    config: EncoderConfig,
-    layer_index: int,
-    injected_heads,
-    harden: bool,
-    trace: EncoderTrace,
-) -> Tensor:
-    """One layer: H attention heads side by side (m), then m + conv3(relu(m))."""
-    is_parse = layer_index == config.parse_layer
-    inject = None
-    if is_parse and (injected_heads is not None or harden):
-
-        def inject(own: np.ndarray) -> np.ndarray:
-            heads = extract_parse(own) if injected_heads is None else injected_heads
-            return parse_adjacency(heads, len(own))
-
-    m, logits, weights = tape.attention(
-        x, layer.qkv.value, config.n_heads, config.d_k, config.parse_head, inject
-    )
-    trace.attentions[layer_index] = weights
-    if is_parse:
-        trace.parse_logits = logits
-    return tape.add(m, conv3(tape, tape.relu(m), layer.conv))
 
 
 def parse_adjacency(heads, t_len: int) -> np.ndarray:

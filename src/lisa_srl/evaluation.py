@@ -87,14 +87,20 @@ def frame_spans(sentence: AnnotatedSentence) -> set[tuple[int, int, int, str]]:
     return out
 
 
-def srl_counts(gold: Sequence[AnnotatedSentence],
-               predicted: Sequence[AnnotatedSentence]) -> Counts:
+def _set_counts(gold: Sequence[AnnotatedSentence],
+                predicted: Sequence[AnnotatedSentence], items) -> Counts:
+    """Counts of the `items(sentence)` sets, matched sentence by sentence."""
     _check_aligned(gold, predicted)
     total = Counts()
     for g, p in zip(gold, predicted):
-        gs, ps = frame_spans(g), frame_spans(p)
+        gs, ps = items(g), items(p)
         total += Counts(len(gs & ps), len(ps - gs), len(gs - ps))
     return total
+
+
+def srl_counts(gold: Sequence[AnnotatedSentence],
+               predicted: Sequence[AnnotatedSentence]) -> Counts:
+    return _set_counts(gold, predicted, frame_spans)
 
 
 def srl_prf(gold: Sequence[AnnotatedSentence],
@@ -103,20 +109,10 @@ def srl_prf(gold: Sequence[AnnotatedSentence],
     return srl_counts(gold, predicted).prf()
 
 
-def predicate_counts(gold: Sequence[AnnotatedSentence],
-                     predicted: Sequence[AnnotatedSentence]) -> Counts:
-    _check_aligned(gold, predicted)
-    total = Counts()
-    for g, p in zip(gold, predicted):
-        gs, ps = set(g.predicate_indices), set(p.predicate_indices)
-        total += Counts(len(gs & ps), len(ps - gs), len(gs - ps))
-    return total
-
-
 def predicate_prf(gold: Sequence[AnnotatedSentence],
                   predicted: Sequence[AnnotatedSentence]) -> tuple[float, float, float]:
     """Token-level predicate detection P/R/F1."""
-    return predicate_counts(gold, predicted).prf()
+    return _set_counts(gold, predicted, lambda s: set(s.predicate_indices)).prf()
 
 
 def uas(gold_heads: Sequence[int], predicted_heads: Sequence[int]) -> float:

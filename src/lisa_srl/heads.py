@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import PREDICATE_SUFFIX, LabelSpace, joint_label
 from .errors import ContractError
-from .numerics import Parameter, Tape, Tensor
+from .numerics import Parameter, Tape, Tensor, new_parameter
 
 
 @dataclass
@@ -27,14 +27,10 @@ class PosPredHead:
     labels: LabelSpace
 
     @classmethod
-    def build(cls, d_model: int, labels: LabelSpace) -> "PosPredHead":
+    def build(cls, d_model: int, labels: LabelSpace, make=new_parameter) -> "PosPredHead":
         # zero init: the classifier starts uniform and is symmetric-safe
         # because it is a single linear map over non-degenerate inputs
-        return cls(
-            Parameter("pos.w", np.zeros((d_model, len(labels)))),
-            Parameter("pos.b", np.zeros(len(labels))),
-            labels,
-        )
+        return cls(make("pos.w", (d_model, len(labels))), make("pos.b", (len(labels),)), labels)
 
     def parameters(self) -> list[Parameter]:
         return [self.weight, self.bias]
@@ -75,14 +71,17 @@ class SrlScorer:
 
     @classmethod
     def build(
-        cls, d_model: int, d_r: int, labels: LabelSpace, rng: np.random.Generator
+        cls, d_model: int, d_r: int, labels: LabelSpace, rng: np.random.Generator,
+        make=new_parameter,
     ) -> "SrlScorer":
-        scale = 1.0 / np.sqrt(d_model)
+        def draw() -> np.ndarray:
+            return rng.normal(0, 1.0 / np.sqrt(d_model), (d_model, d_r))
+
         return cls(
-            Parameter("srl.w_pred", rng.normal(0, scale, (d_model, d_r))),
-            Parameter("srl.w_role", rng.normal(0, scale, (d_model, d_r))),
+            make("srl.w_pred", (d_model, d_r), draw),
+            make("srl.w_role", (d_model, d_r), draw),
             # zero bilinear operator: role distributions start uniform
-            Parameter("srl.u", np.zeros((d_r, len(labels), d_r))),
+            make("srl.u", (d_r, len(labels), d_r)),
             labels,
         )
 

@@ -46,7 +46,7 @@ from .heads import (
     srl_scores,
     total_loss,
 )
-from .numerics import Parameter, Tape, Tensor, log_softmax
+from .numerics import Parameter, Tape, Tensor, log_softmax, new_parameter
 
 VARIANT_SYNTAX = "lisa"
 VARIANT_AGNOSTIC = "sa"
@@ -131,26 +131,28 @@ class LisaModel:
         train_vocab,
         pretrained: dict[str, np.ndarray] | None,
         seed: int,
+        make=new_parameter,
     ) -> "LisaModel":
+        """`make` creates each parameter; the default draws fresh ones."""
         rng = np.random.default_rng(seed)
-        encoder = Encoder.build(config.encoder, rng)
+        encoder = Encoder.build(config.encoder, rng, make)
         d_model = config.encoder.d_model
-        pos_head = PosPredHead.build(d_model, joint_space)
-        scorer = SrlScorer.build(d_model, config.d_role, role_space, rng)
+        pos_head = PosPredHead.build(d_model, joint_space, make)
+        scorer = SrlScorer.build(d_model, config.d_role, role_space, rng, make)
         static_table = None
         convs: list = []
         mix = None
         if config.embedding == EMBED_STATIC:
             if pretrained is None:
                 raise ConfigError("static embedding path needs pretrained vectors")
-            static_table = StaticTable.build(train_vocab, pretrained)
+            static_table = StaticTable.build(train_vocab, pretrained, make)
             if static_table.dim != d_model:
                 raise ConfigError(
                     f"pretrained width {static_table.dim} != model width {d_model}"
                 )
-            convs = init_conv_stack(config.embed_convs, d_model, "embed")
+            convs = init_conv_stack(config.embed_convs, d_model, "embed", make)
         else:
-            mix = ScalarMix.build(config.n_context_layers)
+            mix = ScalarMix.build(config.n_context_layers, make=make)
         return cls(config, encoder, pos_head, scorer, static_table, convs, mix)
 
     # -- parameter plumbing -------------------------------------------------
@@ -285,13 +287,13 @@ class LisaModel:
         if not all(np.isfinite(t.data).all() for t in (fw.final, fw.pos_logits, scores)):
             raise NonFiniteError("decode met NaN or infinity in the model's outputs")
         frames: dict[int, tuple[str, ...]] = {}
-        role_space = self.scorer.labels
-        for f, emissions in zip(predicates, log_softmax(scores.data)):
-            tags = viterbi_decode(DecodeProblem(emissions, transitions))
-            # tuples from lists, not generators, here and below: a tuple
-            # built from a generator is resized, so freeing it grows
-            # CPython's tuple free lists until the next full collection
-            frames[f] = tuple([role_space.name(i) for i in tags])
+        if predicates:  # one Viterbi recursion for all frames
+            all_tags = viterbi_decode(DecodeProblem(log_softmax(scores.data), transitions))
+            for f, tags in zip(predicates, all_tags):
+                # tuples from lists, not generators, here and below: a tuple
+                # built from a generator is resized, so freeing it grows
+                # CPython's tuple free lists until the next full collection
+                frames[f] = tuple([self.scorer.labels.name(i) for i in tags])
         predicted = AnnotatedSentence(
             sentence.tokens,
             tuple(pos_tags),

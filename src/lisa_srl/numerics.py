@@ -1,10 +1,12 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 The whole model runs on a deliberately small op set: matmuls and elementwise
-arithmetic, one fused op for a whole multi-head self-attention layer, one for
-a width-3 convolution, one bilinear op scoring every predicate at once in
-two matmuls (predicate rows times the flattened operator, then role rows),
-scalar mixing, a row softmax, a sum, and one cross-entropy op for all losses.
+arithmetic, one gather op adding learned rows to constant ones (the static
+embedding), one fused op for a whole multi-head self-attention layer, one
+for a residual width-3 convolution block x + conv3(relu(x)), one bilinear
+op scoring every predicate at once in two matmuls (predicate rows times the
+flattened operator, then role rows), scalar mixing, a row softmax, a sum,
+and one cross-entropy op for all losses.
 Everything is float64 and row-major; there is no broadcasting beyond the few
 shapes the ops below accept. Tensors are immutable once created (the SGD
 optimizer mutates parameter storage only *between* tapes).
@@ -102,6 +104,12 @@ class Parameter:
         return f"Parameter({self.name!r}, shape={self.value.shape})"
 
 
+def new_parameter(name: str, shape, draw: Callable[[], np.ndarray] | None = None) -> Parameter:
+    """A fresh parameter, `draw()` or zeros of `shape`: the default maker
+    of model builders, whose parameters a checkpoint supplies instead."""
+    return Parameter(name, np.zeros(shape) if draw is None else draw())
+
+
 class Tape:
     """Ordered record of differentiable operations for one forward pass.
 
@@ -113,11 +121,6 @@ class Tape:
 
     def __init__(self) -> None:
         self._backprops: list[Callable[[], None]] = []
-
-    # -- graph construction helpers -------------------------------------
-
-    def _record(self, fn: Callable[[], None]) -> None:
-        self._backprops.append(fn)
 
     # -- elementwise and shape ops ---------------------------------------
 
@@ -132,7 +135,7 @@ class Tape:
             _accumulate(a, out.grad)
             _accumulate(b, out.grad)
 
-        self._record(back)
+        self._backprops.append(back)
         return out
 
     def mul(self, a: Tensor, b: Tensor) -> Tensor:
@@ -146,7 +149,7 @@ class Tape:
             _accumulate(a, out.grad * b.data)
             _accumulate(b, out.grad * a.data)
 
-        self._record(back)
+        self._backprops.append(back)
         return out
 
     def scale_by(self, a: Tensor, s: Tensor) -> Tensor:
@@ -161,7 +164,7 @@ class Tape:
             _accumulate(a, out.grad * s.data)
             _accumulate(s, np.asarray((out.grad * a.data).sum()))
 
-        self._record(back)
+        self._backprops.append(back)
         return out
 
     def add_row(self, a: Tensor, b: Tensor) -> Tensor:
@@ -176,7 +179,7 @@ class Tape:
             _accumulate(a, out.grad)
             _accumulate(b, out.grad.sum(axis=0))
 
-        self._record(back)
+        self._backprops.append(back)
         return out
 
     # -- linear algebra ---------------------------------------------------
@@ -192,7 +195,7 @@ class Tape:
             _accumulate(a, out.grad @ b.data.T)
             _accumulate(b, a.data.T @ out.grad)
 
-        self._record(back)
+        self._backprops.append(back)
         return out
 
     def attention(
@@ -275,46 +278,81 @@ class Tape:
                     cols = slice(h * width + lo, h * width + hi)
                     _accumulate(x, g_qkv[h, :, lo:hi] @ w.data[:, cols].T)
 
-        self._record(back)
+        self._backprops.append(back)
         return out, logits, weights
 
-    def conv3(
+    def conv_block(
         self, x: Tensor, w_left: Tensor, w_center: Tensor, w_right: Tensor, bias: Tensor
     ) -> Tensor:
-        """Width-3 convolution over rows; out-of-range neighbours read as zero.
+        """Residual width-3 convolution block: x + conv3(relu(x)).
 
-        out[t] = x[t-1] @ w_left + x[t] @ w_center + x[t+1] @ w_right + bias
+        conv3(h)[t] = h[t-1] @ w_left + h[t] @ w_center + h[t+1] @ w_right + bias,
+        with out-of-range neighbours read as zero; the taps are [d, d].
         """
-        if x.ndim != 2 or bias.ndim != 1 or any(
-            m.shape != (x.shape[1], bias.shape[0]) for m in (w_left, w_center, w_right)
+        if x.ndim != 2 or bias.shape != x.shape[1:] or any(
+            m.shape != x.shape[1:] * 2 for m in (w_left, w_center, w_right)
         ):
             raise DimensionError(
-                f"conv3 shapes: x {x.shape}, taps {w_left.shape}, {w_center.shape},"
+                f"conv_block shapes: x {x.shape}, taps {w_left.shape}, {w_center.shape},"
                 f" {w_right.shape}, bias {bias.shape}"
             )
-        before = np.zeros_like(x.data)
-        before[1:] = x.data[:-1]
-        after = np.zeros_like(x.data)
-        after[:-1] = x.data[1:]
+        # relu(x) between zero rows: the three taps read shifted views of it
+        padded = np.zeros((x.shape[0] + 2, x.shape[1]))
+        h = np.maximum(x.data, 0.0, out=padded[1:-1])
+        before, after = padded[:-2], padded[2:]
         out = _unchecked(
-            before @ w_left.data + x.data @ w_center.data + after @ w_right.data
-            + bias.data
+            x.data
+            + (before @ w_left.data + h @ w_center.data + after @ w_right.data + bias.data)
         )
 
         def back() -> None:
             if out.grad is None:
                 return
             g = out.grad
+            # the residual's gradient reaches x before the convolution's
+            _accumulate(x, g)
             _accumulate(bias, g.sum(axis=0))
             _accumulate(w_right, after.T @ g)
-            _accumulate(w_center, x.data.T @ g)
+            _accumulate(w_center, h.T @ g)
             _accumulate(w_left, before.T @ g)
-            g_x = g @ w_center.data.T
-            g_x[1:] = (g @ w_right.data.T)[:-1] + g_x[1:]
-            g_x[:-1] += (g @ w_left.data.T)[1:]
-            _accumulate(x, g_x)
+            g_h = g @ w_center.data.T
+            g_h[1:] = (g @ w_right.data.T)[:-1] + g_h[1:]
+            g_h[:-1] += (g @ w_left.data.T)[1:]
+            _accumulate(x, g_h * (x.data > 0.0))
 
-        self._record(back)
+        self._backprops.append(back)
+        return out
+
+    def gather_add(self, base: np.ndarray, table: Tensor, rows) -> Tensor:
+        """base[t] + table[rows[t]], or base[t] alone where rows[t] < 0.
+
+        `base` is a constant [T, d]. Each gathered row of `table` gets the
+        sum of the gradients of the output rows that read it, summed by a
+        one-hot product: `np.add.at` rounds a row read 4+ times otherwise.
+        """
+        idx = np.asarray(rows, dtype=np.intp)
+        if (
+            base.ndim != 2 or table.ndim != 2 or base.shape[1] != table.shape[1]
+            or idx.shape != base.shape[:1] or idx.max(initial=-1) >= table.shape[0]
+        ):
+            raise DimensionError(
+                f"gather_add: base {base.shape}, table {table.shape}, rows {idx.tolist()}"
+            )
+        known = idx >= 0
+        if known.all():
+            out = _unchecked(base + table.data[idx])
+        else:
+            out = _unchecked(base.copy())
+            out.data[known] += table.data[idx[known]]
+
+        def back() -> None:
+            if out.grad is None:
+                return
+            one_hot = np.zeros((len(idx), table.shape[0]))
+            one_hot[known, idx[known]] = 1.0
+            _accumulate(table, one_hot.T @ out.grad)
+
+        self._backprops.append(back)
         return out
 
     def bilinear(self, p: Tensor, rows: Sequence[int], u: Tensor, r: Tensor) -> Tensor:
@@ -352,7 +390,7 @@ class Tape:
             np.add.at(g_p, idx, g_pu @ u_flat.T)
             _accumulate(p, g_p)
 
-        self._record(back)
+        self._backprops.append(back)
         return out
 
     def mix_layers(self, coeffs: Tensor, layers: np.ndarray) -> Tensor:
@@ -372,21 +410,10 @@ class Tape:
                 return
             _accumulate(coeffs, np.einsum("td,ltd->l", out.grad, layers)[None, :])
 
-        self._record(back)
+        self._backprops.append(back)
         return out
 
-    # -- nonlinearities and normalizers -----------------------------------
-
-    def relu(self, a: Tensor) -> Tensor:
-        out = _unchecked(np.maximum(a.data, 0.0))
-
-        def back() -> None:
-            if out.grad is None:
-                return
-            _accumulate(a, out.grad * (a.data > 0.0))
-
-        self._record(back)
-        return out
+    # -- normalizers -------------------------------------------------------
 
     def softmax_rows(self, x: Tensor) -> Tensor:
         """Row-wise softmax with per-row max subtraction for stability.
@@ -406,7 +433,7 @@ class Tape:
             g = out.grad
             _accumulate(x, y * (g - (g * y).sum(axis=1, keepdims=True)))
 
-        self._record(back)
+        self._backprops.append(back)
         return out
 
     def cross_entropy(self, logits: Tensor, gold) -> Tensor:
@@ -442,7 +469,7 @@ class Tape:
             g[at] = g_gold
             _accumulate(logits, (g - np.exp(log_probs) * g_gold).reshape(logits.shape))
 
-        self._record(back)
+        self._backprops.append(back)
         return out
 
     # -- reductions --------------------------------------------------------
@@ -455,7 +482,7 @@ class Tape:
                 return
             _accumulate(a, np.full_like(a.data, float(out.grad)))
 
-        self._record(back)
+        self._backprops.append(back)
         return out
 
     # -- reverse pass -------------------------------------------------------

@@ -1,7 +1,11 @@
 """Configuration, checkpoints, the training pipeline and the CLI."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -357,6 +361,33 @@ def test_checkpoint_with_missing_tensor_is_incompatible(data_dir, tmp_path):
         load_checkpoint(broken)
 
 
+@pytest.mark.parametrize("change", ["extra", "reshape"])
+def test_checkpoint_with_foreign_or_misshapen_tensor_is_incompatible(
+    data_dir, tmp_path, change
+):
+    config = _tiny_config(data_dir, tmp_path, epochs=1)
+    train(config)
+    blob = (tmp_path / "model.ckpt").read_bytes()
+    start, data, end = _tensor_records(blob)["pos.b"]
+    (extent,) = struct.unpack_from("<Q", blob, data - 8)
+    count_at = 16 + struct.unpack_from("<Q", blob, 8)[0]
+    if change == "extra":  # a copy of pos.b named pos.x appended
+        (count,) = struct.unpack_from("<I", blob, count_at)
+        record = blob[start:end].replace(b"pos.b", b"pos.x", 1)
+        blob = blob[:count_at] + struct.pack("<I", count + 1) + blob[count_at + 4 :] + record
+        match = "pos.x"
+    else:  # pos.b one entry short
+        blob = (
+            blob[: data - 8] + struct.pack("<Q", extent - 1)
+            + blob[data : data + 8 * (extent - 1)] + blob[end:]
+        )
+        match = "pos.b: checkpoint shape"
+    broken = tmp_path / "broken.ckpt"
+    broken.write_bytes(blob)
+    with pytest.raises(CompatibilityError, match=match):
+        load_checkpoint(broken)
+
+
 def test_checkpoint_with_unknown_config_key_is_incompatible(data_dir, tmp_path):
     config = _tiny_config(data_dir, tmp_path, epochs=1)
     train(config)
@@ -661,6 +692,24 @@ def test_cli_errors_are_one_machine_parseable_line(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err.strip()
     assert err.startswith("error category=config:")
+
+
+def test_cli_divergence_prints_one_stderr_line(data_dir, tmp_path):
+    # a real process, so numpy's floating-point warnings would reach stderr
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "lisa_srl.cli", "train",
+         "--train-path", str(data_dir / "train.conll"),
+         "--dev-path", str(data_dir / "dev.conll"),
+         "--pretrained-path", str(data_dir / "pretrained.vec"),
+         "--n-layers", "2", "--n-heads", "2", "--d-k", "4", "--d-v", "4",
+         "--d-model", "8", "--d-role", "4", "--epochs", "3", "--lr", "1e154"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 1
+    err = proc.stderr.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith("error category=non-finite: loss diverged"), err[0]
 
 
 def test_cli_config_file_with_flag_override(tmp_path, capsys):

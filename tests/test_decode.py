@@ -149,6 +149,48 @@ def test_matches_brute_force_when_whole_rows_are_unreachable():
     assert dead_rows >= 100 and decoded >= 100
 
 
+@pytest.mark.parametrize("n_frames", [1, 2, 3])
+def test_frame_stack_matches_brute_force_per_frame(n_frames):
+    # one recursion over F frames gives each frame's oracle sequence, on a
+    # tie-heavy grid with extra -inf entries in start, end and transitions
+    base = _transitions(17)
+    rng = np.random.default_rng(18 + n_frames)
+    decoded = refused = 0
+    for t_len in range(1, 6):
+        for _ in range(40):
+            dead = rng.random() < 0.5
+            table = TransitionTable(
+                SPACE,
+                np.where(dead & (rng.random((5, 5)) < 0.4), -np.inf, base.matrix),
+                np.where(dead & (rng.random(5) < 0.3), -np.inf, base.start),
+                np.where(dead & (rng.random(5) < 0.3), -np.inf, base.end),
+            )
+            stack = 0.5 * rng.integers(-2, 3, size=(n_frames, t_len, 5)).astype(float)
+            try:
+                expected = [brute_force_decode(DecodeProblem(e, table)) for e in stack]
+            except DecodeError:
+                with pytest.raises(DecodeError):
+                    viterbi_decode(DecodeProblem(stack, table))
+                refused += 1
+                continue
+            assert viterbi_decode(DecodeProblem(stack, table)) == expected
+            assert [viterbi_decode(DecodeProblem(e, table)) for e in stack] == expected
+            decoded += 1
+    assert decoded >= 100 and refused >= 5
+
+
+def test_frame_stack_validation_and_per_frame_oracles():
+    table = _transitions()
+    for shape in [(0, 3, 5), (2, 0, 5), (2, 3, 4), (1, 1, 2, 5)]:
+        with pytest.raises(ContractError):
+            DecodeProblem(np.zeros(shape), table)
+    stack = DecodeProblem(np.zeros((2, 3, 5)), table)
+    with pytest.raises(ContractError):
+        brute_force_decode(stack)
+    with pytest.raises(ContractError):
+        sequence_score(stack, [0, 0, 0])
+
+
 def test_constant_shift_invariance():
     table = _transitions(9)
     rng = np.random.default_rng(10)

@@ -18,8 +18,6 @@ from lisa_srl.embed import (
     ScalarMix,
     StaticTable,
     contextual_embed,
-    conv3,
-    conv_stack,
     gen_contextual_layers,
     init_conv_stack,
     positional_encoding,
@@ -71,16 +69,16 @@ def test_training_word_missing_from_pretrained_gets_unk_plus_residual():
 def test_conv3_matches_sliding_window_oracle():
     rng = np.random.default_rng(2)
     d = 2
-    x = rng.normal(size=(3, d))
+    x = np.abs(rng.normal(size=(3, d)))  # relu passes x unchanged
     stack = init_conv_stack(1, d, "emb")
     for p in stack[0].parameters():
         p.value.data[...] = rng.normal(size=p.value.shape)
     layer = stack[0]
 
-    out = conv3(Tape(), Tensor(x), layer)
+    out = layer.block(Tape(), Tensor(x))
     padded = np.vstack([np.zeros((1, d)), x, np.zeros((1, d))])
     for t in range(3):
-        expected = (
+        expected = x[t] + (
             padded[t] @ layer.w_left.value.data
             + padded[t + 1] @ layer.w_center.value.data
             + padded[t + 2] @ layer.w_right.value.data
@@ -92,7 +90,9 @@ def test_conv3_matches_sliding_window_oracle():
 def test_conv_stack_zero_init_is_exact_identity():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(5, 4))
-    out = conv_stack(Tape(), Tensor(x), init_conv_stack(3, 4, "emb"))
+    out = Tensor(x)
+    for layer in init_conv_stack(3, 4, "emb"):
+        out = layer.block(Tape(), out)
     assert np.array_equal(out.data, x)
 
 
@@ -104,7 +104,7 @@ def test_conv_stack_matches_composed_oracle_when_trained():
     (layer,) = init_conv_stack(1, d, "emb")
     for p in layer.parameters():
         p.value.data[...] = rng.normal(size=p.value.shape)
-    out = conv_stack(Tape(), Tensor(x), [layer])
+    out = layer.block(Tape(), Tensor(x))
     r = np.maximum(x, 0.0)
     padded = np.vstack([np.zeros((1, d)), r, np.zeros((1, d))])
     for t in range(4):

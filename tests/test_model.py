@@ -239,8 +239,32 @@ def test_default_training_step_records_few_tape_ops():
         tape = Tape()
         model.loss(tape, sent)
         counts.append(len(tape._backprops))
-    assert counts[0] <= 27
+    assert counts[0] <= 18
     assert counts[1] == counts[0]
+
+
+def test_decode_records_few_tape_ops(monkeypatch):
+    # a gather op and two residual blocks embed, two ops per encoder layer,
+    # and the same count however many predicates the sentence has
+    model, transitions, corpus = _default_model()
+    joint = model.pos_head.labels
+    pred = next(i for i, name in enumerate(joint) if name.endswith(PREDICATE_SUFFIX))
+    model.pos_head.bias.value.data[pred] = 1.0  # every token is a predicate
+    tapes = []
+    plain_init = Tape.__init__
+
+    def recording_init(self):
+        plain_init(self)
+        tapes.append(self)
+
+    monkeypatch.setattr(Tape, "__init__", recording_init)
+    for sent in corpus[:3]:
+        prediction = model.predict_sentence(sent, transitions)
+        assert len(prediction.frames) == len(sent)
+    counts = [len(tape._backprops) for tape in tapes]
+    assert len(counts) == 3
+    assert counts[0] <= 13
+    assert set(counts) == {counts[0]}
 
 
 def test_tape_ops_build_outputs_without_the_finiteness_check(monkeypatch):

@@ -259,35 +259,61 @@ class TestAttention:
             assert finite_difference_check(run, p, 1e-5) < 1e-7, p.name
 
 
+def unfused_conv_block(x, w_left, w_center, w_right, bias, g):
+    """x + conv3(relu(x)) and its gradients as three separate ops compute
+    them: relu, then the width-3 convolution, then the residual add, with
+    the backward replayed in reverse (the residual's gradient reaches x
+    first, then the relu-masked convolution gradient)."""
+    h = np.maximum(x, 0.0)
+    before = np.zeros_like(h)
+    before[1:] = h[:-1]
+    after = np.zeros_like(h)
+    after[:-1] = h[1:]
+    conv = before @ w_left + h @ w_center + after @ w_right + bias
+    out = x + conv
+    g_h = g @ w_center.T
+    g_h[1:] = (g @ w_right.T)[:-1] + g_h[1:]
+    g_h[:-1] += (g @ w_left.T)[1:]
+    g_x = np.array(g)
+    g_x += np.array(g_h) * (x > 0.0)
+    grads = {"x": g_x, "l": before.T @ g, "c": h.T @ g, "r": after.T @ g}
+    grads["b"] = g.sum(axis=0)
+    return out, grads
+
+
 class TestConv3:
+    """The residual width-3 convolution block x + conv3(relu(x))."""
+
     def test_matches_sliding_window_oracle(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((4, 3))
-        taps = [rng.standard_normal((3, 2)) for _ in range(3)]
-        bias = rng.standard_normal(2)
-        out = Tape().conv3(Tensor(x), *(Tensor(m) for m in taps), Tensor(bias))
-        padded = np.vstack([np.zeros((1, 3)), x, np.zeros((1, 3))])
+        taps = [rng.standard_normal((3, 3)) for _ in range(3)]
+        bias = rng.standard_normal(3)
+        out = Tape().conv_block(Tensor(x), *(Tensor(m) for m in taps), Tensor(bias))
+        padded = np.vstack([np.zeros((1, 3)), np.maximum(x, 0.0), np.zeros((1, 3))])
         for t in range(4):
-            expect = sum(padded[t + i] @ taps[i] for i in range(3)) + bias
+            expect = x[t] + sum(padded[t + i] @ taps[i] for i in range(3)) + bias
             assert np.abs(out.data[t] - expect).max() <= 1e-12
 
     def test_rejects_mismatched_taps(self):
         x = Tensor(np.zeros((2, 3)))
-        good, bad = Tensor(np.zeros((3, 2))), Tensor(np.zeros((2, 2)))
+        good, bad = Tensor(np.zeros((3, 3))), Tensor(np.zeros((3, 2)))
         with pytest.raises(DimensionError):
-            Tape().conv3(x, good, bad, good, Tensor(np.zeros(2)))
+            Tape().conv_block(x, good, bad, good, Tensor(np.zeros(3)))
+        with pytest.raises(DimensionError):
+            Tape().conv_block(x, good, good, good, Tensor(np.zeros(2)))
 
     @pytest.mark.parametrize("t_len", [1, 2, 5])
     def test_finite_differences(self, t_len):
         rng = np.random.default_rng(t_len)
         params = [Parameter("x", rng.standard_normal((t_len, 3)))]
-        params += [Parameter(n, rng.standard_normal((3, 2))) for n in ("l", "c", "r")]
-        params.append(Parameter("b", rng.standard_normal(2)))
-        probe = Tensor(rng.standard_normal((t_len, 2)))
+        params += [Parameter(n, rng.standard_normal((3, 3))) for n in ("l", "c", "r")]
+        params.append(Parameter("b", rng.standard_normal(3)))
+        probe = Tensor(rng.standard_normal((t_len, 3)))
 
         def run(backward=False) -> float:
             t = Tape()
-            loss = t.sum_all(t.mul(t.conv3(*(p.value for p in params)), probe))
+            loss = t.sum_all(t.mul(t.conv_block(*(p.value for p in params)), probe))
             if backward:
                 t.backward(loss)
             return loss.item()
@@ -297,6 +323,69 @@ class TestConv3:
         run(backward=True)
         for p in params:
             assert finite_difference_check(run, p, 1e-5) < 1e-8, p.name
+
+    @pytest.mark.parametrize("t_len,d", [(1, 3), (2, 8), (5, 3), (9, 64)])
+    def test_equals_unfused_composition_bitwise(self, t_len, d):
+        rng = np.random.default_rng(100 + t_len)
+        x = rng.standard_normal((t_len, d))
+        x[rng.random((t_len, d)) < 0.2] = 0.0  # the relu's mask is x > 0
+        taps = {n: rng.standard_normal((d, d)) for n in ("l", "c", "r")}
+        bias = rng.standard_normal(d)
+        g = rng.standard_normal((t_len, d))
+        want, want_grads = unfused_conv_block(x, *taps.values(), bias, g)
+
+        inputs = {"x": Tensor(x), **{n: Tensor(m) for n, m in taps.items()}}
+        inputs["b"] = Tensor(bias)
+        t = Tape()
+        out = t.conv_block(*inputs.values())
+        t.backward(t.sum_all(t.mul(out, Tensor(g))))
+        assert np.array_equal(out.data, want)
+        for name, tensor in inputs.items():
+            assert np.array_equal(tensor.grad, want_grads[name]), name
+
+
+class TestGatherAdd:
+    TABLE = np.random.default_rng(31).standard_normal((4, 3))
+    ROWS = [2, -1, 0, 2, 2, 2, -1, 1]  # out-of-vocabulary -1, row 2 read 4 times
+
+    def test_forward_equals_the_one_hot_product_bitwise(self):
+        rng = np.random.default_rng(32)
+        base = rng.standard_normal((len(self.ROWS), 3))
+        out = Tape().gather_add(base, Tensor(self.TABLE), self.ROWS)
+        one_hot = np.zeros((len(self.ROWS), 4))
+        for t, row in enumerate(self.ROWS):
+            if row >= 0:
+                one_hot[t, row] = 1.0
+        assert np.array_equal(out.data, base + one_hot @ self.TABLE)
+        assert np.array_equal(out.data[[1, 6]], base[[1, 6]])
+
+    def test_rejects_bad_rows_and_shapes(self):
+        table = Tensor(self.TABLE)
+        with pytest.raises(DimensionError):
+            Tape().gather_add(np.zeros((2, 3)), table, [0, 4])
+        with pytest.raises(DimensionError):
+            Tape().gather_add(np.zeros((2, 3)), table, [0])
+        with pytest.raises(DimensionError):
+            Tape().gather_add(np.zeros((2, 2)), table, [0, 1])
+
+    def test_finite_differences(self):
+        rng = np.random.default_rng(33)
+        table = Parameter("table", self.TABLE.copy())
+        base = rng.standard_normal((len(self.ROWS), 3))
+        probe = Tensor(rng.standard_normal((len(self.ROWS), 3)))
+
+        def run(backward=False) -> float:
+            t = Tape()
+            out = t.gather_add(base, table.value, self.ROWS)
+            loss = t.sum_all(t.mul(t.mul(out, out), probe))
+            if backward:
+                t.backward(loss)
+            return loss.item()
+
+        table.reset_gradient()
+        run(backward=True)
+        assert finite_difference_check(run, table, 1e-5) < 1e-8
+        assert np.array_equal(table.gradient[3], np.zeros(3))  # a row nothing reads
 
 
 class TestCrossEntropy:
@@ -460,8 +549,8 @@ class TestFirstWriteGradients:
             out = op("mul", op("mul", a, op("add_row", a, b.value)), h2)
         else:
             # add(s, r) feeds s and r, s = add(h1, h2) feeds h1 and h2, and
-            # the relu's backward, replayed last, adds into h1 once more
-            r = op("relu", h1)
+            # the softmax's backward, replayed last, adds into h1 once more
+            r = op("softmax_rows", h1)
             s = op("add", h1, h2)
             u = op("add_row", op("add", s, r), b.value)
             out = op("mul", u, u)
@@ -533,14 +622,16 @@ class TestFiniteDifference:
         rng = np.random.default_rng(5)
         w = Parameter("w", rng.standard_normal((3, 3)) * 0.5)
         x = np.abs(rng.standard_normal((4, 3))) + 0.1
+        conv = [Tensor(rng.standard_normal((3, 3)) * 0.5) for _ in range(3)]
+        conv.append(Tensor(rng.standard_normal(3)))
 
         def run() -> float:
             t = Tape()
-            h = t.relu(t.matmul(Tensor(x), w.value))
+            h = t.conv_block(t.matmul(Tensor(x), w.value), *conv)
             return t.cross_entropy(h, [2, 0, 1, 1]).item()
 
         w.reset_gradient()
         t = Tape()
-        h = t.relu(t.matmul(Tensor(x), w.value))
+        h = t.conv_block(t.matmul(Tensor(x), w.value), *conv)
         t.backward(t.cross_entropy(h, [2, 0, 1, 1]))
         assert finite_difference_check(run, w, 1e-5) < 1e-7
