@@ -41,9 +41,10 @@ CHECKPOINT_VERSION = 2
 _PRETRAINED_KEY = "frozen.pretrained"
 _UNK_KEY = "frozen.unk"
 _TRANS_KEYS = ("transitions.matrix", "transitions.start", "transitions.end")
-_META_KEYS = frozenset(
-    {"config", "step", "joint_labels", "role_labels", "train_words", "pretrained_words"}
-)
+_WORD_LISTS = ("joint_labels", "role_labels", "train_words", "pretrained_words")
+_META_KEYS = frozenset({"config", "step", *_WORD_LISTS})
+# the JSON types each annotated RunConfig field may load as
+_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
 
 
 @dataclass
@@ -128,6 +129,23 @@ def _read_tensors(reader: BlobReader) -> dict[str, np.ndarray]:
     return out
 
 
+def _check_metadata_types(meta: dict) -> None:
+    """Config values of their field's type, an int step and lists of words."""
+    config = meta["config"]
+    if not isinstance(config, dict):
+        raise CorpusFormatError("checkpoint config is not a JSON object")
+    for field in dataclasses.fields(RunConfig):
+        if field.name in config and type(config[field.name]) not in _JSON_TYPES[field.type]:
+            raise CorpusFormatError(
+                f"checkpoint config {field.name}={config[field.name]!r} is not {field.type}"
+            )
+    if type(meta["step"]) is not int:
+        raise CorpusFormatError(f"checkpoint step {meta['step']!r} is not an int")
+    for key in _WORD_LISTS:
+        if not isinstance(meta[key], list) or not all(isinstance(w, str) for w in meta[key]):
+            raise CorpusFormatError(f"checkpoint {key} is not a list of strings")
+
+
 def load_checkpoint(path) -> LoadedCheckpoint:
     with open(path, "rb") as fh:
         reader = BlobReader(fh.read(), "checkpoint")
@@ -147,6 +165,7 @@ def load_checkpoint(path) -> LoadedCheckpoint:
     missing = _META_KEYS - set(meta) if isinstance(meta, dict) else _META_KEYS
     if missing:
         raise CorpusFormatError(f"checkpoint metadata lacks {sorted(missing)}")
+    _check_metadata_types(meta)
     tensors = _read_tensors(reader)
     del reader  # the tensors are copies; free the bytes before the model is built
 
@@ -187,4 +206,4 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         model.static_table.unk = unk
     if tensors:
         raise CompatibilityError(f"checkpoint holds tensors the model lacks: {sorted(tensors)}")
-    return LoadedCheckpoint(model, config, int(meta["step"]), transitions)
+    return LoadedCheckpoint(model, config, meta["step"], transitions)

@@ -10,6 +10,7 @@ import dataclasses
 import os
 from dataclasses import dataclass
 
+from .corpus import text_lines
 from .encoder import EncoderConfig, ParseSource
 from .errors import ConfigError
 from .model import (
@@ -137,18 +138,17 @@ def _coerce(key: str, raw: str):
 def parse_config_file(path) -> dict[str, str]:
     """Flat `key = value` lines; blank lines and full-line # comments skipped."""
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key in out:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            out[key] = value.strip()
+    for lineno, raw in text_lines(path):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key in out:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        out[key] = value.strip()
     return out
 
 

@@ -1,10 +1,11 @@
 """Token vectors: static path, contextual scalar mix, positional encodings.
 
 The static path adds a learned residual to fixed pretrained vectors and
-runs the sum through K width-3 residual convolutions. The contextual path
+runs the sum through K width-3 residual convolutions, then adds sinusoidal
+positional encodings. The contextual path is one `Tape.scalar_mix` op: it
 mixes precomputed frozen layer representations with softmax weights and a
-global scale. Either way sinusoidal positional encodings are added before
-layer 1.
+global scale and adds the same encodings. The frozen vectors, layers and
+encodings are constants and take no gradient.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .corpus import BlobReader, CorpusFormatError, text_lines
 from .errors import ConfigError
-from .numerics import Parameter, Tape, Tensor, new_parameter
+from .numerics import Parameter, Tape, Tensor, new_parameter, softmax
 
 VEC_FLOAT_FORMAT = "%.17g"  # round-trips float64 exactly
 CTXL_MAGIC = b"CTXL"
@@ -124,7 +125,7 @@ def static_embed(tape: Tape, tokens, table: StaticTable, convs) -> Tensor:
     x = tape.gather_add(base, table.residual.value, rows)
     for layer in convs:
         x = layer.block(tape, x)
-    return tape.add(x, Tensor(positional_encoding(len(tokens), x.shape[1])))
+    return tape.add(x, positional_encoding(len(tokens), x.shape[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -150,27 +151,21 @@ class ScalarMix:
         return int(self.w.value.shape[1])
 
     def coefficients(self) -> np.ndarray:
-        z = self.w.value.data[0]
-        e = np.exp(z - z.max())
-        return e / e.sum()
+        return softmax(self.w.value.data[0])
 
 
-def scalar_mix(tape: Tape, layers: np.ndarray, mix: ScalarMix) -> Tensor:
-    """gamma * sum_l softmax(w)_l * layers[l]; gradients reach w and gamma only."""
+def contextual_embed(tape: Tape, layers: np.ndarray, mix: ScalarMix) -> Tensor:
+    """gamma * sum_l softmax(w)_l * layers[l] plus encodings, in one tape op;
+    gradients reach w and gamma only."""
     if layers.ndim != 3:
         raise ConfigError(f"expected [L, T, d] layer stack, got {layers.shape}")
     if layers.shape[0] != mix.n_layers:
         raise ConfigError(
             f"mix has {mix.n_layers} weights for {layers.shape[0]} layers"
         )
-    coeffs = tape.softmax_rows(mix.w.value)
-    mixed = tape.mix_layers(coeffs, layers)
-    return tape.scale_by(mixed, mix.gamma.value)
-
-
-def contextual_embed(tape: Tape, layers: np.ndarray, mix: ScalarMix) -> Tensor:
-    out = scalar_mix(tape, layers, mix)
-    return tape.add(out, Tensor(positional_encoding(*out.shape)))
+    return tape.scalar_mix(
+        mix.w.value, mix.gamma.value, layers, positional_encoding(*layers.shape[1:])
+    )
 
 
 # ---------------------------------------------------------------------------

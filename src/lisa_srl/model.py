@@ -70,6 +70,10 @@ class ModelConfig:
             raise ConfigError(f"unknown embedding path {self.embedding!r}")
         if self.d_role < 1:
             raise ConfigError("d_role must be positive")
+        if self.embed_convs < 0:
+            raise ConfigError(f"embed_convs cannot be negative, got {self.embed_convs}")
+        if self.n_context_layers < 1:
+            raise ConfigError(f"n_context_layers must be >= 1, got {self.n_context_layers}")
 
     @property
     def is_syntactic(self) -> bool:
@@ -163,9 +167,6 @@ class LisaModel:
     def reset_gradients(self) -> None:
         for p in self.parameters():
             p.reset_gradient()
-
-    def checksum(self) -> float:
-        return float(sum(np.abs(p.value.data).sum() for p in self.parameters()))
 
     # -- forward / loss -----------------------------------------------------
 

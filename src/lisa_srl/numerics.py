@@ -1,12 +1,13 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-The whole model runs on a deliberately small op set: matmuls and elementwise
-arithmetic, one gather op adding learned rows to constant ones (the static
-embedding), one fused op for a whole multi-head self-attention layer, one
-for a residual width-3 convolution block x + conv3(relu(x)), one bilinear
-op scoring every predicate at once in two matmuls (predicate rows times the
-flattened operator, then role rows), scalar mixing, a row softmax, a sum,
-and one cross-entropy op for all losses.
+The whole model runs on nine tape ops: `add` and `add_row`, `matmul`,
+`gather_add` adding learned rows to constant ones (the static embedding),
+`scalar_mix` mixing frozen layers plus positional encodings (the contextual
+embedding), `attention` for a whole multi-head self-attention layer,
+`conv_block` for a residual width-3 convolution x + conv3(relu(x)),
+`bilinear` scoring every predicate at once in two matmuls (predicate rows
+times the flattened operator, then role rows), and `cross_entropy` for all
+losses. Constant operands are plain ndarrays and take no gradient.
 Everything is float64 and row-major; there is no broadcasting beyond the few
 shapes the ops below accept. Tensors are immutable once created (the SGD
 optimizer mutates parameter storage only *between* tapes).
@@ -124,45 +125,19 @@ class Tape:
 
     # -- elementwise and shape ops ---------------------------------------
 
-    def add(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.shape != b.shape:
-            raise DimensionError(f"add shapes differ: {a.shape} vs {b.shape}")
-        out = _unchecked(a.data + b.data)
+    def add(self, a: Tensor, b: Tensor | np.ndarray) -> Tensor:
+        """a + b; a constant ndarray `b` takes no gradient."""
+        b_data = b.data if isinstance(b, Tensor) else b
+        if a.shape != b_data.shape:
+            raise DimensionError(f"add shapes differ: {a.shape} vs {b_data.shape}")
+        out = _unchecked(a.data + b_data)
 
         def back() -> None:
             if out.grad is None:
                 return
             _accumulate(a, out.grad)
-            _accumulate(b, out.grad)
-
-        self._backprops.append(back)
-        return out
-
-    def mul(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.shape != b.shape:
-            raise DimensionError(f"mul shapes differ: {a.shape} vs {b.shape}")
-        out = _unchecked(a.data * b.data)
-
-        def back() -> None:
-            if out.grad is None:
-                return
-            _accumulate(a, out.grad * b.data)
-            _accumulate(b, out.grad * a.data)
-
-        self._backprops.append(back)
-        return out
-
-    def scale_by(self, a: Tensor, s: Tensor) -> Tensor:
-        """Multiply a tensor by a scalar tensor; gradients reach both."""
-        if s.ndim != 0:
-            raise DimensionError(f"scale_by needs a scalar, got shape {s.shape}")
-        out = _unchecked(np.asarray(a.data * s.data))
-
-        def back() -> None:
-            if out.grad is None:
-                return
-            _accumulate(a, out.grad * s.data)
-            _accumulate(s, np.asarray((out.grad * a.data).sum()))
+            if isinstance(b, Tensor):
+                _accumulate(b, out.grad)
 
         self._backprops.append(back)
         return out
@@ -242,9 +217,7 @@ class Tape:
         k_t = qkv[..., d_k : 2 * d_k].transpose(0, 2, 1).copy()
         scores = (q @ k_t) * c
         logits = _unchecked(scores[head])
-        shifted = scores - scores.max(axis=2, keepdims=True)
-        e = np.exp(shifted)
-        weights = e / e.sum(axis=2, keepdims=True)
+        weights = softmax(scores)
         if inject is not None:
             weights[head] = inject(weights[head])
         out = _unchecked((weights @ v).transpose(1, 0, 2).reshape(t_len, n_heads * d_v))
@@ -393,45 +366,35 @@ class Tape:
         self._backprops.append(back)
         return out
 
-    def mix_layers(self, coeffs: Tensor, layers: np.ndarray) -> Tensor:
-        """Weighted sum over frozen layer stack: out = sum_l coeffs[0,l] layers[l].
+    def scalar_mix(
+        self, w: Tensor, gamma: Tensor, layers: np.ndarray, positional: np.ndarray
+    ) -> Tensor:
+        """gamma * sum_l softmax(w)_l layers[l] + positional: a contextual embedding.
 
-        `layers` is a constant [L, T, d] array (never differentiated), which
-        is what keeps precomputed contextual representations off the tape.
+        `w` is [1, L] and `gamma` a scalar. The frozen [L, T, d] layer stack
+        and the [T, d] positional encodings are constants, so gradients
+        reach only `w` and `gamma`.
         """
-        if coeffs.ndim != 2 or coeffs.shape[0] != 1 or coeffs.shape[1] != layers.shape[0]:
+        if (
+            w.ndim != 2 or w.shape[0] != 1 or gamma.ndim != 0 or layers.ndim != 3
+            or w.shape[1] != layers.shape[0] or positional.shape != layers.shape[1:]
+        ):
             raise DimensionError(
-                f"mix_layers: coeffs {coeffs.shape} vs {layers.shape[0]} layers"
+                f"scalar_mix: w {w.shape}, gamma {gamma.shape}, layers {layers.shape},"
+                f" positional {positional.shape}"
             )
-        out = _unchecked(np.einsum("l,ltd->td", coeffs.data[0], layers))
-
-        def back() -> None:
-            if out.grad is None:
-                return
-            _accumulate(coeffs, np.einsum("td,ltd->l", out.grad, layers)[None, :])
-
-        self._backprops.append(back)
-        return out
-
-    # -- normalizers -------------------------------------------------------
-
-    def softmax_rows(self, x: Tensor) -> Tensor:
-        """Row-wise softmax with per-row max subtraction for stability.
-
-        Every output row is non-negative and sums to 1 (within 1e-9).
-        """
-        if x.ndim != 2:
-            raise DimensionError(f"softmax_rows needs a matrix, got {x.shape}")
-        shifted = x.data - x.data.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        y = e / e.sum(axis=1, keepdims=True)
-        out = _unchecked(y)
+        coeffs = softmax(w.data)
+        mixed = np.einsum("l,ltd->td", coeffs[0], layers)
+        out = _unchecked(mixed * gamma.data + positional)
 
         def back() -> None:
             if out.grad is None:
                 return
             g = out.grad
-            _accumulate(x, y * (g - (g * y).sum(axis=1, keepdims=True)))
+            _accumulate(gamma, np.asarray((g * mixed).sum()))
+            # through the layer mix, then the softmax's Jacobian
+            g_c = np.einsum("td,ltd->l", g * gamma.data, layers)[None, :]
+            _accumulate(w, coeffs * (g_c - (g_c * coeffs).sum(axis=1, keepdims=True)))
 
         self._backprops.append(back)
         return out
@@ -472,19 +435,6 @@ class Tape:
         self._backprops.append(back)
         return out
 
-    # -- reductions --------------------------------------------------------
-
-    def sum_all(self, a: Tensor) -> Tensor:
-        out = _unchecked(np.asarray(a.data.sum()))
-
-        def back() -> None:
-            if out.grad is None:
-                return
-            _accumulate(a, np.full_like(a.data, float(out.grad)))
-
-        self._backprops.append(back)
-        return out
-
     # -- reverse pass -------------------------------------------------------
 
     def backward(self, loss: Tensor) -> None:
@@ -498,6 +448,12 @@ class Tape:
         _accumulate(loss, np.ones(()))
         for fn in reversed(self._backprops):
             fn()
+
+
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, with max subtraction for stability."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def log_softmax(x: np.ndarray) -> np.ndarray:

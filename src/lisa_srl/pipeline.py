@@ -187,17 +187,16 @@ def train(config: RunConfig, emit: Callable[[str], None] | None = None) -> Train
                 )
             model.reset_gradients()
             tape.backward(bundle.total)
-            scale = config.lr
-            if config.clip_norm > 0:
-                norm = np.sqrt(
-                    sum(float((p.gradient ** 2).sum()) for p in model.parameters())
+            norm = np.sqrt(
+                sum(float((p.gradient ** 2).sum()) for p in model.parameters())
+            )
+            if not np.isfinite(norm):
+                raise NonFiniteError(
+                    f"gradient diverged at epoch {epoch}, sentence {int(i)}"
                 )
-                if not np.isfinite(norm):
-                    raise NonFiniteError(
-                        f"gradient diverged at epoch {epoch}, sentence {int(i)}"
-                    )
-                if norm > config.clip_norm:
-                    scale *= config.clip_norm / norm
+            scale = config.lr
+            if 0 < config.clip_norm < norm:
+                scale *= config.clip_norm / norm
             for p in model.parameters():
                 p.value.data -= scale * p.gradient
             steps += 1

@@ -2,10 +2,14 @@
 
 Acceptance tests record a one-line verdict each; the hook below replays
 those lines in the terminal summary so they are visible in any run,
-captured output or not.
+captured output or not. `probe_sum` turns any tensor into a scalar loss
+on a tape, which the package's own ops never need.
 """
 
+import numpy as np
 import pytest
+
+from lisa_srl.numerics import Tape, Tensor, _accumulate, _unchecked
 
 _ACCEPTANCE_LINES: list[str] = []
 
@@ -24,3 +28,17 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in _ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def probe_sum(tape: Tape, x: Tensor, probe=None) -> Tensor:
+    """sum(x * probe) recorded on `tape`; no probe means a probe of ones, a
+    plain sum. The probe is a constant: only `x` receives a gradient."""
+    p = np.ones_like(x.data) if probe is None else np.asarray(getattr(probe, "data", probe))
+    out = _unchecked(np.asarray((x.data * p).sum()))
+
+    def back() -> None:
+        if out.grad is not None:
+            _accumulate(x, out.grad * p)
+
+    tape._backprops.append(back)
+    return out

@@ -82,6 +82,10 @@ def test_config_rejects_bad_input(tmp_path):
         build_run_config({"gold_mix": "1.5"})
     with pytest.raises(ConfigError):
         build_run_config({"gold_mix": "-0.1"})
+    with pytest.raises(ConfigError, match="embed_convs"):
+        build_run_config({"embed_convs": "-3"})
+    with pytest.raises(ConfigError, match="n_context_layers"):
+        build_run_config({"n_context_layers": "0"})
     bad = tmp_path / "bad.cfg"
     bad.write_text("epochs 7\n")
     with pytest.raises(ConfigError, match="bad.cfg:1"):
@@ -246,7 +250,10 @@ def test_divergence_aborts_and_keeps_previous_checkpoint(data_dir, tmp_path):
     assert (tmp_path / "model.ckpt").read_bytes() == good_bytes
 
 
-def test_non_finite_gradient_aborts_before_the_update(data_dir, tmp_path, monkeypatch):
+@pytest.mark.parametrize("clip_norm", [5.0, 0.0])
+def test_non_finite_gradient_aborts_before_the_update(
+    data_dir, tmp_path, monkeypatch, clip_norm
+):
     backward = Tape.backward
 
     def backward_from_inf(self, loss):
@@ -256,7 +263,9 @@ def test_non_finite_gradient_aborts_before_the_update(data_dir, tmp_path, monkey
     monkeypatch.setattr(Tape, "backward", backward_from_inf)
     with np.errstate(invalid="ignore"):
         with pytest.raises(NonFiniteError, match="gradient diverged at epoch 1, sentence"):
-            train(_tiny_config(data_dir, tmp_path, epochs=1, checkpoint_out=""))
+            train(_tiny_config(
+                data_dir, tmp_path, epochs=1, checkpoint_out="", clip_norm=clip_norm
+            ))
 
 
 def test_early_stop_halts_at_threshold(data_dir, tmp_path):
@@ -388,21 +397,46 @@ def test_checkpoint_with_foreign_or_misshapen_tensor_is_incompatible(
         load_checkpoint(broken)
 
 
-def test_checkpoint_with_unknown_config_key_is_incompatible(data_dir, tmp_path):
-    config = _tiny_config(data_dir, tmp_path, epochs=1)
-    train(config)
+def _patched_metadata(data_dir, tmp_path, edit) -> Path:
+    """A freshly trained checkpoint whose JSON metadata `edit` has changed."""
+    train(_tiny_config(data_dir, tmp_path, epochs=1))
     blob = (tmp_path / "model.ckpt").read_bytes()
     (meta_len,) = struct.unpack_from("<Q", blob, 8)
     meta = json.loads(blob[16 : 16 + meta_len])
-    meta["config"]["d_q"] = 4
+    edit(meta)
     meta_bytes = json.dumps(meta, sort_keys=True).encode()
     broken = tmp_path / "broken.ckpt"
     broken.write_bytes(
         blob[:8] + struct.pack("<Q", len(meta_bytes)) + meta_bytes
         + blob[16 + meta_len :]
     )
+    return broken
+
+
+def test_checkpoint_with_unknown_config_key_is_incompatible(data_dir, tmp_path):
+    broken = _patched_metadata(data_dir, tmp_path, lambda meta: meta["config"].update(d_q=4))
     with pytest.raises(CompatibilityError, match="d_q"):
         load_checkpoint(broken)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("lr", "x"), ("n_layers", 2.5), ("step", "abc"), ("joint_labels", 5)],
+)
+def test_cli_checkpoint_metadata_of_the_wrong_type_is_a_format_error(
+    data_dir, tmp_path, capsys, key, value
+):
+    def edit(meta):
+        (meta if key in meta else meta["config"])[key] = value
+
+    broken = _patched_metadata(data_dir, tmp_path, edit)
+    code = main(["predict", "--checkpoint-in", str(broken),
+                 "--test-path", str(data_dir / "test.conll"),
+                 "--predictions-path", str(tmp_path / "pred.conll")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error category=corpus-format:"), err
+    assert key in err[0]
 
 
 @pytest.mark.parametrize(
@@ -692,6 +726,14 @@ def test_cli_errors_are_one_machine_parseable_line(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err.strip()
     assert err.startswith("error category=config:")
+
+
+def test_cli_config_file_not_utf8_is_one_format_error_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"epochs = 7\nvariant = caf\xe9\n")
+    assert main(["train", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error category=corpus-format: line 2: not UTF-8"]
 
 
 def test_cli_divergence_prints_one_stderr_line(data_dir, tmp_path):

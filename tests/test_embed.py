@@ -10,6 +10,7 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import probe_sum
 from lisa_srl.corpus import CorpusFormatError
 from lisa_srl.errors import ConfigError
 from lisa_srl.numerics import Parameter, Tape, Tensor, finite_difference_check
@@ -23,7 +24,6 @@ from lisa_srl.embed import (
     positional_encoding,
     read_contextual,
     read_vec_file,
-    scalar_mix,
     static_embed,
     write_contextual,
     write_vec_file,
@@ -129,7 +129,7 @@ def test_static_gradients_only_reach_parameters():
     frozen_before = {w: v.copy() for w, v in table.pretrained.items()}
     tape = Tape()
     out = static_embed(tape, ["the", "dog", "wug"], table, convs)
-    loss = tape.sum_all(out)
+    loss = probe_sum(tape, out)
     tape.backward(loss)
     assert np.any(table.residual.gradient != 0.0)
     for w, v in table.pretrained.items():
@@ -150,7 +150,7 @@ def test_static_embed_finite_differences():
     def run(backward=False) -> float:
         tape = Tape()
         out = static_embed(tape, ["the", "dog", "ran"], table, convs)
-        loss = tape.sum_all(tape.mul(out, probe))
+        loss = probe_sum(tape, out, probe)
         if backward:
             tape.backward(loss)
         return loss.item()
@@ -167,16 +167,21 @@ def test_static_embed_finite_differences():
 # Scalar mix
 
 
-def _layer_stack(rng, n_layers=3, t_len=4, d=5):
+def _layer_stack(rng, n_layers=3, t_len=4, d=6):
     return rng.normal(size=(n_layers, t_len, d))
+
+
+def _mixed(layers, mix):
+    """The contextual embedding less its positional encodings."""
+    out = contextual_embed(Tape(), layers, mix)
+    return out.data - positional_encoding(*layers.shape[1:])
 
 
 def test_scalar_mix_uniform_weights_average():
     rng = np.random.default_rng(5)
     layers = _layer_stack(rng)
     mix = ScalarMix.build(3)
-    out = scalar_mix(Tape(), layers, mix)
-    assert np.max(np.abs(out.data - layers.mean(axis=0))) < 1e-12
+    assert np.max(np.abs(_mixed(layers, mix) - layers.mean(axis=0))) < 1e-12
 
 
 def test_scalar_mix_zero_gamma_annihilates():
@@ -184,8 +189,8 @@ def test_scalar_mix_zero_gamma_annihilates():
     layers = _layer_stack(rng)
     mix = ScalarMix.build(3)
     mix.gamma.value.data[...] = 0.0
-    out = scalar_mix(Tape(), layers, mix)
-    assert np.array_equal(out.data, np.zeros_like(out.data))
+    out = contextual_embed(Tape(), layers, mix)
+    assert np.array_equal(out.data, positional_encoding(4, 6))
 
 
 def test_scalar_mix_saturation_tracks_softmax_oracle():
@@ -195,11 +200,11 @@ def test_scalar_mix_saturation_tracks_softmax_oracle():
     layers = _layer_stack(rng)
     mix = ScalarMix.build(3)
     mix.w.value.data[0, 0] = 10.0
-    out = scalar_mix(Tape(), layers, mix)
+    mixed = _mixed(layers, mix)
     coeffs = mix.coefficients()
     assert abs(coeffs[0] - 0.99990920838434097818) < 1e-15
     assert abs(coeffs[1] - 4.5395807829510909425e-05) < 1e-18
-    rel = np.abs(out.data - layers[0]) / np.maximum(np.abs(layers[0]), 1e-9)
+    rel = np.abs(mixed - layers[0]) / np.maximum(np.abs(layers[0]), 1e-9)
     assert np.median(rel) < 1e-3
 
 
@@ -213,7 +218,9 @@ def test_scalar_mix_coefficients_sum_to_one():
 def test_scalar_mix_layer_count_mismatch():
     rng = np.random.default_rng(9)
     with pytest.raises(ConfigError):
-        scalar_mix(Tape(), _layer_stack(rng, n_layers=2), ScalarMix.build(3))
+        contextual_embed(Tape(), _layer_stack(rng, n_layers=2), ScalarMix.build(3))
+    with pytest.raises(ConfigError):
+        contextual_embed(Tape(), _layer_stack(rng)[0], ScalarMix.build(3))
 
 
 def test_scalar_mix_gradients_reach_w_and_gamma_only():
@@ -227,7 +234,7 @@ def test_scalar_mix_gradients_reach_w_and_gamma_only():
     def run(backward=False) -> float:
         tape = Tape()
         out = contextual_embed(tape, layers, mix)
-        loss = tape.sum_all(tape.mul(out, probe))
+        loss = probe_sum(tape, out, probe)
         if backward:
             tape.backward(loss)
         return loss.item()

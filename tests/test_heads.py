@@ -7,9 +7,10 @@ and linearity of the summed loss checked parameter-wise.
 import numpy as np
 import pytest
 
+from conftest import probe_sum
 from lisa_srl.corpus import AnnotatedSentence, LabelSpace
 from lisa_srl.errors import ContractError
-from lisa_srl.numerics import Parameter, Tape, Tensor, finite_difference_check
+from lisa_srl.numerics import Parameter, Tape, Tensor, finite_difference_check, softmax
 from lisa_srl.heads import (
     PosPredHead,
     SrlScorer,
@@ -38,9 +39,7 @@ def _sentence():
 def test_zero_weights_give_uniform_joint_distribution():
     head = PosPredHead.build(5, JOINT)
     logits = pos_pred_logits(Tape(), Tensor(np.random.default_rng(0).normal(size=(3, 5))), head)
-    tape = Tape()
-    probs = tape.softmax_rows(logits)
-    assert np.max(np.abs(probs.data - 0.25)) < 1e-12
+    assert np.max(np.abs(softmax(logits.data) - 0.25)) < 1e-12
 
 
 def test_predicate_set_from_argmax_suffix():
@@ -101,9 +100,7 @@ def test_zero_bilinear_gives_uniform_roles():
     rng = np.random.default_rng(3)
     scorer = SrlScorer.build(4, 3, ROLES, rng)
     scores = srl_scores(Tape(), Tensor(rng.normal(size=(3, 4))), [1], scorer)
-    tape = Tape()
-    probs = tape.softmax_rows(Tensor(scores.data[0]))
-    assert np.max(np.abs(probs.data - 1.0 / 3.0)) < 1e-12
+    assert np.max(np.abs(softmax(scores.data[0]) - 1.0 / 3.0)) < 1e-12
 
 
 def test_bilinear_matches_triple_loop_oracle():
@@ -150,10 +147,8 @@ def test_role_distributions_normalized():
     scorer = SrlScorer.build(4, 3, ROLES, rng)
     scorer.u.value.data[...] = rng.normal(size=scorer.u.value.shape)
     scores = srl_scores(Tape(), Tensor(rng.normal(size=(5, 4))), [0, 3], scorer)
-    tape = Tape()
-    for s in scores.data:
-        sums = tape.softmax_rows(Tensor(s)).data.sum(axis=1)
-        assert np.max(np.abs(sums - 1.0)) <= 1e-9
+    sums = softmax(scores.data).sum(axis=-1)
+    assert np.max(np.abs(sums - 1.0)) <= 1e-9
 
 
 def test_total_loss_sums_components():
@@ -171,8 +166,8 @@ def test_total_gradient_is_sum_of_component_gradients():
 
     def build(tape):
         h = tape.matmul(x, w.value)
-        a = tape.sum_all(tape.mul(h, x))
-        b = tape.sum_all(tape.mul(h, h))
+        a = probe_sum(tape, h, x)
+        b = probe_sum(tape, tape.matmul(h, h))
         c = tape.cross_entropy(h, [1, 0])
         return a, b, c
 

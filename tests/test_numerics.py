@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import probe_sum
 from lisa_srl.errors import ContractError, DimensionError, NonFiniteError
-from lisa_srl.numerics import Parameter, Tape, Tensor, finite_difference_check
+from lisa_srl.numerics import Parameter, Tape, Tensor, finite_difference_check, softmax
 
 
 def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -54,7 +55,7 @@ class TestMatmul:
         a = Tensor(rng.standard_normal((3, 4)))
         b = Tensor(rng.standard_normal((4, 2)))
         t = Tape()
-        loss = t.sum_all(t.matmul(a, b))
+        loss = probe_sum(t, t.matmul(a, b))
         t.backward(loss)
         expect_a = np.ones((3, 2)) @ b.data.T
         expect_b = a.data.T @ np.ones((3, 2))
@@ -63,21 +64,20 @@ class TestMatmul:
 
 
 class TestSoftmaxRows:
+    """`softmax` over the last axis, so over the rows of a matrix."""
+
     def test_all_zero_rows_are_uniform(self):
-        out = Tape().softmax_rows(Tensor(np.zeros((2, 3))))
-        assert np.allclose(out.data, 1.0 / 3.0, atol=1e-15)
+        assert np.allclose(softmax(np.zeros((2, 3))), 1.0 / 3.0, atol=1e-15)
 
     def test_huge_equal_logits_no_overflow(self):
-        out = Tape().softmax_rows(Tensor([[1000.0, 1000.0]]))
-        assert np.array_equal(out.data, [[0.5, 0.5]])
+        assert np.array_equal(softmax(np.array([[1000.0, 1000.0]])), [[0.5, 0.5]])
 
     def test_against_extended_precision_oracle(self):
         # frozen from mpmath (60 digits): exp-normalize of [1, 2, 3]
         expected = np.array(
             [0.0900305731703804579980221, 0.2447284710547976524729596, 0.6652409557748218895290183]
         )
-        out = Tape().softmax_rows(Tensor([[1.0, 2.0, 3.0]]))
-        assert np.abs(out.data[0] - expected).max() < 1e-15
+        assert np.abs(softmax(np.array([1.0, 2.0, 3.0])) - expected).max() < 1e-15
 
     @given(
         st.integers(min_value=1, max_value=6),
@@ -88,9 +88,9 @@ class TestSoftmaxRows:
     def test_rows_sum_to_one(self, rows, cols, seed):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((rows, cols)) * rng.uniform(0.1, 50.0)
-        out = Tape().softmax_rows(Tensor(x))
-        assert np.abs(out.data.sum(axis=1) - 1.0).max() <= 1e-9
-        assert (out.data >= 0.0).all()
+        out = softmax(x)
+        assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-9
+        assert (out >= 0.0).all()
 
 
 class TestTensorInvariants:
@@ -116,16 +116,26 @@ class TestBackward:
         p = Parameter("unused", np.ones((2, 2)))
         q = Parameter("used", np.ones((2, 2)))
         t = Tape()
-        loss = t.sum_all(t.mul(q.value, q.value))
+        loss = probe_sum(t, t.add(q.value, q.value))
         t.backward(loss)
         assert np.array_equal(p.gradient, np.zeros((2, 2)))
         assert np.array_equal(q.gradient, 2.0 * np.ones((2, 2)))
+
+    def test_constant_operand_takes_no_gradient(self):
+        x, constant = Parameter("x", np.array([1.0, 2.0])), np.array([3.0, 4.0])
+        t = Tape()
+        out = t.add(x.value, constant)
+        t.backward(probe_sum(t, out, [5.0, 6.0]))
+        assert np.array_equal(out.data, [4.0, 6.0])
+        assert np.array_equal(x.gradient, [5.0, 6.0])
+        with pytest.raises(DimensionError):
+            t.add(x.value, np.zeros(3))
 
     def test_gradient_accumulates_until_reset(self):
         p = Parameter("p", np.array([2.0, 3.0]))
         for _ in range(2):
             t = Tape()
-            t.backward(t.sum_all(p.value))
+            t.backward(probe_sum(t, p.value))
         assert np.array_equal(p.gradient, [2.0, 2.0])
         p.reset_gradient()
         assert np.array_equal(p.gradient, [0.0, 0.0])
@@ -244,9 +254,9 @@ class TestAttention:
             )
             terms = []
             if through in ("output", "both"):
-                terms.append(t.sum_all(t.mul(out, probe_out)))
+                terms.append(probe_sum(t, out, probe_out))
             if through in ("logits", "both"):
-                terms.append(t.sum_all(t.mul(logits, probe_logits)))
+                terms.append(probe_sum(t, logits, probe_logits))
             loss = terms[0] if len(terms) == 1 else t.add(*terms)
             if backward:
                 t.backward(loss)
@@ -313,7 +323,7 @@ class TestConv3:
 
         def run(backward=False) -> float:
             t = Tape()
-            loss = t.sum_all(t.mul(t.conv_block(*(p.value for p in params)), probe))
+            loss = probe_sum(t, t.conv_block(*(p.value for p in params)), probe)
             if backward:
                 t.backward(loss)
             return loss.item()
@@ -338,7 +348,7 @@ class TestConv3:
         inputs["b"] = Tensor(bias)
         t = Tape()
         out = t.conv_block(*inputs.values())
-        t.backward(t.sum_all(t.mul(out, Tensor(g))))
+        t.backward(probe_sum(t, out, g))
         assert np.array_equal(out.data, want)
         for name, tensor in inputs.items():
             assert np.array_equal(tensor.grad, want_grads[name]), name
@@ -377,7 +387,7 @@ class TestGatherAdd:
         def run(backward=False) -> float:
             t = Tape()
             out = t.gather_add(base, table.value, self.ROWS)
-            loss = t.sum_all(t.mul(t.mul(out, out), probe))
+            loss = probe_sum(t, out, probe)
             if backward:
                 t.backward(loss)
             return loss.item()
@@ -386,6 +396,79 @@ class TestGatherAdd:
         run(backward=True)
         assert finite_difference_check(run, table, 1e-5) < 1e-8
         assert np.array_equal(table.gradient[3], np.zeros(3))  # a row nothing reads
+
+
+def unfused_scalar_mix(w, gamma, layers, positional, g):
+    """gamma * sum_l softmax(w)_l layers[l] + positional and the gradients of
+    w and gamma as four separate ops compute them: a row softmax, the layer
+    mix, the scale and the add, with the backward replayed in reverse."""
+    e = np.exp(w - w.max(axis=1, keepdims=True))
+    coeffs = e / e.sum(axis=1, keepdims=True)
+    mixed = np.einsum("l,ltd->td", coeffs[0], layers)
+    out = np.asarray(mixed * gamma) + positional
+    g_gamma = np.asarray((g * mixed).sum())
+    g_coeffs = np.einsum("td,ltd->l", g * gamma, layers)[None, :]
+    g_w = coeffs * (g_coeffs - (g_coeffs * coeffs).sum(axis=1, keepdims=True))
+    return out, g_w, g_gamma
+
+
+class TestScalarMix:
+    D = 4
+
+    def _inputs(self, t_len, n_layers, seed):
+        rng = np.random.default_rng(seed)
+        w = Parameter("w", rng.standard_normal((1, n_layers)) * 2.0)
+        gamma = Parameter("gamma", rng.normal(1.0, 0.5))
+        layers = rng.standard_normal((n_layers, t_len, self.D))
+        positional = rng.standard_normal((t_len, self.D))
+        return rng, w, gamma, layers, positional
+
+    @pytest.mark.parametrize("n_layers", [1, 3])
+    @pytest.mark.parametrize("t_len", [1, 4])
+    def test_finite_differences(self, t_len, n_layers):
+        rng, w, gamma, layers, positional = self._inputs(t_len, n_layers, t_len + n_layers)
+        probe = rng.standard_normal((t_len, self.D))
+
+        def run(backward=False) -> float:
+            t = Tape()
+            loss = probe_sum(t, t.scalar_mix(w.value, gamma.value, layers, positional), probe)
+            if backward:
+                t.backward(loss)
+            return loss.item()
+
+        for p in (w, gamma):
+            p.reset_gradient()
+        run(backward=True)
+        for p in (w, gamma):
+            assert finite_difference_check(run, p, 1e-5) < 1e-8, p.name
+
+    @pytest.mark.parametrize("n_layers", [1, 3])
+    @pytest.mark.parametrize("t_len", [1, 4])
+    def test_equals_unfused_composition_bitwise(self, t_len, n_layers):
+        rng, w, gamma, layers, positional = self._inputs(t_len, n_layers, 50 + t_len)
+        g = rng.standard_normal((t_len, self.D))
+        want, want_w, want_gamma = unfused_scalar_mix(
+            w.value.data, gamma.value.data, layers, positional, g
+        )
+        inputs = Tensor(w.value.data), Tensor(gamma.value.data)
+        t = Tape()
+        out = t.scalar_mix(*inputs, layers, positional)
+        t.backward(probe_sum(t, out, g))
+        assert np.array_equal(out.data, want)
+        assert np.array_equal(inputs[0].grad, want_w)
+        assert np.array_equal(inputs[1].grad, want_gamma)
+
+    def test_rejects_bad_shapes(self):
+        _, w, gamma, layers, positional = self._inputs(3, 2, 0)
+        for args in (
+            (gamma.value, gamma.value, layers, positional),
+            (w.value, w.value, layers, positional),
+            (w.value, gamma.value, layers[:1], positional),
+            (w.value, gamma.value, layers, positional[:2]),
+            (w.value, gamma.value, layers[0], positional),
+        ):
+            with pytest.raises(DimensionError):
+                Tape().scalar_mix(*args)
 
 
 class TestCrossEntropy:
@@ -438,11 +521,11 @@ class TestCrossEntropy:
         rng = np.random.default_rng(len(shape) + shape[0])
         x = Parameter("x", rng.standard_normal(shape) * 2.0)
         gold = rng.integers(0, shape[-1], shape[:-1])
-        upstream = Tensor(-1.7)  # so the incoming gradient is not 1
+        upstream = -1.7  # so the incoming gradient is not 1
 
         def run(backward=False) -> float:
             t = Tape()
-            loss = t.scale_by(t.cross_entropy(x.value, gold), upstream)
+            loss = probe_sum(t, t.cross_entropy(x.value, gold), upstream)
             if backward:
                 t.backward(loss)
             return loss.item()
@@ -474,7 +557,7 @@ class TestBilinear:
             t = Tape()
             out = t.bilinear(p.value, rows, u.value, r.value)
             g = rng.standard_normal(out.shape)
-            t.backward(t.sum_all(t.mul(out, Tensor(g))))
+            t.backward(probe_sum(t, out, g))
             # the per-row form of the two-matmul contraction
             u_flat = u.value.data.reshape(3, -1)
             expect_p = np.zeros_like(p.value.data)
@@ -508,7 +591,7 @@ class TestBilinear:
 
             def run(backward=False) -> float:
                 t = Tape()
-                loss = t.sum_all(t.mul(t.bilinear(p.value, rows, u.value, r.value), probe))
+                loss = probe_sum(t, t.bilinear(p.value, rows, u.value, r.value), probe)
                 if backward:
                     t.backward(loss)
                 return loss.item()
@@ -539,22 +622,24 @@ class TestFirstWriteGradients:
             made.append(getattr(t, name)(*args))
             return made[-1]
 
+        # h1 and h2 are square, so any two of them multiply
         h1, h2 = op("matmul", made[0], w1.value), op("matmul", made[0], w2.value)
         if kind == "add(x, x)":
-            out = op("mul", op("add", h1, h1), op("add_row", h2, b.value))
-        elif kind == "mul(x, x)":
-            out = op("add", op("mul", h1, h1), op("add_row", h2, b.value))
+            out = op("matmul", op("add", h1, h1), op("add_row", h2, b.value))
+        elif kind == "mul(x, x)":  # the matrix product of h1 with itself
+            out = op("add", op("matmul", h1, h1), op("add_row", h2, b.value))
         elif kind == "add_row":
             a = op("add_row", h1, b.value)
-            out = op("mul", op("mul", a, op("add_row", a, b.value)), h2)
+            out = op("matmul", op("matmul", a, op("add_row", a, b.value)), h2)
         else:
             # add(s, r) feeds s and r, s = add(h1, h2) feeds h1 and h2, and
-            # the softmax's backward, replayed last, adds into h1 once more
-            r = op("softmax_rows", h1)
+            # the first matmul's backward, replayed last, adds into both once more
+            r = op("matmul", h1, h2)
             s = op("add", h1, h2)
             u = op("add_row", op("add", s, r), b.value)
-            out = op("mul", u, u)
-        return t, op("sum_all", out), made
+            out = op("matmul", u, u)
+        made.append(probe_sum(t, out))
+        return t, made[-1], made
 
     @pytest.mark.parametrize("kind", ["add(x, x)", "mul(x, x)", "add_row", "fan-out"])
     def test_finite_differences_and_no_shared_buffers(self, kind):
@@ -584,24 +669,27 @@ class TestFiniteDifference:
         p = Parameter("p", np.array([[1.0, -2.0], [0.5, 4.0]]))
 
         def run() -> float:
-            t = Tape()
-            loss = t.sum_all(p.value)
-            return loss.item()
+            return probe_sum(Tape(), p.value).item()
 
         t = Tape()
-        t.backward(t.sum_all(p.value))
+        t.backward(probe_sum(t, p.value))
         assert np.array_equal(p.gradient, np.ones((2, 2)))
         assert finite_difference_check(run, p, 1e-5) < 1e-9
 
     def test_softmax_conservation_gradient_near_zero(self):
-        p = Parameter("p", np.array([[0.3, -1.2, 0.7], [2.0, 0.0, -0.5]]))
+        # identical layers: the mix is gamma * sum_l softmax(w)_l = gamma
+        # plus the encodings whatever w is, so w's gradient vanishes
+        p = Parameter("p", np.array([[0.3, -1.2, 0.7]]))
+        gamma, layers, positional = Tensor(1.3), np.ones((3, 2, 4)), np.zeros((2, 4))
+
+        def loss(t):
+            return probe_sum(t, t.scalar_mix(p.value, gamma, layers, positional))
 
         def run() -> float:
-            t = Tape()
-            return t.sum_all(t.softmax_rows(p.value)).item()
+            return loss(Tape()).item()
 
         t = Tape()
-        t.backward(t.sum_all(t.softmax_rows(p.value)))
+        t.backward(loss(t))
         assert np.abs(p.gradient).max() < 1e-9
         assert finite_difference_check(run, p, 1e-5) < 1e-6
 
