@@ -6,6 +6,9 @@ sidecars: noisy external parses and random contextual layers. Role labels
 are derived from the dependency tree by a fixed path rule, so the gold parse
 fully determines the roles; this script re-derives them to prove it.
 
+The files stay in a fresh directory under the system temp directory,
+which is printed so they can be inspected afterwards; delete it when done.
+
 Run: python demos/01_generate_corpus.py
 """
 

@@ -29,19 +29,18 @@ from lisa_srl.corpus import build_joint_pos_pred_space, build_role_space, vocabu
 def attention_rows(model, sentence, source, external=None):
     tape = Tape()
     fw = model.forward(tape, sentence, source=source, external_heads=external)
-    return fw.trace.consumed_parse_attention(model.config.encoder)
+    return fw.trace.consumed_parse_attention(model.config)
 
 
 def main() -> None:
     corpus = gen_synthetic(50, seed=3)
-    config = RunConfig()
+    config = RunConfig(seed=0)
     model = LisaModel.build(
-        config.model_config(),
+        config,
         build_joint_pos_pred_space(corpus),
         build_role_space(corpus),
         vocabulary(corpus),
         dict(pretrained_vectors(GrammarParams(), config.d_model, 0)),
-        seed=0,
     )
     sent = corpus[0]
     print("sentence:", " ".join(sent.tokens))

@@ -18,8 +18,7 @@ from lisa_srl.evaluation import srl_prf
 from lisa_srl.pipeline import _predict_corpus, load_split
 
 
-def main() -> None:
-    work = Path(tempfile.mkdtemp(prefix="lisa-demo03-"))
+def run(work: Path) -> None:
     gen_synth(GenSynthParams(out_dir=str(work), n_train=150, n_dev=30,
                              n_test=20, seed=11, dim=64))
     config = build_run_config({
@@ -47,6 +46,11 @@ def main() -> None:
     f1 = srl_prf(dev.corpus, predictions)[2]
     print(f"reloaded checkpoint scores dev F1 {f1:.4f}, matching the "
           f"best-epoch log line: {f1 == result.best_dev_f1}.")
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="lisa-demo03-") as tmp:
+        run(Path(tmp))
 
 
 if __name__ == "__main__":

@@ -18,8 +18,7 @@ from lisa_srl.corpus import read_conll
 from lisa_srl.evaluation import corpus_uas, srl_prf
 
 
-def main() -> None:
-    work = Path(tempfile.mkdtemp(prefix="lisa-demo04-"))
+def run(work: Path) -> None:
     gen_synth(GenSynthParams(out_dir=str(work), n_train=150, n_dev=30,
                              n_test=40, seed=11, dim=64,
                              heads_error_rate=0.3))
@@ -62,6 +61,11 @@ def main() -> None:
     print("\nsame checkpoint throughout; gold injection gives UAS 1 by")
     print("construction, and the noisy external parse drags role F1 down")
     print("with it.")
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="lisa-demo04-") as tmp:
+        run(Path(tmp))
 
 
 if __name__ == "__main__":

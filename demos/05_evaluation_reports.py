@@ -25,8 +25,7 @@ from lisa_srl.corpus import read_conll
 from lisa_srl.pipeline import evaluate
 
 
-def main() -> None:
-    work = Path(tempfile.mkdtemp(prefix="lisa-demo05-"))
+def run(work: Path) -> None:
     gen_synth(GenSynthParams(out_dir=str(work), n_train=100, n_dev=20,
                              n_test=40, seed=19, dim=64))
     base = {
@@ -85,6 +84,11 @@ def main() -> None:
     print("\nafter corrupting one tag to a stray I- in the prediction file:")
     print(f"  bio_repairs went {report.bio_repairs} -> {report2.bio_repairs}; "
           "scoring proceeds on the repaired sequence instead of crashing.")
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="lisa-demo05-") as tmp:
+        run(Path(tmp))
 
 
 if __name__ == "__main__":

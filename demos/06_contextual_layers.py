@@ -19,8 +19,7 @@ from lisa_srl import GenSynthParams, build_run_config, gen_synth, train
 from lisa_srl.embed import ScalarMix, read_contextual
 
 
-def main() -> None:
-    work = Path(tempfile.mkdtemp(prefix="lisa-demo06-"))
+def run(work: Path) -> None:
     gen_synth(GenSynthParams(out_dir=str(work), n_train=150, n_dev=30,
                              n_test=20, seed=23, dim=64,
                              with_contextual=True, n_ctx_layers=3))
@@ -54,6 +53,11 @@ def main() -> None:
     print(f"\nbest dev F1 {result.best_dev_f1:.4f}. The mix shifted most of "
           "its weight onto layer 0,")
     print("the word-identity layer, which is where this task's signal lives.")
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="lisa-demo06-") as tmp:
+        run(Path(tmp))
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ from lisa_srl.evaluation import (
     srl_prf,
     uas,
 )
-from lisa_srl.model import LisaModel, ModelConfig, SentencePrediction
+from lisa_srl.model import LisaModel, SentencePrediction
 from lisa_srl.numerics import Parameter, Tape, Tensor, finite_difference_check
 from lisa_srl.pipeline import (
     GenSynthParams,
@@ -66,7 +66,6 @@ __all__ = [
     "LisaModel",
     "LoadedCheckpoint",
     "MetricsReport",
-    "ModelConfig",
     "Parameter",
     "ParseSource",
     "RoleSpan",

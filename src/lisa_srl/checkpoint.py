@@ -198,10 +198,7 @@ def load_checkpoint(path) -> LoadedCheckpoint:
                 f"{len(words)} pretrained words for {rows.shape[0]} vector rows"
             )
         pretrained = dict(zip(words, rows))
-    model = LisaModel.build(
-        config.model_config(), joint, roles, meta["train_words"], pretrained, config.seed,
-        saved,
-    )
+    model = LisaModel.build(config, joint, roles, meta["train_words"], pretrained, saved)
     if unk is not None:
         model.static_table.unk = unk
     if tensors:

@@ -1,25 +1,22 @@
-"""Run configuration: one flat record driving training, prediction and
-evaluation, readable from `key = value` text files with command-line
-overrides applied on top. Empty string means "not set" for path fields so
-the whole record stays representable in flat text.
+"""Run configuration: the one record that picks the model's shape, its
+training and its files. The model and the encoder read their settings from
+it directly, and `validate` holds every check on it. The record is readable
+from `key = value` text files with command-line overrides applied on top.
+Empty string means "not set" for path fields so the whole record stays
+representable in flat text.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 
 from .corpus import text_lines
-from .encoder import EncoderConfig, ParseSource
+from .encoder import ParseSource
 from .errors import ConfigError
-from .model import (
-    EMBED_CONTEXTUAL,
-    EMBED_STATIC,
-    VARIANT_AGNOSTIC,
-    VARIANT_SYNTAX,
-    ModelConfig,
-)
+from .model import EMBED_CONTEXTUAL, EMBED_STATIC, VARIANT_AGNOSTIC, VARIANT_SYNTAX
 
 VARIANTS = (VARIANT_SYNTAX, VARIANT_AGNOSTIC)
 EMBEDDINGS = (EMBED_STATIC, EMBED_CONTEXTUAL)
@@ -34,15 +31,15 @@ class RunConfig:
     parse_source: str = ParseSource.SELF.value
     n_layers: int = 2
     n_heads: int = 4
-    d_k: int = 16
+    d_k: int = 16  # query and key width per head
     d_v: int = 16
     d_model: int = 64
-    parse_layer: int = 2
-    pos_layer: int = 1
-    parse_head: int = 0
+    parse_layer: int = 2  # 1-based layer whose attention carries the parse
+    pos_layer: int = 1  # 1-based layer feeding the POS/predicate classifier
+    parse_head: int = 0  # head index within the parse layer
     d_role: int = 32
-    embed_convs: int = 2
-    n_context_layers: int = 3
+    embed_convs: int = 2  # K for the static path
+    n_context_layers: int = 3  # scalar-mix size for the contextual path
     harden_self_parse: bool = False
     # optimization
     lr: float = 0.02
@@ -85,6 +82,9 @@ class RunConfig:
                 "the syntax-agnostic variant has no parse head, so parse_source "
                 f"{self.parse_source!r} is impossible"
             )
+        for name in ("lr", "clip_norm", "early_stop_f1"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.clip_norm < 0:
@@ -95,16 +95,40 @@ class RunConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.early_stop_f1 > 1.0:
             raise ConfigError(f"early_stop_f1 cannot exceed 1, got {self.early_stop_f1}")
-        self.model_config()  # encoder/width checks
+        if self.seed < 0:
+            raise ConfigError(f"seed cannot be negative, got {self.seed}")
+        if self.n_layers < 1 or self.n_heads < 1:
+            raise ConfigError("need at least one layer and one head")
+        if not 1 <= self.parse_layer <= self.n_layers:
+            raise ConfigError(
+                f"parse_layer {self.parse_layer} outside [1, {self.n_layers}]"
+            )
+        if not 1 <= self.pos_layer <= self.n_layers:
+            raise ConfigError(
+                f"pos_layer {self.pos_layer} outside [1, {self.n_layers}]"
+            )
+        if not 0 <= self.parse_head < self.n_heads:
+            raise ConfigError(
+                f"parse_head {self.parse_head} outside [0, {self.n_heads})"
+            )
+        for name in ("d_k", "d_v", "d_model"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive")
+        if self.n_heads * self.d_v != self.d_model:
+            raise ConfigError(
+                "concatenated head width must equal the model width: "
+                f"{self.n_heads} * {self.d_v} != {self.d_model}"
+            )
+        if self.d_role < 1:
+            raise ConfigError("d_role must be positive")
+        if self.embed_convs < 0:
+            raise ConfigError(f"embed_convs cannot be negative, got {self.embed_convs}")
+        if self.n_context_layers < 1:
+            raise ConfigError(f"n_context_layers must be >= 1, got {self.n_context_layers}")
 
-    def model_config(self) -> ModelConfig:
-        """The model and encoder settings, each taken from the same-named field."""
-
-        def pick(cls, **given):
-            names = [f.name for f in dataclasses.fields(cls) if f.name not in given]
-            return cls(**given, **{name: getattr(self, name) for name in names})
-
-        return pick(ModelConfig, encoder=pick(EncoderConfig))
+    @property
+    def is_syntactic(self) -> bool:
+        return self.variant == VARIANT_SYNTAX
 
     def source(self) -> ParseSource:
         return ParseSource(self.parse_source)

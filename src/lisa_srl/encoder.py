@@ -8,19 +8,24 @@ trained to put its mass on t's syntactic head (root attends to itself),
 and at that head an externally supplied parse can be injected as a
 one-hot adjacency matrix in place of the predicted distribution.
 Injection changes nothing anywhere else, which is what makes gold-parse
-oracles possible without retraining.
+oracles possible without retraining. The layer count, head count, widths
+and the parse and POS layers are fields of the run configuration record.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .embed import ConvLayer, init_conv_stack
 from .errors import ConfigError, InjectionError
 from .numerics import Parameter, Tape, Tensor, new_parameter
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 
 class ParseSource(enum.Enum):
@@ -29,42 +34,6 @@ class ParseSource(enum.Enum):
     SELF = "self"
     EXTERNAL = "external"
     GOLD = "gold"
-
-
-@dataclass(frozen=True)
-class EncoderConfig:
-    n_layers: int = 2
-    n_heads: int = 4
-    d_k: int = 16  # query and key width per head
-    d_v: int = 16
-    d_model: int = 64
-    parse_layer: int = 2  # 1-based layer whose attention carries the parse
-    pos_layer: int = 1  # 1-based layer feeding the POS/predicate classifier
-    parse_head: int = 0  # head index within the parse layer
-
-    def __post_init__(self) -> None:
-        if self.n_layers < 1 or self.n_heads < 1:
-            raise ConfigError("need at least one layer and one head")
-        if not 1 <= self.parse_layer <= self.n_layers:
-            raise ConfigError(
-                f"parse_layer {self.parse_layer} outside [1, {self.n_layers}]"
-            )
-        if not 1 <= self.pos_layer <= self.n_layers:
-            raise ConfigError(
-                f"pos_layer {self.pos_layer} outside [1, {self.n_layers}]"
-            )
-        if not 0 <= self.parse_head < self.n_heads:
-            raise ConfigError(
-                f"parse_head {self.parse_head} outside [0, {self.n_heads})"
-            )
-        for name in ("d_k", "d_v", "d_model"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive")
-        if self.n_heads * self.d_v != self.d_model:
-            raise ConfigError(
-                "concatenated head width must equal the model width: "
-                f"{self.n_heads} * {self.d_v} != {self.d_model}"
-            )
 
 
 @dataclass
@@ -90,18 +59,18 @@ class EncoderTrace:
     layer_outputs: dict[int, Tensor] = field(default_factory=dict)
     parse_logits: Tensor | None = None
 
-    def consumed_parse_attention(self, config: EncoderConfig) -> np.ndarray:
+    def consumed_parse_attention(self, config: RunConfig) -> np.ndarray:
         return self.attentions[config.parse_layer][config.parse_head]
 
 
 class Encoder:
-    def __init__(self, config: EncoderConfig, layers: list[LayerParams]):
+    def __init__(self, config: RunConfig, layers: list[LayerParams]):
         self.config = config
         self.layers = layers
 
     @classmethod
     def build(
-        cls, config: EncoderConfig, rng: np.random.Generator, make=new_parameter
+        cls, config: RunConfig, rng: np.random.Generator, make=new_parameter
     ) -> "Encoder":
         d = config.d_model
         scale = 1.0 / np.sqrt(d)

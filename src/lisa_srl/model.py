@@ -5,12 +5,14 @@ supervises one attention head on dependency heads and supports parse
 injection, while the syntax-agnostic variant trains the same architecture
 with no parse supervision and never injects. Swapping the parse source at
 prediction time touches no parameters, so a single checkpoint serves
-self-predicted, external, and gold parses alike.
+self-predicted, external, and gold parses alike. The model reads its shape,
+variant and seed from the run configuration record it was built from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -27,13 +29,7 @@ from .embed import (
     init_conv_stack,
     static_embed,
 )
-from .encoder import (
-    Encoder,
-    EncoderConfig,
-    ParseSource,
-    extract_parse,
-    parse_loss,
-)
+from .encoder import Encoder, ParseSource, extract_parse, parse_loss
 from .errors import CompatibilityError, ConfigError, NonFiniteError
 from .heads import (
     LossBundle,
@@ -48,36 +44,13 @@ from .heads import (
 )
 from .numerics import Parameter, Tape, Tensor, log_softmax, new_parameter
 
+if TYPE_CHECKING:
+    from .config import RunConfig
+
 VARIANT_SYNTAX = "lisa"
 VARIANT_AGNOSTIC = "sa"
 EMBED_STATIC = "static"
 EMBED_CONTEXTUAL = "contextual"
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    variant: str = VARIANT_SYNTAX
-    embedding: str = EMBED_STATIC
-    encoder: EncoderConfig = EncoderConfig()
-    d_role: int = 32
-    embed_convs: int = 2  # K for the static path
-    n_context_layers: int = 3  # scalar-mix size for the contextual path
-
-    def __post_init__(self) -> None:
-        if self.variant not in (VARIANT_SYNTAX, VARIANT_AGNOSTIC):
-            raise ConfigError(f"unknown variant {self.variant!r}")
-        if self.embedding not in (EMBED_STATIC, EMBED_CONTEXTUAL):
-            raise ConfigError(f"unknown embedding path {self.embedding!r}")
-        if self.d_role < 1:
-            raise ConfigError("d_role must be positive")
-        if self.embed_convs < 0:
-            raise ConfigError(f"embed_convs cannot be negative, got {self.embed_convs}")
-        if self.n_context_layers < 1:
-            raise ConfigError(f"n_context_layers must be >= 1, got {self.n_context_layers}")
-
-    @property
-    def is_syntactic(self) -> bool:
-        return self.variant == VARIANT_SYNTAX
 
 
 @dataclass
@@ -101,7 +74,7 @@ class SentencePrediction:
 class LisaModel:
     def __init__(
         self,
-        config: ModelConfig,
+        config: RunConfig,
         encoder: Encoder,
         pos_head: PosPredHead,
         scorer: SrlScorer,
@@ -129,18 +102,21 @@ class LisaModel:
     @classmethod
     def build(
         cls,
-        config: ModelConfig,
+        config: RunConfig,
         joint_space: LabelSpace,
         role_space: LabelSpace,
         train_vocab,
         pretrained: dict[str, np.ndarray] | None,
-        seed: int,
         make=new_parameter,
     ) -> "LisaModel":
-        """`make` creates each parameter; the default draws fresh ones."""
-        rng = np.random.default_rng(seed)
-        encoder = Encoder.build(config.encoder, rng, make)
-        d_model = config.encoder.d_model
+        """Draws from `config.seed`; `make` creates each parameter, by default
+        a fresh one. The model keeps its own copy of `config`, so later edits
+        of the caller's record do not reach it."""
+        config.validate()
+        config = replace(config)
+        rng = np.random.default_rng(config.seed)
+        encoder = Encoder.build(config, rng, make)
+        d_model = config.d_model
         pos_head = PosPredHead.build(d_model, joint_space, make)
         scorer = SrlScorer.build(d_model, config.d_role, role_space, rng, make)
         static_table = None
@@ -191,10 +167,10 @@ class LisaModel:
             return static_embed(tape, sentence.tokens, self.static_table, self.convs)
         if ctx_layers is None:
             raise ConfigError("contextual embedding path needs layer stacks")
-        if ctx_layers.shape[2] != self.config.encoder.d_model:
+        if ctx_layers.shape[2] != self.config.d_model:
             raise ConfigError(
                 f"contextual width {ctx_layers.shape[2]} != model width "
-                f"{self.config.encoder.d_model}"
+                f"{self.config.d_model}"
             )
         if ctx_layers.shape[1] != len(sentence):
             raise CompatibilityError(
@@ -220,7 +196,7 @@ class LisaModel:
             tape, x, injected, harden and self.config.is_syntactic
         )
         pos_logits = pos_pred_logits(
-            tape, trace.layer_outputs[self.config.encoder.pos_layer], self.pos_head
+            tape, trace.layer_outputs[self.config.pos_layer], self.pos_head
         )
         return ForwardOutputs(final, trace, pos_logits)
 
@@ -283,7 +259,7 @@ class LisaModel:
         )
         pos_tags, flags = decode_pos_pred(fw.pos_logits, self.pos_head.labels)
         predicates = [i for i, flag in enumerate(flags) if flag]
-        heads = extract_parse(fw.trace.consumed_parse_attention(self.config.encoder))
+        heads = extract_parse(fw.trace.consumed_parse_attention(self.config))
         scores = srl_scores(tape, fw.final, predicates, self.scorer)
         if not all(np.isfinite(t.data).all() for t in (fw.final, fw.pos_logits, scores)):
             raise NonFiniteError("decode met NaN or infinity in the model's outputs")

@@ -148,12 +148,7 @@ def train(config: RunConfig, emit: Callable[[str], None] | None = None) -> Train
         else None
     )
     model = LisaModel.build(
-        config.model_config(),
-        joint,
-        roles,
-        vocabulary(train_data.corpus),
-        pretrained,
-        config.seed,
+        config, joint, roles, vocabulary(train_data.corpus), pretrained
     )
 
     source = config.source()
@@ -311,7 +306,16 @@ def _corrupt_heads(
 
 def gen_synth(params: GenSynthParams) -> list[str]:
     """Write the split corpora plus pretrained vectors and optional
-    sidecars; returns the written paths in a fixed order."""
+    sidecars; returns the written paths in a fixed order. Bad parameters
+    are a ConfigError before anything is written."""
+    for name in ("n_train", "n_dev", "n_test", "dim"):
+        if getattr(params, name) < 1:
+            raise ConfigError(f"{name} must be >= 1, got {getattr(params, name)}")
+    if params.seed < 0:
+        raise ConfigError(f"seed cannot be negative, got {params.seed}")
+    rate = params.heads_error_rate
+    if rate is not None and not 0.0 <= rate <= 1.0:
+        raise ConfigError(f"heads_error_rate must lie in [0, 1], got {rate}")
     out_dir = Path(params.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     splits = gen_splits(params.n_train, params.n_dev, params.n_test, params.seed,

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import AnnotatedSentence, EncodingError, RoleSpan, spans_to_bio
+from .errors import ConfigError
 
 POS_OF_PREFIX = {"d": "DT", "n": "NN", "v": "VB", "p": "IN", "c": "CC", "m": "MD"}
 
@@ -284,7 +285,7 @@ def gen_synthetic(
 ) -> list[AnnotatedSentence]:
     """Generate n sentences; byte-identical output for identical arguments."""
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise ConfigError(f"need n >= 1, got {n}")
     draw = _Draw(np.random.default_rng(seed), grammar, shifted)
     return [_sentence(draw, shifted) for _ in range(n)]
 

@@ -28,9 +28,9 @@ from lisa_srl.corpus import (
 from lisa_srl.checkpoint import load_checkpoint
 from lisa_srl.decode import DecodeProblem, brute_force_decode, viterbi_decode
 from lisa_srl.embed import gen_contextual_layers
-from lisa_srl.encoder import EncoderConfig, ParseSource
+from lisa_srl.encoder import ParseSource
 from lisa_srl.evaluation import corpus_uas, srl_prf
-from lisa_srl.model import LisaModel, ModelConfig
+from lisa_srl.model import LisaModel
 from lisa_srl.numerics import Tape, finite_difference_check, softmax
 from lisa_srl.pipeline import GenSynthParams, evaluate, gen_synth, predict, train
 from lisa_srl.synth import GrammarParams, gen_synthetic, pretrained_vectors
@@ -47,12 +47,11 @@ def _desk_model(corpus, seed=0):
     """Untrained model at shipped defaults over the given corpus."""
     pretrained = dict(pretrained_vectors(GrammarParams(), 64, 0))
     return LisaModel.build(
-        RunConfig().model_config(),
+        RunConfig(seed=seed),
         build_joint_pos_pred_space(corpus),
         build_role_space(corpus),
         vocabulary(corpus),
         pretrained,
-        seed,
     )
 
 
@@ -153,12 +152,9 @@ def test_gradients_match_finite_differences(acceptance_report):
     corpus = [sent]
     rng = np.random.default_rng(0)
     pretrained = {w: rng.normal(0, 0.5, 6) for s in corpus for w in s.tokens}
-    config = ModelConfig(
-        encoder=EncoderConfig(
-            n_layers=2, n_heads=2, d_k=3, d_v=3, d_model=6,
-            parse_layer=2, pos_layer=1,
-        ),
-        d_role=3,
+    config = RunConfig(
+        n_layers=2, n_heads=2, d_k=3, d_v=3, d_model=6,
+        parse_layer=2, pos_layer=1, d_role=3, seed=1,
     )
     model = LisaModel.build(
         config,
@@ -166,7 +162,6 @@ def test_gradients_match_finite_differences(acceptance_report):
         build_role_space(corpus),
         vocabulary(corpus),
         pretrained,
-        1,
     )
 
     def run(backward=False) -> float:
@@ -204,22 +199,21 @@ def test_distributions_are_normalized(acceptance_report):
         d_kq = int(rng.integers(2, 5))
         contextual = k % 3 == 2
         variant = "sa" if k % 4 == 3 else "lisa"
-        config = ModelConfig(
+        config = RunConfig(
             variant=variant,
             embedding="contextual" if contextual else "static",
-            encoder=EncoderConfig(
-                n_layers=n_layers,
-                n_heads=n_heads,
-                d_k=d_kq,
-                d_v=d_v,
-                d_model=d_model,
-                parse_layer=int(rng.integers(1, n_layers + 1)),
-                pos_layer=int(rng.integers(1, n_layers + 1)),
-                parse_head=int(rng.integers(0, n_heads)),
-            ),
+            n_layers=n_layers,
+            n_heads=n_heads,
+            d_k=d_kq,
+            d_v=d_v,
+            d_model=d_model,
+            parse_layer=int(rng.integers(1, n_layers + 1)),
+            pos_layer=int(rng.integers(1, n_layers + 1)),
+            parse_head=int(rng.integers(0, n_heads)),
             d_role=int(rng.integers(2, 6)),
             embed_convs=int(rng.integers(0, 3)),
             n_context_layers=int(rng.integers(1, 5)),
+            seed=k,
         )
         corpus = gen_synthetic(2, 1000 + k)
         sent = corpus[0]
@@ -232,7 +226,6 @@ def test_distributions_are_normalized(acceptance_report):
             build_role_space(corpus),
             vocabulary(corpus),
             None if contextual else pretrained,
-            k,
         )
         kwargs = {}
         if contextual:

@@ -1,5 +1,6 @@
 """Configuration, checkpoints, the training pipeline and the CLI."""
 
+import dataclasses
 import json
 import os
 import struct
@@ -86,6 +87,12 @@ def test_config_rejects_bad_input(tmp_path):
         build_run_config({"embed_convs": "-3"})
     with pytest.raises(ConfigError, match="n_context_layers"):
         build_run_config({"n_context_layers": "0"})
+    for key in ("lr", "clip_norm", "early_stop_f1"):
+        for value in ("nan", "inf", "-inf"):
+            with pytest.raises(ConfigError, match=f"{key} must be finite"):
+                build_run_config({key: value})
+    with pytest.raises(ConfigError, match="seed cannot be negative"):
+        build_run_config({"seed": "-1"})
     bad = tmp_path / "bad.cfg"
     bad.write_text("epochs 7\n")
     with pytest.raises(ConfigError, match="bad.cfg:1"):
@@ -94,6 +101,27 @@ def test_config_rejects_bad_input(tmp_path):
     dup.write_text("seed = 1\nseed = 2\n")
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config_file(dup)
+
+
+def test_readme_config_tables_match_run_config():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Configuration reference", 1)[1].split("\n## ", 1)[0]
+    rows = {}  # field -> default as the README's tables write it
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if not line.startswith("|") or cells[0] in ("key", "-----"):
+            continue
+        for name in cells[0].replace("`", "").split(","):
+            rows[name.strip()] = cells[1].replace("`", "")
+    fields = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    unknown = set(rows) - set(fields)
+    assert not unknown, f"README names fields RunConfig lacks: {sorted(unknown)}"
+    for name, default in fields.items():
+        if default == "":  # path fields are listed in prose
+            continue
+        assert name in rows, f"README tables lack {name}"
+        expected = str(default).lower() if isinstance(default, bool) else str(default)
+        assert rows[name] == expected, f"README default of {name}: {rows[name]!r}"
 
 
 def test_agnostic_variant_forbids_parse_injection_sources():
@@ -726,6 +754,31 @@ def test_cli_errors_are_one_machine_parseable_line(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err.strip()
     assert err.startswith("error category=config:")
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["gen-synth", "--n-train", "0"], "n_train"),
+    (["gen-synth", "--n-dev", "0"], "n_dev"),
+    (["gen-synth", "--n-test", "-2"], "n_test"),
+    (["gen-synth", "--seed", "-1"], "seed"),
+    (["gen-synth", "--dim", "0"], "dim"),
+    (["gen-synth", "--heads-error-rate", "nan"], "heads_error_rate"),
+    (["gen-synth", "--heads-error-rate", "-0.1"], "heads_error_rate"),
+    (["gen-synth", "--heads-error-rate", "1.5"], "heads_error_rate"),
+    (["train", "--lr", "nan"], "lr"),
+    (["train", "--clip-norm", "nan"], "clip_norm"),
+    (["train", "--early-stop-f1", "nan"], "early_stop_f1"),
+    (["train", "--seed", "-1"], "seed"),
+], ids=lambda v: v if isinstance(v, str) else "=".join(v))
+def test_cli_bad_parameters_are_one_config_error_line(tmp_path, capsys, argv, field):
+    out = tmp_path / "synth"
+    if argv[0] == "gen-synth":
+        argv = [*argv, "--out-dir", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(f"error category=config: {field} "), err[0]
+    assert not out.exists()
 
 
 def test_cli_config_file_not_utf8_is_one_format_error_line(tmp_path, capsys):

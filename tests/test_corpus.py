@@ -33,7 +33,7 @@ from lisa_srl.corpus import (
     write_conll,
     write_heads_file,
 )
-from lisa_srl.errors import EstimationError
+from lisa_srl.errors import ConfigError, EstimationError
 from lisa_srl.synth import (
     GrammarParams,
     full_vocabulary,
@@ -375,6 +375,11 @@ def oracle_frames(sent):
 def test_generator_deterministic():
     assert gen_synthetic(50, 21) == gen_synthetic(50, 21)
     assert gen_synthetic(10, 21) != gen_synthetic(10, 22)
+
+
+def test_generator_rejects_an_empty_corpus():
+    with pytest.raises(ConfigError, match="need n >= 1"):
+        gen_synthetic(0, 21)
 
 
 def test_generator_sentences_well_formed():

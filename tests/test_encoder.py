@@ -8,12 +8,12 @@ loss, and bitwise comparisons for the injection-locality contract.
 import numpy as np
 import pytest
 
+from lisa_srl.config import RunConfig
 from lisa_srl.corpus import AnnotatedSentence
 from lisa_srl.errors import ConfigError, InjectionError
 from lisa_srl.numerics import Parameter, Tape, Tensor, finite_difference_check
 from lisa_srl.encoder import (
     Encoder,
-    EncoderConfig,
     ParseSource,
     extract_parse,
     parse_adjacency,
@@ -48,7 +48,9 @@ def _small_config(**kw):
         parse_layer=2, pos_layer=1, parse_head=0,
     )
     base.update(kw)
-    return EncoderConfig(**base)
+    config = RunConfig(**base)
+    config.validate()
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +136,7 @@ def test_attend_ignores_unattended_value_rows():
 
 def test_single_head_identity_conv_layer_is_pure_attention():
     rng = np.random.default_rng(6)
-    config = EncoderConfig(
-        n_layers=1, n_heads=1, d_k=3, d_v=4, d_model=4,
-        parse_layer=1, pos_layer=1,
-    )
+    config = _small_config(n_layers=1, n_heads=1, d_k=3, d_v=4, d_model=4, parse_layer=1)
     enc = Encoder.build(config, rng)
     x = Tensor(rng.normal(size=(5, 4)))
     out, _ = enc.encode(Tape(), x)

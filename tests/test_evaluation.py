@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from lisa_srl.config import RunConfig
 from lisa_srl.corpus import (
     AnnotatedSentence,
     build_joint_pos_pred_space,
     build_role_space,
     estimate_transitions,
 )
-from lisa_srl.encoder import EncoderConfig, ParseSource
+from lisa_srl.encoder import ParseSource
 from lisa_srl.errors import AlignmentError, ConfigError
 from lisa_srl.evaluation import (
     BucketMetrics,
@@ -24,7 +25,7 @@ from lisa_srl.evaluation import (
     srl_prf,
     uas,
 )
-from lisa_srl.model import LisaModel, ModelConfig
+from lisa_srl.model import LisaModel
 from lisa_srl.synth import gen_synthetic
 
 
@@ -207,14 +208,11 @@ def test_gold_parse_pipeline_gives_perfect_uas():
     vocab = sorted({w for s in corpus for w in s.tokens})
     rng = np.random.default_rng(0)
     pretrained = {w: rng.normal(0, 0.5, 6) for w in vocab}
-    cfg = ModelConfig(
-        encoder=EncoderConfig(
-            n_layers=2, n_heads=2, d_k=3, d_v=3, d_model=6,
-            parse_layer=2, pos_layer=1,
-        ),
-        d_role=3,
+    cfg = RunConfig(
+        n_layers=2, n_heads=2, d_k=3, d_v=3, d_model=6,
+        parse_layer=2, pos_layer=1, d_role=3, seed=0,
     )
-    model = LisaModel.build(cfg, joint, roles, vocab, pretrained, 0)
+    model = LisaModel.build(cfg, joint, roles, vocab, pretrained)
     table = estimate_transitions(corpus, roles)
     preds = [
         model.predict_sentence(s, table, source=ParseSource.GOLD).sentence

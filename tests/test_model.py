@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from lisa_srl.config import RunConfig
 from lisa_srl.corpus import (
     PREDICATE_SUFFIX,
     AnnotatedSentence,
@@ -13,14 +14,13 @@ from lisa_srl.corpus import (
     estimate_transitions,
 )
 from lisa_srl.embed import gen_contextual_layers
-from lisa_srl.encoder import EncoderConfig, ParseSource
+from lisa_srl.encoder import ParseSource
 from lisa_srl.errors import ConfigError, NonFiniteError
 from lisa_srl.heads import decode_pos_pred, srl_loss, srl_scores
 from lisa_srl.model import (
     EMBED_CONTEXTUAL,
     VARIANT_AGNOSTIC,
     LisaModel,
-    ModelConfig,
     SentencePrediction,
 )
 from lisa_srl.numerics import Tape, Tensor, finite_difference_check
@@ -56,22 +56,31 @@ def _pretrained(corpus, d, seed=0):
 
 
 def _config(**kw):
-    enc = kw.pop(
-        "encoder",
-        EncoderConfig(
-            n_layers=2, n_heads=2, d_k=3, d_v=3, d_model=6,
-            parse_layer=2, pos_layer=1,
-        ),
+    base = dict(
+        n_layers=2, n_heads=2, d_k=3, d_v=3, d_model=6,
+        parse_layer=2, pos_layer=1, d_role=3,
     )
-    return ModelConfig(encoder=enc, d_role=3, **kw)
+    return RunConfig(**(base | kw))
 
 
 def _model(corpus, seed=1, **kw):
     joint, roles = _spaces(corpus)
     vocab = sorted({w for s in corpus for w in s.tokens})
     return LisaModel.build(
-        _config(**kw), joint, roles, vocab, _pretrained(corpus, 6), seed
+        _config(seed=seed, **kw), joint, roles, vocab, _pretrained(corpus, 6)
     )
+
+
+def test_build_validates_and_keeps_its_own_config():
+    corpus = _tiny_corpus()
+    joint, roles = _spaces(corpus)
+    with pytest.raises(ConfigError, match="d_role must be positive"):
+        LisaModel.build(_config(d_role=0), joint, roles, [], _pretrained(corpus, 6))
+    config = _config()
+    model = LisaModel.build(config, joint, roles, [], _pretrained(corpus, 6))
+    config.variant, config.pos_layer = VARIANT_AGNOSTIC, 2
+    assert model.config is not config
+    assert model.config.is_syntactic and model.config.pos_layer == 1
 
 
 def test_forward_shapes_and_trace():
@@ -172,7 +181,7 @@ def test_prediction_is_well_formed():
     corpus = gen_synthetic(8, 0)
     joint, roles = _spaces(corpus)
     vocab = sorted({w for s in corpus for w in s.tokens})
-    model = LisaModel.build(_config(), joint, roles, vocab, _pretrained(corpus, 6), 3)
+    model = LisaModel.build(_config(seed=3), joint, roles, vocab, _pretrained(corpus, 6))
     table = estimate_transitions(corpus, roles)
     for sent in corpus:
         pred = model.predict_sentence(sent, table)
@@ -215,7 +224,7 @@ def test_hardened_self_parse_consumes_one_hot():
     corpus = _tiny_corpus()
     model = _model(corpus)
     fw = model.forward(Tape(), corpus[1], harden=True)
-    consumed = fw.trace.consumed_parse_attention(model.config.encoder)
+    consumed = fw.trace.consumed_parse_attention(model.config)
     assert np.array_equal(np.sort(np.unique(consumed)), [0.0, 1.0])
     assert np.array_equal(consumed.sum(axis=1), np.ones(5))
 
@@ -225,9 +234,7 @@ def _default_model():
     corpus = gen_synthetic(40, 0)
     joint, roles = _spaces(corpus)
     vocab = sorted({w for s in corpus for w in s.tokens})
-    model = LisaModel.build(
-        ModelConfig(), joint, roles, vocab, _pretrained(corpus, 64), 0
-    )
+    model = LisaModel.build(RunConfig(), joint, roles, vocab, _pretrained(corpus, 64))
     return model, estimate_transitions(corpus, roles), corpus
 
 
@@ -279,9 +286,7 @@ def test_contextual_path_records_few_tape_ops(monkeypatch):
     # the scalar mix and its positional encodings are one op
     corpus = gen_synthetic(40, 0)
     joint, roles = _spaces(corpus)
-    model = LisaModel.build(
-        ModelConfig(embedding=EMBED_CONTEXTUAL), joint, roles, [], None, 0
-    )
+    model = LisaModel.build(RunConfig(embedding=EMBED_CONTEXTUAL), joint, roles, [], None)
     transitions = estimate_transitions(corpus, roles)
     stacks = gen_contextual_layers(corpus, 3, 64, 0)
     tapes = _record_tapes(monkeypatch)
@@ -338,8 +343,8 @@ def test_contextual_path_forward_and_gradients():
     joint, roles = _spaces(corpus)
     vocab = sorted({w for s in corpus for w in s.tokens})
     model = LisaModel.build(
-        _config(embedding=EMBED_CONTEXTUAL, n_context_layers=3),
-        joint, roles, vocab, None, 4,
+        _config(embedding=EMBED_CONTEXTUAL, n_context_layers=3, seed=4),
+        joint, roles, vocab, None,
     )
     rng = np.random.default_rng(5)
     stack = rng.normal(size=(3, 3, 6))
