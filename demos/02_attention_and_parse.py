@@ -34,13 +34,12 @@ def attention_rows(model, sentence, source, external=None):
 
 def main() -> None:
     corpus = gen_synthetic(50, seed=3)
-    config = RunConfig(seed=0)
     model = LisaModel.build(
-        config,
+        RunConfig(seed=0),
         build_joint_pos_pred_space(corpus),
         build_role_space(corpus),
         vocabulary(corpus),
-        dict(pretrained_vectors(GrammarParams(), config.d_model, 0)),
+        dict(pretrained_vectors(GrammarParams(), 64, 0)),  # sets the width
     )
     sent = corpus[0]
     print("sentence:", " ".join(sent.tokens))

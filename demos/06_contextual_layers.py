@@ -31,7 +31,6 @@ def run(work: Path) -> None:
 
     config = build_run_config({
         "embedding": "contextual",
-        "n_context_layers": "3",
         "train_path": str(work / "train.conll"),
         "dev_path": str(work / "dev.conll"),
         "train_ctxl_path": str(work / "train.ctxl"),
@@ -40,7 +39,7 @@ def run(work: Path) -> None:
         "seed": "0",
     })
 
-    mix0 = ScalarMix.build(config.n_context_layers)
+    mix0 = ScalarMix.build(store.n_layers)  # the mix has one weight per layer
     print(f"\nbefore training: coefficients {mix0.coefficients().round(4).tolist()} "
           f"(uniform), gamma {float(mix0.gamma.value.data):.4f}")
 

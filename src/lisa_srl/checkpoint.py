@@ -31,6 +31,7 @@ import numpy as np
 
 from .config import RunConfig
 from .corpus import BlobReader, LabelSpace, TransitionTable
+from .embed import ContextualStore
 from .errors import CompatibilityError, CorpusFormatError, NonFiniteError
 from .model import EMBED_STATIC, LisaModel
 from .numerics import Parameter
@@ -190,15 +191,20 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         return Parameter(name, pop(name))
 
     transitions = TransitionTable(roles, *(pop(key) for key in _TRANS_KEYS))
-    pretrained = unk = None
+    unk = None
     if config.embedding == EMBED_STATIC:
         words, rows, unk = meta["pretrained_words"], pop(_PRETRAINED_KEY), pop(_UNK_KEY)
         if len(words) != rows.shape[0]:
             raise CompatibilityError(
                 f"{len(words)} pretrained words for {rows.shape[0]} vector rows"
             )
-        pretrained = dict(zip(words, rows))
-    model = LisaModel.build(config, joint, roles, meta["train_words"], pretrained, saved)
+        frozen = dict(zip(words, rows))
+    else:  # no stacks, only their shape: pos.w is [width, |joint|], mix.w [1, L]
+        try:
+            frozen = ContextualStore(tensors["mix.w"].shape[1], tensors["pos.w"].shape[0], {})
+        except (KeyError, IndexError):
+            raise CompatibilityError("checkpoint lacks a mix.w or pos.w matrix") from None
+    model = LisaModel.build(config, joint, roles, meta["train_words"], frozen, saved)
     if unk is not None:
         model.static_table.unk = unk
     if tensors:

@@ -1,9 +1,11 @@
 """Run configuration: the one record that picks the model's shape, its
 training and its files. The model and the encoder read their settings from
-it directly, and `validate` holds every check on it. The record is readable
-from `key = value` text files with command-line overrides applied on top.
-Empty string means "not set" for path fields so the whole record stays
-representable in flat text.
+it directly, and `validate` holds every check on it. The model width, the
+value width per head and the size of the contextual scalar mix are not
+settings: the model takes them from the vectors it embeds (see
+`LisaModel.build`). The record is readable from `key = value` text files
+with command-line overrides applied on top. Empty string means "not set"
+for path fields so the whole record stays representable in flat text.
 """
 
 from __future__ import annotations
@@ -32,14 +34,11 @@ class RunConfig:
     n_layers: int = 2
     n_heads: int = 4
     d_k: int = 16  # query and key width per head
-    d_v: int = 16
-    d_model: int = 64
     parse_layer: int = 2  # 1-based layer whose attention carries the parse
     pos_layer: int = 1  # 1-based layer feeding the POS/predicate classifier
     parse_head: int = 0  # head index within the parse layer
     d_role: int = 32
     embed_convs: int = 2  # K for the static path
-    n_context_layers: int = 3  # scalar-mix size for the contextual path
     harden_self_parse: bool = False
     # optimization
     lr: float = 0.02
@@ -111,20 +110,12 @@ class RunConfig:
             raise ConfigError(
                 f"parse_head {self.parse_head} outside [0, {self.n_heads})"
             )
-        for name in ("d_k", "d_v", "d_model"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive")
-        if self.n_heads * self.d_v != self.d_model:
-            raise ConfigError(
-                "concatenated head width must equal the model width: "
-                f"{self.n_heads} * {self.d_v} != {self.d_model}"
-            )
+        if self.d_k < 1:
+            raise ConfigError("d_k must be positive")
         if self.d_role < 1:
             raise ConfigError("d_role must be positive")
         if self.embed_convs < 0:
             raise ConfigError(f"embed_convs cannot be negative, got {self.embed_convs}")
-        if self.n_context_layers < 1:
-            raise ConfigError(f"n_context_layers must be >= 1, got {self.n_context_layers}")
 
     @property
     def is_syntactic(self) -> bool:

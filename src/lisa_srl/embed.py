@@ -116,11 +116,6 @@ def init_conv_stack(k: int, d: int, prefix: str, make=new_parameter) -> list[Con
 
 def static_embed(tape: Tape, tokens, table: StaticTable, convs) -> Tensor:
     """(pretrained + residual) per token, K residual convolutions, encodings."""
-    if convs and convs[0].w_center.value.shape[0] != table.dim:
-        raise ConfigError(
-            f"conv stack expects width {convs[0].w_center.value.shape[0]}, "
-            f"table provides {table.dim}"
-        )
     base, rows = table.lookup(tokens)
     x = tape.gather_add(base, table.residual.value, rows)
     for layer in convs:

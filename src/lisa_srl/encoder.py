@@ -8,8 +8,8 @@ trained to put its mass on t's syntactic head (root attends to itself),
 and at that head an externally supplied parse can be injected as a
 one-hot adjacency matrix in place of the predicted distribution.
 Injection changes nothing anywhere else, which is what makes gold-parse
-oracles possible without retraining. The layer count, head count, widths
-and the parse and POS layers are fields of the run configuration record.
+oracles possible without retraining. The layer count, head count, d_k and
+the parse and POS layers are fields of the run configuration record.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .embed import ConvLayer, init_conv_stack
-from .errors import ConfigError, InjectionError
+from .errors import InjectionError
 from .numerics import Parameter, Tape, Tensor, new_parameter
 
 if TYPE_CHECKING:
@@ -70,11 +70,11 @@ class Encoder:
 
     @classmethod
     def build(
-        cls, config: RunConfig, rng: np.random.Generator, make=new_parameter
+        cls, config: RunConfig, d: int, rng: np.random.Generator, make=new_parameter
     ) -> "Encoder":
-        d = config.d_model
+        """Layers of model width `d`; each head's d_v is d // n_heads."""
         scale = 1.0 / np.sqrt(d)
-        widths = (config.d_k, config.d_k, config.d_v) * config.n_heads
+        widths = (config.d_k, config.d_k, d // config.n_heads) * config.n_heads
 
         def draw() -> np.ndarray:
             return np.concatenate([rng.normal(0, scale, (d, w)) for w in widths], axis=1)
@@ -101,10 +101,6 @@ class Encoder:
         `injected_heads` replaces the parse head's attention with that parse;
         failing that, `harden` replaces it with the one-hot of its own argmax.
         """
-        if x.ndim != 2 or x.shape[1] != self.config.d_model:
-            raise ConfigError(
-                f"encoder expects [T, {self.config.d_model}] input, got {x.shape}"
-            )
         cfg = self.config
         trace = EncoderTrace()
         for j, layer in enumerate(self.layers, start=1):

@@ -6,7 +6,8 @@ injection, while the syntax-agnostic variant trains the same architecture
 with no parse supervision and never injects. Swapping the parse source at
 prediction time touches no parameters, so a single checkpoint serves
 self-predicted, external, and gold parses alike. The model reads its shape,
-variant and seed from the run configuration record it was built from.
+variant and seed from the run configuration record it was built from, and
+its width (and mix size) from the vectors (or `.ctxl` stacks) it embeds.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .corpus import (
 )
 from .decode import DecodeProblem, viterbi_decode
 from .embed import (
+    ContextualStore,
     ScalarMix,
     StaticTable,
     contextual_embed,
@@ -106,34 +108,38 @@ class LisaModel:
         joint_space: LabelSpace,
         role_space: LabelSpace,
         train_vocab,
-        pretrained: dict[str, np.ndarray] | None,
+        frozen: dict[str, np.ndarray] | ContextualStore,
         make=new_parameter,
     ) -> "LisaModel":
-        """Draws from `config.seed`; `make` creates each parameter, by default
-        a fresh one. The model keeps its own copy of `config`, so later edits
-        of the caller's record do not reach it."""
+        """`frozen` sets the width (even, a multiple of `n_heads`): pretrained
+        vectors on the static path, the train split's layer stacks, whose count
+        sizes the mix, on the contextual one. Draws from `config.seed`; `make`
+        creates each parameter, by default a fresh one; keeps a copy of `config`."""
         config.validate()
         config = replace(config)
-        rng = np.random.default_rng(config.seed)
-        encoder = Encoder.build(config, rng, make)
-        d_model = config.d_model
-        pos_head = PosPredHead.build(d_model, joint_space, make)
-        scorer = SrlScorer.build(d_model, config.d_role, role_space, rng, make)
-        static_table = None
-        convs: list = []
-        mix = None
+        if isinstance(frozen, ContextualStore) == (config.embedding == EMBED_STATIC):
+            raise ConfigError(f"{config.embedding} embedding cannot embed {type(frozen).__name__}")
+        static_table, convs, mix = None, [], None
         if config.embedding == EMBED_STATIC:
-            if pretrained is None:
-                raise ConfigError("static embedding path needs pretrained vectors")
-            static_table = StaticTable.build(train_vocab, pretrained, make)
-            if static_table.dim != d_model:
-                raise ConfigError(
-                    f"pretrained width {static_table.dim} != model width {d_model}"
-                )
-            convs = init_conv_stack(config.embed_convs, d_model, "embed", make)
+            static_table = StaticTable.build(train_vocab, frozen, make)
+            width = static_table.dim
+            convs = init_conv_stack(config.embed_convs, width, "embed", make)
         else:
-            mix = ScalarMix.build(config.n_context_layers, make=make)
+            mix, width = ScalarMix.build(frozen.n_layers, make=make), frozen.dim
+        if width < 1 or width % 2 or width % config.n_heads:  # d_v = width // n_heads
+            raise ConfigError(
+                f"model width {width} must be positive, even and a multiple of "
+                f"n_heads {config.n_heads}"
+            )
+        rng = np.random.default_rng(config.seed)
+        encoder = Encoder.build(config, width, rng, make)
+        pos_head = PosPredHead.build(width, joint_space, make)
+        scorer = SrlScorer.build(width, config.d_role, role_space, rng, make)
         return cls(config, encoder, pos_head, scorer, static_table, convs, mix)
+
+    @property
+    def width(self) -> int:
+        return int(self.pos_head.weight.value.shape[0])
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -167,10 +173,9 @@ class LisaModel:
             return static_embed(tape, sentence.tokens, self.static_table, self.convs)
         if ctx_layers is None:
             raise ConfigError("contextual embedding path needs layer stacks")
-        if ctx_layers.shape[2] != self.config.d_model:
+        if ctx_layers.shape[2] != self.width:
             raise ConfigError(
-                f"contextual width {ctx_layers.shape[2]} != model width "
-                f"{self.config.d_model}"
+                f"contextual width {ctx_layers.shape[2]} != model width {self.width}"
             )
         if ctx_layers.shape[1] != len(sentence):
             raise CompatibilityError(

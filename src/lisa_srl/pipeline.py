@@ -66,17 +66,19 @@ class SplitData:
         return kw
 
 
-def _check_heads_alignment(
-    corpus: list[AnnotatedSentence], heads: list[list[int]], path: str
+def _check_alignment(
+    corpus: list[AnnotatedSentence], counts: dict[str, int], path: str
 ) -> None:
-    if len(heads) != len(corpus):
-        raise AlignmentError(
-            f"{path}: {len(heads)} head sequences for {len(corpus)} sentences"
-        )
-    for i, (sent, h) in enumerate(zip(corpus, heads)):
-        if len(h) != len(sent):
+    """The sidecar at `path` covers ids 0..N-1, each with its sentence's
+    token count; `counts` maps each of its sentence ids to its count."""
+    if len(counts) != len(corpus):
+        raise AlignmentError(f"{path}: {len(counts)} sentences for {len(corpus)} in the corpus")
+    for i, sent in enumerate(corpus):
+        n = counts.get(str(i))
+        if n != len(sent):
             raise AlignmentError(
-                f"{path}: sentence {i} has {len(sent)} tokens but {len(h)} heads"
+                f"{path}: sentence {i} has {len(sent)} tokens but "
+                f"{'none' if n is None else n} in this file"
             )
 
 
@@ -88,10 +90,12 @@ def load_split(config: RunConfig, prefix: str) -> SplitData:
         heads_path = getattr(config, f"{prefix}_heads_path")
         require_paths(config, f"{prefix}_heads_path")
         data.heads = read_heads_file(heads_path)
-        _check_heads_alignment(corpus, data.heads, heads_path)
+        _check_alignment(corpus, {str(i): len(h) for i, h in enumerate(data.heads)}, heads_path)
     if config.embedding == EMBED_CONTEXTUAL:
+        ctxl_path = getattr(config, f"{prefix}_ctxl_path")
         require_paths(config, f"{prefix}_ctxl_path")
-        data.ctx = read_contextual(getattr(config, f"{prefix}_ctxl_path"))
+        data.ctx = read_contextual(ctxl_path)
+        _check_alignment(corpus, {i: a.shape[1] for i, a in data.ctx.layers.items()}, ctxl_path)
     return data
 
 
@@ -142,14 +146,12 @@ def train(config: RunConfig, emit: Callable[[str], None] | None = None) -> Train
     joint = build_joint_pos_pred_space(train_data.corpus)
     roles = build_role_space(train_data.corpus)
     transitions = estimate_transitions(train_data.corpus, roles)
-    pretrained = (
+    frozen = (
         read_vec_file(config.pretrained_path)
         if config.embedding == EMBED_STATIC
-        else None
+        else train_data.ctx
     )
-    model = LisaModel.build(
-        config, joint, roles, vocabulary(train_data.corpus), pretrained
-    )
+    model = LisaModel.build(config, joint, roles, vocabulary(train_data.corpus), frozen)
 
     source = config.source()
     rng = np.random.default_rng(config.seed)
@@ -308,9 +310,11 @@ def gen_synth(params: GenSynthParams) -> list[str]:
     """Write the split corpora plus pretrained vectors and optional
     sidecars; returns the written paths in a fixed order. Bad parameters
     are a ConfigError before anything is written."""
-    for name in ("n_train", "n_dev", "n_test", "dim"):
+    for name in ("n_train", "n_dev", "n_test", "dim", "n_ctx_layers"):
         if getattr(params, name) < 1:
             raise ConfigError(f"{name} must be >= 1, got {getattr(params, name)}")
+    if params.dim % 2:  # positional encodings need an even model width
+        raise ConfigError(f"dim must be even, got {params.dim}")
     if params.seed < 0:
         raise ConfigError(f"seed cannot be negative, got {params.seed}")
     rate = params.heads_error_rate

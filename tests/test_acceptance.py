@@ -153,7 +153,7 @@ def test_gradients_match_finite_differences(acceptance_report):
     rng = np.random.default_rng(0)
     pretrained = {w: rng.normal(0, 0.5, 6) for s in corpus for w in s.tokens}
     config = RunConfig(
-        n_layers=2, n_heads=2, d_k=3, d_v=3, d_model=6,
+        n_layers=2, n_heads=2, d_k=3,
         parse_layer=2, pos_layer=1, d_role=3, seed=1,
     )
     model = LisaModel.build(
@@ -205,35 +205,36 @@ def test_distributions_are_normalized(acceptance_report):
             n_layers=n_layers,
             n_heads=n_heads,
             d_k=d_kq,
-            d_v=d_v,
-            d_model=d_model,
             parse_layer=int(rng.integers(1, n_layers + 1)),
             pos_layer=int(rng.integers(1, n_layers + 1)),
             parse_head=int(rng.integers(0, n_heads)),
             d_role=int(rng.integers(2, 6)),
             embed_convs=int(rng.integers(0, 3)),
-            n_context_layers=int(rng.integers(1, 5)),
             seed=k,
         )
+        n_context_layers = int(rng.integers(1, 5))
         corpus = gen_synthetic(2, 1000 + k)
         sent = corpus[0]
         pretrained = {
             w: rng.normal(0, 0.5, d_model) for s in corpus for w in s.tokens
         }
+        frozen = (
+            gen_contextual_layers([sent], n_context_layers, d_model, k)
+            if contextual
+            else pretrained
+        )
         model = LisaModel.build(
             config,
             build_joint_pos_pred_space(corpus),
             build_role_space(corpus),
             vocabulary(corpus),
-            None if contextual else pretrained,
+            frozen,
         )
         kwargs = {}
         if contextual:
             model.mix.w.value.data[:] = rng.normal(0, 1.0, model.mix.w.value.shape)
             model.mix.gamma.value.data = np.asarray(float(rng.normal(1, 0.5)))
-            kwargs["ctx_layers"] = gen_contextual_layers(
-                [sent], config.n_context_layers, d_model, k
-            ).get("0")
+            kwargs["ctx_layers"] = frozen.get("0")
         source = ParseSource.GOLD if (variant == "lisa" and k % 2 == 0) else ParseSource.SELF
         harden = variant == "lisa" and k % 5 == 0
         tape = Tape()
@@ -337,7 +338,7 @@ def _tiny_run_config(data_dir, work_dir, **kw):
     defaults = dict(
         variant="lisa",
         parse_source="self",
-        n_layers=2, n_heads=2, d_k=4, d_v=4, d_model=8, d_role=4,
+        n_layers=2, n_heads=2, d_k=4, d_role=4,
         lr=0.05, epochs=2,
         train_path=str(data_dir / "train.conll"),
         dev_path=str(data_dir / "dev.conll"),

@@ -17,7 +17,12 @@ from lisa_srl.checkpoint import load_checkpoint, save_checkpoint
 from lisa_srl.cli import main
 from lisa_srl.config import RunConfig, build_run_config, parse_config_file
 from lisa_srl.corpus import read_conll, read_heads_file
-from lisa_srl.embed import read_contextual, read_vec_file
+from lisa_srl.embed import (
+    gen_contextual_layers,
+    read_contextual,
+    read_vec_file,
+    write_contextual,
+)
 from lisa_srl.errors import (
     CompatibilityError,
     ConfigError,
@@ -85,8 +90,9 @@ def test_config_rejects_bad_input(tmp_path):
         build_run_config({"gold_mix": "-0.1"})
     with pytest.raises(ConfigError, match="embed_convs"):
         build_run_config({"embed_convs": "-3"})
-    with pytest.raises(ConfigError, match="n_context_layers"):
-        build_run_config({"n_context_layers": "0"})
+    for key in ("d_model", "d_v", "n_context_layers"):  # the inputs set these
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            build_run_config({key: "8"})
     for key in ("lr", "clip_norm", "early_stop_f1"):
         for value in ("nan", "inf", "-inf"):
             with pytest.raises(ConfigError, match=f"{key} must be finite"):
@@ -148,7 +154,7 @@ def data_dir(tmp_path_factory):
 
 def _tiny_config(data_dir, tmp_path, **overrides) -> RunConfig:
     values = dict(
-        n_layers="2", n_heads="2", d_k="4", d_v="4", d_model="8",
+        n_layers="2", n_heads="2", d_k="4",
         parse_layer="2", pos_layer="1", d_role="4",
         lr="0.05", epochs="2", seed="0",
         train_path=str(data_dir / "train.conll"),
@@ -713,8 +719,7 @@ def test_cli_gen_synth_and_full_run(tmp_path, capsys):
         "--dev-path", str(data / "dev.conll"),
         "--pretrained-path", str(data / "pretrained.vec"),
         "--checkpoint-out", str(ckpt),
-        "--n-layers", "2", "--n-heads", "2", "--d-k", "4",
-        "--d-v", "4", "--d-model", "8", "--d-role", "4",
+        "--n-layers", "2", "--n-heads", "2", "--d-k", "4", "--d-role", "4",
         "--epochs", "2", "--lr", "0.1", "--seed", "0",
     ])
     assert code == 0
@@ -762,6 +767,8 @@ def test_cli_errors_are_one_machine_parseable_line(tmp_path, capsys):
     (["gen-synth", "--n-test", "-2"], "n_test"),
     (["gen-synth", "--seed", "-1"], "seed"),
     (["gen-synth", "--dim", "0"], "dim"),
+    (["gen-synth", "--dim", "7"], "dim"),
+    (["gen-synth", "--with-contextual", "--n-ctx-layers", "0"], "n_ctx_layers"),
     (["gen-synth", "--heads-error-rate", "nan"], "heads_error_rate"),
     (["gen-synth", "--heads-error-rate", "-0.1"], "heads_error_rate"),
     (["gen-synth", "--heads-error-rate", "1.5"], "heads_error_rate"),
@@ -781,6 +788,94 @@ def test_cli_bad_parameters_are_one_config_error_line(tmp_path, capsys, argv, fi
     assert not out.exists()
 
 
+def _one_error_line(capsys, category: str) -> str:
+    """The single stderr line of a failed command; no epoch was logged."""
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(f"error category={category}: "), err[0]
+    assert "epoch=" not in captured.out
+    return err[0]
+
+
+@pytest.mark.parametrize("vec_width, n_heads", [(7, 4), (8, 3)])
+def test_cli_model_width_that_cannot_carry_the_heads_is_one_config_error_line(
+    data_dir, tmp_path, capsys, vec_width, n_heads
+):
+    vec = data_dir / "pretrained.vec"
+    if vec_width != 8:  # a hand-written file; the generator refuses odd widths
+        words = [line.split()[0] for line in vec.read_text().splitlines()]
+        vec = tmp_path / "odd.vec"
+        vec.write_text("".join(f"{w} {' '.join(['0.5'] * vec_width)}\n" for w in words))
+    code = main(["train", "--train-path", str(data_dir / "train.conll"),
+                 "--dev-path", str(data_dir / "dev.conll"),
+                 "--pretrained-path", str(vec), "--n-heads", str(n_heads),
+                 "--epochs", "1"])
+    assert code == 1
+    err = _one_error_line(capsys, "config")
+    assert f"width {vec_width} " in err and f"n_heads {n_heads}" in err, err
+
+
+@pytest.mark.parametrize("train_ctxl", ["dev.ctxl", "test.ctxl"])
+def test_cli_ctxl_of_another_corpus_is_one_alignment_error_line(
+    data_dir, tmp_path, capsys, train_ctxl
+):
+    # dev.ctxl has fewer sentences than train.conll; test.ctxl as many as
+    # dev.conll but other token counts
+    corpus = "train" if train_ctxl == "dev.ctxl" else "dev"
+    code = main(["train", "--embedding", "contextual",
+                 "--train-path", str(data_dir / f"{corpus}.conll"),
+                 "--dev-path", str(data_dir / "dev.conll"),
+                 "--train-ctxl-path", str(data_dir / train_ctxl),
+                 "--dev-ctxl-path", str(data_dir / "dev.ctxl"),
+                 "--n-heads", "2", "--epochs", "1"])
+    assert code == 1
+    assert train_ctxl in _one_error_line(capsys, "alignment")
+
+
+def test_cli_widths_and_mix_size_come_from_the_inputs(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["gen-synth", "--out-dir", str(data), "--n-train", "8",
+                 "--n-dev", "3", "--n-test", "3", "--dim", "32",
+                 "--n-ctx-layers", "2", "--with-contextual"]) == 0
+    for embedding in ("static", "contextual"):
+        ckpt = tmp_path / f"{embedding}.ckpt"
+        assert main(["train", "--embedding", embedding, "--n-heads", "4",
+                     "--train-path", str(data / "train.conll"),
+                     "--dev-path", str(data / "dev.conll"),
+                     "--pretrained-path", str(data / "pretrained.vec"),
+                     "--train-ctxl-path", str(data / "train.ctxl"),
+                     "--dev-ctxl-path", str(data / "dev.ctxl"),
+                     "--epochs", "1", "--checkpoint-out", str(ckpt)]) == 0
+        assert main(["predict", "--checkpoint-in", str(ckpt),
+                     "--test-path", str(data / "test.conll"),
+                     "--test-ctxl-path", str(data / "test.ctxl"),
+                     "--predictions-path", str(tmp_path / "pred.conll")]) == 0
+        model = load_checkpoint(ckpt).model
+        assert model.width == 32
+        assert (model.mix.n_layers if model.mix else None) == (
+            2 if embedding == "contextual" else None
+        )
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("n_layers, dim", [(2, 8), (3, 6)])
+def test_cli_predict_with_a_ctxl_of_another_shape_is_one_config_error_line(
+    data_dir, contextual_checkpoint, tmp_path, capsys, n_layers, dim
+):
+    # the checkpoint was trained on 3-layer stacks of width 8
+    corpus = read_conll(data_dir / "test.conll")
+    write_contextual(tmp_path / "other.ctxl", gen_contextual_layers(corpus, n_layers, dim, 5))
+    code = main(["predict", "--checkpoint-in", str(contextual_checkpoint),
+                 "--test-path", str(data_dir / "test.conll"),
+                 "--test-ctxl-path", str(tmp_path / "other.ctxl"),
+                 "--predictions-path", str(tmp_path / "pred.conll")])
+    assert code == 1
+    err = _one_error_line(capsys, "config")
+    expected = ("3 weights for 2 layers" if n_layers == 2 else "width 6 != model width 8")
+    assert expected in err, err
+
+
 def test_cli_config_file_not_utf8_is_one_format_error_line(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(b"epochs = 7\nvariant = caf\xe9\n")
@@ -797,8 +892,8 @@ def test_cli_divergence_prints_one_stderr_line(data_dir, tmp_path):
          "--train-path", str(data_dir / "train.conll"),
          "--dev-path", str(data_dir / "dev.conll"),
          "--pretrained-path", str(data_dir / "pretrained.vec"),
-         "--n-layers", "2", "--n-heads", "2", "--d-k", "4", "--d-v", "4",
-         "--d-model", "8", "--d-role", "4", "--epochs", "3", "--lr", "1e154"],
+         "--n-layers", "2", "--n-heads", "2", "--d-k", "4", "--d-role", "4",
+         "--epochs", "3", "--lr", "1e154"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 1
@@ -813,7 +908,7 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
                  "--n-dev", "3", "--n-test", "3", "--dim", "8"]) == 0
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
-        "n_layers = 2\nn_heads = 2\nd_k = 4\nd_v = 4\nd_model = 8\n"
+        "n_layers = 2\nn_heads = 2\nd_k = 4\n"
         f"d_role = 4\nepochs = 9\nlr = 0.1\ntrain_path = {data}/train.conll\n"
         f"dev_path = {data}/dev.conll\npretrained_path = {data}/pretrained.vec\n"
     )

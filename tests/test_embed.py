@@ -12,7 +12,7 @@ import pytest
 
 from conftest import probe_sum
 from lisa_srl.corpus import CorpusFormatError
-from lisa_srl.errors import ConfigError
+from lisa_srl.errors import ConfigError, DimensionError
 from lisa_srl.numerics import Parameter, Tape, Tensor, finite_difference_check
 from lisa_srl.embed import (
     ContextualStore,
@@ -117,9 +117,10 @@ def test_conv_stack_matches_composed_oracle_when_trained():
         assert np.max(np.abs(out.data[t] - expected)) < 1e-12
 
 
-def test_static_embed_dimension_mismatch_is_config_error():
+def test_static_embed_dimension_mismatch_is_a_dimension_error():
+    # the width check is the convolution op's own shape check
     table = _table(d=4)
-    with pytest.raises(ConfigError):
+    with pytest.raises(DimensionError):
         static_embed(Tape(), ["dog"], table, init_conv_stack(1, 6, "emb"))
 
 

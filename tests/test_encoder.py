@@ -10,7 +10,7 @@ import pytest
 
 from lisa_srl.config import RunConfig
 from lisa_srl.corpus import AnnotatedSentence
-from lisa_srl.errors import ConfigError, InjectionError
+from lisa_srl.errors import ConfigError, DimensionError, InjectionError
 from lisa_srl.numerics import Parameter, Tape, Tensor, finite_difference_check
 from lisa_srl.encoder import (
     Encoder,
@@ -44,7 +44,7 @@ def _attend(attention, values):
 
 def _small_config(**kw):
     base = dict(
-        n_layers=2, n_heads=2, d_k=3, d_v=3, d_model=6,
+        n_layers=2, n_heads=2, d_k=3,
         parse_layer=2, pos_layer=1, parse_head=0,
     )
     base.update(kw)
@@ -136,8 +136,8 @@ def test_attend_ignores_unattended_value_rows():
 
 def test_single_head_identity_conv_layer_is_pure_attention():
     rng = np.random.default_rng(6)
-    config = _small_config(n_layers=1, n_heads=1, d_k=3, d_v=4, d_model=4, parse_layer=1)
-    enc = Encoder.build(config, rng)
+    config = _small_config(n_layers=1, n_heads=1, d_k=3, parse_layer=1)
+    enc = Encoder.build(config, 4, rng)
     x = Tensor(rng.normal(size=(5, 4)))
     out, _ = enc.encode(Tape(), x)
     expected, _, _ = Tape().attention(x, enc.layers[0].qkv.value, 1, 3)
@@ -146,7 +146,7 @@ def test_single_head_identity_conv_layer_is_pure_attention():
 
 def test_output_shape_for_all_lengths():
     rng = np.random.default_rng(7)
-    enc = Encoder.build(_small_config(), rng)
+    enc = Encoder.build(_small_config(), 6, rng)
     for t_len in (1, 2, 7, 50):
         out, _ = enc.encode(Tape(), Tensor(rng.normal(size=(t_len, 6))))
         assert out.shape == (t_len, 6)
@@ -154,7 +154,7 @@ def test_output_shape_for_all_lengths():
 
 def test_attention_is_global_perturbation_probe():
     rng = np.random.default_rng(8)
-    enc = Encoder.build(_small_config(), rng)
+    enc = Encoder.build(_small_config(), 6, rng)
     x = rng.normal(size=(3, 6))
     base, _ = enc.encode(Tape(), Tensor(x))
     poked = x.copy()
@@ -164,17 +164,16 @@ def test_attention_is_global_perturbation_probe():
 
 
 def test_encoder_rejects_wrong_width():
+    # the width check is the attention op's own shape check
     rng = np.random.default_rng(9)
-    enc = Encoder.build(_small_config(), rng)
-    with pytest.raises(ConfigError):
+    enc = Encoder.build(_small_config(), 6, rng)
+    with pytest.raises(DimensionError):
         enc.encode(Tape(), Tensor(np.zeros((3, 5))))
 
 
 def test_config_validation():
     with pytest.raises(ConfigError, match="parse_layer"):
         _small_config(parse_layer=3)
-    with pytest.raises(ConfigError, match="concatenated"):
-        _small_config(d_v=4)
     with pytest.raises(ConfigError, match="pos_layer"):
         _small_config(pos_layer=0)
     with pytest.raises(ConfigError, match="parse_head"):
@@ -183,7 +182,7 @@ def test_config_validation():
 
 def test_all_attention_rows_stochastic():
     rng = np.random.default_rng(10)
-    enc = Encoder.build(_small_config(), rng)
+    enc = Encoder.build(_small_config(), 6, rng)
     x = Tensor(rng.normal(size=(6, 6)))
     for injected in (None, [1, 1, 4, 1, 4, 4]):
         _, trace = enc.encode(Tape(), x, injected)
@@ -197,7 +196,7 @@ def test_all_attention_rows_stochastic():
 def test_injection_changes_only_the_parse_head():
     rng = np.random.default_rng(11)
     config = _small_config()
-    enc = Encoder.build(config, rng)
+    enc = Encoder.build(config, 6, rng)
     x = Tensor(rng.normal(size=(4, 6)))
     _, self_trace = enc.encode(Tape(), x)
     _, gold_trace = enc.encode(Tape(), x, [1, 1, 1, 2])
@@ -221,7 +220,7 @@ def test_injection_changes_only_the_parse_head():
 def test_parse_attention_is_the_heads_own_softmax():
     rng = np.random.default_rng(15)
     config = _small_config()
-    enc = Encoder.build(config, rng)
+    enc = Encoder.build(config, 6, rng)
     x = Tensor(rng.normal(size=(4, 6)))
     _, self_trace = enc.encode(Tape(), x)
     _, gold_trace = enc.encode(Tape(), x, [1, 1, 1, 2])
@@ -302,7 +301,7 @@ def test_parse_loss_rejects_misaligned_gold():
 def test_parse_loss_finite_differences():
     rng = np.random.default_rng(14)
     config = _small_config()
-    enc = Encoder.build(config, rng)
+    enc = Encoder.build(config, 6, rng)
     x = rng.normal(size=(3, 6))
     gold = [1, 1, 0]
 

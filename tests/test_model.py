@@ -13,7 +13,7 @@ from lisa_srl.corpus import (
     build_role_space,
     estimate_transitions,
 )
-from lisa_srl.embed import gen_contextual_layers
+from lisa_srl.embed import ContextualStore, gen_contextual_layers
 from lisa_srl.encoder import ParseSource
 from lisa_srl.errors import ConfigError, NonFiniteError
 from lisa_srl.heads import decode_pos_pred, srl_loss, srl_scores
@@ -57,7 +57,7 @@ def _pretrained(corpus, d, seed=0):
 
 def _config(**kw):
     base = dict(
-        n_layers=2, n_heads=2, d_k=3, d_v=3, d_model=6,
+        n_layers=2, n_heads=2, d_k=3,
         parse_layer=2, pos_layer=1, d_role=3,
     )
     return RunConfig(**(base | kw))
@@ -286,9 +286,9 @@ def test_contextual_path_records_few_tape_ops(monkeypatch):
     # the scalar mix and its positional encodings are one op
     corpus = gen_synthetic(40, 0)
     joint, roles = _spaces(corpus)
-    model = LisaModel.build(RunConfig(embedding=EMBED_CONTEXTUAL), joint, roles, [], None)
-    transitions = estimate_transitions(corpus, roles)
     stacks = gen_contextual_layers(corpus, 3, 64, 0)
+    model = LisaModel.build(RunConfig(embedding=EMBED_CONTEXTUAL), joint, roles, [], stacks)
+    transitions = estimate_transitions(corpus, roles)
     tapes = _record_tapes(monkeypatch)
     for i in range(3):
         model.loss(Tape(), corpus[i], ctx_layers=stacks.get(str(i)))
@@ -342,12 +342,12 @@ def test_contextual_path_forward_and_gradients():
     corpus = _tiny_corpus()
     joint, roles = _spaces(corpus)
     vocab = sorted({w for s in corpus for w in s.tokens})
-    model = LisaModel.build(
-        _config(embedding=EMBED_CONTEXTUAL, n_context_layers=3, seed=4),
-        joint, roles, vocab, None,
-    )
     rng = np.random.default_rng(5)
     stack = rng.normal(size=(3, 3, 6))
+    model = LisaModel.build(
+        _config(embedding=EMBED_CONTEXTUAL, seed=4),
+        joint, roles, vocab, ContextualStore(3, 6, {"0": stack}),
+    )
 
     def run(backward=False) -> float:
         tape = Tape()
