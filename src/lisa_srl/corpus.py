@@ -8,13 +8,19 @@ Heads are 0-based token indices within the sentence; the root points at
 itself. The predicate marker is "Y" or "-". There is one BIO column per
 predicate, ordered by predicate position. Extra columns that are entirely
 "O" are tolerated on input and dropped. Columns may be separated by any
-whitespace; the writer emits tabs.
+whitespace; the writer emits tabs, one string per sentence.
+
+The reader transposes a sentence's rows once and converts and checks whole
+columns. Sentences are checked in file order. Within one, a ragged row is
+reported first, then the first line with a bad head index or predicate
+marker (on one line, the head index first).
 """
 
 from __future__ import annotations
 
 import functools
 import io
+import itertools
 import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -125,10 +131,13 @@ def _split_tag(tag: str) -> tuple[str, str]:
 def is_valid_bio(tags: Sequence[str]) -> bool:
     prev_label = None
     for tag in tags:
+        if tag == OUTSIDE:
+            prev_label = None
+            continue
         prefix, label = _split_tag(tag)
         if prefix == "I" and label != prev_label:
             return False
-        prev_label = label if prefix in ("B", "I") else None
+        prev_label = label
     return True
 
 
@@ -195,6 +204,7 @@ def repair_bio(tags: Sequence[str]) -> tuple[tuple[str, ...], int]:
 
 PRED_MARK = "Y"
 NO_PRED_MARK = "-"
+MARKS = frozenset((PRED_MARK, NO_PRED_MARK))
 
 
 def text_lines(path) -> Iterator[tuple[int, str]]:
@@ -222,105 +232,91 @@ def read_conll_counted(
     """
     sentences: list[AnnotatedSentence] = []
     total_repairs = 0
-    rows: list[tuple[int, list[str]]] = []
-
-    def flush() -> None:
-        nonlocal total_repairs
-        if not rows:
-            return
-        first_line = rows[0][0]
-        width = len(rows[0][1])
-        for lineno, cols in rows:
-            if len(cols) != width:
-                raise CorpusFormatError(
-                    f"line {lineno}: ragged columns ({len(cols)} vs {width})"
-                )
-        t = len(rows)
-        tokens, pos, heads, predicates = [], [], [], []
-        for lineno, cols in rows:
-            tokens.append(cols[0])
-            pos.append(cols[1])
-            try:
-                h = int(cols[2])
-            except ValueError:
-                raise CorpusFormatError(f"line {lineno}: bad head index {cols[2]!r}")
-            if not 0 <= h < t:
-                raise CorpusFormatError(
-                    f"line {lineno}: head index {h} outside [0, {t})"
-                )
-            heads.append(h)
-            if cols[3] not in (PRED_MARK, NO_PRED_MARK):
-                raise CorpusFormatError(
-                    f"line {lineno}: predicate marker must be Y or -, got {cols[3]!r}"
-                )
-            predicates.append(cols[3] == PRED_MARK)
-        pred_idx = [i for i, p in enumerate(predicates) if p]
-        n_bio = width - 4
-        if n_bio < len(pred_idx):
-            raise CorpusFormatError(
-                f"line {first_line}: {len(pred_idx)} predicates but only "
-                f"{n_bio} BIO columns"
-            )
-        frames: dict[int, tuple[str, ...]] = {}
-        for k, pidx in enumerate(pred_idx):
-            col = [cols[4 + k] for _, cols in rows]
-            if not is_valid_bio(col):  # raises on a malformed tag
-                if repair:
-                    fixed, n = repair_bio(col)
-                    total_repairs += n
-                    frames[pidx] = fixed
-                    continue
-                raise CorpusFormatError(
-                    f"line {first_line}: ill-formed BIO in frame column {k}"
-                )
-            frames[pidx] = tuple(col)
-        # extra columns are tolerated only when entirely O
-        for k in range(len(pred_idx), n_bio):
-            col = [cols[4 + k] for _, cols in rows]
-            if any(tag != OUTSIDE for tag in col):
-                raise CorpusFormatError(
-                    f"line {first_line}: BIO column {k} has no matching predicate"
-                )
-        if not repair:
-            roots = [i for i, h in enumerate(heads) if h == i]
-            if len(roots) != 1:
-                raise CorpusFormatError(
-                    f"line {first_line}: expected one self-loop root, found {len(roots)}"
-                )
-        sentences.append(
-            AnnotatedSentence(
-                tuple(tokens), tuple(pos), tuple(heads), tuple(predicates), frames
-            )
-        )
-        rows.clear()
-
-    for lineno, raw in text_lines(path):
-        line = raw.rstrip("\n")
-        if not line.strip():
-            flush()
-            continue
-        cols = line.split()
-        if len(cols) < 4:
-            raise CorpusFormatError(f"line {lineno}: expected >= 4 columns")
-        rows.append((lineno, cols))
-    flush()
+    rows: list[list[str]] = []  # the current sentence's lines, split
+    # a blank line ends each sentence, and so does the end of the file
+    for lineno, raw in itertools.chain(text_lines(path), [(0, "")]):
+        cols = raw.split()
+        if cols:
+            if len(cols) < 4:
+                raise CorpusFormatError(f"line {lineno}: expected >= 4 columns")
+            if not rows:
+                first_line = lineno
+            rows.append(cols)
+        elif rows:
+            sent, repairs = _sentence_from_rows(first_line, rows, repair)
+            sentences.append(sent)
+            total_repairs += repairs
+            rows = []
     return sentences, total_repairs
+
+
+def _sentence_from_rows(
+    first_line: int, rows: list[list[str]], repair: bool
+) -> tuple[AnnotatedSentence, int]:
+    """One sentence from the split lines from `first_line` on, and its BIO
+    repair count; faults are reported as the module docstring describes."""
+    width, t = len(rows[0]), len(rows)
+    if len(set(map(len, rows))) > 1:
+        i = next(i for i, cols in enumerate(rows) if len(cols) != width)
+        raise CorpusFormatError(
+            f"line {first_line + i}: ragged columns ({len(rows[i])} vs {width})"
+        )
+    tokens, pos, head_col, marks, *bio = zip(*rows)
+    try:
+        heads = tuple(map(int, head_col))
+        ok = MARKS.issuperset(marks) and 0 <= min(heads) and max(heads) < t
+    except ValueError:
+        ok = False
+    if not ok:  # name the first line with a bad head index or marker
+        for lineno, head, mark in zip(range(first_line, first_line + t), head_col, marks):
+            try:
+                h = int(head)
+            except ValueError:
+                raise CorpusFormatError(f"line {lineno}: bad head index {head!r}")
+            if not 0 <= h < t:
+                raise CorpusFormatError(f"line {lineno}: head index {h} outside [0, {t})")
+            if mark not in MARKS:
+                raise CorpusFormatError(
+                    f"line {lineno}: predicate marker must be Y or -, got {mark!r}"
+                )
+    predicates = tuple([m == PRED_MARK for m in marks])
+    pred_idx = [i for i, p in enumerate(predicates) if p]
+    if len(bio) < len(pred_idx):
+        raise CorpusFormatError(
+            f"line {first_line}: {len(pred_idx)} predicates but only {len(bio)} BIO columns"
+        )
+    repairs = 0
+    frames: dict[int, tuple[str, ...]] = {}
+    for k, (pidx, col) in enumerate(zip(pred_idx, bio)):
+        if is_valid_bio(col):  # raises on a malformed tag
+            frames[pidx] = col
+        elif repair:
+            frames[pidx], n = repair_bio(col)
+            repairs += n
+        else:
+            raise CorpusFormatError(f"line {first_line}: ill-formed BIO in frame column {k}")
+    # extra columns are tolerated only when entirely O
+    for k in range(len(pred_idx), len(bio)):
+        if set(bio[k]) != {OUTSIDE}:
+            raise CorpusFormatError(
+                f"line {first_line}: BIO column {k} has no matching predicate"
+            )
+    n_roots = len([i for i, h in enumerate(heads) if h == i])
+    if not repair and n_roots != 1:
+        raise CorpusFormatError(
+            f"line {first_line}: expected one self-loop root, found {n_roots}"
+        )
+    return AnnotatedSentence(tokens, pos, heads, predicates, frames), repairs
 
 
 def write_conll(path, sentences: Iterable[AnnotatedSentence]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for sent in sentences:
-            preds = sent.predicate_indices
-            for t in range(len(sent)):
-                cols = [
-                    sent.tokens[t],
-                    sent.pos[t],
-                    str(sent.heads[t]),
-                    PRED_MARK if sent.predicates[t] else NO_PRED_MARK,
-                ]
-                cols.extend(sent.frames[p][t] for p in preds)
-                fh.write("\t".join(cols) + "\n")
-            fh.write("\n")
+            marks = [PRED_MARK if p else NO_PRED_MARK for p in sent.predicates]
+            columns = [sent.tokens, sent.pos, map(str, sent.heads), marks]
+            columns.extend(sent.frames[p] for p in sent.predicate_indices)
+            # one line per token, then the blank line that ends the sentence
+            fh.write("\n".join([*map("\t".join, zip(*columns)), ""]) + "\n")
 
 
 def read_heads_file(path) -> list[list[int]]:

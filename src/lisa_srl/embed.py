@@ -214,7 +214,7 @@ def read_vec_file(path) -> dict[str, np.ndarray]:
 def write_vec_file(path, items) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for word, vec in items:
-            values = " ".join(VEC_FLOAT_FORMAT % x for x in vec)
+            values = " ".join([VEC_FLOAT_FORMAT] * len(vec)) % tuple(vec.tolist())
             fh.write(f"{word} {values}\n")
 
 

@@ -143,6 +143,10 @@ def train(config: RunConfig, emit: Callable[[str], None] | None = None) -> Train
 
     train_data = load_split(config, "train")
     dev_data = load_split(config, "dev")
+    if config.embedding == EMBED_CONTEXTUAL:  # the model is built on train's shape
+        shapes = [f"{d.ctx.n_layers} layers of width {d.ctx.dim}" for d in (train_data, dev_data)]
+        if shapes[0] != shapes[1]:
+            raise ConfigError(f"train .ctxl holds {shapes[0]}, dev .ctxl {shapes[1]}")
     joint = build_joint_pos_pred_space(train_data.corpus)
     roles = build_role_space(train_data.corpus)
     transitions = estimate_transitions(train_data.corpus, roles)
@@ -293,15 +297,16 @@ class GenSynthParams:
 def _corrupt_heads(
     corpus: list[AnnotatedSentence], rate: float, rng: np.random.Generator
 ) -> list[list[int]]:
-    """Copy gold heads, rewriting a `rate` fraction of tokens to wrong heads."""
+    """Copy gold heads, rewriting a `rate` fraction of tokens to wrong heads:
+    one draw k picks the k-th of the t - 1 heads other than the gold one."""
     out = []
     for sent in corpus:
         heads = list(sent.heads)
         t = len(heads)
         for i in range(t):
             if t > 1 and rng.random() < rate:
-                wrong = [h for h in range(t) if h != heads[i]]
-                heads[i] = int(wrong[int(rng.integers(len(wrong)))])
+                k = int(rng.integers(t - 1))
+                heads[i] = k if k < heads[i] else k + 1
         out.append(heads)
     return out
 

@@ -13,6 +13,10 @@ syntax strictly determines the semantic roles:
     IN child right of VB           -> AM-LOC over the subtree
     any other token                -> O
 
+Every argument's span is its subtree's yield, read from one head ->
+children map built once per tree; a yield that is not contiguous is an
+EncodingError.
+
 Prepositional phrases after an object attach either to the verb (the PP is
 an AM-LOC argument) or to the object noun (the PP merely extends the A1
 span). Which happens is cued by the preposition: the first third of the
@@ -94,12 +98,9 @@ def full_vocabulary(grammar: GrammarParams) -> list[str]:
 # Path -> role map
 
 
-def subtree_span(heads, root: int) -> tuple[int, int]:
-    """Inclusive yield bounds of a node; the yield must be contiguous."""
-    children = defaultdict(list)
-    for t, h in enumerate(heads):
-        if t != h:
-            children[h].append(t)
+def subtree_span(children, root: int) -> tuple[int, int]:
+    """Inclusive yield bounds of a node under a head -> children map; the
+    yield must be contiguous."""
     nodes = []
     stack = [root]
     while stack:
@@ -124,19 +125,19 @@ def roles_from_tree(pos, heads, predicates) -> dict[int, tuple[str, ...]]:
         if not predicates[p]:
             continue
         spans: list[RoleSpan] = []
-        kids = sorted(children[p])
+        kids = children[p]  # ascending: built in token order
         left_nn = [c for c in kids if c < p and pos[c] == "NN"]
         if left_nn:
-            spans.append(RoleSpan(*subtree_span(heads, left_nn[-1]), "A0"))
+            spans.append(RoleSpan(*subtree_span(children, left_nn[-1]), "A0"))
         right_nn = [c for c in kids if c > p and pos[c] == "NN"]
         for label, c in zip(("A1", "A2"), right_nn):
-            spans.append(RoleSpan(*subtree_span(heads, c), label))
+            spans.append(RoleSpan(*subtree_span(children, c), label))
         for c in kids:
             if pos[c] == "MD":
                 spans.append(RoleSpan(c, c, "AM-MOD"))
             elif pos[c] == "IN":
                 label = "AM-TMP" if c < p else "AM-LOC"
-                spans.append(RoleSpan(*subtree_span(heads, c), label))
+                spans.append(RoleSpan(*subtree_span(children, c), label))
         frames[p] = spans_to_bio(spans, t_len)
     return frames
 
@@ -146,9 +147,7 @@ def roles_from_tree(pos, heads, predicates) -> dict[int, tuple[str, ...]]:
 
 
 def _pick(rng: np.random.Generator, prefix: str, lo: int, hi: int, width: int) -> str:
-    return f"{prefix}{int(rng.integers(lo, hi)):0{width}d}" if width > 1 else (
-        f"{prefix}{int(rng.integers(lo, hi))}"
-    )
+    return f"{prefix}{int(rng.integers(lo, hi)):0{width}d}"
 
 
 class _Draw:

@@ -1,6 +1,7 @@
 """Configuration, checkpoints, the training pipeline and the CLI."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import struct
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from lisa_srl.checkpoint import load_checkpoint, save_checkpoint
 from lisa_srl.cli import main
 from lisa_srl.config import RunConfig, build_run_config, parse_config_file
-from lisa_srl.corpus import read_conll, read_heads_file
+from lisa_srl.corpus import AnnotatedSentence, read_conll, read_heads_file
 from lisa_srl.embed import (
     gen_contextual_layers,
     read_contextual,
@@ -36,6 +37,7 @@ from lisa_srl.numerics import Tape
 from lisa_srl.pipeline import (
     GenSynthParams,
     SplitData,
+    _corrupt_heads,
     _predict_corpus,
     evaluate,
     gen_synth,
@@ -207,6 +209,61 @@ def test_corrupted_heads_differ_at_roughly_the_requested_rate(tmp_path):
             total += 1
             wrong += int(a != b)
     assert 0.2 < wrong / total < 0.4
+
+
+# SHA-256 of every file of this corpus, as the generator wrote them before
+# the corpus-building speed-ups: set-up may get faster, never different
+PINNED_GEN_SYNTH = {
+    "train.conll": "fed99f1ea5925de3a06a0bb5294cc3cb544bb10e2b6e0155b20fa35eb5ea3296",
+    "dev.conll": "a8562128ff5294c6d4c193bf4fe9d0983158d7eb4857eeb68d62e9e2d8df9595",
+    "test.conll": "f25f580b52dd790a253f8dc3829b0d5da1fb5e58afd05acb0e67d6e01f8501ad",
+    "test-shifted.conll": "e3be0a4e5eb8ffbaae812ed4840519901b7f791c87f4084c51bc6598adf65d13",
+    "pretrained.vec": "139567c7a45cdc2a851a452e1bf846acf766fdde0513fb08a3df45ec7fb26bf5",
+    "train.heads": "955c85aa331a83ad14b96f92d24d27da727b4173018fc646837eb3eb66bc69f7",
+    "dev.heads": "33481da2bd6647b83892f01b94933fe7643ee02f7fee234ab0335d980492f3a1",
+    "test.heads": "9a26def1e475f27fb9063a82c58295941969c9efad95803ae8b91ec63b8bef0f",
+    "test-shifted.heads": "7d9abefc5da92d1dcacaa80b95fde574eeb0e5f36fe43ab10dd17816a882b4fa",
+}
+
+
+def test_gen_synth_bytes_are_pinned(tmp_path):
+    written = gen_synth(GenSynthParams(out_dir=str(tmp_path), n_train=30, n_dev=10,
+                                       n_test=20, heads_error_rate=0.15))
+    digests = {Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest()
+               for p in written}
+    assert digests == PINNED_GEN_SYNTH
+
+
+class _FixedDraws:
+    """An rng stand-in: every token is corrupted, every wrong-head draw is k."""
+
+    def __init__(self, k: int) -> None:
+        self.k, self.bounds = k, []
+
+    def random(self) -> float:
+        return 0.0
+
+    def integers(self, n: int) -> int:
+        self.bounds.append(n)
+        return self.k
+
+
+def _same_heads(t: int, gold: int) -> AnnotatedSentence:
+    return AnnotatedSentence(("w",) * t, ("NN",) * t, (gold,) * t, (False,) * t)
+
+
+def test_wrong_head_pick_is_the_kth_head_other_than_gold():
+    for t in range(2, 9):
+        for gold in range(t):
+            # the candidate list the generator once built for each token
+            candidates = [h for h in range(t) if h != gold]
+            for k in range(t - 1):
+                rng = _FixedDraws(k)
+                assert _corrupt_heads([_same_heads(t, gold)], 1.0, rng) == [[candidates[k]] * t]
+                assert rng.bounds == [t - 1] * t
+    # a one-token sentence has no wrong head and draws nothing
+    rng = _FixedDraws(0)
+    assert _corrupt_heads([_same_heads(1, 0)], 1.0, rng) == [[0]] and rng.bounds == []
 
 
 # ---------------------------------------------------------------------------
@@ -874,6 +931,29 @@ def test_cli_predict_with_a_ctxl_of_another_shape_is_one_config_error_line(
     err = _one_error_line(capsys, "config")
     expected = ("3 weights for 2 layers" if n_layers == 2 else "width 6 != model width 8")
     assert expected in err, err
+
+
+@pytest.mark.parametrize("n_layers, dim", [(2, 8), (3, 6)])
+def test_cli_dev_ctxl_of_another_shape_is_one_config_error_line_before_training(
+    data_dir, tmp_path, capsys, monkeypatch, n_layers, dim
+):
+    # train.ctxl holds 3-layer stacks of width 8
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(LisaModel, "loss", no_step)
+    corpus = read_conll(data_dir / "dev.conll")
+    write_contextual(tmp_path / "dev.ctxl", gen_contextual_layers(corpus, n_layers, dim, 5))
+    code = main(["train", "--embedding", "contextual", "--n-heads", "2", "--epochs", "1",
+                 "--train-path", str(data_dir / "train.conll"),
+                 "--dev-path", str(data_dir / "dev.conll"),
+                 "--train-ctxl-path", str(data_dir / "train.ctxl"),
+                 "--dev-ctxl-path", str(tmp_path / "dev.ctxl"),
+                 "--checkpoint-out", str(tmp_path / "model.ckpt")])
+    assert code == 1
+    err = _one_error_line(capsys, "config")
+    assert "3 layers of width 8" in err and f"{n_layers} layers of width {dim}" in err, err
+    assert not (tmp_path / "model.ckpt").exists()
 
 
 def test_cli_config_file_not_utf8_is_one_format_error_line(tmp_path, capsys):

@@ -40,6 +40,7 @@ from lisa_srl.synth import (
     gen_splits,
     gen_synthetic,
     pretrained_vectors,
+    roles_from_tree,
 )
 
 # ---------------------------------------------------------------------------
@@ -214,6 +215,34 @@ def test_read_rejects_nonempty_extra_column(tmp_path):
     p.write_text("a\tNN\t0\t-\tB-A0\n")
     with pytest.raises(CorpusFormatError, match="no matching predicate"):
         read_conll(p)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a bad head index or marker: the upper line's fault is reported
+        ("a\tNN\t0\tQ\tO\nb\tNN\tx\t-\tO\n",
+         "line 1: predicate marker must be Y or -, got 'Q'"),
+        ("a\tNN\t7\t-\tO\nb\tNN\t0\tQ\tO\n", "line 1: head index 7 outside [0, 2)"),
+        ("a\tNN\t0\tY\tO\nb\tNN\t-1\t-\tO\n", "line 2: head index -1 outside [0, 2)"),
+        # on one line, the head index is checked before the marker
+        ("a\tNN\tx\tQ\tO\n", "line 1: bad head index 'x'"),
+        # a ragged row outranks a bad head index or marker above it
+        ("a\tNN\t0\tQ\tO\nb\tNN\t0\t-\n", "line 2: ragged columns (4 vs 5)"),
+        ("a\tNN\tx\t-\tO\nb\tNN\t0\t-\n", "line 2: ragged columns (4 vs 5)"),
+        # a sentence is checked before the lines of the next one are
+        ("a\tNN\tx\t-\tO\n\nb\tNN\n", "line 1: bad head index 'x'"),
+        ("a\tNN\t0\t-\tO\n\nb\tNN\t1\t-\tO\nc\tNN\t1\tN\tO\nd\tNN\t9\t-\tO\n",
+         "line 4: predicate marker must be Y or -, got 'N'"),
+    ],
+)
+def test_read_with_two_faults_names_one_line_in_check_order(tmp_path, text, message):
+    p = tmp_path / "bad.conll"
+    p.write_text(text)
+    for repair in (False, True):
+        with pytest.raises(CorpusFormatError) as err:
+            read_conll(p, repair=repair)
+        assert str(err.value) == message
 
 
 def test_round_trip_on_synthetic_corpus(tmp_path):
@@ -395,6 +424,13 @@ def test_generator_sentences_well_formed():
 def test_generator_roles_match_tree_walk_oracle():
     for s in gen_synthetic(200, 17) + gen_synthetic(80, 18, shifted=True):
         assert s.frames == oracle_frames(s)
+
+
+def test_roles_reject_an_argument_with_a_non_contiguous_yield():
+    # the A0 noun at 0 governs the determiner at 3, across the verb and object
+    pos, heads = ("NN", "VB", "NN", "DT"), (1, 1, 1, 0)
+    with pytest.raises(EncodingError, match="non-contiguous yield under token 0"):
+        roles_from_tree(pos, heads, (False, True, False, False))
 
 
 def test_generator_ambiguous_preps_attach_both_ways():
