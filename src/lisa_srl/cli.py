@@ -20,6 +20,7 @@ from .errors import LisaError
 from .pipeline import GenSynthParams, evaluate, gen_synth, predict, train
 
 _CONFIG_FIELDS = [f.name for f in dataclasses.fields(RunConfig)]
+_GEN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(GenSynthParams)}
 
 
 def _add_run_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -59,17 +60,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_synth(args: argparse.Namespace) -> int:
-    params = GenSynthParams(
-        out_dir=args.out_dir,
-        n_train=args.n_train,
-        n_dev=args.n_dev,
-        n_test=args.n_test,
-        seed=args.seed,
-        dim=args.dim,
-        heads_error_rate=args.heads_error_rate,
-        with_contextual=args.with_contextual,
-        n_ctx_layers=args.n_ctx_layers,
-    )
+    params = GenSynthParams(**{k: v for k, v in vars(args).items() if k in _GEN_DEFAULTS})
     for path in gen_synth(params):
         print(f"wrote {path}")
     return 0
@@ -84,16 +75,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen-synth", help="generate synthetic corpus splits")
     gen.add_argument("--out-dir", required=True)
-    gen.add_argument("--n-train", type=int, default=200)
-    gen.add_argument("--n-dev", type=int, default=50)
-    gen.add_argument("--n-test", type=int, default=50)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--dim", type=int, default=64)
-    gen.add_argument("--heads-error-rate", type=float, default=None,
+    for name in ("n_train", "n_dev", "n_test", "seed", "dim", "n_ctx_layers"):
+        gen.add_argument(f"--{name.replace('_', '-')}", type=int, default=_GEN_DEFAULTS[name])
+    gen.add_argument("--heads-error-rate", type=float,
+                     default=_GEN_DEFAULTS["heads_error_rate"],
                      help="also write .heads sidecars with this error rate")
     gen.add_argument("--with-contextual", action="store_true",
                      help="also write .ctxl layer-stack sidecars")
-    gen.add_argument("--n-ctx-layers", type=int, default=3)
     gen.set_defaults(func=_cmd_gen_synth)
 
     for name, func, help_text in [

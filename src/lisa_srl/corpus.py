@@ -13,7 +13,9 @@ whitespace; the writer emits tabs, one string per sentence.
 The reader transposes a sentence's rows once and converts and checks whole
 columns. Sentences are checked in file order. Within one, a ragged row is
 reported first, then the first line with a bad head index or predicate
-marker (on one line, the head index first).
+marker (on one line, the head index first), then the BIO columns, then,
+unless repairing, a root count other than one and last a cycle of heads:
+gold heads must form a tree.
 """
 
 from __future__ import annotations
@@ -301,12 +303,27 @@ def _sentence_from_rows(
             raise CorpusFormatError(
                 f"line {first_line}: BIO column {k} has no matching predicate"
             )
-    n_roots = len([i for i, h in enumerate(heads) if h == i])
-    if not repair and n_roots != 1:
-        raise CorpusFormatError(
-            f"line {first_line}: expected one self-loop root, found {n_roots}"
-        )
+    fault = None if repair else _tree_fault(tokens, heads)
+    if fault:
+        raise CorpusFormatError(f"line {first_line}: {fault}")
     return AnnotatedSentence(tokens, pos, heads, predicates, frames), repairs
+
+
+def _tree_fault(tokens, heads) -> str | None:
+    """Why `heads` are not a tree, or None: a root count other than one,
+    else a cycle, named by a token on it. One pass: the walk up from each
+    token stops at the root or at a token an earlier walk has marked."""
+    walk_of = [-1 if h == t else None for t, h in enumerate(heads)]  # -1: a root
+    if walk_of.count(-1) != 1:
+        return f"expected one self-loop root, found {walk_of.count(-1)}"
+    for start in range(len(heads)):
+        t = start
+        while walk_of[t] is None:
+            walk_of[t] = start
+            t = heads[t]
+        if walk_of[t] == start:  # back on this walk's own path
+            return f"heads form a cycle through token {t} ({tokens[t]!r})"
+    return None
 
 
 def write_conll(path, sentences: Iterable[AnnotatedSentence]) -> None:

@@ -289,12 +289,12 @@ def gen_contextual_layers(
     if n_layers < 1:
         raise ConfigError("need at least one contextual layer")
     out: dict[str, np.ndarray] = {}
+    word_vectors: dict[str, np.ndarray] = {}  # one draw per word type
     for i, sent in enumerate(sentences):
-        rows = []
-        for word in sent.tokens:
+        for word in set(sent.tokens).difference(word_vectors):
             rng = np.random.default_rng([seed, zlib.crc32(word.encode("utf-8"))])
-            rows.append(rng.normal(0.0, 1.0 / np.sqrt(dim), dim))
-        stack = [np.stack(rows)]
+            word_vectors[word] = rng.normal(0.0, 1.0 / np.sqrt(dim), dim)
+        stack = [np.stack([word_vectors[word] for word in sent.tokens])]
         for _ in range(n_layers - 1):
             h = stack[-1]
             left = np.vstack([np.zeros((1, dim)), h[:-1]])

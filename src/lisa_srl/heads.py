@@ -5,8 +5,9 @@ predicts into the joint space where predicate-bearing tags carry a
 ":predicate" twin, so one softmax does both tagging and predicate
 detection. The SRL scorer projects the final layer into predicate and
 role representations and scores every (predicate, token, label) triple
-with a rank-3 bilinear operator, all predicates in one `Tape.bilinear`.
-Each loss is one `Tape.cross_entropy`.
+with a rank-3 bilinear operator. Each head is one tape op (`Tape.matmul`
+with a bias, `Tape.bilinear` for projections and scores of all predicates)
+and each loss one `Tape.cross_entropy`.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ class PosPredHead:
 
 def pos_pred_logits(tape: Tape, s_pos_layer: Tensor, head: PosPredHead) -> Tensor:
     """Per-token logits over the joint POS/predicate space."""
-    return tape.add_row(tape.matmul(s_pos_layer, head.weight.value), head.bias.value)
+    return tape.matmul(s_pos_layer, head.weight.value, head.bias.value)
 
 
 def pos_pred_loss(tape: Tape, logits: Tensor, sentence, head: PosPredHead) -> Tensor:
@@ -97,9 +98,9 @@ def srl_scores(tape: Tape, s_final: Tensor, predicates, scorer: SrlScorer) -> Te
             raise ContractError(f"predicate index {f} outside [0, {t_len})")
     if not predicates:
         return Tensor(np.zeros((0, t_len, len(scorer.labels))))
-    pred_proj = tape.matmul(s_final, scorer.w_pred.value)
-    role_proj = tape.matmul(s_final, scorer.w_role.value)
-    return tape.bilinear(pred_proj, predicates, scorer.u.value, role_proj)
+    return tape.bilinear(
+        s_final, predicates, scorer.w_pred.value, scorer.u.value, scorer.w_role.value
+    )
 
 
 def srl_loss(tape: Tape, scores: Tensor, gold_frames, labels: LabelSpace) -> Tensor:
@@ -117,21 +118,21 @@ def srl_loss(tape: Tape, scores: Tensor, gold_frames, labels: LabelSpace) -> Ten
 
 @dataclass
 class LossBundle:
-    """The three multi-task components and their plain (unweighted) sum."""
+    """The three multi-task components. Training differentiates their plain
+    (unweighted) sum with `tape.backward(srl, parse, pos_pred)`."""
 
     srl: Tensor
     parse: Tensor
     pos_pred: Tensor
-    total: Tensor
+
+    @property
+    def total(self) -> float:
+        return (self.srl.item() + self.parse.item()) + self.pos_pred.item()
 
     def values(self) -> dict[str, float]:
         return {
             "srl": self.srl.item(),
             "parse": self.parse.item(),
             "pos_pred": self.pos_pred.item(),
-            "total": self.total.item(),
+            "total": self.total,
         }
-
-
-def total_loss(tape: Tape, srl: Tensor, parse: Tensor, pos_pred: Tensor) -> LossBundle:
-    return LossBundle(srl, parse, pos_pred, tape.add(tape.add(srl, parse), pos_pred))

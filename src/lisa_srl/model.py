@@ -42,7 +42,6 @@ from .heads import (
     pos_pred_loss,
     srl_loss,
     srl_scores,
-    total_loss,
 )
 from .numerics import Parameter, Tape, Tensor, log_softmax, new_parameter
 
@@ -205,25 +204,10 @@ class LisaModel:
         )
         return ForwardOutputs(final, trace, pos_logits)
 
-    def loss(
-        self,
-        tape: Tape,
-        sentence: AnnotatedSentence,
-        *,
-        source: ParseSource = ParseSource.SELF,
-        external_heads=None,
-        ctx_layers=None,
-        harden: bool = False,
-    ) -> LossBundle:
-        """Multi-task training loss; predicates are gold during training."""
-        fw = self.forward(
-            tape,
-            sentence,
-            source=source,
-            external_heads=external_heads,
-            ctx_layers=ctx_layers,
-            harden=harden,
-        )
+    def loss(self, tape: Tape, sentence: AnnotatedSentence, **inputs) -> LossBundle:
+        """Multi-task training loss; predicates are gold during training.
+        `inputs` are the keyword arguments of `forward`."""
+        fw = self.forward(tape, sentence, **inputs)
         if self.config.is_syntactic:
             parse = parse_loss(tape, fw.trace.parse_logits, sentence.heads)
         else:
@@ -234,34 +218,21 @@ class LisaModel:
         srl = srl_loss(
             tape, scores, [sentence.frames[f] for f in predicates], self.scorer.labels
         )
-        return total_loss(tape, srl, parse, pos)
+        return LossBundle(srl, parse, pos)
 
     # -- prediction -----------------------------------------------------------
 
     def predict_sentence(
-        self,
-        sentence: AnnotatedSentence,
-        transitions: TransitionTable,
-        *,
-        source: ParseSource = ParseSource.SELF,
-        external_heads=None,
-        ctx_layers=None,
-        harden: bool = False,
+        self, sentence: AnnotatedSentence, transitions: TransitionTable, **inputs
     ) -> SentencePrediction:
-        """Decode POS tags, predicates, dependency heads and role frames."""
+        """Decode POS tags, predicates, dependency heads and role frames;
+        `inputs` are the keyword arguments of `forward`."""
         if transitions.labels != self.scorer.labels:
             raise CompatibilityError(
                 "transition table and scorer disagree on the role space"
             )
         tape = Tape()
-        fw = self.forward(
-            tape,
-            sentence,
-            source=source,
-            external_heads=external_heads,
-            ctx_layers=ctx_layers,
-            harden=harden,
-        )
+        fw = self.forward(tape, sentence, **inputs)
         pos_tags, flags = decode_pos_pred(fw.pos_logits, self.pos_head.labels)
         predicates = [i for i, flag in enumerate(flags) if flag]
         heads = extract_parse(fw.trace.consumed_parse_attention(self.config))

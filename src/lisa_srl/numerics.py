@@ -1,20 +1,23 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-The whole model runs on nine tape ops: `add` and `add_row`, `matmul`,
-`gather_add` adding learned rows to constant ones (the static embedding),
-`scalar_mix` mixing frozen layers plus positional encodings (the contextual
-embedding), `attention` for a whole multi-head self-attention layer,
-`conv_block` for a residual width-3 convolution x + conv3(relu(x)),
-`bilinear` scoring every predicate at once in two matmuls (predicate rows
-times the flattened operator, then role rows), and `cross_entropy` for all
-losses. Constant operands are plain ndarrays and take no gradient.
-Everything is float64 and row-major; there is no broadcasting beyond the few
-shapes the ops below accept. Tensors are immutable once created (the SGD
-optimizer mutates parameter storage only *between* tapes).
+The whole model runs on eight tape ops: `add`, `matmul` with an optional
+bias added to every row (the POS/predicate head), `gather_add` adding
+learned rows to constant ones (the static embedding), `scalar_mix` mixing
+frozen layers plus positional encodings (the contextual embedding),
+`attention` for a whole multi-head self-attention layer, `conv_block` for a
+residual width-3 convolution x + conv3(relu(x)), `bilinear` for the whole
+SRL scorer (both projections, then every predicate scored at once in two
+matmuls), and `cross_entropy` for all losses. Constant operands are plain
+ndarrays and take no gradient. Everything is float64 and row-major; there
+is no broadcasting beyond the few shapes the ops below accept. Tensors are
+immutable once created (the SGD optimizer mutates parameter storage only
+*between* tapes).
 
-A `Tape` records one forward computation. `Tape.backward(loss)` replays the
-recorded operations in exact reverse order, accumulating gradients into the
-`.grad` buffers of every tensor on the path from `loss` back to the leaves.
+A `Tape` records one forward computation. `Tape.backward(*losses)` seeds
+each scalar loss with gradient 1.0, so it differentiates their sum without
+an op for it, then replays the recorded operations in exact reverse order,
+accumulating gradients into the `.grad` buffers of every tensor on a path
+from a loss back to the leaves.
 `Parameter` wraps a persistent leaf tensor whose gradient buffer survives
 across tapes until `reset_gradient()` is called.
 
@@ -142,31 +145,21 @@ class Tape:
         self._backprops.append(back)
         return out
 
-    def add_row(self, a: Tensor, b: Tensor) -> Tensor:
-        """Add a length-n vector to every row of an m-by-n matrix."""
-        if a.ndim != 2 or b.ndim != 1 or a.shape[1] != b.shape[0]:
-            raise DimensionError(f"add_row shapes: {a.shape} + {b.shape}")
-        out = _unchecked(a.data + b.data[None, :])
-
-        def back() -> None:
-            if out.grad is None:
-                return
-            _accumulate(a, out.grad)
-            _accumulate(b, out.grad.sum(axis=0))
-
-        self._backprops.append(back)
-        return out
-
     # -- linear algebra ---------------------------------------------------
 
-    def matmul(self, a: Tensor, b: Tensor) -> Tensor:
-        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-            raise DimensionError(f"matmul shapes incompatible: {a.shape} x {b.shape}")
-        out = _unchecked(a.data @ b.data)
+    def matmul(self, a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+        """a @ b, plus `bias` [n] added to every row if given."""
+        bias_shape = b.shape[1:] if bias is None else bias.shape
+        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0] or bias_shape != b.shape[1:]:
+            raise DimensionError(f"matmul shapes: {a.shape} x {b.shape} + {bias_shape}")
+        product = a.data @ b.data
+        out = _unchecked(product if bias is None else product + bias.data)
 
         def back() -> None:
             if out.grad is None:
                 return
+            if bias is not None:
+                _accumulate(bias, out.grad.sum(axis=0))
             _accumulate(a, out.grad @ b.data.T)
             _accumulate(b, a.data.T @ out.grad)
 
@@ -328,40 +321,49 @@ class Tape:
         self._backprops.append(back)
         return out
 
-    def bilinear(self, p: Tensor, rows: Sequence[int], u: Tensor, r: Tensor) -> Tensor:
-        """scores[k, t, l] = p[rows[k]] . U[:, l, :] . r[t]  for a rank-3 operator U.
+    def bilinear(
+        self, x: Tensor, rows: Sequence[int], w_pred: Tensor, u: Tensor, w_role: Tensor
+    ) -> Tensor:
+        """scores[k, t, l] = p[rows[k]] . U[:, l, :] . r[t], p = x @ w_pred, r = x @ w_role.
 
-        Scores the selected rows of `p` against every row of `r` at once,
-        giving [len(rows), T, L]. U [d_p, L, d_r] is contracted in two
-        matmuls: pu = p[rows] @ U viewed as [d_p, L*d_r], then pu @ r^T, so
-        each score sums over the role axis j of the already summed p axis i.
-        The backward is three matmuls; repeated rows accumulate their gradients.
+        Scores the selected rows of p against every row of r at once, giving
+        [len(rows), T, L]. U [d_p, L, d_r] is contracted in two matmuls:
+        pu = p[rows] @ U viewed as [d_p, L*d_r], then pu @ r^T, so each score
+        sums over the role axis j of the already summed p axis i. Repeated
+        rows accumulate their gradients.
         """
         idx = np.asarray(rows, dtype=np.intp)
         if (
-            p.ndim != 2 or u.ndim != 3 or r.ndim != 2 or idx.ndim != 1
-            or u.shape[0] != p.shape[1] or u.shape[2] != r.shape[1]
-            or not np.all((0 <= idx) & (idx < p.shape[0]))
+            x.ndim != 2 or w_pred.ndim != 2 or u.ndim != 3 or w_role.ndim != 2
+            or idx.ndim != 1 or not w_pred.shape[0] == w_role.shape[0] == x.shape[1]
+            or u.shape[0] != w_pred.shape[1] or u.shape[2] != w_role.shape[1]
+            or not np.all((0 <= idx) & (idx < x.shape[0]))
         ):
             raise DimensionError(
-                f"bilinear: {p.shape} at rows {idx.tolist()}, {u.shape}, {r.shape}"
+                f"bilinear: {x.shape} at rows {idx.tolist()}, {w_pred.shape},"
+                f" {u.shape}, {w_role.shape}"
             )
-        picked = p.data[idx]
+        p = x.data @ w_pred.data
+        r = x.data @ w_role.data
+        picked = p[idx]
         u_flat = u.data.reshape(u.shape[0], -1)
         pu = (picked @ u_flat).reshape(len(idx), *u.shape[1:])
-        out = _unchecked((pu @ r.data.T).transpose(0, 2, 1))
+        out = _unchecked((pu @ r.T).transpose(0, 2, 1))
 
         def back() -> None:
             if out.grad is None:
                 return
             g = out.grad
-            g_pu = (g.transpose(0, 2, 1) @ r.data).reshape(len(idx), -1)
+            g_pu = (g.transpose(0, 2, 1) @ r).reshape(len(idx), -1)
             g_r = g.transpose(1, 0, 2).reshape(r.shape[0], -1) @ pu.reshape(-1, r.shape[1])
-            _accumulate(r, g_r)
             _accumulate(u, (picked.T @ g_pu).reshape(u.shape))
-            g_p = np.zeros_like(p.data)
+            g_p = np.zeros_like(p)
             np.add.at(g_p, idx, g_pu @ u_flat.T)
-            _accumulate(p, g_p)
+            # the role projection's gradient reaches x before the predicate one's
+            _accumulate(x, g_r @ w_role.data.T)
+            _accumulate(w_role, x.data.T @ g_r)
+            _accumulate(x, g_p @ w_pred.data.T)
+            _accumulate(w_pred, x.data.T @ g_p)
 
         self._backprops.append(back)
         return out
@@ -437,15 +439,18 @@ class Tape:
 
     # -- reverse pass -------------------------------------------------------
 
-    def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(leaf) into every reachable tensor's grad.
+    def backward(self, *losses: Tensor) -> None:
+        """Accumulate d(sum of losses)/d(leaf) into every reachable tensor's grad.
 
-        Replays the recorded ops in exact reverse execution order. Tensors
-        (and therefore Parameters) not on any path to `loss` are untouched.
+        Seeds each scalar loss with 1.0, then replays the recorded ops in
+        exact reverse execution order. Tensors (and therefore Parameters)
+        not on any path to a loss are untouched.
         """
-        if loss.ndim != 0:
-            raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-        _accumulate(loss, np.ones(()))
+        if not losses or not all(isinstance(x, Tensor) and x.ndim == 0 for x in losses):
+            got = [x.shape if isinstance(x, Tensor) else type(x).__name__ for x in losses]
+            raise ContractError(f"backward needs one or more scalar loss tensors, got {got}")
+        for loss in losses:
+            _accumulate(loss, np.ones(()))
         for fn in reversed(self._backprops):
             fn()
 

@@ -181,13 +181,12 @@ def train(config: RunConfig, emit: Callable[[str], None] | None = None) -> Train
                 harden=config.harden_self_parse,
                 **train_data.forward_kwargs(int(i)),
             )
-            total = bundle.total.item()
-            if not np.isfinite(total):
+            if not np.isfinite(bundle.total):
                 raise NonFiniteError(
                     f"loss diverged at epoch {epoch}, sentence {int(i)}"
                 )
             model.reset_gradients()
-            tape.backward(bundle.total)
+            tape.backward(bundle.srl, bundle.parse, bundle.pos_pred)
             norm = np.sqrt(
                 sum(float((p.gradient ** 2).sum()) for p in model.parameters())
             )

@@ -14,8 +14,8 @@ syntax strictly determines the semantic roles:
     any other token                -> O
 
 Every argument's span is its subtree's yield, read from one head ->
-children map built once per tree; a yield that is not contiguous is an
-EncodingError.
+children map built once per tree; a yield that is not contiguous, or a
+walk that meets a cycle of heads, is an EncodingError.
 
 Prepositional phrases after an object attach either to the verb (the PP is
 an AM-LOC argument) or to the object noun (the PP merely extends the A1
@@ -98,14 +98,17 @@ def full_vocabulary(grammar: GrammarParams) -> list[str]:
 # Path -> role map
 
 
-def subtree_span(children, root: int) -> tuple[int, int]:
-    """Inclusive yield bounds of a node under a head -> children map; the
-    yield must be contiguous."""
+def subtree_span(children, root: int, n_tokens: int) -> tuple[int, int]:
+    """Inclusive yield bounds of a node under the head -> children map of an
+    n_tokens-token sentence; the yield must be contiguous, and a walk of
+    more than n_tokens nodes has met a cycle."""
     nodes = []
     stack = [root]
     while stack:
         n = stack.pop()
         nodes.append(n)
+        if len(nodes) > n_tokens:
+            raise EncodingError(f"heads form a cycle under token {root}")
         stack.extend(children[n])
     lo, hi = min(nodes), max(nodes)
     if len(nodes) != hi - lo + 1:
@@ -128,16 +131,16 @@ def roles_from_tree(pos, heads, predicates) -> dict[int, tuple[str, ...]]:
         kids = children[p]  # ascending: built in token order
         left_nn = [c for c in kids if c < p and pos[c] == "NN"]
         if left_nn:
-            spans.append(RoleSpan(*subtree_span(children, left_nn[-1]), "A0"))
+            spans.append(RoleSpan(*subtree_span(children, left_nn[-1], t_len), "A0"))
         right_nn = [c for c in kids if c > p and pos[c] == "NN"]
         for label, c in zip(("A1", "A2"), right_nn):
-            spans.append(RoleSpan(*subtree_span(children, c), label))
+            spans.append(RoleSpan(*subtree_span(children, c, t_len), label))
         for c in kids:
             if pos[c] == "MD":
                 spans.append(RoleSpan(c, c, "AM-MOD"))
             elif pos[c] == "IN":
                 label = "AM-TMP" if c < p else "AM-LOC"
-                spans.append(RoleSpan(*subtree_span(children, c), label))
+                spans.append(RoleSpan(*subtree_span(children, c, t_len), label))
         frames[p] = spans_to_bio(spans, t_len)
     return frames
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from lisa_srl.checkpoint import load_checkpoint, save_checkpoint
 from lisa_srl.cli import main
 from lisa_srl.config import RunConfig, build_run_config, parse_config_file
-from lisa_srl.corpus import AnnotatedSentence, read_conll, read_heads_file
+from lisa_srl.corpus import AnnotatedSentence, read_conll, read_heads_file, write_conll
 from lisa_srl.embed import (
     gen_contextual_layers,
     read_contextual,
@@ -28,6 +28,7 @@ from lisa_srl.errors import (
     CompatibilityError,
     ConfigError,
     CorpusFormatError,
+    EncodingError,
     LisaError,
     NonFiniteError,
 )
@@ -45,6 +46,7 @@ from lisa_srl.pipeline import (
     predict,
     train,
 )
+from lisa_srl.synth import roles_from_tree
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +236,31 @@ def test_gen_synth_bytes_are_pinned(tmp_path):
     assert digests == PINNED_GEN_SYNTH
 
 
+PINNED_CTXL = {
+    "train.ctxl": "1f07ab8bed320df2f4804ffc6657d3e07ab7ae47220682e15ba0107cdd687ad7",
+    "dev.ctxl": "a8bfa0d9668d936527fa68a81a8fb130d49e968687f073ba0e0f8cf77b2cbcaa",
+    "test.ctxl": "cf43bf034c22628b2f42641882a693d720a1c5e74c85e6dad44229df18dd6150",
+    "test-shifted.ctxl": "bc017b27fc0a8059587c5587a5e12812542fa134e93363b250eb2874e7032976",
+}
+
+
+def test_gen_synth_contextual_bytes_are_pinned(tmp_path):
+    written = gen_synth(GenSynthParams(out_dir=str(tmp_path), n_train=30, n_dev=10,
+                                       n_test=20, seed=5, dim=16, with_contextual=True))
+    digests = {Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest()
+               for p in written if p.endswith(".ctxl")}
+    assert digests == PINNED_CTXL
+
+
+def test_cli_gen_synth_defaults_are_the_params_defaults(tmp_path, capsys):
+    assert main(["gen-synth", "--out-dir", str(tmp_path / "cli")]) == 0
+    written = gen_synth(GenSynthParams(out_dir=str(tmp_path / "lib")))
+    names = sorted(p.name for p in (tmp_path / "cli").iterdir())
+    assert names == sorted(Path(p).name for p in written)
+    for name in names:
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+
+
 class _FixedDraws:
     """An rng stand-in: every token is corrupted, every wrong-head draw is k."""
 
@@ -347,9 +374,10 @@ def test_non_finite_gradient_aborts_before_the_update(
 ):
     backward = Tape.backward
 
-    def backward_from_inf(self, loss):
-        loss.grad = np.array(np.inf)  # the seed every other gradient scales
-        backward(self, loss)
+    def backward_from_inf(self, *losses):
+        for loss in losses:
+            loss.grad = np.array(np.inf)  # the seeds every other gradient scales
+        backward(self, *losses)
 
     monkeypatch.setattr(Tape, "backward", backward_from_inf)
     with np.errstate(invalid="ignore"):
@@ -401,8 +429,8 @@ def test_checkpoint_round_trip_is_bitwise(data_dir, tmp_path):
 
     probe = read_conll(config.dev_path)[:3]
     for sent in probe:
-        a = result.model.loss(Tape(), sent).total.item()
-        b = loaded.model.loss(Tape(), sent).total.item()
+        a = result.model.loss(Tape(), sent).total
+        b = loaded.model.loss(Tape(), sent).total
         assert a == b  # bitwise, not approx
 
 
@@ -678,6 +706,71 @@ def test_mutated_inputs_load_or_raise_a_lisa_error(valid_inputs, tmp_path_factor
         READERS[kind](path)
     except LisaError:
         pass
+
+
+def _sentence_lengths(lines: list[str]) -> list[int]:
+    """For each line of a .conll text, the token count of its sentence (0 on
+    a blank line)."""
+    out, start = [], 0
+    for i, line in enumerate(lines + [""]):
+        if not line:
+            out.extend([i - start] * (i - start) + [0])
+            start = i + 1
+    return out[: len(lines)]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_head_rewrites_load_as_trees_or_raise_a_lisa_error(
+    valid_inputs, tmp_path_factory, data
+):
+    # in-range heads rewritten at random: many form cycles or extra roots
+    lines = valid_inputs["conll"].decode("utf-8").split("\n")
+    lengths = _sentence_lengths(lines)
+    rows = [i for i, n in enumerate(lengths) if n]
+    for _ in range(data.draw(st.integers(1, 3), label="rewrites")):
+        i = data.draw(st.sampled_from(rows), label="line")
+        cols = lines[i].split("\t")
+        cols[2] = str(data.draw(st.integers(0, lengths[i] - 1), label="head"))
+        lines[i] = "\t".join(cols)
+    path = tmp_path_factory.getbasetemp() / "rewritten.conll"
+    path.write_text("\n".join(lines))
+    try:
+        for sent in read_conll(path):
+            root = sent.root()
+            for t in range(len(sent)):  # every chain of heads ends at the root
+                for _ in range(len(sent)):
+                    t = sent.heads[t]
+                assert t == root
+    except CorpusFormatError as err:
+        assert "root" in str(err) or "heads form a cycle" in str(err), err
+    # repair mode keeps any heads; the role walk still returns or raises
+    for sent in read_conll(path, repair=True):
+        try:
+            roles_from_tree(sent.pos, sent.heads, sent.predicates)
+        except EncodingError:
+            pass
+
+
+def test_cli_gold_heads_with_a_cycle_are_one_format_error_line(data_dir, tmp_path, capsys):
+    corpus = read_conll(data_dir / "dev.conll")
+    k = 2
+    sent = corpus[k]
+    a, b = [t for t in range(len(sent)) if sent.heads[t] != t][:2]
+    heads = list(sent.heads)
+    heads[a], heads[b] = b, a
+    corpus[k] = dataclasses.replace(sent, heads=tuple(heads))
+    write_conll(tmp_path / "dev.conll", corpus)
+    code = main(["train", "--epochs", "1",
+                 "--train-path", str(data_dir / "train.conll"),
+                 "--dev-path", str(tmp_path / "dev.conll"),
+                 "--pretrained-path", str(data_dir / "pretrained.vec")])
+    assert code == 1
+    first_line = sum(len(s) + 1 for s in corpus[:k]) + 1
+    assert _one_error_line(capsys, "corpus-format") == (
+        f"error category=corpus-format: line {first_line}: heads form a cycle"
+        f" through token {a} ({sent.tokens[a]!r})"
+    )
 
 
 def test_checkpoint_tensor_rank_beyond_numpy_is_a_format_error(

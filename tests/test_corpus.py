@@ -210,6 +210,63 @@ def test_read_rejects_multiple_roots_strict_only(tmp_path):
     assert len(sents) == 1
 
 
+def test_read_rejects_a_cycle_of_heads_strict_only(tmp_path):
+    # one self-loop root at 2, and tokens 0 and 1 each other's heads
+    p = tmp_path / "bad.conll"
+    p.write_text("a\tNN\t1\t-\nb\tVB\t0\t-\nc\tDT\t2\t-\n\n"
+                 "d\tNN\t0\t-\n")
+    with pytest.raises(CorpusFormatError) as err:
+        read_conll(p)
+    assert str(err.value) == "line 1: heads form a cycle through token 0 ('a')"
+    assert [s.heads for s in read_conll(p, repair=True)] == [(1, 0, 2), (0,)]
+    # a cycle longer than two, past the root, in a later sentence
+    p.write_text("a\tNN\t0\t-\n\nb\tNN\t0\t-\nc\tNN\t2\t-\nd\tNN\t3\t-\n"
+                 "e\tNN\t1\t-\n")
+    with pytest.raises(CorpusFormatError, match="^line 3: .* through token 1 \\('c'\\)$"):
+        read_conll(p)
+    # the root count is checked first: no root means a cycle, two roots none
+    for heads in ("1 0", "1 0 2 3"):
+        p.write_text("".join(f"w\tNN\t{h}\t-\n" for h in heads.split()))
+        with pytest.raises(CorpusFormatError, match="expected one self-loop root"):
+            read_conll(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda t: st.lists(st.integers(0, t - 1), min_size=t,
+                                                     max_size=t)))
+def test_read_accepts_exactly_the_trees(tmp_path_factory, heads):
+    p = tmp_path_factory.getbasetemp() / "heads.conll"
+    p.write_text("".join(f"w{t}\tNN\t{h}\t-\n" for t, h in enumerate(heads)))
+    n, roots = len(heads), [t for t, h in enumerate(heads) if h == t]
+
+    def climb(t, steps):
+        for _ in range(steps):
+            t = heads[t]
+        return t
+
+    if len(roots) == 1 and all(climb(t, n) == roots[0] for t in range(n)):
+        assert read_conll(p)[0].heads == tuple(heads)
+        return
+    with pytest.raises(CorpusFormatError) as err:
+        read_conll(p)
+    if len(roots) != 1:
+        assert str(err.value) == f"line 1: expected one self-loop root, found {len(roots)}"
+    else:  # the named token is on a cycle: its chain comes back to it
+        t = int(str(err.value).split("through token ")[1].split()[0])
+        assert str(err.value) == f"line 1: heads form a cycle through token {t} ('w{t}')"
+        assert any(climb(t, k) == t for k in range(1, n + 1))
+
+
+def test_roles_reject_a_cycle_of_heads():
+    # each walk is bounded by the sentence length, so neither call spins
+    for pos, heads, predicates in [
+        (("NN", "VB", "DT"), (1, 0, 2), (False, True, False)),
+        (("NN", "VB"), (1, 0), (False, True)),
+    ]:
+        with pytest.raises(EncodingError, match="heads form a cycle under token 0"):
+            roles_from_tree(pos, heads, predicates)
+
+
 def test_read_rejects_nonempty_extra_column(tmp_path):
     p = tmp_path / "bad.conll"
     p.write_text("a\tNN\t0\t-\tB-A0\n")
@@ -234,6 +291,9 @@ def test_read_rejects_nonempty_extra_column(tmp_path):
         ("a\tNN\tx\t-\tO\n\nb\tNN\n", "line 1: bad head index 'x'"),
         ("a\tNN\t0\t-\tO\n\nb\tNN\t1\t-\tO\nc\tNN\t1\tN\tO\nd\tNN\t9\t-\tO\n",
          "line 4: predicate marker must be Y or -, got 'N'"),
+        # a cycle of heads is checked after every other fault
+        ("a\tNN\t1\tQ\tO\nb\tNN\t0\t-\tO\nc\tNN\t2\t-\tO\n",
+         "line 1: predicate marker must be Y or -, got 'Q'"),
     ],
 )
 def test_read_with_two_faults_names_one_line_in_check_order(tmp_path, text, message):

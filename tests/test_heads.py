@@ -12,6 +12,7 @@ from lisa_srl.corpus import AnnotatedSentence, LabelSpace
 from lisa_srl.errors import ContractError
 from lisa_srl.numerics import Parameter, Tape, Tensor, finite_difference_check, softmax
 from lisa_srl.heads import (
+    LossBundle,
     PosPredHead,
     SrlScorer,
     decode_pos_pred,
@@ -19,7 +20,6 @@ from lisa_srl.heads import (
     pos_pred_loss,
     srl_loss,
     srl_scores,
-    total_loss,
 )
 
 JOINT = LabelSpace(["DT", "NN", "VB", "VB:predicate"])
@@ -152,14 +152,16 @@ def test_role_distributions_normalized():
 
 
 def test_total_loss_sums_components():
-    tape = Tape()
-    bundle = total_loss(tape, Tensor(1.0), Tensor(2.0), Tensor(3.0))
-    assert bundle.total.item() == 6.0
+    bundle = LossBundle(Tensor(1.0), Tensor(2.0), Tensor(3.0))
+    assert bundle.total == 6.0
     assert bundle.values() == {"srl": 1.0, "parse": 2.0, "pos_pred": 3.0, "total": 6.0}
+    # (srl + parse) + pos, the order the sum was once recorded on the tape
+    bundle = LossBundle(Tensor(1e16), Tensor(1.0), Tensor(1.0))
+    assert bundle.total == (1e16 + 1.0) + 1.0 != 1e16 + (1.0 + 1.0)
 
 
 def test_total_gradient_is_sum_of_component_gradients():
-    # backward through the sum once vs separate backward passes per part
+    # one backward seeding every part vs separate backward passes per part
     rng = np.random.default_rng(8)
     w = Parameter("w", rng.normal(size=(2, 2)))
     x = Tensor(rng.normal(size=(2, 2)))
@@ -172,9 +174,9 @@ def test_total_gradient_is_sum_of_component_gradients():
         return a, b, c
 
     tape = Tape()
-    bundle = total_loss(tape, *build(tape))
+    components = build(tape)
     w.reset_gradient()
-    tape.backward(bundle.total)
+    tape.backward(*components)
     total_grad = w.gradient.copy()
 
     parts = np.zeros_like(total_grad)

@@ -62,6 +62,49 @@ class TestMatmul:
         assert np.abs(a.grad - expect_a).max() <= 1e-12
         assert np.abs(b.grad - expect_b).max() <= 1e-12
 
+    def test_bias_is_added_to_every_row(self):
+        out = Tape().matmul(
+            Tensor(np.eye(2)), Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([10.0, 20.0])
+        )
+        assert np.array_equal(out.data, [[11.0, 22.0], [13.0, 24.0]])
+        with pytest.raises(DimensionError, match=r"\(2, 2\) \+ \(3,\)"):
+            Tape().matmul(Tensor(np.eye(2)), Tensor(np.eye(2)), Tensor(np.zeros(3)))
+
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_finite_differences_with_bias(self, m):
+        rng = np.random.default_rng(40 + m)
+        params = [Parameter(n, rng.standard_normal(s)) for n, s in
+                  (("a", (m, 3)), ("b", (3, 5)), ("bias", (5,)))]
+        probe = Tensor(rng.standard_normal((m, 5)))
+
+        def run(backward=False) -> float:
+            t = Tape()
+            loss = probe_sum(t, t.matmul(*(p.value for p in params)), probe)
+            if backward:
+                t.backward(loss)
+            return loss.item()
+
+        for p in params:
+            p.reset_gradient()
+        run(backward=True)
+        for p in params:
+            assert finite_difference_check(run, p, 1e-5) < 1e-8, p.name
+
+    def test_bias_equals_a_separate_row_add_bitwise(self):
+        # a @ b, then the bias added to every row as its own op: the bias
+        # gradient is the column sum of the upstream gradient
+        rng = np.random.default_rng(41)
+        a, b = rng.standard_normal((7, 64)), rng.standard_normal((64, 9))
+        bias = rng.standard_normal(9)
+        g = rng.standard_normal((7, 9))
+        inputs = Tensor(a), Tensor(b), Tensor(bias)
+        t = Tape()
+        out = t.matmul(*inputs)
+        t.backward(probe_sum(t, out, g))
+        assert np.array_equal(out.data, a @ b + bias[None, :])
+        for tensor, want in zip(inputs, (g @ b.T, a.T @ g, g.sum(axis=0))):
+            assert np.array_equal(tensor.grad, want)
+
 
 class TestSoftmaxRows:
     """`softmax` over the last axis, so over the rows of a matrix."""
@@ -112,6 +155,40 @@ class TestBackward:
         with pytest.raises(ContractError):
             t.backward(out)
 
+    def test_missing_or_non_tensor_loss_rejected(self):
+        t = Tape()
+        loss = probe_sum(t, Tensor([1.0, 2.0]))
+        for losses in ((), (loss, 1.0), (np.ones(()),)):
+            with pytest.raises(ContractError):
+                t.backward(*losses)
+        with pytest.raises(ContractError, match=r"\(2,\)"):
+            t.backward(loss, Tensor([1.0, 2.0]))
+
+    def test_several_losses_equal_their_sum_on_the_tape_bitwise(self):
+        # seeding each loss with 1.0 gives, bit for bit, the gradients of
+        # (a + b) + c recorded as two add ops
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((4, 3)) * 3.0
+        w, bias = rng.standard_normal((3, 5)), rng.standard_normal(5)
+        probe = rng.standard_normal((4, 5))
+
+        def losses(t):
+            inputs = Tensor(x), Tensor(w), Tensor(bias)
+            h = t.matmul(*inputs)
+            a = t.cross_entropy(h, [4, 0, 1, 1])
+            b = probe_sum(t, h, probe)
+            c = t.cross_entropy(t.matmul(inputs[0], inputs[1]), [2, 2, 3, 0])
+            return inputs, (a, b, c)
+
+        t = Tape()
+        summed, (a, b, c) = losses(t)
+        t.backward(t.add(t.add(a, b), c))
+        t = Tape()
+        seeded, parts = losses(t)
+        t.backward(*parts)
+        for want, got in zip(summed, seeded):
+            assert np.array_equal(want.grad, got.grad)
+
     def test_unreachable_parameter_untouched(self):
         p = Parameter("unused", np.ones((2, 2)))
         q = Parameter("used", np.ones((2, 2)))
@@ -144,11 +221,13 @@ class TestBackward:
 class TestCompositeOps:
     def test_bilinear_matches_triple_loop(self):
         rng = np.random.default_rng(11)
-        p = rng.standard_normal((4, 3))
+        x = rng.standard_normal((6, 2))
+        w_pred = rng.standard_normal((2, 3))
         u = rng.standard_normal((3, 4, 5))
-        r = rng.standard_normal((6, 5))
+        w_role = rng.standard_normal((2, 5))
         rows = [3, 1]
-        out = Tape().bilinear(Tensor(p), rows, Tensor(u), Tensor(r))
+        out = Tape().bilinear(Tensor(x), rows, Tensor(w_pred), Tensor(u), Tensor(w_role))
+        p, r = matmul_oracle(x, w_pred), matmul_oracle(x, w_role)
         expect = np.zeros((2, 6, 4))
         for k, row in enumerate(rows):
             for tt in range(6):
@@ -535,74 +614,125 @@ class TestCrossEntropy:
         assert finite_difference_check(run, x, 1e-5) < 1e-8
 
 
+def unfused_bilinear(x, rows, w_pred, u, w_role, g, held):
+    """The scores and the gradients of x, w_pred, u and w_role as three ops
+    compute them: the predicate projection, the role projection, then the
+    scorer, with the backward replayed in reverse (the role projection's
+    gradient reaches x, which already holds `held`, before the predicate
+    projection's)."""
+    p, r = x @ w_pred, x @ w_role
+    u_flat = u.reshape(u.shape[0], -1)
+    pu = (p[rows] @ u_flat).reshape(len(rows), *u.shape[1:])
+    out = (pu @ r.T).transpose(0, 2, 1)
+    g_pu = (g.transpose(0, 2, 1) @ r).reshape(len(rows), -1)
+    g_r = g.transpose(1, 0, 2).reshape(len(x), -1) @ pu.reshape(-1, r.shape[1])
+    g_p = np.zeros_like(p)
+    np.add.at(g_p, rows, g_pu @ u_flat.T)
+    g_x = held + g_r @ w_role.T
+    g_x += g_p @ w_pred.T
+    grads = {"x": g_x, "w_pred": x.T @ g_p, "w_role": x.T @ g_r}
+    grads["u"] = (p[rows].T @ g_pu).reshape(u.shape)
+    return out, grads
+
+
 class TestBilinear:
     @staticmethod
-    def _inputs(seed, n_rows=6, d_p=3, n_labels=4, d_r=5, t_len=4):
+    def _inputs(seed, d=2, d_p=3, n_labels=4, d_r=5, t_len=4):
         rng = np.random.default_rng(seed)
-        return (
-            rng,
-            Parameter("p", rng.standard_normal((n_rows, d_p))),
-            Parameter("u", rng.standard_normal((d_p, n_labels, d_r))),
-            Parameter("r", rng.standard_normal((t_len, d_r))),
-        )
+        return rng, [
+            Parameter(name, rng.standard_normal(shape)) for name, shape in (
+                ("x", (t_len, d)),
+                ("w_pred", (d, d_p)),
+                ("u", (d_p, n_labels, d_r)),
+                ("w_role", (d, d_r)),
+            )
+        ]
+
+    @staticmethod
+    def _call(t, params, rows):
+        x, w_pred, u, w_role = (p.value for p in params)
+        return t.bilinear(x, rows, w_pred, u, w_role)
 
     def test_batched_equals_a_per_row_loop(self):
         # BLAS blocks a batched product differently from one row at a time,
         # so the two agree to rounding, not bitwise
         close = functools.partial(np.testing.assert_allclose, rtol=1e-13, atol=1e-13)
         for seed in range(40):
-            rng, p, u, r = self._inputs(seed, t_len=int(seed % 7) + 1)
-            n_rows = seed % 4 + 1
-            rows = [int(i) for i in rng.integers(0, 6, n_rows)]
+            t_len = int(seed % 7) + 1
+            rng, params = self._inputs(seed, t_len=t_len)
+            x, w_pred, u, w_role = (p.value.data for p in params)
+            rows = [int(i) for i in rng.integers(0, t_len, seed % 4 + 1)]
             t = Tape()
-            out = t.bilinear(p.value, rows, u.value, r.value)
+            out = self._call(t, params, rows)
             g = rng.standard_normal(out.shape)
             t.backward(probe_sum(t, out, g))
             # the per-row form of the two-matmul contraction
-            u_flat = u.value.data.reshape(3, -1)
-            expect_p = np.zeros_like(p.value.data)
+            p, r, u_flat = x @ w_pred, x @ w_role, u.reshape(3, -1)
+            expect_p = np.zeros_like(p)
             expect_u = np.zeros_like(u_flat)
-            expect_r = np.zeros_like(r.value.data)
+            expect_r = np.zeros_like(r)
             for k, row in enumerate(rows):
-                pu = (p.value.data[row] @ u_flat).reshape(4, 5)
-                close(out.data[k], r.value.data @ pu.T)
-                g_pu = (g[k].T @ r.value.data).reshape(-1)
+                pu = (p[row] @ u_flat).reshape(4, 5)
+                close(out.data[k], r @ pu.T)
+                g_pu = (g[k].T @ r).reshape(-1)
                 expect_p[row] += u_flat @ g_pu
-                expect_u += np.outer(p.value.data[row], g_pu)
+                expect_u += np.outer(p[row], g_pu)
                 expect_r += g[k] @ pu
-            close(p.gradient, expect_p)
-            close(u.gradient, expect_u.reshape(u.gradient.shape))
-            close(r.gradient, expect_r)
+            close(params[0].gradient, expect_p @ w_pred.T + expect_r @ w_role.T)
+            close(params[1].gradient, x.T @ expect_p)
+            close(params[2].gradient, expect_u.reshape(u.shape))
+            close(params[3].gradient, x.T @ expect_r)
+
+    @pytest.mark.parametrize("t_len,d", [(1, 2), (4, 2), (9, 64)])
+    def test_equals_unfused_composition_bitwise(self, t_len, d):
+        rng, params = self._inputs(60 + t_len, d=d, d_p=5, d_r=5, t_len=t_len)
+        rows = [t_len - 1, 0, t_len - 1]  # repeated rows accumulate
+        # a gradient x holds already: the order of the two sums into it shows
+        held = rng.standard_normal((t_len, d)) * 1e3
+        params[0].value.grad[...] = held
+        t = Tape()
+        out = self._call(t, params, rows)
+        g = rng.standard_normal(out.shape)
+        t.backward(probe_sum(t, out, g))
+        x, w_pred, u, w_role = (p.value.data for p in params)
+        want, want_grads = unfused_bilinear(x, rows, w_pred, u, w_role, g, held)
+        assert np.array_equal(out.data, want)
+        for p in params:
+            assert np.array_equal(p.gradient, want_grads[p.name]), p.name
 
     def test_rejects_bad_rows_and_shapes(self):
-        _, p, u, r = self._inputs(0)
+        _, params = self._inputs(0)
+        x, w_pred, u, w_role = (p.value for p in params)
         with pytest.raises(DimensionError):
-            Tape().bilinear(p.value, [6], u.value, r.value)
+            Tape().bilinear(x, [4], w_pred, u, w_role)
         with pytest.raises(DimensionError):
-            Tape().bilinear(p.value, [[0]], u.value, r.value)
+            Tape().bilinear(x, [[0]], w_pred, u, w_role)
         with pytest.raises(DimensionError):
-            Tape().bilinear(r.value, [0], u.value, r.value)
+            Tape().bilinear(x, [0], w_role, u, w_role)
+        with pytest.raises(DimensionError):
+            Tape().bilinear(x, [0], w_pred, u, w_pred)
+        with pytest.raises(DimensionError):
+            Tape().bilinear(w_pred, [0], w_pred, u, w_role)
 
     @pytest.mark.parametrize("rows", [[4], [5, 0, 2], [2, 0, 2]])
     def test_finite_differences(self, rows):
-        for t_len in (4, 1):
-            rng, p, u, r = self._inputs(len(rows), t_len=t_len)
+        # six tokens, then one token that every row reads
+        for t_len, at in ((6, rows), (1, [0] * len(rows))):
+            rng, params = self._inputs(len(rows), t_len=t_len)
             probe = Tensor(rng.standard_normal((len(rows), t_len, 4)))
 
             def run(backward=False) -> float:
                 t = Tape()
-                loss = probe_sum(t, t.bilinear(p.value, rows, u.value, r.value), probe)
+                loss = probe_sum(t, self._call(t, params, at), probe)
                 if backward:
                     t.backward(loss)
                 return loss.item()
 
-            for param in (p, u, r):
+            for param in params:
                 param.reset_gradient()
             run(backward=True)
-            for param in (p, u, r):
+            for param in params:
                 assert finite_difference_check(run, param, 1e-5) < 1e-8, (param.name, t_len)
-            unused = [i for i in range(6) if i not in rows]
-            assert np.array_equal(p.gradient[unused], np.zeros((len(unused), 3)))
 
 
 class TestFirstWriteGradients:
@@ -623,25 +753,25 @@ class TestFirstWriteGradients:
             return made[-1]
 
         # h1 and h2 are square, so any two of them multiply
-        h1, h2 = op("matmul", made[0], w1.value), op("matmul", made[0], w2.value)
+        h1, h2 = op("matmul", made[0], w1.value), op("matmul", made[0], w2.value, b.value)
         if kind == "add(x, x)":
-            out = op("matmul", op("add", h1, h1), op("add_row", h2, b.value))
+            out = op("matmul", op("add", h1, h1), h2)
         elif kind == "mul(x, x)":  # the matrix product of h1 with itself
-            out = op("add", op("matmul", h1, h1), op("add_row", h2, b.value))
-        elif kind == "add_row":
-            a = op("add_row", h1, b.value)
-            out = op("matmul", op("matmul", a, op("add_row", a, b.value)), h2)
+            out = op("add", op("matmul", h1, h1), h2)
+        elif kind == "bias":  # one bias vector fed to three products
+            a = op("matmul", h1, h2, b.value)
+            out = op("matmul", op("matmul", a, a, b.value), h2)
         else:
             # add(s, r) feeds s and r, s = add(h1, h2) feeds h1 and h2, and
             # the first matmul's backward, replayed last, adds into both once more
             r = op("matmul", h1, h2)
             s = op("add", h1, h2)
-            u = op("add_row", op("add", s, r), b.value)
-            out = op("matmul", u, u)
+            u = op("add", s, r)
+            out = op("matmul", u, u, b.value)
         made.append(probe_sum(t, out))
         return t, made[-1], made
 
-    @pytest.mark.parametrize("kind", ["add(x, x)", "mul(x, x)", "add_row", "fan-out"])
+    @pytest.mark.parametrize("kind", ["add(x, x)", "mul(x, x)", "bias", "fan-out"])
     def test_finite_differences_and_no_shared_buffers(self, kind):
         rng = np.random.default_rng(8)
         w1 = Parameter("w1", rng.standard_normal((4, 3)))
