@@ -41,13 +41,13 @@ def run(work: Path) -> None:
 
     mix0 = ScalarMix.build(store.n_layers)  # the mix has one weight per layer
     print(f"\nbefore training: coefficients {mix0.coefficients().round(4).tolist()} "
-          f"(uniform), gamma {float(mix0.gamma.value.data):.4f}")
+          f"(uniform), gamma {float(mix0.gamma.data):.4f}")
 
     result = train(config)
     mix = result.model.mix
     coeffs = mix.coefficients()
     print(f"after 60 epochs:  coefficients {coeffs.round(4).tolist()}, "
-          f"gamma {float(mix.gamma.value.data):.4f}")
+          f"gamma {float(mix.gamma.data):.4f}")
     print(f"coefficients still sum to 1: {np.isclose(coeffs.sum(), 1.0)}")
     print(f"\nbest dev F1 {result.best_dev_f1:.4f}. The mix shifted most of "
           "its weight onto layer 0,")

@@ -25,7 +25,7 @@ from lisa_srl.corpus import (
     write_conll,
     write_heads_file,
 )
-from lisa_srl.decode import DecodeProblem, brute_force_decode, viterbi_decode
+from lisa_srl.decode import brute_force_decode, viterbi_decode
 from lisa_srl.encoder import ParseSource, extract_parse
 from lisa_srl.errors import LisaError
 from lisa_srl.evaluation import (
@@ -58,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnnotatedSentence",
-    "DecodeProblem",
     "GenSynthParams",
     "GrammarParams",
     "LabelSpace",

@@ -57,7 +57,7 @@ class LoadedCheckpoint:
 
 
 def _gather_tensors(model: LisaModel, transitions: TransitionTable) -> dict[str, np.ndarray]:
-    tensors = {p.name: np.asarray(p.value.data, dtype=np.float64) for p in model.parameters()}
+    tensors = {p.name: np.asarray(p.data, dtype=np.float64) for p in model.parameters()}
     if model.static_table is not None:
         table = model.static_table
         rows = np.stack([table.pretrained[w] for w in sorted(table.pretrained)])
@@ -77,7 +77,7 @@ def save_checkpoint(
     transitions: TransitionTable,
 ) -> None:
     for p in model.parameters():
-        if not np.all(np.isfinite(p.value.data)):
+        if not np.all(np.isfinite(p.data)):
             raise NonFiniteError(f"refusing to checkpoint non-finite parameter {p.name}")
     meta = {
         "config": dataclasses.asdict(config),

@@ -83,12 +83,6 @@ class AnnotatedSentence:
     def predicate_indices(self) -> list[int]:
         return [i for i, p in enumerate(self.predicates) if p]
 
-    def root(self) -> int:
-        roots = [i for i, h in enumerate(self.heads) if h == i]
-        if len(roots) != 1:
-            raise CorpusFormatError(f"expected exactly one self-loop root, found {roots}")
-        return roots[0]
-
 
 class LabelSpace:
     """Bijective label-string <-> dense-index map with contiguous indices."""

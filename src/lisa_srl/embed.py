@@ -47,9 +47,9 @@ class StaticTable:
 
     def __post_init__(self) -> None:
         self.index = {w: i for i, w in enumerate(self.words)}
-        if self.residual.value.shape[0] != len(self.words):
+        if self.residual.shape[0] != len(self.words):
             raise ConfigError(
-                f"residual table has {self.residual.value.shape[0]} rows for "
+                f"residual table has {self.residual.shape[0]} rows for "
                 f"{len(self.words)} training words"
             )
 
@@ -80,33 +80,19 @@ class StaticTable:
         return base, [self.index.get(w, -1) for w in tokens]
 
 
-@dataclass
-class ConvLayer:
-    """One width-3 convolution given by per-offset matrices and a bias."""
+def init_conv_stack(
+    k: int, d: int, prefix: str, make=new_parameter
+) -> list[tuple[Parameter, ...]]:
+    """K zero-initialized convolutions, each a (left, center, right, bias)
+    tuple of `Tape.conv_block` operands.
 
-    w_left: Parameter
-    w_center: Parameter
-    w_right: Parameter
-    bias: Parameter
-
-    def parameters(self) -> list[Parameter]:
-        return [self.w_left, self.w_center, self.w_right, self.bias]
-
-    def block(self, tape: Tape, x: Tensor) -> Tensor:
-        """The residual block x + conv3(relu(x)); neighbours out of range read zero."""
-        return tape.conv_block(x, *(p.value for p in self.parameters()))
-
-
-def init_conv_stack(k: int, d: int, prefix: str, make=new_parameter) -> list[ConvLayer]:
-    """K zero-initialized convolutions.
-
-    Together with the residual form x + conv3(relu(x)) of `block`, zero
+    Together with the residual form x + conv3(relu(x)) of the block, zero
     taps make each layer an exact identity at step 0 (depth cannot destroy
     signal) while the relu sits before the convolution, so tap gradients
     are alive from the first step.
     """
     return [
-        ConvLayer(
+        (
             *(make(f"{prefix}.c{i}.{tap}", (d, d)) for tap in ("left", "center", "right")),
             make(f"{prefix}.c{i}.bias", (d,)),
         )
@@ -117,9 +103,9 @@ def init_conv_stack(k: int, d: int, prefix: str, make=new_parameter) -> list[Con
 def static_embed(tape: Tape, tokens, table: StaticTable, convs) -> Tensor:
     """(pretrained + residual) per token, K residual convolutions, encodings."""
     base, rows = table.lookup(tokens)
-    x = tape.gather_add(base, table.residual.value, rows)
-    for layer in convs:
-        x = layer.block(tape, x)
+    x = tape.gather_add(base, table.residual, rows)
+    for conv in convs:
+        x = tape.conv_block(x, *conv)
     return tape.add(x, positional_encoding(len(tokens), x.shape[1]))
 
 
@@ -143,10 +129,10 @@ class ScalarMix:
 
     @property
     def n_layers(self) -> int:
-        return int(self.w.value.shape[1])
+        return int(self.w.shape[1])
 
     def coefficients(self) -> np.ndarray:
-        return softmax(self.w.value.data[0])
+        return softmax(self.w.data[0])
 
 
 def contextual_embed(tape: Tape, layers: np.ndarray, mix: ScalarMix) -> Tensor:
@@ -158,9 +144,7 @@ def contextual_embed(tape: Tape, layers: np.ndarray, mix: ScalarMix) -> Tensor:
         raise ConfigError(
             f"mix has {mix.n_layers} weights for {layers.shape[0]} layers"
         )
-    return tape.scalar_mix(
-        mix.w.value, mix.gamma.value, layers, positional_encoding(*layers.shape[1:])
-    )
+    return tape.scalar_mix(mix.w, mix.gamma, layers, positional_encoding(*layers.shape[1:]))
 
 
 # ---------------------------------------------------------------------------

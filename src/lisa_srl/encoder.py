@@ -20,9 +20,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .embed import ConvLayer, init_conv_stack
+from .embed import init_conv_stack
 from .errors import InjectionError
-from .numerics import Parameter, Tape, Tensor, new_parameter
+from .numerics import Tape, Tensor, new_parameter
 
 if TYPE_CHECKING:
     from .config import RunConfig
@@ -34,15 +34,6 @@ class ParseSource(enum.Enum):
     SELF = "self"
     EXTERNAL = "external"
     GOLD = "gold"
-
-
-@dataclass
-class LayerParams:
-    qkv: Parameter  # [d_model, H*(2*d_k+d_v)]: per head, query | key | value
-    conv: ConvLayer  # post-concat convolutional sublayer
-
-    def parameters(self) -> list[Parameter]:
-        return [self.qkv, *self.conv.parameters()]
 
 
 @dataclass
@@ -64,7 +55,11 @@ class EncoderTrace:
 
 
 class Encoder:
-    def __init__(self, config: RunConfig, layers: list[LayerParams]):
+    """`layers[j - 1]` is layer j's (qkv, conv) pair: qkv [d, H*(2*d_k+d_v)]
+    holds each head's query | key | value projections side by side, and conv
+    is the (left, center, right, bias) tuple of the convolutional sublayer."""
+
+    def __init__(self, config: RunConfig, layers: list[tuple]):
         self.config = config
         self.layers = layers
 
@@ -83,11 +78,8 @@ class Encoder:
         for j in range(1, config.n_layers + 1):
             qkv = make(f"enc.l{j}.qkv", (d, sum(widths)), draw)
             (conv,) = init_conv_stack(1, d, f"enc.l{j}", make)
-            layers.append(LayerParams(qkv, conv))
+            layers.append((qkv, conv))
         return cls(config, layers)
-
-    def parameters(self) -> list[Parameter]:
-        return [p for layer in self.layers for p in layer.parameters()]
 
     def encode(
         self,
@@ -103,7 +95,7 @@ class Encoder:
         """
         cfg = self.config
         trace = EncoderTrace()
-        for j, layer in enumerate(self.layers, start=1):
+        for j, (qkv, conv) in enumerate(self.layers, start=1):
             inject = None
             if j == cfg.parse_layer and (injected_heads is not None or harden):
 
@@ -113,11 +105,11 @@ class Encoder:
 
             # H attention heads side by side (m), then m + conv3(relu(m))
             m, logits, trace.attentions[j] = tape.attention(
-                x, layer.qkv.value, cfg.n_heads, cfg.d_k, cfg.parse_head, inject
+                x, qkv, cfg.n_heads, cfg.d_k, cfg.parse_head, inject
             )
             if j == cfg.parse_layer:
                 trace.parse_logits = logits
-            x = trace.layer_outputs[j] = layer.conv.block(tape, m)
+            x = trace.layer_outputs[j] = tape.conv_block(m, *conv)
         return x, trace
 
 

@@ -33,13 +33,10 @@ class PosPredHead:
         # because it is a single linear map over non-degenerate inputs
         return cls(make("pos.w", (d_model, len(labels))), make("pos.b", (len(labels),)), labels)
 
-    def parameters(self) -> list[Parameter]:
-        return [self.weight, self.bias]
-
 
 def pos_pred_logits(tape: Tape, s_pos_layer: Tensor, head: PosPredHead) -> Tensor:
     """Per-token logits over the joint POS/predicate space."""
-    return tape.matmul(s_pos_layer, head.weight.value, head.bias.value)
+    return tape.matmul(s_pos_layer, head.weight, head.bias)
 
 
 def pos_pred_loss(tape: Tape, logits: Tensor, sentence, head: PosPredHead) -> Tensor:
@@ -86,9 +83,6 @@ class SrlScorer:
             labels,
         )
 
-    def parameters(self) -> list[Parameter]:
-        return [self.w_pred, self.w_role, self.u]
-
 
 def srl_scores(tape: Tape, s_final: Tensor, predicates, scorer: SrlScorer) -> Tensor:
     """Bilinear role scores [P, T, |roles|], row k for predicate token predicates[k]."""
@@ -98,9 +92,7 @@ def srl_scores(tape: Tape, s_final: Tensor, predicates, scorer: SrlScorer) -> Te
             raise ContractError(f"predicate index {f} outside [0, {t_len})")
     if not predicates:
         return Tensor(np.zeros((0, t_len, len(scorer.labels))))
-    return tape.bilinear(
-        s_final, predicates, scorer.w_pred.value, scorer.u.value, scorer.w_role.value
-    )
+    return tape.bilinear(s_final, predicates, scorer.w_pred, scorer.u, scorer.w_role)
 
 
 def srl_loss(tape: Tape, scores: Tensor, gold_frames, labels: LabelSpace) -> Tensor:

@@ -22,7 +22,7 @@ from .corpus import (
     LabelSpace,
     TransitionTable,
 )
-from .decode import DecodeProblem, viterbi_decode
+from .decode import viterbi_decode
 from .embed import (
     ContextualStore,
     ScalarMix,
@@ -68,7 +68,6 @@ class SentencePrediction:
 
     sentence: AnnotatedSentence
     heads: list[int]
-    predicates: list[int]
     frames: dict[int, tuple[str, ...]]
 
 
@@ -82,6 +81,7 @@ class LisaModel:
         static_table: StaticTable | None,
         convs: list,
         mix: ScalarMix | None,
+        parameters: list[Parameter],
     ) -> None:
         self.config = config
         self.encoder = encoder
@@ -90,15 +90,7 @@ class LisaModel:
         self.static_table = static_table
         self.convs = convs
         self.mix = mix
-        self._parameters: list[Parameter] = [
-            *([static_table.residual] if static_table is not None else []),
-            *[p for layer in convs for p in layer.parameters()],
-            *([mix.w, mix.gamma] if mix is not None else []),
-            *encoder.parameters(), *pos_head.parameters(), *scorer.parameters(),
-        ]
-        names = [p.name for p in self._parameters]
-        if len(names) != len(set(names)):
-            raise ConfigError("duplicate parameter names in model")
+        self._parameters = parameters
 
     @classmethod
     def build(
@@ -113,32 +105,41 @@ class LisaModel:
         """`frozen` sets the width (even, a multiple of `n_heads`): pretrained
         vectors on the static path, the train split's layer stacks, whose count
         sizes the mix, on the contextual one. Draws from `config.seed`; `make`
-        creates each parameter, by default a fresh one; keeps a copy of `config`."""
+        creates each parameter, by default a fresh one; keeps a copy of `config`.
+        The model's parameters are listed in the order they are made."""
         config.validate()
         config = replace(config)
         if isinstance(frozen, ContextualStore) == (config.embedding == EMBED_STATIC):
             raise ConfigError(f"{config.embedding} embedding cannot embed {type(frozen).__name__}")
+        made: list[Parameter] = []
+
+        def record(name: str, shape, draw=None) -> Parameter:
+            if any(p.name == name for p in made):
+                raise ConfigError(f"duplicate parameter name {name!r} in model")
+            made.append(make(name, shape, draw))
+            return made[-1]
+
         static_table, convs, mix = None, [], None
         if config.embedding == EMBED_STATIC:
-            static_table = StaticTable.build(train_vocab, frozen, make)
+            static_table = StaticTable.build(train_vocab, frozen, record)
             width = static_table.dim
-            convs = init_conv_stack(config.embed_convs, width, "embed", make)
+            convs = init_conv_stack(config.embed_convs, width, "embed", record)
         else:
-            mix, width = ScalarMix.build(frozen.n_layers, make=make), frozen.dim
+            mix, width = ScalarMix.build(frozen.n_layers, make=record), frozen.dim
         if width < 1 or width % 2 or width % config.n_heads:  # d_v = width // n_heads
             raise ConfigError(
                 f"model width {width} must be positive, even and a multiple of "
                 f"n_heads {config.n_heads}"
             )
         rng = np.random.default_rng(config.seed)
-        encoder = Encoder.build(config, width, rng, make)
-        pos_head = PosPredHead.build(width, joint_space, make)
-        scorer = SrlScorer.build(width, config.d_role, role_space, rng, make)
-        return cls(config, encoder, pos_head, scorer, static_table, convs, mix)
+        encoder = Encoder.build(config, width, rng, record)
+        pos_head = PosPredHead.build(width, joint_space, record)
+        scorer = SrlScorer.build(width, config.d_role, role_space, rng, record)
+        return cls(config, encoder, pos_head, scorer, static_table, convs, mix, made)
 
     @property
     def width(self) -> int:
-        return int(self.pos_head.weight.value.shape[0])
+        return int(self.pos_head.weight.shape[0])
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -241,7 +242,7 @@ class LisaModel:
             raise NonFiniteError("decode met NaN or infinity in the model's outputs")
         frames: dict[int, tuple[str, ...]] = {}
         if predicates:  # one Viterbi recursion for all frames
-            all_tags = viterbi_decode(DecodeProblem(log_softmax(scores.data), transitions))
+            all_tags = viterbi_decode(log_softmax(scores.data), transitions)
             for f, tags in zip(predicates, all_tags):
                 # tuples from lists, not generators, here and below: a tuple
                 # built from a generator is resized, so freeing it grows
@@ -254,4 +255,4 @@ class LisaModel:
             tuple(flags),
             frames,
         )
-        return SentencePrediction(predicted, heads, predicates, frames)
+        return SentencePrediction(predicted, heads, frames)

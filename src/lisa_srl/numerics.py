@@ -18,8 +18,8 @@ each scalar loss with gradient 1.0, so it differentiates their sum without
 an op for it, then replays the recorded operations in exact reverse order,
 accumulating gradients into the `.grad` buffers of every tensor on a path
 from a loss back to the leaves.
-`Parameter` wraps a persistent leaf tensor whose gradient buffer survives
-across tapes until `reset_gradient()` is called.
+A `Parameter` is a named leaf `Tensor` whose `grad` survives across tapes
+until `reset_gradient()` is called; ops take it like any other tensor.
 
 Finiteness is checked where values enter, not per op: `Tensor(...)` (so
 every `Parameter`), the file readers and `load_checkpoint` reject NaN and
@@ -81,31 +81,26 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
-class Parameter:
-    """A named leaf tensor with a persistent gradient buffer.
+class Parameter(Tensor):
+    """A named leaf tensor whose `grad` survives across tapes.
 
     The name must be unique within a model; checkpoints are keyed by it.
-    `gradient` is all-zero after `reset_gradient()` and accumulates across
+    `grad` is all-zero after `reset_gradient()` and accumulates across
     every `Tape.backward` call in between.
     """
 
-    __slots__ = ("name", "value")
+    __slots__ = ("name",)
 
     def __init__(self, name: str, data) -> None:
+        super().__init__(data)
         self.name = name
-        self.value = Tensor(data)
-        self.value.grad = np.zeros_like(self.value.data)
-
-    @property
-    def gradient(self) -> np.ndarray:
-        assert self.value.grad is not None
-        return self.value.grad
+        self.grad = np.zeros_like(self.data)
 
     def reset_gradient(self) -> None:
-        self.value.grad.fill(0.0)
+        self.grad.fill(0.0)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"Parameter({self.name!r}, shape={self.value.shape})"
+        return f"Parameter({self.name!r}, shape={self.shape})"
 
 
 def new_parameter(name: str, shape, draw: Callable[[], np.ndarray] | None = None) -> Parameter:
@@ -470,11 +465,11 @@ def log_softmax(x: np.ndarray) -> np.ndarray:
 def finite_difference_check(
     f: Callable[[], float], param: Parameter, eps: float
 ) -> float:
-    """Compare `param.gradient` against central differences of `f`.
+    """Compare `param.grad` against central differences of `f`.
 
     `f` must be a deterministic closure over the current parameter values
     returning the scalar loss as a plain float (no tape needed). The caller
-    is expected to have already populated `param.gradient` via a backward
+    is expected to have already populated `param.grad` via a backward
     pass. For each coordinate the relative error is
 
         |g_tape - g_fd| / max(|g_tape|, |g_fd|, 1.0)
@@ -486,11 +481,9 @@ def finite_difference_check(
         raise ContractError("eps must be positive")
     if f() != f():
         raise OracleError("f is not deterministic under repeated evaluation")
-    values = param.value.data
-    analytic = param.gradient
     worst = 0.0
-    flat = values.reshape(-1)
-    flat_grad = analytic.reshape(-1)
+    flat = param.data.reshape(-1)
+    flat_grad = param.grad.reshape(-1)
     for i in range(flat.size):
         saved = flat[i]
         flat[i] = saved + eps

@@ -91,6 +91,12 @@ def load_split(config: RunConfig, prefix: str) -> SplitData:
         require_paths(config, f"{prefix}_heads_path")
         data.heads = read_heads_file(heads_path)
         _check_alignment(corpus, {str(i): len(h) for i, h in enumerate(data.heads)}, heads_path)
+        for i, heads in enumerate(data.heads):
+            for h in heads:
+                if not 0 <= h < len(heads):
+                    raise AlignmentError(
+                        f"{heads_path}: sentence {i} has head index {h} outside [0, {len(heads)})"
+                    )
     if config.embedding == EMBED_CONTEXTUAL:
         ctxl_path = getattr(config, f"{prefix}_ctxl_path")
         require_paths(config, f"{prefix}_ctxl_path")
@@ -188,7 +194,7 @@ def train(config: RunConfig, emit: Callable[[str], None] | None = None) -> Train
             model.reset_gradients()
             tape.backward(bundle.srl, bundle.parse, bundle.pos_pred)
             norm = np.sqrt(
-                sum(float((p.gradient ** 2).sum()) for p in model.parameters())
+                sum(float((p.grad ** 2).sum()) for p in model.parameters())
             )
             if not np.isfinite(norm):
                 raise NonFiniteError(
@@ -198,7 +204,7 @@ def train(config: RunConfig, emit: Callable[[str], None] | None = None) -> Train
             if 0 < config.clip_norm < norm:
                 scale *= config.clip_norm / norm
             for p in model.parameters():
-                p.value.data -= scale * p.gradient
+                p.data -= scale * p.grad
             steps += 1
             for key, value in bundle.values().items():
                 sums[key] += value

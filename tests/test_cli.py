@@ -17,7 +17,13 @@ from hypothesis import strategies as st
 from lisa_srl.checkpoint import load_checkpoint, save_checkpoint
 from lisa_srl.cli import main
 from lisa_srl.config import RunConfig, build_run_config, parse_config_file
-from lisa_srl.corpus import AnnotatedSentence, read_conll, read_heads_file, write_conll
+from lisa_srl.corpus import (
+    AnnotatedSentence,
+    read_conll,
+    read_heads_file,
+    write_conll,
+    write_heads_file,
+)
 from lisa_srl.embed import (
     gen_contextual_layers,
     read_contextual,
@@ -418,9 +424,9 @@ def test_checkpoint_round_trip_is_bitwise(data_dir, tmp_path):
     config = _tiny_config(data_dir, tmp_path, epochs=1)
     result = train(config)
     loaded = load_checkpoint(config.checkpoint_out)
-    model_params = {p.name: p.value.data for p in result.model.parameters()}
+    model_params = {p.name: p.data for p in result.model.parameters()}
     for p in loaded.model.parameters():
-        assert np.array_equal(p.value.data, model_params[p.name]), p.name
+        assert np.array_equal(p.data, model_params[p.name]), p.name
     assert loaded.step == result.steps
     assert loaded.config == config
     assert np.array_equal(loaded.transitions.matrix, result.transitions.matrix)
@@ -737,7 +743,7 @@ def test_head_rewrites_load_as_trees_or_raise_a_lisa_error(
     path.write_text("\n".join(lines))
     try:
         for sent in read_conll(path):
-            root = sent.root()
+            (root,) = [i for i, h in enumerate(sent.heads) if h == i]
             for t in range(len(sent)):  # every chain of heads ends at the root
                 for _ in range(len(sent)):
                     t = sent.heads[t]
@@ -789,7 +795,7 @@ def test_checkpoint_tensor_rank_beyond_numpy_is_a_format_error(
 def test_checkpoint_refuses_non_finite_parameters(data_dir, tmp_path):
     config = _tiny_config(data_dir, tmp_path, epochs=1)
     result = train(config)
-    result.model.parameters()[0].value.data[0] = np.nan
+    result.model.parameters()[0].data[0] = np.nan
     with pytest.raises(NonFiniteError):
         save_checkpoint(tmp_path / "nan.ckpt", result.model, config, 0,
                         result.transitions)
@@ -846,6 +852,38 @@ def test_external_heads_misalignment_is_detected(data_dir, tmp_path):
                           test_heads_path=data_dir / "dev.heads")
     with pytest.raises(AlignmentError):
         load_split(config, "test")
+
+
+@pytest.mark.parametrize("bad_head", [99, -1])
+@pytest.mark.parametrize("split", ["train", "dev", "test"])
+def test_cli_heads_outside_their_sentence_are_one_alignment_error_line(
+    data_dir, tmp_path, capsys, split, bad_head
+):
+    heads_flags = []
+    for name in ("train", "dev", "test"):
+        heads = read_heads_file(data_dir / f"{name}.heads")
+        if name == split:
+            heads[2][1] = bad_head
+        write_heads_file(tmp_path / f"{name}.heads", heads)
+        heads_flags += [f"--{name}-heads-path", str(tmp_path / f"{name}.heads")]
+    ckpt = tmp_path / "model.ckpt"
+    code = main(["train", "--train-path", str(data_dir / "train.conll"),
+                 "--dev-path", str(data_dir / "dev.conll"),
+                 "--pretrained-path", str(data_dir / "pretrained.vec"),
+                 "--parse-source", "external", "--n-heads", "2", "--d-k", "4",
+                 "--d-role", "4", "--epochs", "1", "--checkpoint-out", str(ckpt), *heads_flags])
+    if split == "test":  # train and dev heads are in range
+        assert code == 0
+        capsys.readouterr()
+        code = main(["predict", "--checkpoint-in", str(ckpt), "--parse-source", "external",
+                     "--test-path", str(data_dir / "test.conll"), *heads_flags,
+                     "--predictions-path", str(tmp_path / "pred.conll")])
+        assert not (tmp_path / "pred.conll").exists()
+    else:
+        assert not ckpt.exists()
+    assert code == 1
+    err = _one_error_line(capsys, "alignment")
+    assert f"{tmp_path / split}.heads: sentence 2 has head index {bad_head} outside" in err, err
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,7 @@ def test_read_one_token_file(tmp_path):
     sents = read_conll(p)
     assert len(sents) == 1
     s = sents[0]
-    assert len(s) == 1 and s.root() == 0 and s.predicate_indices == []
+    assert len(s) == 1 and s.heads == (0,) and s.predicate_indices == []
     assert s.frames == {}
 
 
@@ -473,7 +473,7 @@ def test_generator_rejects_an_empty_corpus():
 
 def test_generator_sentences_well_formed():
     for s in gen_synthetic(150, 13) + gen_synthetic(60, 14, shifted=True):
-        s.root()  # exactly one self-loop
+        assert sum(h == i for i, h in enumerate(s.heads)) == 1  # exactly one self-loop
         assert all(0 <= h < len(s) for h in s.heads)
         assert set(s.frames) == set(s.predicate_indices)
         for tags in s.frames.values():

@@ -13,7 +13,6 @@ from lisa_srl.corpus import (
 )
 from lisa_srl.decode import (
     BRUTE_FORCE_LIMIT,
-    DecodeProblem,
     brute_force_decode,
     sequence_score,
     viterbi_decode,
@@ -53,21 +52,22 @@ def _transitions(seed=0):
 
 def test_problem_validation():
     table = _transitions()
-    with pytest.raises(ContractError):
-        DecodeProblem(np.zeros((2, 3)), table)
-    with pytest.raises(ContractError):
-        DecodeProblem(np.full((2, 5), np.nan), table)
-    with pytest.raises(ContractError):
-        DecodeProblem(np.zeros((0, 5)), table)
+    for emissions in (np.zeros((2, 3)), np.full((2, 5), np.nan), np.zeros((0, 5))):
+        with pytest.raises(ContractError):
+            brute_force_decode(emissions, table)
+        with pytest.raises(ContractError):
+            sequence_score(emissions, table, [0, 0])
+        with pytest.raises(ContractError):
+            viterbi_decode(emissions[None], table)
 
 
 def test_single_token_never_starts_inside():
     table = _transitions()
     emissions = np.zeros((1, 5))
     emissions[0, SPACE.of("I-A0")] = 50.0
-    seq = viterbi_decode(DecodeProblem(emissions, table))
+    seq = viterbi_decode(emissions[None], table)[0]
     assert SPACE.name(seq[0]) != "I-A0"
-    assert seq == brute_force_decode(DecodeProblem(emissions, table))
+    assert seq == brute_force_decode(emissions, table)
 
 
 def test_uniform_everything_decodes_all_outside():
@@ -85,7 +85,7 @@ def test_uniform_everything_decodes_all_outside():
     table = TransitionTable(labels, matrix, start, end)
     # uniform transition rows are not what estimation produces, but they
     # are structurally valid for decoding purposes
-    seq = viterbi_decode(DecodeProblem(np.zeros((4, n)), table))
+    seq = viterbi_decode(np.zeros((1, 4, n)), table)[0]
     assert [SPACE.name(i) for i in seq] == ["O", "O", "O", "O"]
 
 
@@ -95,7 +95,7 @@ def test_never_emits_invalid_transitions():
     for _ in range(200):
         t_len = int(rng.integers(1, 7))
         emissions = rng.normal(0, 3, size=(t_len, 5))
-        seq = [SPACE.name(i) for i in viterbi_decode(DecodeProblem(emissions, table))]
+        seq = [SPACE.name(i) for i in viterbi_decode(emissions[None], table)[0]]
         assert valid_start(seq[0])
         for prev, nxt in zip(seq, seq[1:]):
             assert valid_successor(prev, nxt)
@@ -107,8 +107,7 @@ def test_matches_brute_force_on_random_instances():
     for _ in range(300):
         t_len = int(rng.integers(1, 7))
         emissions = rng.normal(0, 2, size=(t_len, 5))
-        problem = DecodeProblem(emissions, table)
-        assert viterbi_decode(problem) == brute_force_decode(problem)
+        assert viterbi_decode(emissions[None], table)[0] == brute_force_decode(emissions, table)
 
 
 def test_matches_brute_force_on_tie_heavy_grid():
@@ -118,8 +117,7 @@ def test_matches_brute_force_on_tie_heavy_grid():
     for _ in range(300):
         t_len = int(rng.integers(1, 6))
         emissions = 0.5 * rng.integers(-2, 3, size=(t_len, 5)).astype(float)
-        problem = DecodeProblem(emissions, table)
-        assert viterbi_decode(problem) == brute_force_decode(problem)
+        assert viterbi_decode(emissions[None], table)[0] == brute_force_decode(emissions, table)
 
 
 def test_matches_brute_force_when_whole_rows_are_unreachable():
@@ -136,15 +134,15 @@ def test_matches_brute_force_when_whole_rows_are_unreachable():
             np.where(rng.random(5) < 0.3, -np.inf, base.end),
         )
         t_len = int(rng.integers(2, 6))
-        problem = DecodeProblem(rng.normal(0, 2, size=(t_len, 5)), table)
+        emissions = rng.normal(0, 2, size=(t_len, 5))
         dead_rows += np.isneginf(table.matrix + table.end).all(axis=1).any()
         try:
-            expected = brute_force_decode(problem)
+            expected = brute_force_decode(emissions, table)
         except DecodeError:
             with pytest.raises(DecodeError):
-                viterbi_decode(problem)
+                viterbi_decode(emissions[None], table)
             continue
-        assert viterbi_decode(problem) == expected
+        assert viterbi_decode(emissions[None], table)[0] == expected
         decoded += 1
     assert dead_rows >= 100 and decoded >= 100
 
@@ -167,28 +165,28 @@ def test_frame_stack_matches_brute_force_per_frame(n_frames):
             )
             stack = 0.5 * rng.integers(-2, 3, size=(n_frames, t_len, 5)).astype(float)
             try:
-                expected = [brute_force_decode(DecodeProblem(e, table)) for e in stack]
+                expected = [brute_force_decode(e, table) for e in stack]
             except DecodeError:
                 with pytest.raises(DecodeError):
-                    viterbi_decode(DecodeProblem(stack, table))
+                    viterbi_decode(stack, table)
                 refused += 1
                 continue
-            assert viterbi_decode(DecodeProblem(stack, table)) == expected
-            assert [viterbi_decode(DecodeProblem(e, table)) for e in stack] == expected
+            assert viterbi_decode(stack, table) == expected
+            assert [viterbi_decode(e[None], table)[0] for e in stack] == expected
             decoded += 1
     assert decoded >= 100 and refused >= 5
 
 
 def test_frame_stack_validation_and_per_frame_oracles():
     table = _transitions()
-    for shape in [(0, 3, 5), (2, 0, 5), (2, 3, 4), (1, 1, 2, 5)]:
+    for shape in [(0, 3, 5), (2, 0, 5), (2, 3, 4), (1, 1, 2, 5), (3, 5)]:
         with pytest.raises(ContractError):
-            DecodeProblem(np.zeros(shape), table)
-    stack = DecodeProblem(np.zeros((2, 3, 5)), table)
+            viterbi_decode(np.zeros(shape), table)
+    stack = np.zeros((2, 3, 5))
     with pytest.raises(ContractError):
-        brute_force_decode(stack)
+        brute_force_decode(stack, table)
     with pytest.raises(ContractError):
-        sequence_score(stack, [0, 0, 0])
+        sequence_score(stack, table, [0, 0, 0])
 
 
 def test_constant_shift_invariance():
@@ -196,8 +194,8 @@ def test_constant_shift_invariance():
     rng = np.random.default_rng(10)
     for _ in range(50):
         emissions = rng.normal(size=(5, 5))
-        base = viterbi_decode(DecodeProblem(emissions, table))
-        shifted = viterbi_decode(DecodeProblem(emissions + 7.25, table))
+        base = viterbi_decode(emissions[None], table)[0]
+        shifted = viterbi_decode(emissions[None] + 7.25, table)[0]
         assert base == shifted
 
 
@@ -206,16 +204,15 @@ def test_brute_force_size_cap():
     t_len = 9  # 5^9 ~ 1.95e6 sequences
     assert 5 ** t_len > BRUTE_FORCE_LIMIT
     with pytest.raises(OracleSizeError):
-        brute_force_decode(DecodeProblem(np.zeros((t_len, 5)), table))
+        brute_force_decode(np.zeros((t_len, 5)), table)
 
 
 def test_brute_force_beats_random_valid_sequences():
     table = _transitions(11)
     rng = np.random.default_rng(12)
     emissions = rng.normal(size=(5, 5))
-    problem = DecodeProblem(emissions, table)
-    best = brute_force_decode(problem)
-    best_score = sequence_score(problem, best)
+    best = brute_force_decode(emissions, table)
+    best_score = sequence_score(emissions, table, best)
     for _ in range(100):
         seq = []
         prev = None
@@ -227,7 +224,7 @@ def test_brute_force_beats_random_valid_sequences():
             choice = int(rng.choice(options))
             seq.append(choice)
             prev = SPACE.name(choice)
-        assert best_score >= sequence_score(problem, seq)
+        assert best_score >= sequence_score(emissions, table, seq)
 
 
 def test_viterbi_optimal_score_matches_brute_force_score():
@@ -235,7 +232,6 @@ def test_viterbi_optimal_score_matches_brute_force_score():
     rng = np.random.default_rng(14)
     for _ in range(50):
         emissions = rng.normal(size=(4, 5))
-        problem = DecodeProblem(emissions, table)
-        v = sequence_score(problem, viterbi_decode(problem))
-        b = sequence_score(problem, brute_force_decode(problem))
+        v = sequence_score(emissions, table, viterbi_decode(emissions[None], table)[0])
+        b = sequence_score(emissions, table, brute_force_decode(emissions, table))
         assert v == b

@@ -59,7 +59,7 @@ def test_training_word_missing_from_pretrained_gets_unk_plus_residual():
     rng = np.random.default_rng(1)
     pre = {"dog": rng.normal(size=4)}
     table = StaticTable.build(["dog", "wug"], pre)
-    table.residual.value.data[table.index["wug"]] = [1.0, 2.0, 3.0, 4.0]
+    table.residual.data[table.index["wug"]] = [1.0, 2.0, 3.0, 4.0]
     out = static_embed(Tape(), ["wug"], table, [])
     assert np.allclose(
         out.data[0] - positional_encoding(1, 4)[0], table.unk + [1.0, 2.0, 3.0, 4.0]
@@ -71,18 +71,18 @@ def test_conv3_matches_sliding_window_oracle():
     d = 2
     x = np.abs(rng.normal(size=(3, d)))  # relu passes x unchanged
     stack = init_conv_stack(1, d, "emb")
-    for p in stack[0].parameters():
-        p.value.data[...] = rng.normal(size=p.value.shape)
-    layer = stack[0]
+    for p in stack[0]:
+        p.data[...] = rng.normal(size=p.shape)
+    w_left, w_center, w_right, bias = layer = stack[0]
 
-    out = layer.block(Tape(), Tensor(x))
+    out = Tape().conv_block(Tensor(x), *layer)
     padded = np.vstack([np.zeros((1, d)), x, np.zeros((1, d))])
     for t in range(3):
         expected = x[t] + (
-            padded[t] @ layer.w_left.value.data
-            + padded[t + 1] @ layer.w_center.value.data
-            + padded[t + 2] @ layer.w_right.value.data
-            + layer.bias.value.data
+            padded[t] @ w_left.data
+            + padded[t + 1] @ w_center.data
+            + padded[t + 2] @ w_right.data
+            + bias.data
         )
         assert np.max(np.abs(out.data[t] - expected)) < 1e-12
 
@@ -92,7 +92,7 @@ def test_conv_stack_zero_init_is_exact_identity():
     x = rng.normal(size=(5, 4))
     out = Tensor(x)
     for layer in init_conv_stack(3, 4, "emb"):
-        out = layer.block(Tape(), out)
+        out = Tape().conv_block(out, *layer)
     assert np.array_equal(out.data, x)
 
 
@@ -102,17 +102,18 @@ def test_conv_stack_matches_composed_oracle_when_trained():
     d = 3
     x = rng.normal(size=(4, d))
     (layer,) = init_conv_stack(1, d, "emb")
-    for p in layer.parameters():
-        p.value.data[...] = rng.normal(size=p.value.shape)
-    out = layer.block(Tape(), Tensor(x))
+    for p in layer:
+        p.data[...] = rng.normal(size=p.shape)
+    w_left, w_center, w_right, bias = layer
+    out = Tape().conv_block(Tensor(x), *layer)
     r = np.maximum(x, 0.0)
     padded = np.vstack([np.zeros((1, d)), r, np.zeros((1, d))])
     for t in range(4):
         expected = x[t] + (
-            padded[t] @ layer.w_left.value.data
-            + padded[t + 1] @ layer.w_center.value.data
-            + padded[t + 2] @ layer.w_right.value.data
-            + layer.bias.value.data
+            padded[t] @ w_left.data
+            + padded[t + 1] @ w_center.data
+            + padded[t + 2] @ w_right.data
+            + bias.data
         )
         assert np.max(np.abs(out.data[t] - expected)) < 1e-12
 
@@ -132,20 +133,20 @@ def test_static_gradients_only_reach_parameters():
     out = static_embed(tape, ["the", "dog", "wug"], table, convs)
     loss = probe_sum(tape, out)
     tape.backward(loss)
-    assert np.any(table.residual.gradient != 0.0)
+    assert np.any(table.residual.grad != 0.0)
     for w, v in table.pretrained.items():
         assert np.array_equal(v, frozen_before[w])
     # out-of-vocabulary token contributes no residual gradient rows beyond vocab
-    assert table.residual.gradient.shape == table.residual.value.shape
+    assert table.residual.grad.shape == table.residual.shape
 
 
 def test_static_embed_finite_differences():
     table = _table(d=4)
     convs = init_conv_stack(1, 4, "emb")
     rng = np.random.default_rng(4)
-    for layer in convs:
-        for p in (layer.w_left, layer.w_right):
-            p.value.data[...] = 0.1 * rng.normal(size=p.value.shape)
+    for w_left, _, w_right, _ in convs:
+        for p in (w_left, w_right):
+            p.data[...] = 0.1 * rng.normal(size=p.shape)
     probe = Tensor(rng.normal(size=(3, 4)))
 
     def run(backward=False) -> float:
@@ -156,7 +157,7 @@ def test_static_embed_finite_differences():
             tape.backward(loss)
         return loss.item()
 
-    params = [table.residual] + [q for l in convs for q in l.parameters()]
+    params = [table.residual] + [q for l in convs for q in l]
     for p in params:
         p.reset_gradient()
     run(backward=True)
@@ -189,7 +190,7 @@ def test_scalar_mix_zero_gamma_annihilates():
     rng = np.random.default_rng(6)
     layers = _layer_stack(rng)
     mix = ScalarMix.build(3)
-    mix.gamma.value.data[...] = 0.0
+    mix.gamma.data[...] = 0.0
     out = contextual_embed(Tape(), layers, mix)
     assert np.array_equal(out.data, positional_encoding(4, 6))
 
@@ -200,7 +201,7 @@ def test_scalar_mix_saturation_tracks_softmax_oracle():
     rng = np.random.default_rng(7)
     layers = _layer_stack(rng)
     mix = ScalarMix.build(3)
-    mix.w.value.data[0, 0] = 10.0
+    mix.w.data[0, 0] = 10.0
     mixed = _mixed(layers, mix)
     coeffs = mix.coefficients()
     assert abs(coeffs[0] - 0.99990920838434097818) < 1e-15
@@ -212,7 +213,7 @@ def test_scalar_mix_saturation_tracks_softmax_oracle():
 def test_scalar_mix_coefficients_sum_to_one():
     rng = np.random.default_rng(8)
     mix = ScalarMix.build(4)
-    mix.w.value.data[...] = rng.normal(size=(1, 4)) * 3.0
+    mix.w.data[...] = rng.normal(size=(1, 4)) * 3.0
     assert abs(mix.coefficients().sum() - 1.0) <= 1e-9
 
 
@@ -229,7 +230,7 @@ def test_scalar_mix_gradients_reach_w_and_gamma_only():
     layers = _layer_stack(rng, d=6)
     before = layers.copy()
     mix = ScalarMix.build(3)
-    mix.w.value.data[...] = rng.normal(size=(1, 3))
+    mix.w.data[...] = rng.normal(size=(1, 3))
     probe = Tensor(rng.normal(size=layers.shape[1:]))
 
     def run(backward=False) -> float:

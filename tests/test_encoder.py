@@ -29,7 +29,7 @@ def _head(rng, d_model, d_k, d_v=None):
 
 def _attention_weights(x, qkv, d_k):
     """Row-stochastic attention and its pre-softmax logits for one head."""
-    _, logits, weights = Tape().attention(x, qkv.value, 1, d_k)
+    _, logits, weights = Tape().attention(x, qkv, 1, d_k)
     return weights[0], logits.data
 
 
@@ -60,7 +60,7 @@ def _small_config(**kw):
 def test_zero_queries_give_uniform_attention():
     rng = np.random.default_rng(0)
     head = _head(rng, 4, 3)
-    head.value.data[:, :3] = 0.0
+    head.data[:, :3] = 0.0
     x = Tensor(rng.normal(size=(5, 4)))
     attention, _ = _attention_weights(x, head, 3)
     assert np.max(np.abs(attention - 0.2)) < 1e-12
@@ -140,7 +140,7 @@ def test_single_head_identity_conv_layer_is_pure_attention():
     enc = Encoder.build(config, 4, rng)
     x = Tensor(rng.normal(size=(5, 4)))
     out, _ = enc.encode(Tape(), x)
-    expected, _, _ = Tape().attention(x, enc.layers[0].qkv.value, 1, 3)
+    expected, _, _ = Tape().attention(x, enc.layers[0][0], 1, 3)
     assert np.array_equal(out.data, expected.data)
 
 
@@ -313,11 +313,12 @@ def test_parse_loss_finite_differences():
             tape.backward(loss)
         return loss.item()
 
-    for p in enc.parameters():
+    params = [p for qkv, conv in enc.layers for p in (qkv, *conv)]
+    for p in params:
         p.reset_gradient()
     run(backward=True)
     checked = 0
-    for p in enc.parameters():
+    for p in params:
         if p.name.startswith("enc.l1") or p.name.endswith(".qkv"):
             assert finite_difference_check(run, p, 1e-5) < 1e-4
             checked += 1

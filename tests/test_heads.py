@@ -63,7 +63,7 @@ def test_predicted_mode_empty_when_nothing_argmaxes_to_predicate():
 def test_pos_pred_loss_finite_differences():
     rng = np.random.default_rng(2)
     head = PosPredHead.build(4, JOINT)
-    head.weight.value.data[...] = rng.normal(size=(4, 4))
+    head.weight.data[...] = rng.normal(size=(4, 4))
     x = rng.normal(size=(3, 4))
     sent = _sentence()
 
@@ -75,10 +75,10 @@ def test_pos_pred_loss_finite_differences():
             tape.backward(loss)
         return loss.item()
 
-    for p in head.parameters():
+    for p in (head.weight, head.bias):
         p.reset_gradient()
     run(backward=True)
-    for p in head.parameters():
+    for p in (head.weight, head.bias):
         assert finite_difference_check(run, p, 1e-5) < 1e-4
 
 
@@ -107,21 +107,21 @@ def test_bilinear_matches_triple_loop_oracle():
     rng = np.random.default_rng(4)
     d_model, d_r, t_len = 5, 3, 4
     scorer = SrlScorer.build(d_model, d_r, ROLES, rng)
-    scorer.u.value.data[...] = rng.normal(size=scorer.u.value.shape)
+    scorer.u.data[...] = rng.normal(size=scorer.u.shape)
     x = rng.normal(size=(t_len, d_model))
     predicates = [3, 0]
     scores = srl_scores(Tape(), Tensor(x), predicates, scorer)
 
-    role = x @ scorer.w_role.value.data
+    role = x @ scorer.w_role.data
     expected = np.zeros((len(predicates), t_len, len(ROLES)))
     for k, f in enumerate(predicates):
-        pred = x[f] @ scorer.w_pred.value.data
+        pred = x[f] @ scorer.w_pred.data
         for t in range(t_len):
             for l in range(len(ROLES)):
                 for i in range(d_r):
                     for j in range(d_r):
                         expected[k, t, l] += (
-                            pred[i] * scorer.u.value.data[i, l, j] * role[t, j]
+                            pred[i] * scorer.u.data[i, l, j] * role[t, j]
                         )
     assert np.max(np.abs(scores.data - expected)) < 1e-12
 
@@ -145,7 +145,7 @@ def test_srl_scores_empty_predicates():
 def test_role_distributions_normalized():
     rng = np.random.default_rng(7)
     scorer = SrlScorer.build(4, 3, ROLES, rng)
-    scorer.u.value.data[...] = rng.normal(size=scorer.u.value.shape)
+    scorer.u.data[...] = rng.normal(size=scorer.u.shape)
     scores = srl_scores(Tape(), Tensor(rng.normal(size=(5, 4))), [0, 3], scorer)
     sums = softmax(scores.data).sum(axis=-1)
     assert np.max(np.abs(sums - 1.0)) <= 1e-9
@@ -167,7 +167,7 @@ def test_total_gradient_is_sum_of_component_gradients():
     x = Tensor(rng.normal(size=(2, 2)))
 
     def build(tape):
-        h = tape.matmul(x, w.value)
+        h = tape.matmul(x, w)
         a = probe_sum(tape, h, x)
         b = probe_sum(tape, tape.matmul(h, h))
         c = tape.cross_entropy(h, [1, 0])
@@ -177,7 +177,7 @@ def test_total_gradient_is_sum_of_component_gradients():
     components = build(tape)
     w.reset_gradient()
     tape.backward(*components)
-    total_grad = w.gradient.copy()
+    total_grad = w.grad.copy()
 
     parts = np.zeros_like(total_grad)
     for idx in range(3):
@@ -185,7 +185,7 @@ def test_total_gradient_is_sum_of_component_gradients():
         components = build(tape)
         w.reset_gradient()
         tape.backward(components[idx])
-        parts += w.gradient
+        parts += w.grad
     assert np.max(np.abs(total_grad - parts)) < 1e-12
 
 

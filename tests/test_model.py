@@ -83,6 +83,41 @@ def test_build_validates_and_keeps_its_own_config():
     assert model.config.is_syntactic and model.config.pos_layer == 1
 
 
+def test_parameters_are_listed_in_a_pinned_order():
+    # the gradient norm and the clip scale sum in this order, so a reorder
+    # would change their rounding
+    corpus = _tiny_corpus()
+    joint, roles = _spaces(corpus)
+    rest = [
+        "enc.l1.qkv", "enc.l1.c0.left", "enc.l1.c0.center", "enc.l1.c0.right", "enc.l1.c0.bias",
+        "enc.l2.qkv", "enc.l2.c0.left", "enc.l2.c0.center", "enc.l2.c0.right", "enc.l2.c0.bias",
+        "pos.w", "pos.b", "srl.w_pred", "srl.w_role", "srl.u",
+    ]
+    static = LisaModel.build(RunConfig(), joint, roles, [], _pretrained(corpus, 8))
+    assert [p.name for p in static.parameters()] == [
+        "embed.residual",
+        "embed.c0.left", "embed.c0.center", "embed.c0.right", "embed.c0.bias",
+        "embed.c1.left", "embed.c1.center", "embed.c1.right", "embed.c1.bias",
+    ] + rest
+    contextual = LisaModel.build(
+        RunConfig(embedding=EMBED_CONTEXTUAL), joint, roles, [], ContextualStore(3, 8, {})
+    )
+    assert [p.name for p in contextual.parameters()] == ["mix.w", "mix.gamma"] + rest
+
+
+def test_build_rejects_a_repeated_parameter_name(monkeypatch):
+    import lisa_srl.model as model_module
+
+    made_once = model_module.init_conv_stack
+
+    def made_twice(k, d, prefix, make):
+        return made_once(k, d, prefix, make) + made_once(k, d, prefix, make)
+
+    monkeypatch.setattr(model_module, "init_conv_stack", made_twice)
+    with pytest.raises(ConfigError, match="duplicate parameter name 'embed.c0.left'"):
+        _model(_tiny_corpus())
+
+
 def test_forward_shapes_and_trace():
     corpus = _tiny_corpus()
     model = _model(corpus)
@@ -141,8 +176,8 @@ def test_agnostic_variant_has_zero_parse_loss_and_same_shapes():
     bundle = sa.loss(Tape(), corpus[0])
     assert bundle.parse.item() == 0.0
     assert bundle.total == bundle.srl.item() + bundle.pos_pred.item()
-    lisa_shapes = [(p.name, p.value.shape) for p in lisa.parameters()]
-    sa_shapes = [(p.name, p.value.shape) for p in sa.parameters()]
+    lisa_shapes = [(p.name, p.shape) for p in lisa.parameters()]
+    sa_shapes = [(p.name, p.shape) for p in sa.parameters()]
     assert lisa_shapes == sa_shapes
 
 
@@ -188,7 +223,7 @@ def test_prediction_is_well_formed():
         assert isinstance(pred, SentencePrediction)
         out = pred.sentence
         assert len(out) == len(sent) and out.tokens == sent.tokens
-        assert set(out.frames) == set(pred.predicates)
+        assert set(out.frames) == set(out.predicate_indices)
 
 
 def test_parse_source_swap_leaves_parameters_untouched():
@@ -196,21 +231,21 @@ def test_parse_source_swap_leaves_parameters_untouched():
     model = _model(corpus)
     _, roles = _spaces(corpus)
     table = estimate_transitions(corpus, roles)
-    before = [p.value.data.copy() for p in model.parameters()]
+    before = [p.data.copy() for p in model.parameters()]
     model.predict_sentence(corpus[0], table, source=ParseSource.SELF)
     model.predict_sentence(corpus[0], table, source=ParseSource.GOLD)
     model.predict_sentence(
         corpus[0], table, source=ParseSource.EXTERNAL, external_heads=[1, 1, 1]
     )
     for p, values in zip(model.parameters(), before):
-        assert np.array_equal(p.value.data, values), p.name
+        assert np.array_equal(p.data, values), p.name
 
 
 def test_training_scores_the_gold_predicates_whatever_the_logits():
     corpus = _tiny_corpus()
     model = _model(corpus)
     # every token argmaxes to a predicate, but the gold predicate is token 2
-    model.pos_head.bias.value.data[model.pos_head.labels.of("VB:predicate")] = 50.0
+    model.pos_head.bias.data[model.pos_head.labels.of("VB:predicate")] = 50.0
     sent = corpus[1]
     fw = model.forward(Tape(), sent)
     assert all(decode_pos_pred(fw.pos_logits, model.pos_head.labels)[1])
@@ -271,7 +306,7 @@ def test_decode_records_few_tape_ops(monkeypatch):
     model, transitions, corpus = _default_model()
     joint = model.pos_head.labels
     pred = next(i for i, name in enumerate(joint) if name.endswith(PREDICATE_SUFFIX))
-    model.pos_head.bias.value.data[pred] = 1.0  # every token is a predicate
+    model.pos_head.bias.data[pred] = 1.0  # every token is a predicate
     tapes = _record_tapes(monkeypatch)
     for sent in corpus[:3]:
         prediction = model.predict_sentence(sent, transitions)
@@ -335,8 +370,8 @@ def test_op_budget_is_13_per_training_step_and_10_per_decode(monkeypatch):
     calls.clear()
     joint = model.pos_head.labels
     pred = next(i for i, name in enumerate(joint) if name.endswith(PREDICATE_SUFFIX))
-    model.pos_head.bias.value.data[pred] = 1.0  # every token is a predicate
-    assert model.predict_sentence(sent, transitions).predicates
+    model.pos_head.bias.data[pred] = 1.0  # every token is a predicate
+    assert model.predict_sentence(sent, transitions).sentence.predicate_indices
     assert sorted(calls) == [name for name in step if name != "cross_entropy"]
     assert len(calls) == 10
 
@@ -370,14 +405,14 @@ def test_decode_with_a_non_finite_parameter_raises_non_finite_error():
     # make every token a predicate, so the role scorer's parameters are used
     labels = list(model.pos_head.labels)
     pred = next(i for i, name in enumerate(labels) if name.endswith(PREDICATE_SUFFIX))
-    model.pos_head.bias.value.data[pred] = 1.0
-    assert len(model.predict_sentence(sent, transitions).predicates) == len(sent)
+    model.pos_head.bias.data[pred] = 1.0
+    assert len(model.predict_sentence(sent, transitions).sentence.predicate_indices) == len(sent)
     for p in model.parameters():
-        saved = p.value.data.flat[0]
-        p.value.data.flat[0] = np.nan
+        saved = p.data.flat[0]
+        p.data.flat[0] = np.nan
         with pytest.raises(NonFiniteError):
             model.predict_sentence(sent, transitions)
-        p.value.data.flat[0] = saved
+        p.data.flat[0] = saved
 
 
 def test_contextual_path_forward_and_gradients():
@@ -421,5 +456,5 @@ def test_one_sgd_step_reduces_loss():
         model.reset_gradients()
         tape.backward(bundle.srl, bundle.parse, bundle.pos_pred)
         for p in model.parameters():
-            p.value.data -= 0.1 * p.gradient
+            p.data -= 0.1 * p.grad
     assert loss_value() < before

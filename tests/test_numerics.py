@@ -79,7 +79,7 @@ class TestMatmul:
 
         def run(backward=False) -> float:
             t = Tape()
-            loss = probe_sum(t, t.matmul(*(p.value for p in params)), probe)
+            loss = probe_sum(t, t.matmul(*params), probe)
             if backward:
                 t.backward(loss)
             return loss.item()
@@ -193,29 +193,29 @@ class TestBackward:
         p = Parameter("unused", np.ones((2, 2)))
         q = Parameter("used", np.ones((2, 2)))
         t = Tape()
-        loss = probe_sum(t, t.add(q.value, q.value))
+        loss = probe_sum(t, t.add(q, q))
         t.backward(loss)
-        assert np.array_equal(p.gradient, np.zeros((2, 2)))
-        assert np.array_equal(q.gradient, 2.0 * np.ones((2, 2)))
+        assert np.array_equal(p.grad, np.zeros((2, 2)))
+        assert np.array_equal(q.grad, 2.0 * np.ones((2, 2)))
 
     def test_constant_operand_takes_no_gradient(self):
         x, constant = Parameter("x", np.array([1.0, 2.0])), np.array([3.0, 4.0])
         t = Tape()
-        out = t.add(x.value, constant)
+        out = t.add(x, constant)
         t.backward(probe_sum(t, out, [5.0, 6.0]))
         assert np.array_equal(out.data, [4.0, 6.0])
-        assert np.array_equal(x.gradient, [5.0, 6.0])
+        assert np.array_equal(x.grad, [5.0, 6.0])
         with pytest.raises(DimensionError):
-            t.add(x.value, np.zeros(3))
+            t.add(x, np.zeros(3))
 
     def test_gradient_accumulates_until_reset(self):
         p = Parameter("p", np.array([2.0, 3.0]))
         for _ in range(2):
             t = Tape()
-            t.backward(probe_sum(t, p.value))
-        assert np.array_equal(p.gradient, [2.0, 2.0])
+            t.backward(probe_sum(t, p))
+        assert np.array_equal(p.grad, [2.0, 2.0])
         p.reset_gradient()
-        assert np.array_equal(p.gradient, [0.0, 0.0])
+        assert np.array_equal(p.grad, [0.0, 0.0])
 
 
 class TestCompositeOps:
@@ -279,10 +279,10 @@ class TestAttention:
         _, x, w = self._inputs(3, 5)
         adjacency = _injected(5) if inject else None
         out, logits, weights = Tape().attention(
-            x.value, w.value, 3, self.D_K, 1, (lambda own: adjacency) if inject else None
+            x, w, 3, self.D_K, 1, (lambda own: adjacency) if inject else None
         )
         expect_out, expect_logits = attention_oracle(
-            x.value.data, w.value.data, 3, self.D_K, 1, adjacency
+            x.data, w.data, 3, self.D_K, 1, adjacency
         )
         assert out.shape == (5, 3 * self.D_V)
         assert logits.shape == (5, 5)
@@ -300,7 +300,7 @@ class TestAttention:
             seen.append(own.copy())
             return np.eye(4)
 
-        _, logits, _ = Tape().attention(x.value, w.value, 2, self.D_K, 1, inject)
+        _, logits, _ = Tape().attention(x, w, 2, self.D_K, 1, inject)
         s = logits.data
         own = np.exp(s - s.max(axis=1, keepdims=True))
         assert np.abs(seen[0] - own / own.sum(axis=1, keepdims=True)).max() <= 1e-15
@@ -308,11 +308,11 @@ class TestAttention:
     def test_rejects_bad_shapes(self):
         _, x, w = self._inputs(2, 3)
         with pytest.raises(DimensionError):
-            Tape().attention(x.value, w.value, 3, self.D_K)  # width not a multiple
+            Tape().attention(x, w, 3, self.D_K)  # width not a multiple
         with pytest.raises(DimensionError):
-            Tape().attention(x.value, w.value, 2, 4)  # no columns left for values
+            Tape().attention(x, w, 2, 4)  # no columns left for values
         with pytest.raises(DimensionError):
-            Tape().attention(x.value, w.value, 2, self.D_K, head=2)
+            Tape().attention(x, w, 2, self.D_K, head=2)
 
     @pytest.mark.parametrize("through", ["output", "logits", "both"])
     @pytest.mark.parametrize("inject", [False, True])
@@ -328,7 +328,7 @@ class TestAttention:
         def run(backward=False) -> float:
             t = Tape()
             out, logits, _ = t.attention(
-                x.value, w.value, n_heads, self.D_K, head,
+                x, w, n_heads, self.D_K, head,
                 (lambda own: adjacency) if inject else None,
             )
             terms = []
@@ -402,7 +402,7 @@ class TestConv3:
 
         def run(backward=False) -> float:
             t = Tape()
-            loss = probe_sum(t, t.conv_block(*(p.value for p in params)), probe)
+            loss = probe_sum(t, t.conv_block(*params), probe)
             if backward:
                 t.backward(loss)
             return loss.item()
@@ -465,7 +465,7 @@ class TestGatherAdd:
 
         def run(backward=False) -> float:
             t = Tape()
-            out = t.gather_add(base, table.value, self.ROWS)
+            out = t.gather_add(base, table, self.ROWS)
             loss = probe_sum(t, out, probe)
             if backward:
                 t.backward(loss)
@@ -474,7 +474,7 @@ class TestGatherAdd:
         table.reset_gradient()
         run(backward=True)
         assert finite_difference_check(run, table, 1e-5) < 1e-8
-        assert np.array_equal(table.gradient[3], np.zeros(3))  # a row nothing reads
+        assert np.array_equal(table.grad[3], np.zeros(3))  # a row nothing reads
 
 
 def unfused_scalar_mix(w, gamma, layers, positional, g):
@@ -510,7 +510,7 @@ class TestScalarMix:
 
         def run(backward=False) -> float:
             t = Tape()
-            loss = probe_sum(t, t.scalar_mix(w.value, gamma.value, layers, positional), probe)
+            loss = probe_sum(t, t.scalar_mix(w, gamma, layers, positional), probe)
             if backward:
                 t.backward(loss)
             return loss.item()
@@ -527,9 +527,9 @@ class TestScalarMix:
         rng, w, gamma, layers, positional = self._inputs(t_len, n_layers, 50 + t_len)
         g = rng.standard_normal((t_len, self.D))
         want, want_w, want_gamma = unfused_scalar_mix(
-            w.value.data, gamma.value.data, layers, positional, g
+            w.data, gamma.data, layers, positional, g
         )
-        inputs = Tensor(w.value.data), Tensor(gamma.value.data)
+        inputs = Tensor(w.data), Tensor(gamma.data)
         t = Tape()
         out = t.scalar_mix(*inputs, layers, positional)
         t.backward(probe_sum(t, out, g))
@@ -540,11 +540,11 @@ class TestScalarMix:
     def test_rejects_bad_shapes(self):
         _, w, gamma, layers, positional = self._inputs(3, 2, 0)
         for args in (
-            (gamma.value, gamma.value, layers, positional),
-            (w.value, w.value, layers, positional),
-            (w.value, gamma.value, layers[:1], positional),
-            (w.value, gamma.value, layers, positional[:2]),
-            (w.value, gamma.value, layers[0], positional),
+            (gamma, gamma, layers, positional),
+            (w, w, layers, positional),
+            (w, gamma, layers[:1], positional),
+            (w, gamma, layers, positional[:2]),
+            (w, gamma, layers[0], positional),
         ):
             with pytest.raises(DimensionError):
                 Tape().scalar_mix(*args)
@@ -604,7 +604,7 @@ class TestCrossEntropy:
 
         def run(backward=False) -> float:
             t = Tape()
-            loss = probe_sum(t, t.cross_entropy(x.value, gold), upstream)
+            loss = probe_sum(t, t.cross_entropy(x, gold), upstream)
             if backward:
                 t.backward(loss)
             return loss.item()
@@ -650,7 +650,7 @@ class TestBilinear:
 
     @staticmethod
     def _call(t, params, rows):
-        x, w_pred, u, w_role = (p.value for p in params)
+        x, w_pred, u, w_role = params
         return t.bilinear(x, rows, w_pred, u, w_role)
 
     def test_batched_equals_a_per_row_loop(self):
@@ -660,7 +660,7 @@ class TestBilinear:
         for seed in range(40):
             t_len = int(seed % 7) + 1
             rng, params = self._inputs(seed, t_len=t_len)
-            x, w_pred, u, w_role = (p.value.data for p in params)
+            x, w_pred, u, w_role = (p.data for p in params)
             rows = [int(i) for i in rng.integers(0, t_len, seed % 4 + 1)]
             t = Tape()
             out = self._call(t, params, rows)
@@ -678,10 +678,10 @@ class TestBilinear:
                 expect_p[row] += u_flat @ g_pu
                 expect_u += np.outer(p[row], g_pu)
                 expect_r += g[k] @ pu
-            close(params[0].gradient, expect_p @ w_pred.T + expect_r @ w_role.T)
-            close(params[1].gradient, x.T @ expect_p)
-            close(params[2].gradient, expect_u.reshape(u.shape))
-            close(params[3].gradient, x.T @ expect_r)
+            close(params[0].grad, expect_p @ w_pred.T + expect_r @ w_role.T)
+            close(params[1].grad, x.T @ expect_p)
+            close(params[2].grad, expect_u.reshape(u.shape))
+            close(params[3].grad, x.T @ expect_r)
 
     @pytest.mark.parametrize("t_len,d", [(1, 2), (4, 2), (9, 64)])
     def test_equals_unfused_composition_bitwise(self, t_len, d):
@@ -689,20 +689,20 @@ class TestBilinear:
         rows = [t_len - 1, 0, t_len - 1]  # repeated rows accumulate
         # a gradient x holds already: the order of the two sums into it shows
         held = rng.standard_normal((t_len, d)) * 1e3
-        params[0].value.grad[...] = held
+        params[0].grad[...] = held
         t = Tape()
         out = self._call(t, params, rows)
         g = rng.standard_normal(out.shape)
         t.backward(probe_sum(t, out, g))
-        x, w_pred, u, w_role = (p.value.data for p in params)
+        x, w_pred, u, w_role = (p.data for p in params)
         want, want_grads = unfused_bilinear(x, rows, w_pred, u, w_role, g, held)
         assert np.array_equal(out.data, want)
         for p in params:
-            assert np.array_equal(p.gradient, want_grads[p.name]), p.name
+            assert np.array_equal(p.grad, want_grads[p.name]), p.name
 
     def test_rejects_bad_rows_and_shapes(self):
         _, params = self._inputs(0)
-        x, w_pred, u, w_role = (p.value for p in params)
+        x, w_pred, u, w_role = params
         with pytest.raises(DimensionError):
             Tape().bilinear(x, [4], w_pred, u, w_role)
         with pytest.raises(DimensionError):
@@ -753,21 +753,21 @@ class TestFirstWriteGradients:
             return made[-1]
 
         # h1 and h2 are square, so any two of them multiply
-        h1, h2 = op("matmul", made[0], w1.value), op("matmul", made[0], w2.value, b.value)
+        h1, h2 = op("matmul", made[0], w1), op("matmul", made[0], w2, b)
         if kind == "add(x, x)":
             out = op("matmul", op("add", h1, h1), h2)
         elif kind == "mul(x, x)":  # the matrix product of h1 with itself
             out = op("add", op("matmul", h1, h1), h2)
         elif kind == "bias":  # one bias vector fed to three products
-            a = op("matmul", h1, h2, b.value)
-            out = op("matmul", op("matmul", a, a, b.value), h2)
+            a = op("matmul", h1, h2, b)
+            out = op("matmul", op("matmul", a, a, b), h2)
         else:
             # add(s, r) feeds s and r, s = add(h1, h2) feeds h1 and h2, and
             # the first matmul's backward, replayed last, adds into both once more
             r = op("matmul", h1, h2)
             s = op("add", h1, h2)
             u = op("add", s, r)
-            out = op("matmul", u, u, b.value)
+            out = op("matmul", u, u, b)
         made.append(probe_sum(t, out))
         return t, made[-1], made
 
@@ -787,7 +787,7 @@ class TestFirstWriteGradients:
         for p in params:
             assert finite_difference_check(run, p, 1e-6) < 1e-6, p.name
         grads = [t.grad for t in made if t.grad is not None]
-        grads += [p.gradient for p in params]
+        grads += [p.grad for p in params]
         assert len(grads) == len(made) + len(params)
         for i, g in enumerate(grads):
             for other in grads[i + 1 :]:
@@ -799,11 +799,11 @@ class TestFiniteDifference:
         p = Parameter("p", np.array([[1.0, -2.0], [0.5, 4.0]]))
 
         def run() -> float:
-            return probe_sum(Tape(), p.value).item()
+            return probe_sum(Tape(), p).item()
 
         t = Tape()
-        t.backward(probe_sum(t, p.value))
-        assert np.array_equal(p.gradient, np.ones((2, 2)))
+        t.backward(probe_sum(t, p))
+        assert np.array_equal(p.grad, np.ones((2, 2)))
         assert finite_difference_check(run, p, 1e-5) < 1e-9
 
     def test_softmax_conservation_gradient_near_zero(self):
@@ -813,14 +813,14 @@ class TestFiniteDifference:
         gamma, layers, positional = Tensor(1.3), np.ones((3, 2, 4)), np.zeros((2, 4))
 
         def loss(t):
-            return probe_sum(t, t.scalar_mix(p.value, gamma, layers, positional))
+            return probe_sum(t, t.scalar_mix(p, gamma, layers, positional))
 
         def run() -> float:
             return loss(Tape()).item()
 
         t = Tape()
         t.backward(loss(t))
-        assert np.abs(p.gradient).max() < 1e-9
+        assert np.abs(p.grad).max() < 1e-9
         assert finite_difference_check(run, p, 1e-5) < 1e-6
 
     def test_nondeterministic_f_detected(self):
@@ -845,11 +845,11 @@ class TestFiniteDifference:
 
         def run() -> float:
             t = Tape()
-            h = t.conv_block(t.matmul(Tensor(x), w.value), *conv)
+            h = t.conv_block(t.matmul(Tensor(x), w), *conv)
             return t.cross_entropy(h, [2, 0, 1, 1]).item()
 
         w.reset_gradient()
         t = Tape()
-        h = t.conv_block(t.matmul(Tensor(x), w.value), *conv)
+        h = t.conv_block(t.matmul(Tensor(x), w), *conv)
         t.backward(t.cross_entropy(h, [2, 0, 1, 1]))
         assert finite_difference_check(run, w, 1e-5) < 1e-7
