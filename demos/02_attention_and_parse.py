@@ -14,7 +14,6 @@ Run: python demos/02_attention_and_parse.py
 import numpy as np
 
 from lisa_srl import (
-    GrammarParams,
     LisaModel,
     ParseSource,
     RunConfig,
@@ -39,7 +38,7 @@ def main() -> None:
         build_joint_pos_pred_space(corpus),
         build_role_space(corpus),
         vocabulary(corpus),
-        dict(pretrained_vectors(GrammarParams(), 64, 0)),  # sets the width
+        dict(pretrained_vectors(64, 0)),  # sets the width
     )
     sent = corpus[0]
     print("sentence:", " ".join(sent.tokens))

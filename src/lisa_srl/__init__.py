@@ -47,7 +47,6 @@ from lisa_srl.pipeline import (
     train,
 )
 from lisa_srl.synth import (
-    GrammarParams,
     gen_splits,
     gen_synthetic,
     pretrained_vectors,
@@ -59,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnnotatedSentence",
     "GenSynthParams",
-    "GrammarParams",
     "LabelSpace",
     "LisaError",
     "LisaModel",

@@ -14,9 +14,11 @@ Layout, all integers little-endian:
 
 The JSON metadata carries the run configuration, the step counter, both
 label spaces, the training vocabulary and the pretrained word list. The
-tensor section carries every learned parameter plus the frozen pretrained
-rows, the unknown-word vector and the role-transition model, so a loaded
-checkpoint reproduces forward outputs bitwise with no other files present.
+configuration leaves out its file paths, so a run writes the same bytes
+from any directory. The tensor section carries every learned parameter
+plus the frozen pretrained rows, the unknown-word vector and the
+role-transition model, so a loaded checkpoint reproduces forward outputs
+bitwise with no other files present.
 """
 
 from __future__ import annotations
@@ -44,6 +46,10 @@ _UNK_KEY = "frozen.unk"
 _TRANS_KEYS = ("transitions.matrix", "transitions.start", "transitions.end")
 _WORD_LISTS = ("joint_labels", "role_labels", "train_words", "pretrained_words")
 _META_KEYS = frozenset({"config", "step", *_WORD_LISTS})
+# where a run's files live; nothing that loads a checkpoint reads them
+_PATH_FIELDS = frozenset(
+    f.name for f in dataclasses.fields(RunConfig) if f.name.endswith(("_path", "_in", "_out"))
+)
 # the JSON types each annotated RunConfig field may load as
 _JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
 
@@ -80,7 +86,7 @@ def save_checkpoint(
         if not np.all(np.isfinite(p.data)):
             raise NonFiniteError(f"refusing to checkpoint non-finite parameter {p.name}")
     meta = {
-        "config": dataclasses.asdict(config),
+        "config": {k: v for k, v in dataclasses.asdict(config).items() if k not in _PATH_FIELDS},
         "step": int(step),
         "joint_labels": list(model.pos_head.labels),
         "role_labels": list(model.scorer.labels),
@@ -178,22 +184,27 @@ def load_checkpoint(path) -> LoadedCheckpoint:
     joint = LabelSpace(meta["joint_labels"])
     roles = LabelSpace(meta["role_labels"])
 
-    def pop(name: str) -> np.ndarray:
+    def pop(name: str, shape=None) -> np.ndarray:
         if name not in tensors:
             raise CompatibilityError(f"checkpoint is missing tensor {name!r}")
-        return tensors.pop(name)
-
-    def saved(name: str, shape, draw=None) -> Parameter:
-        if name in tensors and tensors[name].shape != tuple(shape):
+        if shape is not None and tensors[name].shape != tuple(shape):
             raise CompatibilityError(
                 f"{name}: checkpoint shape {tensors[name].shape} != model {tuple(shape)}"
             )
-        return Parameter(name, pop(name))
+        return tensors.pop(name)
 
-    transitions = TransitionTable(roles, *(pop(key) for key in _TRANS_KEYS))
+    def saved(name: str, shape, draw=None) -> Parameter:
+        return Parameter(name, pop(name, shape))
+
+    n = len(roles)
+    transitions = TransitionTable(
+        roles, *(pop(key, shape) for key, shape in zip(_TRANS_KEYS, [(n, n), (n,), (n,)]))
+    )
     unk = None
     if config.embedding == EMBED_STATIC:
         words, rows, unk = meta["pretrained_words"], pop(_PRETRAINED_KEY), pop(_UNK_KEY)
+        if len(set(words)) != len(words):
+            raise CompatibilityError("checkpoint pretrained_words repeats a word")
         if len(words) != rows.shape[0]:
             raise CompatibilityError(
                 f"{len(words)} pretrained words for {rows.shape[0]} vector rows"

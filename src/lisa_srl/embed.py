@@ -121,11 +121,8 @@ class ScalarMix:
     gamma: Parameter
 
     @classmethod
-    def build(cls, n_layers: int, prefix: str = "mix", make=new_parameter) -> "ScalarMix":
-        return cls(
-            make(f"{prefix}.w", (1, n_layers)),
-            make(f"{prefix}.gamma", (), lambda: np.asarray(1.0)),
-        )
+    def build(cls, n_layers: int, make=new_parameter) -> "ScalarMix":
+        return cls(make("mix.w", (1, n_layers)), make("mix.gamma", (), lambda: np.asarray(1.0)))
 
     @property
     def n_layers(self) -> int:

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import AnnotatedSentence, bio_to_spans
-from .errors import AlignmentError, ConfigError
+from .errors import AlignmentError
 
 FLOAT_FORMAT = "%.17g"
-DEFAULT_EDGES = (0, 10, 20, 30, 40)
+LENGTH_EDGES = (0, 10, 20, 30, 40)
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,6 @@ class BucketMetrics:
     counts: Counts
     f1: float
     support: int
-
-    @property
-    def empty(self) -> bool:
-        return self.support == 0
 
     def label(self) -> str:
         hi = "inf" if self.hi == float("inf") else str(int(self.hi))
@@ -139,20 +135,15 @@ def corpus_uas(gold: Sequence[AnnotatedSentence],
 def bucket_by_length(
     gold: Sequence[AnnotatedSentence],
     predicted: Sequence[AnnotatedSentence],
-    edges: Sequence[int] = DEFAULT_EDGES,
 ) -> list[BucketMetrics]:
-    """SRL F1 restricted to sentence-length ranges (edges[i], edges[i+1]].
-
-    The final bucket is open-ended. Buckets with no gold sentences report
-    F1 = 0 with support 0 and are marked empty.
+    """SRL F1 restricted to the sentence-length ranges (0, 10], (10, 20],
+    (20, 30], (30, 40] and (40, inf). A bucket with no gold sentences
+    reports F1 = 0 with support 0.
     """
-    if list(edges) != sorted(set(edges)) or not edges:
-        raise ConfigError(f"bucket edges must be ascending and distinct: {edges}")
     _check_aligned(gold, predicted)
-    bounds = [(edges[i], float(edges[i + 1]) if i + 1 < len(edges) else float("inf"))
-              for i in range(len(edges))]
+    his = [float(e) for e in LENGTH_EDGES[1:]] + [float("inf")]
     out = []
-    for lo, hi in bounds:
+    for lo, hi in zip(LENGTH_EDGES, his):
         members = [i for i, g in enumerate(gold) if lo < len(g) <= hi]
         counts = srl_counts([gold[i] for i in members], [predicted[i] for i in members])
         _, _, f1 = counts.prf()
@@ -163,7 +154,6 @@ def bucket_by_length(
 def evaluate_corpus(
     gold: Sequence[AnnotatedSentence],
     predicted: Sequence[AnnotatedSentence],
-    edges: Sequence[int] = DEFAULT_EDGES,
     bio_repairs: int = 0,
 ) -> MetricsReport:
     """Assemble the full metrics report for a predicted corpus."""
@@ -171,7 +161,7 @@ def evaluate_corpus(
         srl=srl_prf(gold, predicted),
         predicate=predicate_prf(gold, predicted),
         uas=corpus_uas(gold, predicted),
-        buckets=bucket_by_length(gold, predicted, edges),
+        buckets=bucket_by_length(gold, predicted),
         bio_repairs=bio_repairs,
     )
 

@@ -6,7 +6,7 @@ lines and output files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -39,7 +39,7 @@ from .encoder import ParseSource
 from .errors import AlignmentError, ConfigError, NonFiniteError
 from .evaluation import MetricsReport, evaluate_corpus, export_metrics, srl_prf
 from .model import EMBED_CONTEXTUAL, EMBED_STATIC, LisaModel
-from .synth import GrammarParams, gen_splits, pretrained_vectors
+from .synth import gen_splits, pretrained_vectors
 from .numerics import Tape
 
 LOG_FLOAT = "%.17g"
@@ -247,7 +247,7 @@ def predict(config: RunConfig) -> list[AnnotatedSentence]:
         raise ConfigError("predictions_path is required for predict")
     loaded = load_checkpoint(config.checkpoint_in)
     # the checkpoint decides the embedding path; the command decides the source
-    config.embedding = loaded.config.embedding
+    config = replace(config, embedding=loaded.config.embedding)
     data = load_split(config, "test")
     predictions = _predict_corpus(
         loaded.model, data, loaded.transitions, config.source(),
@@ -296,7 +296,6 @@ class GenSynthParams:
     heads_error_rate: float | None = None
     with_contextual: bool = False
     n_ctx_layers: int = 3
-    grammar: GrammarParams = GrammarParams()
 
 
 def _corrupt_heads(
@@ -332,8 +331,7 @@ def gen_synth(params: GenSynthParams) -> list[str]:
         raise ConfigError(f"heads_error_rate must lie in [0, 1], got {rate}")
     out_dir = Path(params.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    splits = gen_splits(params.n_train, params.n_dev, params.n_test, params.seed,
-                        params.grammar)
+    splits = gen_splits(params.n_train, params.n_dev, params.n_test, params.seed)
     written: list[str] = []
 
     for name, corpus in splits.items():
@@ -342,7 +340,7 @@ def gen_synth(params: GenSynthParams) -> list[str]:
         written.append(str(path))
 
     vec_path = out_dir / "pretrained.vec"
-    write_vec_file(vec_path, pretrained_vectors(params.grammar, params.dim, params.seed))
+    write_vec_file(vec_path, pretrained_vectors(params.dim, params.seed))
     written.append(str(vec_path))
 
     if params.heads_error_rate is not None:

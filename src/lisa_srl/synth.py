@@ -19,17 +19,18 @@ walk that meets a cycle of heads, is an EncodingError.
 
 Prepositional phrases after an object attach either to the verb (the PP is
 an AM-LOC argument) or to the object noun (the PP merely extends the A1
-span). Which happens is cued by the preposition: the first third of the
-preposition inventory always attaches to the verb, the middle third to the
-noun, and the last third alternates attachment sites across the corpus, so
-each corpus is exactly balanced between the two readings. That last group
-is irreducibly ambiguous for any model that sees only the token sequence
-(either attachment is equally represented and nothing in the sentence
-signals which applies), while a model given the gold parse resolves it
-exactly.
+span). Which happens is cued by the preposition: p0-p1 (VERB_CUED) always
+attach to the verb, p2-p3 (NOUN_CUED) to the noun, and p4-p5 (AMBIGUOUS)
+alternate attachment sites across the corpus, so each corpus is exactly
+balanced between the two readings. That last group is irreducibly
+ambiguous for any model that sees only the token sequence (either
+attachment is equally represented and nothing in the sentence signals
+which applies), while a model given the gold parse resolves it exactly.
 
-A shifted split draws nouns and verbs from a reserved vocabulary region
-unseen in training and allows longer clause chains.
+Two constant `Domain` records fix the splits. IN_DOMAIN (train, dev and
+test) draws nouns n000-n069 and verbs v00-v19 and joins at most 2 clauses;
+SHIFTED (test-shifted) draws only the nouns n070-n099 and verbs v20-v29
+that training never sees, attaches more PPs and chains up to 3 clauses.
 """
 
 from __future__ import annotations
@@ -50,46 +51,40 @@ def pos_of_word(word: str) -> str:
     return POS_OF_PREFIX[word[0]]
 
 
+N_DETS, N_NOUNS, N_VERBS, N_PREPS, N_MODALS = 4, 100, 30, 6, 2
+P_TRANSITIVE = 0.45
+P_DITRANSITIVE = 0.15
+P_INTRANSITIVE_PP = 0.5
+P_MODAL = 0.2
+# preposition index ranges by attachment cue
+VERB_CUED, NOUN_CUED, AMBIGUOUS = range(0, 2), range(2, 4), range(4, N_PREPS)
+
+
 @dataclass(frozen=True)
-class GrammarParams:
-    """Vocabulary sizes and production probabilities for the generator."""
+class Domain:
+    """The content words a split draws from and how its sentences grow."""
 
-    n_nouns: int = 100
-    n_verbs: int = 30
-    n_dets: int = 4
-    n_preps: int = 6
-    n_modals: int = 2
-    # content words at or past these indices appear only in the shifted split
-    shifted_noun_start: int = 70
-    shifted_verb_start: int = 20
-    p_transitive: float = 0.45
-    p_ditransitive: float = 0.15
-    p_object_pp: float = 0.6
-    p_intransitive_pp: float = 0.5
-    p_front_pp: float = 0.15
-    p_modal: float = 0.2
-    p_extra_clause: float = 0.15
-    max_clauses: int = 2
-    shifted_p_object_pp: float = 0.7
-    shifted_p_front_pp: float = 0.3
-    shifted_p_extra_clause: float = 0.6
-    shifted_max_clauses: int = 3
-
-    def prep_groups(self) -> tuple[range, range, range]:
-        """(verb-cued, noun-cued, ambiguous) preposition index ranges."""
-        k = self.n_preps // 3
-        return range(0, k), range(k, 2 * k), range(2 * k, self.n_preps)
+    nouns: range
+    verbs: range
+    p_object_pp: float
+    p_front_pp: float
+    p_extra_clause: float
+    max_clauses: int
 
 
-def full_vocabulary(grammar: GrammarParams) -> list[str]:
+IN_DOMAIN = Domain(range(0, 70), range(0, 20), 0.6, 0.15, 0.15, 2)
+SHIFTED = Domain(range(70, N_NOUNS), range(20, N_VERBS), 0.7, 0.3, 0.6, 3)
+
+
+def full_vocabulary() -> list[str]:
     """Every word either domain can emit, in sorted order."""
     words = (
-        [f"d{i}" for i in range(grammar.n_dets)]
-        + [f"n{i:03d}" for i in range(grammar.n_nouns)]
-        + [f"v{i:02d}" for i in range(grammar.n_verbs)]
-        + [f"p{i}" for i in range(grammar.n_preps)]
+        [f"d{i}" for i in range(N_DETS)]
+        + [f"n{i:03d}" for i in range(N_NOUNS)]
+        + [f"v{i:02d}" for i in range(N_VERBS)]
+        + [f"p{i}" for i in range(N_PREPS)]
         + ["c0"]
-        + [f"m{i}" for i in range(grammar.n_modals)]
+        + [f"m{i}" for i in range(N_MODALS)]
     )
     return sorted(words)
 
@@ -149,35 +144,29 @@ def roles_from_tree(pos, heads, predicates) -> dict[int, tuple[str, ...]]:
 # Generation
 
 
-def _pick(rng: np.random.Generator, prefix: str, lo: int, hi: int, width: int) -> str:
-    return f"{prefix}{int(rng.integers(lo, hi)):0{width}d}"
+def _pick(rng: np.random.Generator, prefix: str, indices: range, width: int) -> str:
+    return f"{prefix}{int(rng.integers(indices.start, indices.stop)):0{width}d}"
 
 
 class _Draw:
-    """Word samplers bound to one rng, grammar and domain, plus the
-    alternation state for ambiguous-preposition attachment."""
+    """Word samplers bound to one rng and domain, plus the alternation
+    state for ambiguous-preposition attachment."""
 
-    def __init__(self, rng, grammar: GrammarParams, shifted: bool):
-        self.rng, self.g = rng, grammar
+    def __init__(self, rng, domain: Domain):
+        self.rng, self.domain = rng, domain
         self.amb_flips = 0
-        if shifted:
-            self.noun_range = (grammar.shifted_noun_start, grammar.n_nouns)
-            self.verb_range = (grammar.shifted_verb_start, grammar.n_verbs)
-        else:
-            self.noun_range = (0, grammar.shifted_noun_start)
-            self.verb_range = (0, grammar.shifted_verb_start)
 
     def det(self) -> str:
-        return _pick(self.rng, "d", 0, self.g.n_dets, 1)
+        return _pick(self.rng, "d", range(N_DETS), 1)
 
     def noun(self) -> str:
-        return _pick(self.rng, "n", *self.noun_range, 3)
+        return _pick(self.rng, "n", self.domain.nouns, 3)
 
     def verb(self) -> str:
-        return _pick(self.rng, "v", *self.verb_range, 2)
+        return _pick(self.rng, "v", self.domain.verbs, 2)
 
     def modal(self) -> str:
-        return _pick(self.rng, "m", 0, self.g.n_modals, 1)
+        return _pick(self.rng, "m", range(N_MODALS), 1)
 
     def prep(self, indices: range) -> tuple[str, int]:
         i = int(self.rng.integers(indices.start, indices.stop))
@@ -189,9 +178,9 @@ class _Draw:
         return self.amb_flips % 2 == 1
 
 
-def _clause(draw: _Draw, p_object_pp: float):
+def _clause(draw: _Draw):
     """One clause as (words, pos, heads-local); the verb is a self-loop."""
-    g, rng = draw.g, draw.rng
+    rng = draw.rng
     words: list[str] = []
     pos: list[str] = []
     heads: list[int] = []
@@ -205,25 +194,24 @@ def _clause(draw: _Draw, p_object_pp: float):
     det = put(draw.det(), -1)
     subj = put(draw.noun(), -1)
     heads[det] = subj
-    modal = put(draw.modal(), -1) if rng.random() < g.p_modal else None
+    modal = put(draw.modal(), -1) if rng.random() < P_MODAL else None
     verb = put(draw.verb(), -1)
     heads[verb] = verb
     heads[subj] = verb
     if modal is not None:
         heads[modal] = verb
 
-    verb_cued, noun_cued, ambiguous = g.prep_groups()
     kind = rng.random()
-    if kind < g.p_transitive + g.p_ditransitive:
+    if kind < P_TRANSITIVE + P_DITRANSITIVE:
         od = put(draw.det(), -1)
         on = put(draw.noun(), verb)
         heads[od] = on
-        if kind < g.p_transitive:
-            if rng.random() < p_object_pp:
-                word, i = draw.prep(range(0, g.n_preps))
-                if i in verb_cued:
+        if kind < P_TRANSITIVE:
+            if rng.random() < draw.domain.p_object_pp:
+                word, i = draw.prep(range(N_PREPS))
+                if i in VERB_CUED:
                     site = verb
-                elif i in noun_cued:
+                elif i in NOUN_CUED:
                     site = on
                 else:
                     site = verb if draw.ambiguous_attaches_to_verb() else on
@@ -235,8 +223,8 @@ def _clause(draw: _Draw, p_object_pp: float):
             od2 = put(draw.det(), -1)
             on2 = put(draw.noun(), verb)
             heads[od2] = on2
-    elif rng.random() < g.p_intransitive_pp:
-        word, _ = draw.prep(verb_cued)
+    elif rng.random() < P_INTRANSITIVE_PP:
+        word, _ = draw.prep(VERB_CUED)
         prep = put(word, verb)
         pd = put(draw.det(), -1)
         pn = put(draw.noun(), prep)
@@ -244,20 +232,16 @@ def _clause(draw: _Draw, p_object_pp: float):
     return words, pos, heads, verb
 
 
-def _sentence(draw: _Draw, shifted: bool) -> AnnotatedSentence:
-    g, rng = draw.g, draw.rng
-    p_object_pp = g.shifted_p_object_pp if shifted else g.p_object_pp
-    p_front_pp = g.shifted_p_front_pp if shifted else g.p_front_pp
-    p_extra = g.shifted_p_extra_clause if shifted else g.p_extra_clause
-    max_clauses = g.shifted_max_clauses if shifted else g.max_clauses
-
-    want_front = rng.random() < p_front_pp
-    words, pos, heads, main_verb = _clause(draw, p_object_pp)
+def _sentence(draw: _Draw) -> AnnotatedSentence:
+    rng, domain = draw.rng, draw.domain
+    want_front = rng.random() < domain.p_front_pp
+    words, pos, heads, main_verb = _clause(draw)
     while (
-        len([p for p in pos if p == "VB"]) < max_clauses and rng.random() < p_extra
+        len([p for p in pos if p == "VB"]) < domain.max_clauses
+        and rng.random() < domain.p_extra_clause
     ):
         base = len(words) + 1
-        cw, cp, ch, cv = _clause(draw, p_object_pp)
+        cw, cp, ch, cv = _clause(draw)
         words.append("c0")
         pos.append("CC")
         heads.append(main_verb)
@@ -267,7 +251,7 @@ def _sentence(draw: _Draw, shifted: bool) -> AnnotatedSentence:
         heads[base + cv] = main_verb
 
     if want_front:
-        word, _ = draw.prep(g.prep_groups()[0])
+        word, _ = draw.prep(VERB_CUED)
         fw = [word, draw.det(), draw.noun()]
         heads = [main_verb + 3, 2, 0] + [h + 3 for h in heads]
         words = fw + words
@@ -278,33 +262,23 @@ def _sentence(draw: _Draw, shifted: bool) -> AnnotatedSentence:
     return AnnotatedSentence(tuple(words), tuple(pos), tuple(heads), predicates, frames)
 
 
-def gen_synthetic(
-    n: int,
-    seed: int,
-    grammar: GrammarParams = GrammarParams(),
-    *,
-    shifted: bool = False,
-) -> list[AnnotatedSentence]:
+def gen_synthetic(n: int, seed: int, *, shifted: bool = False) -> list[AnnotatedSentence]:
     """Generate n sentences; byte-identical output for identical arguments."""
     if n < 1:
         raise ConfigError(f"need n >= 1, got {n}")
-    draw = _Draw(np.random.default_rng(seed), grammar, shifted)
-    return [_sentence(draw, shifted) for _ in range(n)]
+    draw = _Draw(np.random.default_rng(seed), SHIFTED if shifted else IN_DOMAIN)
+    return [_sentence(draw) for _ in range(n)]
 
 
 def gen_splits(
-    n_train: int,
-    n_dev: int,
-    n_test: int,
-    seed: int,
-    grammar: GrammarParams = GrammarParams(),
+    n_train: int, n_dev: int, n_test: int, seed: int
 ) -> dict[str, list[AnnotatedSentence]]:
     """Standard split set: in-domain train/dev/test plus a shifted test."""
     return {
-        "train": gen_synthetic(n_train, seed, grammar),
-        "dev": gen_synthetic(n_dev, seed + 1, grammar),
-        "test": gen_synthetic(n_test, seed + 2, grammar),
-        "test-shifted": gen_synthetic(n_test, seed + 3, grammar, shifted=True),
+        "train": gen_synthetic(n_train, seed),
+        "dev": gen_synthetic(n_dev, seed + 1),
+        "test": gen_synthetic(n_test, seed + 2),
+        "test-shifted": gen_synthetic(n_test, seed + 3, shifted=True),
     }
 
 
@@ -312,9 +286,7 @@ def gen_splits(
 # Pretrained word vectors for the synthetic vocabulary
 
 
-def pretrained_vectors(
-    grammar: GrammarParams, dim: int, seed: int
-) -> list[tuple[str, np.ndarray]]:
+def pretrained_vectors(dim: int, seed: int) -> list[tuple[str, np.ndarray]]:
     """POS-clustered vectors covering the full (both-domain) vocabulary.
 
     Each word's vector is its POS-class centroid plus word-specific noise
@@ -328,7 +300,7 @@ def pretrained_vectors(
         for tag in ("CC", "DT", "IN", "MD", "NN", "VB")
     }
     out = []
-    for word in full_vocabulary(grammar):
+    for word in full_vocabulary():
         wrng = np.random.default_rng([seed, zlib.crc32(word.encode("utf-8"))])
         vec = centroids[pos_of_word(word)] + wrng.normal(0.0, 0.5 * scale, dim)
         out.append((word, vec))

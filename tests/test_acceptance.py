@@ -34,7 +34,7 @@ from lisa_srl.evaluation import corpus_uas, srl_prf
 from lisa_srl.model import LisaModel
 from lisa_srl.numerics import Tape, finite_difference_check, softmax
 from lisa_srl.pipeline import GenSynthParams, evaluate, gen_synth, predict, train
-from lisa_srl.synth import GrammarParams, gen_synthetic, pretrained_vectors
+from lisa_srl.synth import gen_synthetic, pretrained_vectors
 
 
 def _decode_corpus(model, transitions, corpus, source, harden=False):
@@ -46,7 +46,7 @@ def _decode_corpus(model, transitions, corpus, source, harden=False):
 
 def _desk_model(corpus, seed=0):
     """Untrained model at shipped defaults over the given corpus."""
-    pretrained = dict(pretrained_vectors(GrammarParams(), 64, 0))
+    pretrained = dict(pretrained_vectors(64, 0))
     return LisaModel.build(
         RunConfig(seed=seed),
         build_joint_pos_pred_space(corpus),

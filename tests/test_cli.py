@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -428,7 +429,9 @@ def test_checkpoint_round_trip_is_bitwise(data_dir, tmp_path):
     for p in loaded.model.parameters():
         assert np.array_equal(p.data, model_params[p.name]), p.name
     assert loaded.step == result.steps
-    assert loaded.config == config
+    assert loaded.config == dataclasses.replace(
+        config, train_path="", dev_path="", test_path="", pretrained_path="", checkpoint_out=""
+    )
     assert np.array_equal(loaded.transitions.matrix, result.transitions.matrix)
     assert np.array_equal(loaded.transitions.start, result.transitions.start)
     assert loaded.transitions.labels == result.transitions.labels
@@ -438,6 +441,21 @@ def test_checkpoint_round_trip_is_bitwise(data_dir, tmp_path):
         a = result.model.loss(Tape(), sent).total
         b = loaded.model.loss(Tape(), sent).total
         assert a == b  # bitwise, not approx
+
+
+@pytest.mark.parametrize("embedding", ["static", "contextual"])
+def test_checkpoint_bytes_do_not_depend_on_the_run_directory(data_dir, tmp_path, embedding):
+    blobs = []
+    for run in ("a", "run-b"):
+        work = tmp_path / run
+        shutil.copytree(data_dir, work)
+        config = _tiny_config(
+            work, work, embedding=embedding, epochs=1,
+            train_ctxl_path=work / "train.ctxl", dev_ctxl_path=work / "dev.ctxl",
+        )
+        train(config)
+        blobs.append((work / "model.ckpt").read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 def test_checkpoint_rejects_bad_magic_and_version(tmp_path):
@@ -522,6 +540,37 @@ def test_checkpoint_with_foreign_or_misshapen_tensor_is_incompatible(
         load_checkpoint(broken)
 
 
+def _replace_tensor(blob: bytes, name: str, arr: np.ndarray) -> bytes:
+    """Re-encode a checkpoint with one named tensor's record rewritten."""
+    start, _, end = _tensor_records(blob)[name]
+    record = (
+        struct.pack("<I", len(name)) + name.encode() + struct.pack("<I", arr.ndim)
+        + struct.pack(f"<{arr.ndim}Q", *arr.shape) + arr.astype("<f8").tobytes()
+    )
+    return blob[:start] + record + blob[end:]
+
+
+@pytest.mark.parametrize("name", ["transitions.matrix", "transitions.start", "transitions.end"])
+def test_cli_transitions_that_do_not_fit_the_roles_are_one_compatibility_line(
+    data_dir, tmp_path, capsys, name
+):
+    config = _tiny_config(data_dir, tmp_path, epochs=1)
+    train(config)
+    original = getattr(load_checkpoint(config.checkpoint_out).transitions, name.split(".")[1])
+    short = original[(slice(-1),) * original.ndim]  # one role fewer on every axis
+    broken = tmp_path / "broken.ckpt"
+    broken.write_bytes(_replace_tensor((tmp_path / "model.ckpt").read_bytes(), name, short))
+    with pytest.raises(CompatibilityError, match=f"{name}: checkpoint shape"):
+        load_checkpoint(broken)
+    capsys.readouterr()
+    code = main(["predict", "--checkpoint-in", str(broken),
+                 "--test-path", str(data_dir / "test.conll"),
+                 "--predictions-path", str(tmp_path / "pred.conll")])
+    assert code == 1
+    assert name in _one_error_line(capsys, "compatibility")
+    assert not (tmp_path / "pred.conll").exists()
+
+
 def _patched_metadata(data_dir, tmp_path, edit) -> Path:
     """A freshly trained checkpoint whose JSON metadata `edit` has changed."""
     train(_tiny_config(data_dir, tmp_path, epochs=1))
@@ -542,6 +591,23 @@ def test_checkpoint_with_unknown_config_key_is_incompatible(data_dir, tmp_path):
     broken = _patched_metadata(data_dir, tmp_path, lambda meta: meta["config"].update(d_q=4))
     with pytest.raises(CompatibilityError, match="d_q"):
         load_checkpoint(broken)
+
+
+def test_cli_checkpoint_with_a_repeated_pretrained_word_is_one_compatibility_line(
+    data_dir, tmp_path, capsys
+):
+    def edit(meta):
+        words = meta["pretrained_words"]
+        words[1] = words[0]
+
+    broken = _patched_metadata(data_dir, tmp_path, edit)
+    capsys.readouterr()
+    code = main(["predict", "--checkpoint-in", str(broken),
+                 "--test-path", str(data_dir / "test.conll"),
+                 "--predictions-path", str(tmp_path / "pred.conll")])
+    assert code == 1
+    assert "pretrained_words" in _one_error_line(capsys, "compatibility")
+    assert not (tmp_path / "pred.conll").exists()
 
 
 @pytest.mark.parametrize(
@@ -818,6 +884,19 @@ def test_predict_evaluate_round_trip(data_dir, tmp_path):
     assert 0.0 <= report.srl[2] <= 1.0
     assert any(line.startswith("srl_precision=") for line in lines)
     assert (tmp_path / "metrics.csv").exists()
+
+
+def test_predict_leaves_the_callers_config_unchanged(
+    data_dir, contextual_checkpoint, tmp_path
+):
+    config = _tiny_config(
+        data_dir, tmp_path, checkpoint_in=contextual_checkpoint,
+        test_ctxl_path=data_dir / "test.ctxl", predictions_path=tmp_path / "pred.conll",
+    )
+    before = dataclasses.replace(config)
+    assert config.embedding == "static"
+    assert len(predict(config)) == 6  # decoded on the checkpoint's contextual path
+    assert config == before
 
 
 def test_predict_with_gold_source_gives_perfect_uas_without_retraining(

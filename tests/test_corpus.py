@@ -35,7 +35,9 @@ from lisa_srl.corpus import (
 )
 from lisa_srl.errors import ConfigError, EstimationError
 from lisa_srl.synth import (
-    GrammarParams,
+    AMBIGUOUS,
+    NOUN_CUED,
+    VERB_CUED,
     full_vocabulary,
     gen_splits,
     gen_synthetic,
@@ -494,12 +496,10 @@ def test_roles_reject_an_argument_with_a_non_contiguous_yield():
 
 
 def test_generator_ambiguous_preps_attach_both_ways():
-    grammar = GrammarParams()
-    _, _, ambiguous = grammar.prep_groups()
     verb_site, noun_site = 0, 0
     for s in gen_synthetic(1200, 23):
         for t, w in enumerate(s.tokens):
-            if w.startswith("p") and int(w[1:]) in ambiguous:
+            if w.startswith("p") and int(w[1:]) in AMBIGUOUS:
                 head = s.heads[t]
                 if s.pos[head] == "VB":
                     verb_site += 1
@@ -509,22 +509,19 @@ def test_generator_ambiguous_preps_attach_both_ways():
 
 
 def test_generator_cued_preps_attach_one_way():
-    grammar = GrammarParams()
-    verb_cued, noun_cued, _ = grammar.prep_groups()
     for s in gen_synthetic(400, 29):
         for t, w in enumerate(s.tokens):
             if not w.startswith("p"):
                 continue
             idx, head_pos = int(w[1:]), s.pos[s.heads[t]]
-            if idx in verb_cued:
+            if idx in VERB_CUED:
                 assert head_pos == "VB"
-            elif idx in noun_cued:
+            elif idx in NOUN_CUED:
                 assert head_pos == "NN"
 
 
 def test_shifted_split_disjoint_content_vocab_and_longer():
-    grammar = GrammarParams()
-    splits = gen_splits(60, 20, 20, 31, grammar)
+    splits = gen_splits(60, 20, 20, 31)
     content = lambda corpus: {
         w for s in corpus for w in s.tokens if w[0] in ("n", "v")
     }
@@ -535,10 +532,9 @@ def test_shifted_split_disjoint_content_vocab_and_longer():
 
 
 def test_pretrained_vectors_cover_vocab_and_cluster():
-    grammar = GrammarParams()
-    vecs = pretrained_vectors(grammar, 16, 3)
+    vecs = pretrained_vectors(16, 3)
     words = [w for w, _ in vecs]
-    assert words == full_vocabulary(grammar)
+    assert words == full_vocabulary()
     table = dict(vecs)
     # same-class words sit nearer their own class than another class
     nn = np.mean([table[f"n{i:03d}"] for i in range(100)], axis=0)
@@ -546,6 +542,6 @@ def test_pretrained_vectors_cover_vocab_and_cluster():
     for i in range(0, 100, 7):
         v = table[f"n{i:03d}"]
         assert np.linalg.norm(v - nn) < np.linalg.norm(v - vb)
-    again = pretrained_vectors(grammar, 16, 3)
+    again = pretrained_vectors(16, 3)
     for (w1, v1), (w2, v2) in zip(vecs, again):
         assert w1 == w2 and np.array_equal(v1, v2)

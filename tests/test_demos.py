@@ -1,10 +1,12 @@
 """The quick demos run end to end and clean up after themselves.
 
-Demos 03, 04 and 06 train for tens of seconds each, so they are left to a
-manual run.
+Demos 03, 04 and 06 train for tens of seconds each, so they are only
+imported: every demo guards `main()` behind `__main__`, so running one
+under another name resolves its imports without training anything.
 """
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -28,3 +30,12 @@ def test_demo_runs_cleanly(demo, tmp_path):
     assert proc.stderr == ""
     assert proc.stdout
     assert not list(tmp_path.glob("lisa-demo05-*"))
+
+
+@pytest.mark.parametrize(
+    "demo",
+    ["03_train_to_convergence", "04_parse_sources", "06_contextual_layers"],
+)
+def test_slow_demo_imports_resolve(demo):
+    namespace = runpy.run_path(str(ROOT / "demos" / f"{demo}.py"), run_name="demo")
+    assert callable(namespace["main"])

@@ -28,7 +28,7 @@ from lisa_srl.embed import (
     write_contextual,
     write_vec_file,
 )
-from lisa_srl.synth import GrammarParams, gen_synthetic, pretrained_vectors
+from lisa_srl.synth import gen_synthetic, pretrained_vectors
 
 
 def _table(d=4, extra_pretrained=()):
@@ -293,8 +293,7 @@ def test_positional_rejects_odd_width():
 
 
 def test_vec_file_round_trip(tmp_path):
-    grammar = GrammarParams(n_nouns=6, n_verbs=3, shifted_noun_start=4, shifted_verb_start=2)
-    items = pretrained_vectors(grammar, 8, 0)
+    items = pretrained_vectors(8, 0)
     path = tmp_path / "w.vec"
     write_vec_file(path, items)
     table = read_vec_file(path)
