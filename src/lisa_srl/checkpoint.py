@@ -27,12 +27,13 @@ import dataclasses
 import json
 import math
 import struct
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import RunConfig
-from .corpus import BlobReader, LabelSpace, TransitionTable
+from .corpus import BlobReader, LabelSpace, TransitionTable, names_its_file
 from .embed import ContextualStore
 from .errors import CompatibilityError, CorpusFormatError, NonFiniteError
 from .model import EMBED_STATIC, LisaModel
@@ -137,7 +138,7 @@ def _read_tensors(reader: BlobReader) -> dict[str, np.ndarray]:
 
 
 def _check_metadata_types(meta: dict) -> None:
-    """Config values of their field's type, an int step and lists of words."""
+    """Config values of their field's type, an int step and lists of distinct words."""
     config = meta["config"]
     if not isinstance(config, dict):
         raise CorpusFormatError("checkpoint config is not a JSON object")
@@ -151,8 +152,12 @@ def _check_metadata_types(meta: dict) -> None:
     for key in _WORD_LISTS:
         if not isinstance(meta[key], list) or not all(isinstance(w, str) for w in meta[key]):
             raise CorpusFormatError(f"checkpoint {key} is not a list of strings")
+        if len(set(meta[key])) < len(meta[key]):
+            repeat = next(w for w, n in Counter(meta[key]).items() if n > 1)
+            raise CompatibilityError(f"checkpoint {key} repeats {repeat!r}")
 
 
+@names_its_file
 def load_checkpoint(path) -> LoadedCheckpoint:
     with open(path, "rb") as fh:
         reader = BlobReader(fh.read(), "checkpoint")
@@ -203,8 +208,6 @@ def load_checkpoint(path) -> LoadedCheckpoint:
     unk = None
     if config.embedding == EMBED_STATIC:
         words, rows, unk = meta["pretrained_words"], pop(_PRETRAINED_KEY), pop(_UNK_KEY)
-        if len(set(words)) != len(words):
-            raise CompatibilityError("checkpoint pretrained_words repeats a word")
         if len(words) != rows.shape[0]:
             raise CompatibilityError(
                 f"{len(words)} pretrained words for {rows.shape[0]} vector rows"

@@ -15,7 +15,7 @@ import math
 import os
 from dataclasses import dataclass
 
-from .corpus import text_lines
+from .corpus import names_its_file, text_lines
 from .encoder import ParseSource
 from .errors import ConfigError
 from .model import EMBED_CONTEXTUAL, EMBED_STATIC, VARIANT_AGNOSTIC, VARIANT_SYNTAX
@@ -150,6 +150,7 @@ def _coerce(key: str, raw: str):
         raise ConfigError(f"cannot parse {key}={raw!r} as {kind}") from None
 
 
+@names_its_file
 def parse_config_file(path) -> dict[str, str]:
     """Flat `key = value` lines; blank lines and full-line # comments skipped."""
     out: dict[str, str] = {}

@@ -15,7 +15,11 @@ columns. Sentences are checked in file order. Within one, a ragged row is
 reported first, then the first line with a bad head index or predicate
 marker (on one line, the head index first), then the BIO columns, then,
 unless repairing, a root count other than one and last a cycle of heads:
-gold heads must form a tree.
+gold heads must form a tree. A reader's format error begins with its path.
+
+One rule, `valid_successor`, says that I-X may only follow B-X or I-X, with
+OUTSIDE before the first tag. Spans, repairs and the transition table are
+built on it; the reader's `is_valid_bio` is its fast form.
 """
 
 from __future__ import annotations
@@ -124,7 +128,15 @@ def _split_tag(tag: str) -> tuple[str, str]:
     raise CorpusFormatError(f"malformed BIO tag {tag!r}")
 
 
+def valid_successor(prev: str, tag: str) -> bool:
+    """The BIO rule: I-X may only follow B-X or I-X. OUTSIDE stands before
+    the first tag, so no sequence starts with I-X."""
+    prefix, label = _split_tag(tag)
+    return prefix != "I" or _split_tag(prev)[1] == label
+
+
 def is_valid_bio(tags: Sequence[str]) -> bool:
+    """The fast form of `all(map(valid_successor, (OUTSIDE, *tags), tags))`."""
     prev_label = None
     for tag in tags:
         if tag == OUTSIDE:
@@ -151,48 +163,24 @@ def spans_to_bio(spans: Sequence[RoleSpan], length: int) -> tuple[str, ...]:
 
 
 def bio_to_spans(tags: Sequence[str]) -> list[RoleSpan]:
-    spans, _ = bio_to_spans_counted(tags)
-    return spans
-
-
-def bio_to_spans_counted(tags: Sequence[str]) -> tuple[list[RoleSpan], int]:
-    """Decode BIO tags to spans, repairing bare I-X as B-X.
-
-    Returns (spans, repair_count); the count is how many I-tags had to be
-    promoted because they did not continue a span of the same label.
-    Evaluation consumes arbitrary model output, so repair beats rejection.
-    """
-    spans: list[RoleSpan] = []
-    repairs = 0
-    start: int | None = None
-    cur: str | None = None
-
-    def close(end_exclusive: int) -> None:
-        nonlocal start, cur
-        if start is not None and cur is not None:
-            spans.append(RoleSpan(start, end_exclusive - 1, cur))
-        start, cur = None, None
-
-    for i, tag in enumerate(tags):
+    """Decode BIO tags to spans. A span opens at each B-X and at each I-X
+    that is not a valid successor, which is read as B-X: evaluation consumes
+    arbitrary model output, so repair beats rejection."""
+    spans: list[list] = []  # [start, end, label]
+    for i, (prev, tag) in enumerate(zip((OUTSIDE, *tags), tags)):
         prefix, label = _split_tag(tag)
-        if prefix == OUTSIDE:
-            close(i)
-        elif prefix == "B":
-            close(i)
-            start, cur = i, label
-        else:  # I
-            if cur != label:
-                repairs += 1
-                close(i)
-                start, cur = i, label
-    close(len(tags))
-    return spans, repairs
+        if prefix == "I" and valid_successor(prev, tag):
+            spans[-1][1] = i
+        elif prefix != OUTSIDE:
+            spans.append([i, i, label])
+    return [RoleSpan(*span) for span in spans]
 
 
 def repair_bio(tags: Sequence[str]) -> tuple[tuple[str, ...], int]:
-    """Rewrite an arbitrary BIO sequence into a well-formed one."""
-    spans, repairs = bio_to_spans_counted(tags)
-    return spans_to_bio(spans, len(tags)), repairs
+    """Rewrite each I-X that is not a valid successor as B-X; returns the
+    tags and how many were rewritten."""
+    bare = [not valid_successor(prev, tag) for prev, tag in zip((OUTSIDE, *tags), tags)]
+    return tuple("B" + tag[1:] if b else tag for tag, b in zip(tags, bare)), sum(bare)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +189,19 @@ def repair_bio(tags: Sequence[str]) -> tuple[tuple[str, ...], int]:
 PRED_MARK = "Y"
 NO_PRED_MARK = "-"
 MARKS = frozenset((PRED_MARK, NO_PRED_MARK))
+
+
+def names_its_file(read):
+    """Prefix `<path>: ` to a CorpusFormatError of `read`, whose first argument is a path."""
+
+    @functools.wraps(read)
+    def reader(path, *args, **kwargs):
+        try:
+            return read(path, *args, **kwargs)
+        except CorpusFormatError as err:
+            raise CorpusFormatError(f"{path}: {err}") from None
+
+    return reader
 
 
 def text_lines(path) -> Iterator[tuple[int, str]]:
@@ -220,6 +221,7 @@ def read_conll(path, *, repair: bool = False) -> list[AnnotatedSentence]:
     return sentences
 
 
+@names_its_file
 def read_conll_counted(
     path, *, repair: bool = False
 ) -> tuple[list[AnnotatedSentence], int]:
@@ -330,6 +332,7 @@ def write_conll(path, sentences: Iterable[AnnotatedSentence]) -> None:
             fh.write("\n".join([*map("\t".join, zip(*columns)), ""]) + "\n")
 
 
+@names_its_file
 def read_heads_file(path) -> list[list[int]]:
     """External parses: one sentence per line, space-separated head indices."""
     out: list[list[int]] = []
@@ -430,19 +433,6 @@ def joint_label(pos: str, is_predicate: bool) -> str:
 # Transition table
 
 
-def valid_successor(prev: str, nxt: str) -> bool:
-    """BIO structure: I-X may only follow B-X or I-X."""
-    nprefix, nlabel = _split_tag(nxt)
-    if nprefix != "I":
-        return True
-    pprefix, plabel = _split_tag(prev)
-    return pprefix in ("B", "I") and plabel == nlabel
-
-
-def valid_start(tag: str) -> bool:
-    return _split_tag(tag)[0] != "I"
-
-
 @dataclass
 class TransitionTable:
     """Log-prob bigram model over BIO tags with structural -inf entries.
@@ -462,16 +452,6 @@ class TransitionTable:
     def magnitude(self) -> float:  # the largest finite |log-prob|
         values = np.concatenate([self.matrix.ravel(), self.start, self.end])
         return float(np.abs(values[np.isfinite(values)]).max(initial=0.0))
-
-    def check(self) -> None:
-        n = len(self.labels)
-        assert self.matrix.shape == (n, n)
-        for i, prev in enumerate(self.labels):
-            row = np.exp(self.matrix[i])
-            assert abs(row.sum() - 1.0) <= 1e-9
-            for j, nxt in enumerate(self.labels):
-                if not valid_successor(prev, nxt):
-                    assert self.matrix[i, j] == -np.inf
 
 
 def estimate_transitions(
@@ -506,7 +486,7 @@ def estimate_transitions(
             matrix[i, j] = np.log((bigram[i, j] + 1.0) / total)
 
     start = np.full(n, -np.inf)
-    valid_starts = [j for j, tag in enumerate(role_space) if valid_start(tag)]
+    valid_starts = [j for j, tag in enumerate(role_space) if valid_successor(OUTSIDE, tag)]
     total = start_count[valid_starts].sum() + len(valid_starts)
     for j in valid_starts:
         start[j] = np.log((start_count[j] + 1.0) / total)

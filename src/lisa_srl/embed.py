@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import BlobReader, CorpusFormatError, text_lines
+from .corpus import BlobReader, CorpusFormatError, names_its_file, text_lines
 from .errors import ConfigError
 from .numerics import Parameter, Tape, Tensor, new_parameter, softmax
 
@@ -167,6 +167,7 @@ def positional_encoding(t_len: int, d_model: int) -> np.ndarray:
 # Pretrained vector files (text: word then d reals per line)
 
 
+@names_its_file
 def read_vec_file(path) -> dict[str, np.ndarray]:
     table: dict[str, np.ndarray] = {}
     dim = None
@@ -176,6 +177,8 @@ def read_vec_file(path) -> dict[str, np.ndarray]:
             continue
         if len(parts) < 2:
             raise CorpusFormatError(f"line {lineno}: word with no values")
+        if parts[0] in table:
+            raise CorpusFormatError(f"line {lineno}: repeats the word {parts[0]!r}")
         try:
             vec = np.array([float(x) for x in parts[1:]])
         except ValueError:
@@ -234,6 +237,7 @@ def write_contextual(path, store: ContextualStore) -> None:
             fh.write(arr.astype("<f4").tobytes())
 
 
+@names_its_file
 def read_contextual(path) -> ContextualStore:
     with open(path, "rb") as fh:
         reader = BlobReader(fh.read(), "contextual file")

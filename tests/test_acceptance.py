@@ -13,6 +13,7 @@ import pytest
 
 from lisa_srl.config import RunConfig
 from lisa_srl.corpus import (
+    OUTSIDE,
     AnnotatedSentence,
     LabelSpace,
     bio_to_spans,
@@ -21,7 +22,6 @@ from lisa_srl.corpus import (
     estimate_transitions,
     read_conll,
     spans_to_bio,
-    valid_start,
     valid_successor,
     vocabulary,
     write_conll,
@@ -96,7 +96,7 @@ def _random_transitions(space, seed):
         for _ in range(t_len):
             options = [
                 s for s in space
-                if (valid_start(s) if prev is None else valid_successor(prev, s))
+                if (valid_successor(OUTSIDE, s) if prev is None else valid_successor(prev, s))
             ]
             prev = options[int(rng.integers(0, len(options)))]
             tags.append(prev)

@@ -611,6 +611,30 @@ def test_cli_checkpoint_with_a_repeated_pretrained_word_is_one_compatibility_lin
 
 
 @pytest.mark.parametrize(
+    "key", ["joint_labels", "role_labels", "train_words", "pretrained_words"]
+)
+def test_cli_checkpoint_list_that_repeats_an_entry_is_one_compatibility_line(
+    data_dir, tmp_path, capsys, key
+):
+    repeated = []
+
+    def edit(meta):
+        repeated.append(meta[key][1])
+        meta[key].append(meta[key][1])
+
+    broken = _patched_metadata(data_dir, tmp_path, edit)
+    capsys.readouterr()
+    code = main(["predict", "--checkpoint-in", str(broken),
+                 "--test-path", str(data_dir / "test.conll"),
+                 "--predictions-path", str(tmp_path / "pred.conll")])
+    assert code == 1
+    assert _one_error_line(capsys, "compatibility") == (
+        f"error category=compatibility: checkpoint {key} repeats {repeated[0]!r}"
+    )
+    assert not (tmp_path / "pred.conll").exists()
+
+
+@pytest.mark.parametrize(
     "key, value",
     [("lr", "x"), ("n_layers", 2.5), ("step", "abc"), ("joint_labels", 5)],
 )
@@ -840,7 +864,8 @@ def test_cli_gold_heads_with_a_cycle_are_one_format_error_line(data_dir, tmp_pat
     assert code == 1
     first_line = sum(len(s) + 1 for s in corpus[:k]) + 1
     assert _one_error_line(capsys, "corpus-format") == (
-        f"error category=corpus-format: line {first_line}: heads form a cycle"
+        f"error category=corpus-format: {tmp_path / 'dev.conll'}: line {first_line}:"
+        f" heads form a cycle"
         f" through token {a} ({sent.tokens[a]!r})"
     )
 
@@ -963,6 +988,37 @@ def test_cli_heads_outside_their_sentence_are_one_alignment_error_line(
     assert code == 1
     err = _one_error_line(capsys, "alignment")
     assert f"{tmp_path / split}.heads: sentence 2 has head index {bad_head} outside" in err, err
+
+
+@pytest.mark.parametrize("bad", ["dev.conll", "dev.heads", "pretrained.vec"])
+def test_cli_format_errors_name_their_file_once(data_dir, tmp_path, capsys, bad):
+    paths = {name: data_dir / name for name in ("dev.conll", "dev.heads", "pretrained.vec")}
+    paths[bad] = tmp_path / bad
+    lines = (data_dir / bad).read_text().splitlines(keepends=True)
+    if bad == "dev.conll":  # a head of 99 on line 3
+        cols = lines[2].split("\t")
+        lines[2] = "\t".join([*cols[:2], "99", *cols[3:]])
+        fault = "line 3: head index 99 outside"
+    elif bad == "dev.heads":
+        lines[2] = "0 x\n"
+        fault = "line 3: bad head index"
+    else:  # the first word again, at the end
+        lines.append(lines[0])
+        fault = f"line {len(lines)}: repeats the word {lines[0].split()[0]!r}"
+    paths[bad].write_text("".join(lines))
+    code = main(["train", "--train-path", str(data_dir / "train.conll"),
+                 "--dev-path", str(paths["dev.conll"]),
+                 "--pretrained-path", str(paths["pretrained.vec"]),
+                 "--parse-source", "external",
+                 "--train-heads-path", str(data_dir / "train.heads"),
+                 "--dev-heads-path", str(paths["dev.heads"]),
+                 "--n-heads", "2", "--d-k", "4", "--d-role", "4", "--epochs", "1",
+                 "--checkpoint-out", str(tmp_path / "model.ckpt")])
+    assert code == 1
+    err = _one_error_line(capsys, "corpus-format")
+    assert err.startswith(f"error category=corpus-format: {paths[bad]}: {fault}"), err
+    assert err.count(str(paths[bad])) == 1, err
+    assert not (tmp_path / "model.ckpt").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -1171,7 +1227,7 @@ def test_cli_config_file_not_utf8_is_one_format_error_line(tmp_path, capsys):
     cfg.write_bytes(b"epochs = 7\nvariant = caf\xe9\n")
     assert main(["train", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error category=corpus-format: line 2: not UTF-8"]
+    assert err == [f"error category=corpus-format: {cfg}: line 2: not UTF-8"]
 
 
 def test_cli_divergence_prints_one_stderr_line(data_dir, tmp_path):

@@ -5,7 +5,10 @@ tree-walk role checker written independently of the library's path->role
 implementation, and hypothesis round-trip properties.
 """
 
+import hashlib
+import itertools
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -14,13 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lisa_srl.corpus import (
+    OUTSIDE,
     AnnotatedSentence,
     CorpusFormatError,
     EncodingError,
     LabelSpace,
     RoleSpan,
     bio_to_spans,
-    bio_to_spans_counted,
     build_joint_pos_pred_space,
     build_role_space,
     estimate_transitions,
@@ -30,6 +33,7 @@ from lisa_srl.corpus import (
     read_heads_file,
     repair_bio,
     spans_to_bio,
+    valid_successor,
     write_conll,
     write_heads_file,
 )
@@ -74,14 +78,14 @@ def test_role_span_rejects_inverted():
 
 def test_bio_to_spans_well_formed():
     tags = ("B-A0", "I-A0", "O", "B-A1", "B-A1")
-    spans, repairs = bio_to_spans_counted(tags)
+    spans, repairs = bio_to_spans(tags), repair_bio(tags)[1]
     assert repairs == 0
     assert spans == [RoleSpan(0, 1, "A0"), RoleSpan(3, 3, "A1"), RoleSpan(4, 4, "A1")]
 
 
 def test_bio_repair_counts_bare_continuations():
     tags = ("I-A0", "I-A0", "O", "I-A1")
-    spans, repairs = bio_to_spans_counted(tags)
+    spans, repairs = bio_to_spans(tags), repair_bio(tags)[1]
     assert spans == [RoleSpan(0, 1, "A0"), RoleSpan(3, 3, "A1")]
     assert repairs == 2
     fixed, n = repair_bio(tags)
@@ -90,7 +94,8 @@ def test_bio_repair_counts_bare_continuations():
 
 
 def test_bio_repair_label_switch_mid_span():
-    spans, repairs = bio_to_spans_counted(("B-A0", "I-A1"))
+    tags = ("B-A0", "I-A1")
+    spans, repairs = bio_to_spans(tags), repair_bio(tags)[1]
     assert spans == [RoleSpan(0, 0, "A0"), RoleSpan(1, 1, "A1")]
     assert repairs == 1
 
@@ -107,6 +112,33 @@ def test_is_valid_bio():
     assert not is_valid_bio(("O", "I-A0"))
     assert not is_valid_bio(("B-A0", "I-A1"))
     assert is_valid_bio(("B-A0", "B-A0"))
+
+
+# SHA-256 of repr((bio_to_spans(t), repair_bio(t))) over the sweep below: it pins
+# every span and repair, so a rewrite of either must keep all of its outputs
+BIO_SWEEP_DIGEST = "7098e0b42a80c5221fac40413de7f87c0199d53f3b9b518cef92dffaecac6cb2"
+
+
+def test_every_short_sequence_follows_the_one_bio_rule():
+    digest, count = hashlib.sha256(), 0
+    for length in range(7):
+        for tags in itertools.product(("O", "B-A0", "I-A0", "B-A1", "I-A1"), repeat=length):
+            spans, (fixed, repairs) = bio_to_spans(tags), repair_bio(tags)
+            valid = all(map(valid_successor, (OUTSIDE, *tags), tags))
+            assert is_valid_bio(tags) == valid == (repairs == 0)
+            assert spans_to_bio(spans, length) == fixed
+            digest.update(repr((spans, (fixed, repairs))).encode())
+            count += 1
+    assert count == 19_531
+    assert digest.hexdigest() == BIO_SWEEP_DIGEST
+
+
+@pytest.mark.parametrize("bad", ["", "B-", "I-", "X-A0"])
+def test_malformed_tag_raises_from_every_bio_reader(bad):
+    for decode in (bio_to_spans, repair_bio, is_valid_bio):
+        for tags in ((bad,), ("B-A0", bad)):
+            with pytest.raises(CorpusFormatError, match="malformed BIO tag"):
+                decode(tags)
 
 
 @st.composite
@@ -130,7 +162,7 @@ def test_spans_bio_round_trip(case):
     length, spans = case
     tags = spans_to_bio(spans, length)
     assert is_valid_bio(tags)
-    back, repairs = bio_to_spans_counted(tags)
+    back, repairs = bio_to_spans(tags), repair_bio(tags)[1]
     assert repairs == 0
     assert back == spans
 
@@ -219,12 +251,13 @@ def test_read_rejects_a_cycle_of_heads_strict_only(tmp_path):
                  "d\tNN\t0\t-\n")
     with pytest.raises(CorpusFormatError) as err:
         read_conll(p)
-    assert str(err.value) == "line 1: heads form a cycle through token 0 ('a')"
+    assert str(err.value) == f"{p}: line 1: heads form a cycle through token 0 ('a')"
     assert [s.heads for s in read_conll(p, repair=True)] == [(1, 0, 2), (0,)]
     # a cycle longer than two, past the root, in a later sentence
     p.write_text("a\tNN\t0\t-\n\nb\tNN\t0\t-\nc\tNN\t2\t-\nd\tNN\t3\t-\n"
                  "e\tNN\t1\t-\n")
-    with pytest.raises(CorpusFormatError, match="^line 3: .* through token 1 \\('c'\\)$"):
+    with pytest.raises(CorpusFormatError,
+                       match=f"^{re.escape(str(p))}: line 3: .* through token 1 \\('c'\\)$"):
         read_conll(p)
     # the root count is checked first: no root means a cycle, two roots none
     for heads in ("1 0", "1 0 2 3"):
@@ -252,10 +285,10 @@ def test_read_accepts_exactly_the_trees(tmp_path_factory, heads):
     with pytest.raises(CorpusFormatError) as err:
         read_conll(p)
     if len(roots) != 1:
-        assert str(err.value) == f"line 1: expected one self-loop root, found {len(roots)}"
+        assert str(err.value) == f"{p}: line 1: expected one self-loop root, found {len(roots)}"
     else:  # the named token is on a cycle: its chain comes back to it
         t = int(str(err.value).split("through token ")[1].split()[0])
-        assert str(err.value) == f"line 1: heads form a cycle through token {t} ('w{t}')"
+        assert str(err.value) == f"{p}: line 1: heads form a cycle through token {t} ('w{t}')"
         assert any(climb(t, k) == t for k in range(1, n + 1))
 
 
@@ -304,7 +337,7 @@ def test_read_with_two_faults_names_one_line_in_check_order(tmp_path, text, mess
     for repair in (False, True):
         with pytest.raises(CorpusFormatError) as err:
             read_conll(p, repair=repair)
-        assert str(err.value) == message
+        assert str(err.value) == f"{p}: {message}"
 
 
 def test_round_trip_on_synthetic_corpus(tmp_path):
@@ -413,7 +446,13 @@ def test_transitions_invariants_on_synthetic():
     corpus = gen_synthetic(120, 9)
     space = build_role_space(corpus)
     table = estimate_transitions(corpus, space)
-    table.check()
+    n = len(space)
+    assert table.matrix.shape == (n, n)
+    for i, prev in enumerate(space):
+        assert abs(np.exp(table.matrix[i]).sum() - 1.0) <= 1e-9
+        for j, nxt in enumerate(space):
+            if not valid_successor(prev, nxt):
+                assert table.matrix[i, j] == -np.inf
     assert abs(np.exp(table.start[np.isfinite(table.start)]).sum() - 1.0) <= 1e-9
     assert abs(np.exp(table.end).sum() - 1.0) <= 1e-9
 

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from lisa_srl.corpus import (
+    OUTSIDE,
     AnnotatedSentence,
     LabelSpace,
     TransitionTable,
     estimate_transitions,
-    valid_start,
     valid_successor,
 )
 from lisa_srl.decode import (
@@ -34,7 +34,7 @@ def _transitions(seed=0):
         for t in range(t_len):
             options = [
                 s for s in SPACE
-                if (valid_start(s) if prev is None else valid_successor(prev, s))
+                if (valid_successor(OUTSIDE, s) if prev is None else valid_successor(prev, s))
             ]
             prev = options[int(rng.integers(0, len(options)))]
             tags.append(prev)
@@ -79,7 +79,7 @@ def test_uniform_everything_decodes_all_outside():
     for i, prev in enumerate(labels):
         valid = [j for j, nxt in enumerate(labels) if valid_successor(prev, nxt)]
         matrix[i, valid] = np.log(1.0 / len(valid))
-    starts = np.array([valid_start(s) for s in labels])
+    starts = np.array([valid_successor(OUTSIDE, s) for s in labels])
     start = np.where(starts, np.log(1.0 / starts.sum()), -np.inf)
     end = np.full(n, np.log(1.0 / n))
     table = TransitionTable(labels, matrix, start, end)
@@ -96,7 +96,7 @@ def test_never_emits_invalid_transitions():
         t_len = int(rng.integers(1, 7))
         emissions = rng.normal(0, 3, size=(t_len, 5))
         seq = [SPACE.name(i) for i in viterbi_decode(emissions[None], table)[0]]
-        assert valid_start(seq[0])
+        assert valid_successor(OUTSIDE, seq[0])
         for prev, nxt in zip(seq, seq[1:]):
             assert valid_successor(prev, nxt)
 
@@ -219,7 +219,7 @@ def test_brute_force_beats_random_valid_sequences():
         for _t in range(5):
             options = [
                 j for j, s in enumerate(SPACE)
-                if (valid_start(s) if prev is None else valid_successor(prev, s))
+                if (valid_successor(OUTSIDE, s) if prev is None else valid_successor(prev, s))
             ]
             choice = int(rng.choice(options))
             seq.append(choice)

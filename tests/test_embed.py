@@ -309,6 +309,14 @@ def test_vec_file_rejects_ragged(tmp_path):
         read_vec_file(path)
 
 
+def test_vec_file_rejects_a_repeated_word(tmp_path):
+    path = tmp_path / "w.vec"
+    path.write_text("a 1.0 2.0\nb 1.0 2.0\na 3.0 4.0\n")
+    with pytest.raises(CorpusFormatError) as err:
+        read_vec_file(path)
+    assert str(err.value) == f"{path}: line 3: repeats the word 'a'"
+
+
 def test_contextual_round_trip(tmp_path):
     corpus = gen_synthetic(5, 1)
     store = gen_contextual_layers(corpus, 3, 8, seed=2)
