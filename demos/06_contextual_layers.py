@@ -21,8 +21,7 @@ from lisa_srl.embed import ScalarMix, read_contextual
 
 def run(work: Path) -> None:
     gen_synth(GenSynthParams(out_dir=str(work), n_train=150, n_dev=30,
-                             n_test=20, seed=23, dim=64,
-                             with_contextual=True, n_ctx_layers=3))
+                             n_test=20, seed=23, dim=64, with_contextual=True))
     store = read_contextual(work / "train.ctxl")
     stack = store.get("0")
     print(f"train.ctxl holds {len(store.layers)} frozen stacks; sentence 0 "

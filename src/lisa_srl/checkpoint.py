@@ -3,7 +3,7 @@
 Layout, all integers little-endian:
 
     magic  b"LISA"
-    u32    format version (currently 2)
+    u32    format version (currently 3)
     u64    metadata byte length, then that many bytes of UTF-8 JSON
     u32    tensor count
     per tensor, sorted by name:
@@ -16,9 +16,9 @@ The JSON metadata carries the run configuration, the step counter, both
 label spaces, the training vocabulary and the pretrained word list. The
 configuration leaves out its file paths, so a run writes the same bytes
 from any directory. The tensor section carries every learned parameter
-plus the frozen pretrained rows, the unknown-word vector and the
-role-transition model, so a loaded checkpoint reproduces forward outputs
-bitwise with no other files present.
+plus the frozen pretrained rows (whose mean is the unknown-word vector) and
+the role-transition model, so a loaded checkpoint reproduces forward
+outputs bitwise with no other files present.
 """
 
 from __future__ import annotations
@@ -40,10 +40,9 @@ from .model import EMBED_STATIC, LisaModel
 from .numerics import Parameter
 
 CHECKPOINT_MAGIC = b"LISA"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 _PRETRAINED_KEY = "frozen.pretrained"
-_UNK_KEY = "frozen.unk"
 _TRANS_KEYS = ("transitions.matrix", "transitions.start", "transitions.end")
 _WORD_LISTS = ("joint_labels", "role_labels", "train_words", "pretrained_words")
 _META_KEYS = frozenset({"config", "step", *_WORD_LISTS})
@@ -69,7 +68,6 @@ def _gather_tensors(model: LisaModel, transitions: TransitionTable) -> dict[str,
         table = model.static_table
         rows = np.stack([table.pretrained[w] for w in sorted(table.pretrained)])
         tensors[_PRETRAINED_KEY] = rows.astype(np.float64)
-        tensors[_UNK_KEY] = table.unk.astype(np.float64)
     tensors[_TRANS_KEYS[0]] = transitions.matrix
     tensors[_TRANS_KEYS[1]] = transitions.start
     tensors[_TRANS_KEYS[2]] = transitions.end
@@ -205,9 +203,8 @@ def load_checkpoint(path) -> LoadedCheckpoint:
     transitions = TransitionTable(
         roles, *(pop(key, shape) for key, shape in zip(_TRANS_KEYS, [(n, n), (n,), (n,)]))
     )
-    unk = None
     if config.embedding == EMBED_STATIC:
-        words, rows, unk = meta["pretrained_words"], pop(_PRETRAINED_KEY), pop(_UNK_KEY)
+        words, rows = meta["pretrained_words"], pop(_PRETRAINED_KEY)
         if len(words) != rows.shape[0]:
             raise CompatibilityError(
                 f"{len(words)} pretrained words for {rows.shape[0]} vector rows"
@@ -219,8 +216,6 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         except (KeyError, IndexError):
             raise CompatibilityError("checkpoint lacks a mix.w or pos.w matrix") from None
     model = LisaModel.build(config, joint, roles, meta["train_words"], frozen, saved)
-    if unk is not None:
-        model.static_table.unk = unk
     if tensors:
         raise CompatibilityError(f"checkpoint holds tensors the model lacks: {sorted(tensors)}")
     return LoadedCheckpoint(model, config, meta["step"], transitions)

@@ -75,13 +75,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen-synth", help="generate synthetic corpus splits")
     gen.add_argument("--out-dir", required=True)
-    for name in ("n_train", "n_dev", "n_test", "seed", "dim", "n_ctx_layers"):
+    for name in ("n_train", "n_dev", "n_test", "seed", "dim"):
         gen.add_argument(f"--{name.replace('_', '-')}", type=int, default=_GEN_DEFAULTS[name])
     gen.add_argument("--heads-error-rate", type=float,
                      default=_GEN_DEFAULTS["heads_error_rate"],
                      help="also write .heads sidecars with this error rate")
     gen.add_argument("--with-contextual", action="store_true",
-                     help="also write .ctxl layer-stack sidecars")
+                     help="also write .ctxl sidecars of 3-layer stacks")
     gen.set_defaults(func=_cmd_gen_synth)
 
     for name, func, help_text in [

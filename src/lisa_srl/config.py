@@ -1,8 +1,8 @@
 """Run configuration: the one record that picks the model's shape, its
 training and its files. The model and the encoder read their settings from
-it directly, and `validate` holds every check on it. The model width, the
-value width per head and the size of the contextual scalar mix are not
-settings: the model takes them from the vectors it embeds (see
+it directly, and `validate` holds every check on it. The model width d,
+each head's width d / n_heads and the size of the contextual scalar mix
+are not settings: the model takes them from the vectors it embeds (see
 `LisaModel.build`). The record is readable from `key = value` text files
 with command-line overrides applied on top. Empty string means "not set"
 for path fields so the whole record stays representable in flat text.
@@ -33,10 +33,8 @@ class RunConfig:
     parse_source: str = ParseSource.SELF.value
     n_layers: int = 2
     n_heads: int = 4
-    d_k: int = 16  # query and key width per head
-    parse_layer: int = 2  # 1-based layer whose attention carries the parse
+    parse_layer: int = 2  # 1-based layer whose head 0 carries the parse
     pos_layer: int = 1  # 1-based layer feeding the POS/predicate classifier
-    parse_head: int = 0  # head index within the parse layer
     d_role: int = 32
     embed_convs: int = 2  # K for the static path
     harden_self_parse: bool = False
@@ -45,7 +43,6 @@ class RunConfig:
     clip_norm: float = 5.0  # global gradient-norm ceiling; 0 disables
     gold_mix: float = 1.0  # fraction of training sentences with gold injection
     epochs: int = 20
-    shuffle: bool = True
     early_stop_f1: float = -1.0  # negative disables early stopping
     seed: int = 0
     # input files
@@ -106,12 +103,6 @@ class RunConfig:
             raise ConfigError(
                 f"pos_layer {self.pos_layer} outside [1, {self.n_layers}]"
             )
-        if not 0 <= self.parse_head < self.n_heads:
-            raise ConfigError(
-                f"parse_head {self.parse_head} outside [0, {self.n_heads})"
-            )
-        if self.d_k < 1:
-            raise ConfigError("d_k must be positive")
         if self.d_role < 1:
             raise ConfigError("d_role must be positive")
         if self.embed_convs < 0:
@@ -159,11 +150,11 @@ def parse_config_file(path) -> dict[str, str]:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raise ConfigError(f"{path}: line {lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         if key in out:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+            raise ConfigError(f"{path}: line {lineno}: duplicate key {key!r}")
         out[key] = value.strip()
     return out
 

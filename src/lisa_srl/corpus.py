@@ -13,9 +13,10 @@ whitespace; the writer emits tabs, one string per sentence.
 The reader transposes a sentence's rows once and converts and checks whole
 columns. Sentences are checked in file order. Within one, a ragged row is
 reported first, then the first line with a bad head index or predicate
-marker (on one line, the head index first), then the BIO columns, then,
-unless repairing, a root count other than one and last a cycle of heads:
-gold heads must form a tree. A reader's format error begins with its path.
+marker (on one line, the head index first), then the BIO columns (in
+each, a malformed tag before the BIO rule), then, unless repairing, a
+root count other than one and last a cycle of heads: gold heads must
+form a tree. A reader's format error begins with its path.
 
 One rule, `valid_successor`, says that I-X may only follow B-X or I-X, with
 OUTSIDE before the first tag. Spans, repairs and the transition table are
@@ -286,13 +287,21 @@ def _sentence_from_rows(
     repairs = 0
     frames: dict[int, tuple[str, ...]] = {}
     for k, (pidx, col) in enumerate(zip(pred_idx, bio)):
-        if is_valid_bio(col):  # raises on a malformed tag
-            frames[pidx] = col
-        elif repair:
-            frames[pidx], n = repair_bio(col)
-            repairs += n
-        else:
+        try:
+            if is_valid_bio(col):
+                frames[pidx] = col
+                continue
+        except CorpusFormatError:  # a malformed tag, whose line is found below
+            pass
+        for lineno, tag in enumerate(col, first_line):
+            try:
+                _split_tag(tag)
+            except CorpusFormatError as err:
+                raise CorpusFormatError(f"line {lineno}: {err}") from None
+        if not repair:
             raise CorpusFormatError(f"line {first_line}: ill-formed BIO in frame column {k}")
+        frames[pidx], n = repair_bio(col)
+        repairs += n
     # extra columns are tolerated only when entirely O
     for k in range(len(pred_idx), len(bio)):
         if set(bio[k]) != {OUTSIDE}:

@@ -1,15 +1,15 @@
 """Multi-head self-attention encoder with one syntactically-supervised head.
 
-Each layer runs H scaled dot-product attention heads whose concatenation
-spans the model width (H * d_v == d_model), then adds a width-3
-convolution of it as a residual feed-forward sublayer. One designated head at
-one designated layer carries the parse: its attention row for token t is
-trained to put its mass on t's syntactic head (root attends to itself),
-and at that head an externally supplied parse can be injected as a
-one-hot adjacency matrix in place of the predicted distribution.
-Injection changes nothing anywhere else, which is what makes gold-parse
-oracles possible without retraining. The layer count, head count, d_k and
-the parse and POS layers are fields of the run configuration record.
+Each layer runs H scaled dot-product attention heads, with queries, keys
+and values d / H wide, whose concatenation spans the model width d, then
+adds a width-3 convolution of it as a residual feed-forward sublayer. Head
+0 of one designated layer carries the parse: its attention row for token t
+is trained to put its mass on t's syntactic head (root attends to itself),
+and at that head an externally supplied parse can be injected as a one-hot
+adjacency matrix in place of the predicted distribution. Injection changes
+nothing anywhere else, which is what makes gold-parse oracles possible
+without retraining. The layer and head counts and the parse and POS
+layers are fields of the run configuration record.
 """
 
 from __future__ import annotations
@@ -51,12 +51,12 @@ class EncoderTrace:
     parse_logits: Tensor | None = None
 
     def consumed_parse_attention(self, config: RunConfig) -> np.ndarray:
-        return self.attentions[config.parse_layer][config.parse_head]
+        return self.attentions[config.parse_layer][0]
 
 
 class Encoder:
-    """`layers[j - 1]` is layer j's (qkv, conv) pair: qkv [d, H*(2*d_k+d_v)]
-    holds each head's query | key | value projections side by side, and conv
+    """`layers[j - 1]` is layer j's (qkv, conv) pair: qkv [d, 3d] holds each
+    head's query | key | value projections side by side, and conv
     is the (left, center, right, bias) tuple of the convolutional sublayer."""
 
     def __init__(self, config: RunConfig, layers: list[tuple]):
@@ -67,16 +67,17 @@ class Encoder:
     def build(
         cls, config: RunConfig, d: int, rng: np.random.Generator, make=new_parameter
     ) -> "Encoder":
-        """Layers of model width `d`; each head's d_v is d // n_heads."""
+        """Layers of model width `d`, a multiple of n_heads; each head's
+        query, key and value are d // n_heads wide, drawn block by block."""
         scale = 1.0 / np.sqrt(d)
-        widths = (config.d_k, config.d_k, d // config.n_heads) * config.n_heads
+        blocks = [(d, d // config.n_heads)] * 3 * config.n_heads
 
         def draw() -> np.ndarray:
-            return np.concatenate([rng.normal(0, scale, (d, w)) for w in widths], axis=1)
+            return np.concatenate([rng.normal(0, scale, b) for b in blocks], axis=1)
 
         layers = []
         for j in range(1, config.n_layers + 1):
-            qkv = make(f"enc.l{j}.qkv", (d, sum(widths)), draw)
+            qkv = make(f"enc.l{j}.qkv", (d, 3 * d), draw)
             (conv,) = init_conv_stack(1, d, f"enc.l{j}", make)
             layers.append((qkv, conv))
         return cls(config, layers)
@@ -104,9 +105,7 @@ class Encoder:
                     return parse_adjacency(heads, len(own))
 
             # H attention heads side by side (m), then m + conv3(relu(m))
-            m, logits, trace.attentions[j] = tape.attention(
-                x, qkv, cfg.n_heads, cfg.d_k, cfg.parse_head, inject
-            )
+            m, logits, trace.attentions[j] = tape.attention(x, qkv, cfg.n_heads, inject)
             if j == cfg.parse_layer:
                 trace.parse_logits = logits
             x = trace.layer_outputs[j] = tape.conv_block(m, *conv)

@@ -126,7 +126,7 @@ class LisaModel:
             convs = init_conv_stack(config.embed_convs, width, "embed", record)
         else:
             mix, width = ScalarMix.build(frozen.n_layers, make=record), frozen.dim
-        if width < 1 or width % 2 or width % config.n_heads:  # d_v = width // n_heads
+        if width < 1 or width % 2 or width % config.n_heads:  # d_k = width // n_heads
             raise ConfigError(
                 f"model width {width} must be positive, even and a multiple of "
                 f"n_heads {config.n_heads}"

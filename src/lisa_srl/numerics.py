@@ -1,17 +1,17 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-The whole model runs on eight tape ops: `add`, `matmul` with an optional
-bias added to every row (the POS/predicate head), `gather_add` adding
-learned rows to constant ones (the static embedding), `scalar_mix` mixing
-frozen layers plus positional encodings (the contextual embedding),
-`attention` for a whole multi-head self-attention layer, `conv_block` for a
-residual width-3 convolution x + conv3(relu(x)), `bilinear` for the whole
-SRL scorer (both projections, then every predicate scored at once in two
-matmuls), and `cross_entropy` for all losses. Constant operands are plain
-ndarrays and take no gradient. Everything is float64 and row-major; there
-is no broadcasting beyond the few shapes the ops below accept. Tensors are
-immutable once created (the SGD optimizer mutates parameter storage only
-*between* tapes).
+The whole model runs on eight tape ops: `add` of constant encodings,
+`matmul` plus a bias on every row (the POS/predicate head), `gather_add`
+adding learned rows to constant ones (the static embedding), `scalar_mix`
+mixing frozen layers plus encodings (the contextual embedding), `attention`
+for a whole multi-head layer from its [d, 3d] query | key | value
+projection, `conv_block` for a residual width-3 convolution x +
+conv3(relu(x)), `bilinear` for the whole SRL scorer (both projections, then
+every predicate scored at once in two matmuls), and `cross_entropy` for all
+losses. Constant operands are plain ndarrays and take no gradient.
+Everything is float64 and row-major; there is no broadcasting beyond the
+few shapes the ops below accept. Tensors are immutable once created (the
+SGD optimizer mutates parameter storage only *between* tapes).
 
 A `Tape` records one forward computation. `Tape.backward(*losses)` seeds
 each scalar loss with gradient 1.0, so it differentiates their sum without
@@ -123,38 +123,31 @@ class Tape:
 
     # -- elementwise and shape ops ---------------------------------------
 
-    def add(self, a: Tensor, b: Tensor | np.ndarray) -> Tensor:
-        """a + b; a constant ndarray `b` takes no gradient."""
-        b_data = b.data if isinstance(b, Tensor) else b
-        if a.shape != b_data.shape:
-            raise DimensionError(f"add shapes differ: {a.shape} vs {b_data.shape}")
-        out = _unchecked(a.data + b_data)
+    def add(self, a: Tensor, b: np.ndarray) -> Tensor:
+        """a + b for a constant ndarray `b`, which takes no gradient."""
+        if a.shape != b.shape:
+            raise DimensionError(f"add shapes differ: {a.shape} vs {b.shape}")
+        out = _unchecked(a.data + b)
 
         def back() -> None:
-            if out.grad is None:
-                return
-            _accumulate(a, out.grad)
-            if isinstance(b, Tensor):
-                _accumulate(b, out.grad)
+            if out.grad is not None:
+                _accumulate(a, out.grad)
 
         self._backprops.append(back)
         return out
 
     # -- linear algebra ---------------------------------------------------
 
-    def matmul(self, a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
-        """a @ b, plus `bias` [n] added to every row if given."""
-        bias_shape = b.shape[1:] if bias is None else bias.shape
-        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0] or bias_shape != b.shape[1:]:
-            raise DimensionError(f"matmul shapes: {a.shape} x {b.shape} + {bias_shape}")
-        product = a.data @ b.data
-        out = _unchecked(product if bias is None else product + bias.data)
+    def matmul(self, a: Tensor, b: Tensor, bias: Tensor) -> Tensor:
+        """a @ b plus `bias` [n] added to every row."""
+        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0] or bias.shape != b.shape[1:]:
+            raise DimensionError(f"matmul shapes: {a.shape} x {b.shape} + {bias.shape}")
+        out = _unchecked(a.data @ b.data + bias.data)
 
         def back() -> None:
             if out.grad is None:
                 return
-            if bias is not None:
-                _accumulate(bias, out.grad.sum(axis=0))
+            _accumulate(bias, out.grad.sum(axis=0))
             _accumulate(a, out.grad @ b.data.T)
             _accumulate(b, a.data.T @ out.grad)
 
@@ -166,37 +159,25 @@ class Tape:
         x: Tensor,
         w: Tensor,
         n_heads: int,
-        d_k: int,
-        head: int = 0,
         inject: Callable[[np.ndarray], np.ndarray] | None = None,
     ) -> tuple[Tensor, Tensor, np.ndarray]:
         """All heads of one scaled dot-product self-attention layer.
 
-        `w` is [d, H*(2*d_k+d_v)]: head h owns columns h*(2*d_k+d_v) onward,
-        its query, key and value projections side by side. `inject`, if
-        given, receives head `head`'s softmax attention and returns the [T, T]
-        matrix that head attends with instead; no gradient flows through
-        that matrix, but the head's logits keep theirs.
+        `w` is [d, 3*H*d_k]: head h owns columns 3*h*d_k onward, its query,
+        key and value projections side by side. `inject`, if given, receives
+        head 0's softmax attention and returns the [T, T] matrix it attends
+        with instead; no gradient flows through that matrix, but the head's
+        logits keep theirs.
 
-        Returns the head outputs side by side [T, H*d_v], head `head`'s
+        Returns the head outputs side by side [T, H*d_k], head 0's
         pre-softmax logits [T, T] (gradient may arrive through both) and the
         attention each head applied [H, T, T], a constant.
         """
         t_len = x.shape[0]
-        width, extra = divmod(w.shape[-1], n_heads)
-        if (
-            x.ndim != 2
-            or w.ndim != 2
-            or x.shape[1] != w.shape[0]
-            or extra
-            or width <= 2 * d_k
-            or not 0 <= head < n_heads
-        ):
-            raise DimensionError(
-                f"attention: x {x.shape}, w {w.shape}, {n_heads} heads of d_k={d_k},"
-                f" head {head}"
-            )
-        d_v = width - 2 * d_k
+        d_k, extra = divmod(w.shape[-1], 3 * n_heads)
+        if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or extra or d_k < 1:
+            raise DimensionError(f"attention: x {x.shape}, w {w.shape}, {n_heads} heads")
+        width = 3 * d_k
         c = d_k ** -0.5
         qkv = (x.data @ w.data).reshape(t_len, n_heads, width).transpose(1, 0, 2)
         q, v = qkv[..., :d_k], qkv[..., 2 * d_k :]
@@ -204,11 +185,11 @@ class Tape:
         # differently, and this form matches separate per-head matmuls bitwise
         k_t = qkv[..., d_k : 2 * d_k].transpose(0, 2, 1).copy()
         scores = (q @ k_t) * c
-        logits = _unchecked(scores[head])
+        logits = _unchecked(scores[0])
         weights = softmax(scores)
         if inject is not None:
-            weights[head] = inject(weights[head])
-        out = _unchecked((weights @ v).transpose(1, 0, 2).reshape(t_len, n_heads * d_v))
+            weights[0] = inject(weights[0])
+        out = _unchecked((weights @ v).transpose(1, 0, 2).reshape(t_len, n_heads * d_k))
 
         def back() -> None:
             if out.grad is None and logits.grad is None:
@@ -217,16 +198,16 @@ class Tape:
                 g_scores = np.zeros_like(scores)
                 g_v = np.zeros_like(v)
             else:
-                g_out = out.grad.reshape(t_len, n_heads, d_v).transpose(1, 0, 2)
+                g_out = out.grad.reshape(t_len, n_heads, d_k).transpose(1, 0, 2)
                 g_weights = g_out @ v.transpose(0, 2, 1)
                 g_v = weights.transpose(0, 2, 1) @ g_out
                 g_scores = weights * (
                     g_weights - (g_weights * weights).sum(axis=2, keepdims=True)
                 )
                 if inject is not None:
-                    g_scores[head] = 0.0
+                    g_scores[0] = 0.0
             if logits.grad is not None:
-                g_scores[head] = logits.grad + g_scores[head]
+                g_scores[0] = logits.grad + g_scores[0]
             g_scores = g_scores * c
             g_q = g_scores @ k_t.transpose(0, 2, 1)
             g_k = (q.transpose(0, 2, 1) @ g_scores).transpose(0, 2, 1)

@@ -43,6 +43,7 @@ from .synth import gen_splits, pretrained_vectors
 from .numerics import Tape
 
 LOG_FLOAT = "%.17g"
+CTX_LAYERS = 3  # layers in each stack of a `.ctxl` file that gen_synth writes
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +138,7 @@ def _predict_corpus(
 
 
 def train(config: RunConfig, emit: Callable[[str], None] | None = None) -> TrainResult:
-    """SGD over single-sentence batches; keeps the best-dev checkpoint.
+    """SGD over single sentences, reshuffled each epoch; keeps the best-dev checkpoint.
 
     A non-finite loss or gradient norm aborts the run; whatever checkpoint
     was best so far stays on disk untouched.
@@ -149,6 +150,8 @@ def train(config: RunConfig, emit: Callable[[str], None] | None = None) -> Train
 
     train_data = load_split(config, "train")
     dev_data = load_split(config, "dev")
+    if not dev_data.corpus:  # dev F1 would read 0 and select nothing
+        raise ConfigError(f"dev_path {config.dev_path} holds no sentences")
     if config.embedding == EMBED_CONTEXTUAL:  # the model is built on train's shape
         shapes = [f"{d.ctx.n_layers} layers of width {d.ctx.dim}" for d in (train_data, dev_data)]
         if shapes[0] != shapes[1]:
@@ -170,7 +173,7 @@ def train(config: RunConfig, emit: Callable[[str], None] | None = None) -> Train
     best_f1, best_epoch, steps = -1.0, -1, 0
 
     for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(n) if config.shuffle else np.arange(n)
+        order = rng.permutation(n)
         sums = {"total": 0.0, "srl": 0.0, "parse": 0.0, "pos_pred": 0.0}
         for i in order:
             sent_source = source
@@ -295,7 +298,6 @@ class GenSynthParams:
     dim: int = 64
     heads_error_rate: float | None = None
     with_contextual: bool = False
-    n_ctx_layers: int = 3
 
 
 def _corrupt_heads(
@@ -319,7 +321,7 @@ def gen_synth(params: GenSynthParams) -> list[str]:
     """Write the split corpora plus pretrained vectors and optional
     sidecars; returns the written paths in a fixed order. Bad parameters
     are a ConfigError before anything is written."""
-    for name in ("n_train", "n_dev", "n_test", "dim", "n_ctx_layers"):
+    for name in ("n_train", "n_dev", "n_test", "dim"):
         if getattr(params, name) < 1:
             raise ConfigError(f"{name} must be >= 1, got {getattr(params, name)}")
     if params.dim % 2:  # positional encodings need an even model width
@@ -352,9 +354,7 @@ def gen_synth(params: GenSynthParams) -> list[str]:
 
     if params.with_contextual:
         for name, corpus in splits.items():
-            store = gen_contextual_layers(
-                corpus, params.n_ctx_layers, params.dim, params.seed
-            )
+            store = gen_contextual_layers(corpus, CTX_LAYERS, params.dim, params.seed)
             path = out_dir / f"{name}.ctxl"
             write_contextual(path, store)
             written.append(str(path))

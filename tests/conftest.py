@@ -3,7 +3,8 @@
 Acceptance tests record a one-line verdict each; the hook below replays
 those lines in the terminal summary so they are visible in any run,
 captured output or not. `probe_sum` turns any tensor into a scalar loss
-on a tape, which the package's own ops never need.
+on a tape, and `tape_sum` adds two tensors there, which the package's own
+ops never need.
 """
 
 import numpy as np
@@ -39,6 +40,19 @@ def probe_sum(tape: Tape, x: Tensor, probe=None) -> Tensor:
     def back() -> None:
         if out.grad is not None:
             _accumulate(x, out.grad * p)
+
+    tape._backprops.append(back)
+    return out
+
+
+def tape_sum(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
+    """a + b recorded on `tape`, both operands taking the gradient."""
+    out = _unchecked(a.data + b.data)
+
+    def back() -> None:
+        if out.grad is not None:
+            _accumulate(a, out.grad)
+            _accumulate(b, out.grad)
 
     tape._backprops.append(back)
     return out

@@ -6,7 +6,10 @@ in for them. Each test computes its verdict first, reports the line, then
 asserts, so a failing run still prints every criterion it reached.
 """
 
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -153,8 +156,7 @@ def test_gradients_match_finite_differences(acceptance_report):
     rng = np.random.default_rng(0)
     pretrained = {w: rng.normal(0, 0.5, 6) for s in corpus for w in s.tokens}
     config = RunConfig(
-        n_layers=2, n_heads=2, d_k=3,
-        parse_layer=2, pos_layer=1, d_role=3, seed=1,
+        n_layers=2, n_heads=2, parse_layer=2, pos_layer=1, d_role=3, seed=1,
     )
     model = LisaModel.build(
         config,
@@ -196,7 +198,6 @@ def test_distributions_are_normalized(acceptance_report):
         n_heads = int(rng.integers(1, 4))
         d_v = 2 * int(rng.integers(1, 3))  # even, so d_model suits positional encodings
         d_model = n_heads * d_v
-        d_kq = int(rng.integers(2, 5))
         contextual = k % 3 == 2
         variant = "sa" if k % 4 == 3 else "lisa"
         config = RunConfig(
@@ -204,10 +205,8 @@ def test_distributions_are_normalized(acceptance_report):
             embedding="contextual" if contextual else "static",
             n_layers=n_layers,
             n_heads=n_heads,
-            d_k=d_kq,
             parse_layer=int(rng.integers(1, n_layers + 1)),
             pos_layer=int(rng.integers(1, n_layers + 1)),
-            parse_head=int(rng.integers(0, n_heads)),
             d_role=int(rng.integers(2, 6)),
             embed_convs=int(rng.integers(0, 3)),
             seed=k,
@@ -295,42 +294,63 @@ def test_model_overfits_small_corpus(acceptance_report, tmp_path):
     assert ok
 
 
+def _criterion_7_job(out, seed: int, variant: str) -> tuple[dict[str, float], float]:
+    """Train one criterion-7 model on the corpus in `out` and decode its
+    test split: `lisa` under the gold and its own parse, `sa` parse-free.
+    Returns the F1 per decode and the job's own seconds."""
+    t0 = time.perf_counter()
+    gold = read_conll(out / "test.conll")
+    paths = dict(
+        train_path=str(out / "train.conll"),
+        dev_path=str(out / "dev.conll"),
+        pretrained_path=str(out / "pretrained.vec"),
+    )
+    if variant == "lisa":
+        result = train(RunConfig(variant="lisa", parse_source="gold", gold_mix=0.25,
+                                 epochs=60, seed=seed, **paths))
+        sources = {"gold": ParseSource.GOLD, "self": ParseSource.SELF}
+    else:
+        result = train(RunConfig(variant="sa", parse_source="self",
+                                 epochs=60, seed=seed, **paths))
+        sources = {"sa": ParseSource.SELF}
+    f1 = {
+        key: srl_prf(gold, _decode_corpus(result.model, result.transitions, gold, source))[2]
+        for key, source in sources.items()
+    }
+    return f1, time.perf_counter() - t0
+
+
 @pytest.mark.slow
 def test_parse_information_improves_role_f1(acceptance_report, tmp_path):
     """Three paired seeds; the same trained model is decoded with its own
-    parse and with the gold parse, against the parse-free ablation."""
-    means = {"gold": [], "self": [], "sa": []}
+    parse and with the gold parse, against the parse-free ablation. The six
+    trainings are independent, so they run on up to two processes; the time
+    bound gates the sum of their own times, the same work as one process."""
     t0 = time.perf_counter()
     for seed in (0, 1, 2):
-        out = tmp_path / f"s{seed}"
         gen_synth(
-            GenSynthParams(out_dir=str(out), n_train=300, n_dev=60, n_test=200,
-                           seed=seed, dim=64)
+            GenSynthParams(out_dir=str(tmp_path / f"s{seed}"), n_train=300, n_dev=60,
+                           n_test=200, seed=seed, dim=64)
         )
-        gold = read_conll(out / "test.conll")
-        paths = dict(
-            train_path=str(out / "train.conll"),
-            dev_path=str(out / "dev.conll"),
-            pretrained_path=str(out / "pretrained.vec"),
-        )
-        lisa = train(RunConfig(variant="lisa", parse_source="gold", gold_mix=0.25,
-                               epochs=60, seed=seed, **paths))
-        sa = train(RunConfig(variant="sa", parse_source="self",
-                             epochs=60, seed=seed, **paths))
-        for key, result, source in (
-            ("gold", lisa, ParseSource.GOLD),
-            ("self", lisa, ParseSource.SELF),
-            ("sa", sa, ParseSource.SELF),
-        ):
-            preds = _decode_corpus(result.model, result.transitions, gold, source)
-            means[key].append(srl_prf(gold, preds)[2])
-    elapsed = time.perf_counter() - t0
+    work = time.perf_counter() - t0
+    jobs = [(tmp_path / f"s{seed}", seed, v) for seed in (0, 1, 2) for v in ("lisa", "sa")]
+    workers = min(2, os.cpu_count() or 1)
+    spawn = multiprocessing.get_context("spawn")  # workers import this module afresh
+    with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
+        done = list(pool.map(_criterion_7_job, *zip(*jobs), timeout=1200))
+    wall = time.perf_counter() - t0
+    means = {"gold": [], "self": [], "sa": []}
+    for f1, seconds in done:  # in seed order
+        work += seconds
+        for key, value in f1.items():
+            means[key].append(value)
     g, s, a = (float(np.mean(means[k])) for k in ("gold", "self", "sa"))
-    ok = g >= s >= a and (g - a) >= 0.02 and elapsed < 1200
+    ok = g >= s >= a and (g - a) >= 0.02 and work < 1200
     acceptance_report(
         f"criterion 7: {'pass' if ok else 'FAIL'} - mean F1 over 3 seeds:"
         f" gold-parse {g:.4f} >= self-parse {s:.4f} >= parse-free {a:.4f},"
-        f" gold advantage {100 * (g - a):.1f} points, in {elapsed:.0f}s"
+        f" gold advantage {100 * (g - a):.1f} points, in {work:.0f}s of work"
+        f" ({wall:.0f}s wall clock on {workers} processes)"
     )
     assert ok
 
@@ -339,7 +359,7 @@ def _tiny_run_config(data_dir, work_dir, **kw):
     defaults = dict(
         variant="lisa",
         parse_source="self",
-        n_layers=2, n_heads=2, d_k=4, d_role=4,
+        n_layers=2, n_heads=2, d_role=4,
         lr=0.05, epochs=2,
         train_path=str(data_dir / "train.conll"),
         dev_path=str(data_dir / "dev.conll"),

@@ -1,7 +1,9 @@
 """Configuration, checkpoints, the training pipeline and the CLI."""
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -72,11 +74,11 @@ def test_config_file_parsing_and_coercion(tmp_path):
         "variant = sa\n"
         "lr=0.25\n"
         "epochs = 7\n"
-        "shuffle = false\n"
+        "harden_self_parse = yes\n"
     )
     cfg = build_run_config(parse_config_file(path))
     assert cfg.variant == "sa" and cfg.lr == 0.25
-    assert cfg.epochs == 7 and cfg.shuffle is False
+    assert cfg.epochs == 7 and cfg.harden_self_parse is True
 
 
 def test_flags_override_file(tmp_path):
@@ -92,7 +94,7 @@ def test_config_rejects_bad_input(tmp_path):
     with pytest.raises(ConfigError):
         build_run_config({"epochs": "two"})
     with pytest.raises(ConfigError):
-        build_run_config({"shuffle": "maybe"})
+        build_run_config({"harden_self_parse": "maybe"})
     with pytest.raises(ConfigError):
         build_run_config({"variant": "tree-lstm"})
     with pytest.raises(ConfigError):
@@ -101,7 +103,9 @@ def test_config_rejects_bad_input(tmp_path):
         build_run_config({"gold_mix": "-0.1"})
     with pytest.raises(ConfigError, match="embed_convs"):
         build_run_config({"embed_convs": "-3"})
-    for key in ("d_model", "d_v", "n_context_layers"):  # the inputs set these
+    # the inputs set the widths and the mix size; head 0 carries the parse;
+    # every epoch takes a fresh seeded order
+    for key in ("d_model", "d_v", "n_context_layers", "d_k", "parse_head", "shuffle"):
         with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
             build_run_config({key: "8"})
     for key in ("lr", "clip_norm", "early_stop_f1"):
@@ -112,11 +116,11 @@ def test_config_rejects_bad_input(tmp_path):
         build_run_config({"seed": "-1"})
     bad = tmp_path / "bad.cfg"
     bad.write_text("epochs 7\n")
-    with pytest.raises(ConfigError, match="bad.cfg:1"):
+    with pytest.raises(ConfigError, match="bad.cfg: line 1: expected key=value"):
         parse_config_file(bad)
     dup = tmp_path / "dup.cfg"
     dup.write_text("seed = 1\nseed = 2\n")
-    with pytest.raises(ConfigError, match="duplicate"):
+    with pytest.raises(ConfigError, match="dup.cfg: line 2: duplicate key 'seed'"):
         parse_config_file(dup)
 
 
@@ -165,8 +169,7 @@ def data_dir(tmp_path_factory):
 
 def _tiny_config(data_dir, tmp_path, **overrides) -> RunConfig:
     values = dict(
-        n_layers="2", n_heads="2", d_k="4",
-        parse_layer="2", pos_layer="1", d_role="4",
+        n_layers="2", n_heads="2", parse_layer="2", pos_layer="1", d_role="4",
         lr="0.05", epochs="2", seed="0",
         train_path=str(data_dir / "train.conll"),
         dev_path=str(data_dir / "dev.conll"),
@@ -436,7 +439,13 @@ def test_checkpoint_round_trip_is_bitwise(data_dir, tmp_path):
     assert np.array_equal(loaded.transitions.start, result.transitions.start)
     assert loaded.transitions.labels == result.transitions.labels
 
+    # unk is the mean of the pretrained rows, so the file does not store it
+    assert "frozen.unk" not in _tensor_records(Path(config.checkpoint_out).read_bytes())
+    assert np.array_equal(loaded.model.static_table.unk, result.model.static_table.unk)
+
     probe = read_conll(config.dev_path)[:3]
+    # a word that no .vec row covers is embedded through unk
+    probe.append(dataclasses.replace(probe[0], tokens=("unseen", *probe[0].tokens[1:])))
     for sent in probe:
         a = result.model.loss(Tape(), sent).total
         b = loaded.model.loss(Tape(), sent).total
@@ -463,10 +472,11 @@ def test_checkpoint_rejects_bad_magic_and_version(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(CorpusFormatError, match="magic"):
         load_checkpoint(path)
-    for version in (1, 99):
+    for version in (1, 2, 99):  # version 2 stored frozen.unk and removed settings
         path.write_bytes(b"LISA" + struct.pack("<I", version) + b"\x00" * 16)
-        with pytest.raises(CorpusFormatError, match="version"):
+        with pytest.raises(CorpusFormatError) as err:
             load_checkpoint(path)
+        assert str(err.value) == f"{path}: unsupported checkpoint version {version}"
 
 
 def _tensor_records(blob: bytes) -> dict[str, tuple[int, int, int]]:
@@ -660,7 +670,6 @@ def test_cli_checkpoint_metadata_of_the_wrong_type_is_a_format_error(
         ("srl.u", np.nan),
         ("enc.l1.qkv", np.inf),
         ("frozen.pretrained", -np.inf),
-        ("frozen.unk", np.nan),
         ("transitions.matrix", np.nan),
         ("transitions.start", np.inf),
         ("transitions.end", -np.inf),  # how BIO forbids a transition: allowed
@@ -802,6 +811,44 @@ def test_mutated_inputs_load_or_raise_a_lisa_error(valid_inputs, tmp_path_factor
         READERS[kind](path)
     except LisaError:
         pass
+
+
+PREDICT_INPUTS = ("ckpt", "conll", "ctxl", "heads")
+
+
+@pytest.mark.parametrize("kind", PREDICT_INPUTS)
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_predict_on_a_mutated_input_succeeds_or_prints_one_error_line(
+    valid_inputs, tmp_path_factory, kind, data
+):
+    # one input mutated, the others valid: a file that loads meets every
+    # later check of a contextual decode under an external parse
+    blob = bytearray(valid_inputs[kind])
+    for _ in range(data.draw(st.integers(0, 3), label="flips")):
+        at = data.draw(st.integers(0, len(blob) - 1), label="flip at")
+        blob[at] ^= data.draw(st.integers(1, 255), label="xor")
+    blob = blob[: data.draw(st.integers(0, len(blob)), label="length")]
+    work = tmp_path_factory.getbasetemp() / "predict-mutated"
+    work.mkdir(exist_ok=True)
+    paths = {}
+    for name in PREDICT_INPUTS:
+        paths[name] = work / f"input.{name}"
+        paths[name].write_bytes(bytes(blob) if name == kind else valid_inputs[name])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["predict", "--checkpoint-in", str(paths["ckpt"]),
+                     "--test-path", str(paths["conll"]),
+                     "--test-ctxl-path", str(paths["ctxl"]),
+                     "--test-heads-path", str(paths["heads"]),
+                     "--parse-source", "external",
+                     "--predictions-path", str(work / "pred.conll")])
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == [] and out.getvalue().startswith("wrote ")
+    else:
+        assert code == 1 and len(lines) == 1, lines
+        assert lines[0].startswith("error category="), lines[0]
 
 
 def _sentence_lengths(lines: list[str]) -> list[int]:
@@ -974,7 +1021,7 @@ def test_cli_heads_outside_their_sentence_are_one_alignment_error_line(
     code = main(["train", "--train-path", str(data_dir / "train.conll"),
                  "--dev-path", str(data_dir / "dev.conll"),
                  "--pretrained-path", str(data_dir / "pretrained.vec"),
-                 "--parse-source", "external", "--n-heads", "2", "--d-k", "4",
+                 "--parse-source", "external", "--n-heads", "2",
                  "--d-role", "4", "--epochs", "1", "--checkpoint-out", str(ckpt), *heads_flags])
     if split == "test":  # train and dev heads are in range
         assert code == 0
@@ -1012,7 +1059,7 @@ def test_cli_format_errors_name_their_file_once(data_dir, tmp_path, capsys, bad)
                  "--parse-source", "external",
                  "--train-heads-path", str(data_dir / "train.heads"),
                  "--dev-heads-path", str(paths["dev.heads"]),
-                 "--n-heads", "2", "--d-k", "4", "--d-role", "4", "--epochs", "1",
+                 "--n-heads", "2", "--d-role", "4", "--epochs", "1",
                  "--checkpoint-out", str(tmp_path / "model.ckpt")])
     assert code == 1
     err = _one_error_line(capsys, "corpus-format")
@@ -1042,7 +1089,7 @@ def test_cli_gen_synth_and_full_run(tmp_path, capsys):
         "--dev-path", str(data / "dev.conll"),
         "--pretrained-path", str(data / "pretrained.vec"),
         "--checkpoint-out", str(ckpt),
-        "--n-layers", "2", "--n-heads", "2", "--d-k", "4", "--d-role", "4",
+        "--n-layers", "2", "--n-heads", "2", "--d-role", "4",
         "--epochs", "2", "--lr", "0.1", "--seed", "0",
     ])
     assert code == 0
@@ -1084,6 +1131,19 @@ def test_cli_errors_are_one_machine_parseable_line(tmp_path, capsys):
     assert err.startswith("error category=config:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--d-k", "4"],
+    ["train", "--parse-head", "1"],
+    ["predict", "--shuffle", "false"],
+    ["gen-synth", "--out-dir", "x", "--n-ctx-layers", "2"],
+], ids="=".join)
+def test_cli_flags_of_removed_settings_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, field", [
     (["gen-synth", "--n-train", "0"], "n_train"),
     (["gen-synth", "--n-dev", "0"], "n_dev"),
@@ -1091,7 +1151,6 @@ def test_cli_errors_are_one_machine_parseable_line(tmp_path, capsys):
     (["gen-synth", "--seed", "-1"], "seed"),
     (["gen-synth", "--dim", "0"], "dim"),
     (["gen-synth", "--dim", "7"], "dim"),
-    (["gen-synth", "--with-contextual", "--n-ctx-layers", "0"], "n_ctx_layers"),
     (["gen-synth", "--heads-error-rate", "nan"], "heads_error_rate"),
     (["gen-synth", "--heads-error-rate", "-0.1"], "heads_error_rate"),
     (["gen-synth", "--heads-error-rate", "1.5"], "heads_error_rate"),
@@ -1156,11 +1215,27 @@ def test_cli_ctxl_of_another_corpus_is_one_alignment_error_line(
     assert train_ctxl in _one_error_line(capsys, "alignment")
 
 
+def test_cli_empty_dev_file_is_one_config_error_line(data_dir, tmp_path, capsys):
+    empty = tmp_path / "empty.conll"
+    empty.write_text("\n")
+    code = main(["train", "--train-path", str(data_dir / "train.conll"),
+                 "--dev-path", str(empty),
+                 "--pretrained-path", str(data_dir / "pretrained.vec"),
+                 "--n-heads", "2", "--epochs", "2",
+                 "--checkpoint-out", str(tmp_path / "model.ckpt")])
+    assert code == 1
+    err = _one_error_line(capsys, "config")
+    assert err == f"error category=config: dev_path {empty} holds no sentences"
+    assert not (tmp_path / "model.ckpt").exists()
+
+
 def test_cli_widths_and_mix_size_come_from_the_inputs(tmp_path, capsys):
     data = tmp_path / "data"
     assert main(["gen-synth", "--out-dir", str(data), "--n-train", "8",
-                 "--n-dev", "3", "--n-test", "3", "--dim", "32",
-                 "--n-ctx-layers", "2", "--with-contextual"]) == 0
+                 "--n-dev", "3", "--n-test", "3", "--dim", "32"]) == 0
+    for split in ("train", "dev", "test"):  # gen-synth writes 3-layer stacks
+        corpus = read_conll(data / f"{split}.conll")
+        write_contextual(data / f"{split}.ctxl", gen_contextual_layers(corpus, 2, 32, 0))
     for embedding in ("static", "contextual"):
         ckpt = tmp_path / f"{embedding}.ckpt"
         assert main(["train", "--embedding", embedding, "--n-heads", "4",
@@ -1238,7 +1313,7 @@ def test_cli_divergence_prints_one_stderr_line(data_dir, tmp_path):
          "--train-path", str(data_dir / "train.conll"),
          "--dev-path", str(data_dir / "dev.conll"),
          "--pretrained-path", str(data_dir / "pretrained.vec"),
-         "--n-layers", "2", "--n-heads", "2", "--d-k", "4", "--d-role", "4",
+         "--n-layers", "2", "--n-heads", "2", "--d-role", "4",
          "--epochs", "3", "--lr", "1e154"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
@@ -1254,7 +1329,7 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
                  "--n-dev", "3", "--n-test", "3", "--dim", "8"]) == 0
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
-        "n_layers = 2\nn_heads = 2\nd_k = 4\n"
+        "n_layers = 2\nn_heads = 2\n"
         f"d_role = 4\nepochs = 9\nlr = 0.1\ntrain_path = {data}/train.conll\n"
         f"dev_path = {data}/dev.conll\npretrained_path = {data}/pretrained.vec\n"
     )

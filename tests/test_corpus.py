@@ -235,6 +235,20 @@ def test_read_rejects_ill_formed_bio_strict_repairs_lenient(tmp_path):
     assert sents[0].frames[0] == ("B-A0",)
 
 
+@pytest.mark.parametrize("before", ["B-A0", "I-A0", "O"])
+@pytest.mark.parametrize(
+    "prefix, line", [("", 2), ("z\tNN\t0\t-\n\n", 4)], ids=["first", "second"]
+)
+def test_read_names_the_line_of_a_malformed_bio_tag(tmp_path, before, prefix, line):
+    # a bare I-A0 above the malformed tag is not the fault reported
+    p = tmp_path / "bad.conll"
+    p.write_text(f"{prefix}a\tVB\t0\tY\t{before}\nb\tNN\t0\t-\tX-A0\n")
+    for repair in (False, True):
+        with pytest.raises(CorpusFormatError) as err:
+            read_conll(p, repair=repair)
+        assert str(err.value) == f"{p}: line {line}: malformed BIO tag 'X-A0'"
+
+
 def test_read_rejects_multiple_roots_strict_only(tmp_path):
     p = tmp_path / "bad.conll"
     p.write_text("a\tNN\t0\t-\nb\tNN\t1\t-\n")

@@ -22,14 +22,14 @@ from lisa_srl.encoder import (
 from lisa_srl.synth import gen_synthetic
 
 
-def _head(rng, d_model, d_k, d_v=None):
+def _head(rng, d_model, d_k):
     """One head's fused [wq | wk | wv] projection."""
-    return Parameter("t.qkv", rng.normal(0, 0.5, (d_model, 2 * d_k + (d_v or d_k))))
+    return Parameter("t.qkv", rng.normal(0, 0.5, (d_model, 3 * d_k)))
 
 
-def _attention_weights(x, qkv, d_k):
+def _attention_weights(x, qkv):
     """Row-stochastic attention and its pre-softmax logits for one head."""
-    _, logits, weights = Tape().attention(x, qkv, 1, d_k)
+    _, logits, weights = Tape().attention(x, qkv, 1)
     return weights[0], logits.data
 
 
@@ -37,15 +37,14 @@ def _attend(attention, values):
     """Row t of the output is the attention-weighted sum of value rows: the
     head attends with `attention` injected, and projects values by identity."""
     d_v = np.shape(values)[1]
-    qkv = Tensor(np.hstack([np.zeros((d_v, 2)), np.eye(d_v)]))
-    out, _, _ = Tape().attention(Tensor(values), qkv, 1, 1, 0, lambda own: attention)
+    qkv = Tensor(np.hstack([np.zeros((d_v, 2 * d_v)), np.eye(d_v)]))
+    out, _, _ = Tape().attention(Tensor(values), qkv, 1, lambda own: attention)
     return out
 
 
 def _small_config(**kw):
     base = dict(
-        n_layers=2, n_heads=2, d_k=3,
-        parse_layer=2, pos_layer=1, parse_head=0,
+        n_layers=2, n_heads=2, parse_layer=2, pos_layer=1,
     )
     base.update(kw)
     config = RunConfig(**base)
@@ -62,7 +61,7 @@ def test_zero_queries_give_uniform_attention():
     head = _head(rng, 4, 3)
     head.data[:, :3] = 0.0
     x = Tensor(rng.normal(size=(5, 4)))
-    attention, _ = _attention_weights(x, head, 3)
+    attention, _ = _attention_weights(x, head)
     assert np.max(np.abs(attention - 0.2)) < 1e-12
 
 
@@ -71,7 +70,7 @@ def test_scale_factor_for_dk_64():
     rng = np.random.default_rng(1)
     head = Parameter("t.qkv", np.hstack([np.eye(64)] * 3))
     x = rng.normal(size=(2, 64))
-    _, logits = _attention_weights(Tensor(x), head, 64)
+    _, logits = _attention_weights(Tensor(x), head)
     assert np.max(np.abs(logits - 0.125 * (x @ x.T))) < 1e-12
 
 
@@ -79,7 +78,7 @@ def test_two_token_attention_matches_frozen_oracle():
     # x=[[1],[2]], wq=[[0.5]], wk=[[2]] -> logits [[1,2],[2,4]]; softmax rows
     # frozen from a 30-digit mpmath evaluation
     head = Parameter("t.qkv", [[0.5, 2.0, 1.0]])
-    attention, logits = _attention_weights(Tensor([[1.0], [2.0]]), head, 1)
+    attention, logits = _attention_weights(Tensor([[1.0], [2.0]]), head)
     assert np.max(np.abs(logits - [[1.0, 2.0], [2.0, 4.0]])) < 1e-12
     expected = [
         [0.26894142136999512075, 0.73105857863000487925],
@@ -136,12 +135,23 @@ def test_attend_ignores_unattended_value_rows():
 
 def test_single_head_identity_conv_layer_is_pure_attention():
     rng = np.random.default_rng(6)
-    config = _small_config(n_layers=1, n_heads=1, d_k=3, parse_layer=1)
+    config = _small_config(n_layers=1, n_heads=1, parse_layer=1)
     enc = Encoder.build(config, 4, rng)
     x = Tensor(rng.normal(size=(5, 4)))
     out, _ = enc.encode(Tape(), x)
-    expected, _, _ = Tape().attention(x, enc.layers[0][0], 1, 3)
+    expected, _, _ = Tape().attention(x, enc.layers[0][0], 1)
     assert np.array_equal(out.data, expected.data)
+
+
+@pytest.mark.parametrize("d, n_heads", [(6, 2), (8, 4), (64, 4)])
+def test_query_key_and_value_are_each_d_over_n_heads_wide(d, n_heads):
+    # qkv is [d, 3d]: per head a query, a key and a value block of d / H
+    config = _small_config(n_heads=n_heads)
+    enc = Encoder.build(config, d, np.random.default_rng(16))
+    assert [qkv.shape for qkv, _ in enc.layers] == [(d, 3 * d)] * config.n_layers
+    x = Tensor(np.random.default_rng(17).normal(size=(3, d)))
+    out, trace = enc.encode(Tape(), x)
+    assert out.shape == (3, d) and trace.attentions[2].shape == (n_heads, 3, 3)
 
 
 def test_output_shape_for_all_lengths():
@@ -176,8 +186,6 @@ def test_config_validation():
         _small_config(parse_layer=3)
     with pytest.raises(ConfigError, match="pos_layer"):
         _small_config(pos_layer=0)
-    with pytest.raises(ConfigError, match="parse_head"):
-        _small_config(parse_head=2)
 
 
 def test_all_attention_rows_stochastic():
@@ -202,7 +210,7 @@ def test_injection_changes_only_the_parse_head():
     _, gold_trace = enc.encode(Tape(), x, [1, 1, 1, 2])
     for layer, attention in self_trace.attentions.items():
         for head in range(config.n_heads):
-            if (layer, head) == (config.parse_layer, config.parse_head):
+            if (layer, head) == (config.parse_layer, 0):
                 continue
             assert np.array_equal(attention[head], gold_trace.attentions[layer][head])
     # pre-injection logits are the model's own either way

@@ -201,8 +201,7 @@ def test_gold_parse_pipeline_gives_perfect_uas():
     rng = np.random.default_rng(0)
     pretrained = {w: rng.normal(0, 0.5, 6) for w in vocab}
     cfg = RunConfig(
-        n_layers=2, n_heads=2, d_k=3,
-        parse_layer=2, pos_layer=1, d_role=3, seed=0,
+        n_layers=2, n_heads=2, parse_layer=2, pos_layer=1, d_role=3, seed=0,
     )
     model = LisaModel.build(cfg, joint, roles, vocab, pretrained)
     table = estimate_transitions(corpus, roles)

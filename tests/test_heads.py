@@ -167,9 +167,9 @@ def test_total_gradient_is_sum_of_component_gradients():
     x = Tensor(rng.normal(size=(2, 2)))
 
     def build(tape):
-        h = tape.matmul(x, w)
+        h = tape.matmul(x, w, Tensor(np.zeros(2)))
         a = probe_sum(tape, h, x)
-        b = probe_sum(tape, tape.matmul(h, h))
+        b = probe_sum(tape, tape.matmul(h, h, Tensor(np.zeros(2))))
         c = tape.cross_entropy(h, [1, 0])
         return a, b, c
 

@@ -57,8 +57,7 @@ def _pretrained(corpus, d, seed=0):
 
 def _config(**kw):
     base = dict(
-        n_layers=2, n_heads=2, d_k=3,
-        parse_layer=2, pos_layer=1, d_role=3,
+        n_layers=2, n_heads=2, parse_layer=2, pos_layer=1, d_role=3,
     )
     return RunConfig(**(base | kw))
 

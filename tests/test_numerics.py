@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import probe_sum
+from conftest import probe_sum, tape_sum
 from lisa_srl.errors import ContractError, DimensionError, NonFiniteError
 from lisa_srl.numerics import Parameter, Tape, Tensor, finite_difference_check, softmax
 
@@ -28,13 +28,14 @@ def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class TestMatmul:
     def test_identity(self):
         t = Tape()
-        out = t.matmul(Tensor(np.eye(2)), Tensor([[1.0, 2.0], [3.0, 4.0]]))
+        out = t.matmul(Tensor(np.eye(2)), Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor(np.zeros(2)))
         assert np.array_equal(out.data, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_projector_row_select(self):
         t = Tape()
         out = t.matmul(
-            Tensor([[1.0, 0.0], [0.0, 0.0]]), Tensor([[5.0, 6.0], [7.0, 8.0]])
+            Tensor([[1.0, 0.0], [0.0, 0.0]]), Tensor([[5.0, 6.0], [7.0, 8.0]]),
+            Tensor(np.zeros(2)),
         )
         assert np.array_equal(out.data, [[5.0, 6.0], [0.0, 0.0]])
 
@@ -42,12 +43,12 @@ class TestMatmul:
         rng = np.random.default_rng(7)
         a = rng.standard_normal((3, 4))
         b = rng.standard_normal((4, 2))
-        out = Tape().matmul(Tensor(a), Tensor(b))
+        out = Tape().matmul(Tensor(a), Tensor(b), Tensor(np.zeros(2)))
         assert np.abs(out.data - matmul_oracle(a, b)).max() <= 1e-12
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 3\)"):
-            Tape().matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+            Tape().matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
 
     def test_backward_analytic_gradient(self):
         # d sum(A @ B) / dA == ones @ B^T, exactly
@@ -55,7 +56,7 @@ class TestMatmul:
         a = Tensor(rng.standard_normal((3, 4)))
         b = Tensor(rng.standard_normal((4, 2)))
         t = Tape()
-        loss = probe_sum(t, t.matmul(a, b))
+        loss = probe_sum(t, t.matmul(a, b, Tensor(np.zeros(2))))
         t.backward(loss)
         expect_a = np.ones((3, 2)) @ b.data.T
         expect_b = a.data.T @ np.ones((3, 2))
@@ -151,7 +152,7 @@ class TestTensorInvariants:
 class TestBackward:
     def test_non_scalar_loss_rejected(self):
         t = Tape()
-        out = t.add(Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))
+        out = t.add(Tensor([1.0, 2.0]), np.array([3.0, 4.0]))
         with pytest.raises(ContractError):
             t.backward(out)
 
@@ -177,12 +178,12 @@ class TestBackward:
             h = t.matmul(*inputs)
             a = t.cross_entropy(h, [4, 0, 1, 1])
             b = probe_sum(t, h, probe)
-            c = t.cross_entropy(t.matmul(inputs[0], inputs[1]), [2, 2, 3, 0])
+            c = t.cross_entropy(t.matmul(inputs[0], inputs[1], Tensor(np.zeros(5))), [2, 2, 3, 0])
             return inputs, (a, b, c)
 
         t = Tape()
         summed, (a, b, c) = losses(t)
-        t.backward(t.add(t.add(a, b), c))
+        t.backward(tape_sum(t, tape_sum(t, a, b), c))
         t = Tape()
         seeded, parts = losses(t)
         t.backward(*parts)
@@ -193,7 +194,7 @@ class TestBackward:
         p = Parameter("unused", np.ones((2, 2)))
         q = Parameter("used", np.ones((2, 2)))
         t = Tape()
-        loss = probe_sum(t, t.add(q, q))
+        loss = probe_sum(t, t.add(q, np.ones((2, 2))), np.full((2, 2), 2.0))
         t.backward(loss)
         assert np.array_equal(p.grad, np.zeros((2, 2)))
         assert np.array_equal(q.grad, 2.0 * np.ones((2, 2)))
@@ -240,9 +241,11 @@ class TestCompositeOps:
         assert np.abs(out.data - expect).max() <= 1e-12
 
 
-def attention_oracle(x, w, n_heads, d_k, head=0, adjacency=None):
-    """Plain per-head numpy: projections, scaled scores, softmax, weighted values."""
+def attention_oracle(x, w, n_heads, adjacency=None):
+    """Plain per-head numpy: projections, scaled scores, softmax, weighted
+    values; `adjacency` replaces head 0's attention."""
     width = w.shape[1] // n_heads
+    d_k = width // 3
     outputs, logits = [], []
     for h in range(n_heads):
         block = w[:, h * width : (h + 1) * width]
@@ -250,7 +253,7 @@ def attention_oracle(x, w, n_heads, d_k, head=0, adjacency=None):
         scores = q @ k.T / np.sqrt(d_k)
         a = np.exp(scores - scores.max(axis=1, keepdims=True))
         a /= a.sum(axis=1, keepdims=True)
-        if h == head and adjacency is not None:
+        if h == 0 and adjacency is not None:
             a = adjacency
         outputs.append(a @ v)
         logits.append(scores)
@@ -264,14 +267,12 @@ def _injected(t_len):
 
 
 class TestAttention:
-    D, D_K, D_V = 4, 2, 3
+    D, D_K = 4, 2
 
     def _inputs(self, n_heads, t_len, seed=0):
         rng = np.random.default_rng(seed)
         x = Parameter("x", rng.standard_normal((t_len, self.D)))
-        w = Parameter(
-            "w", rng.standard_normal((self.D, n_heads * (2 * self.D_K + self.D_V)))
-        )
+        w = Parameter("w", rng.standard_normal((self.D, n_heads * 3 * self.D_K)))
         return rng, x, w
 
     @pytest.mark.parametrize("inject", [False, True])
@@ -279,18 +280,16 @@ class TestAttention:
         _, x, w = self._inputs(3, 5)
         adjacency = _injected(5) if inject else None
         out, logits, weights = Tape().attention(
-            x, w, 3, self.D_K, 1, (lambda own: adjacency) if inject else None
+            x, w, 3, (lambda own: adjacency) if inject else None
         )
-        expect_out, expect_logits = attention_oracle(
-            x.data, w.data, 3, self.D_K, 1, adjacency
-        )
-        assert out.shape == (5, 3 * self.D_V)
+        expect_out, expect_logits = attention_oracle(x.data, w.data, 3, adjacency)
+        assert out.shape == (5, 3 * self.D_K)
         assert logits.shape == (5, 5)
         assert np.abs(out.data - expect_out).max() <= 1e-12
-        assert np.abs(logits.data - expect_logits[1]).max() <= 1e-12
+        assert np.abs(logits.data - expect_logits[0]).max() <= 1e-12
         assert np.abs(weights.sum(axis=2) - 1.0).max() <= 1e-12
         if inject:
-            assert np.array_equal(weights[1], adjacency)
+            assert np.array_equal(weights[0], adjacency)
 
     def test_inject_receives_the_heads_own_softmax(self):
         _, x, w = self._inputs(2, 4)
@@ -300,7 +299,7 @@ class TestAttention:
             seen.append(own.copy())
             return np.eye(4)
 
-        _, logits, _ = Tape().attention(x, w, 2, self.D_K, 1, inject)
+        _, logits, _ = Tape().attention(x, w, 2, inject)
         s = logits.data
         own = np.exp(s - s.max(axis=1, keepdims=True))
         assert np.abs(seen[0] - own / own.sum(axis=1, keepdims=True)).max() <= 1e-15
@@ -308,11 +307,22 @@ class TestAttention:
     def test_rejects_bad_shapes(self):
         _, x, w = self._inputs(2, 3)
         with pytest.raises(DimensionError):
-            Tape().attention(x, w, 3, self.D_K)  # width not a multiple
+            Tape().attention(x, w, 3)  # width not a multiple
         with pytest.raises(DimensionError):
-            Tape().attention(x, w, 2, 4)  # no columns left for values
-        with pytest.raises(DimensionError):
-            Tape().attention(x, w, 2, self.D_K, head=2)
+            Tape().attention(Tensor(x.data[:, :3]), w, 2)  # rows of w != width of x
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 3])
+    def test_width_must_be_three_blocks_of_d_k_per_head(self, n_heads):
+        # w is [d, 3*H*d_k] for some d_k >= 1; d_k is read from that width
+        x = Tensor(np.ones((2, self.D)))
+        for width in range(0, 3 * n_heads * 3 + 1):
+            w = Tensor(np.ones((self.D, width)))
+            if width and width % (3 * n_heads) == 0:
+                out, _, _ = Tape().attention(x, w, n_heads)
+                assert out.shape == (2, width // 3)
+            else:
+                with pytest.raises(DimensionError, match=rf"w \({self.D}, {width}\)"):
+                    Tape().attention(x, w, n_heads)
 
     @pytest.mark.parametrize("through", ["output", "logits", "both"])
     @pytest.mark.parametrize("inject", [False, True])
@@ -320,26 +330,23 @@ class TestAttention:
     @pytest.mark.parametrize("n_heads", [1, 3])
     def test_finite_differences(self, n_heads, t_len, inject, through):
         rng, x, w = self._inputs(n_heads, t_len, seed=n_heads * 10 + t_len)
-        head = n_heads - 1
         adjacency = _injected(t_len)
-        probe_out = Tensor(rng.standard_normal((t_len, n_heads * self.D_V)))
+        probe_out = Tensor(rng.standard_normal((t_len, n_heads * self.D_K)))
         probe_logits = Tensor(rng.standard_normal((t_len, t_len)))
 
         def run(backward=False) -> float:
             t = Tape()
             out, logits, _ = t.attention(
-                x, w, n_heads, self.D_K, head,
-                (lambda own: adjacency) if inject else None,
+                x, w, n_heads, (lambda own: adjacency) if inject else None
             )
             terms = []
             if through in ("output", "both"):
                 terms.append(probe_sum(t, out, probe_out))
             if through in ("logits", "both"):
                 terms.append(probe_sum(t, logits, probe_logits))
-            loss = terms[0] if len(terms) == 1 else t.add(*terms)
             if backward:
-                t.backward(loss)
-            return loss.item()
+                t.backward(*terms)
+            return sum(term.item() for term in terms)
 
         for p in (x, w):
             p.reset_gradient()
@@ -747,9 +754,17 @@ class TestFirstWriteGradients:
         """The loss of one small graph, its tape and every tensor it made."""
         t = Tape()
         made = [Tensor(TestFirstWriteGradients.X)]
+        ops = {
+            "add": functools.partial(tape_sum, t),  # both operands take the gradient
+            "add_constant": t.add,
+            # a zero bias unless one is given: matmul always adds one
+            "matmul": lambda a, c, bias=None: t.matmul(
+                a, c, Tensor(np.zeros(3)) if bias is None else bias
+            ),
+        }
 
         def op(name, *args):
-            made.append(getattr(t, name)(*args))
+            made.append(ops[name](*args))
             return made[-1]
 
         # h1 and h2 are square, so any two of them multiply
@@ -763,11 +778,13 @@ class TestFirstWriteGradients:
             out = op("matmul", op("matmul", a, a, b), h2)
         else:
             # add(s, r) feeds s and r, s = add(h1, h2) feeds h1 and h2, and
-            # the first matmul's backward, replayed last, adds into both once more
+            # the first matmul's backward, replayed last, adds into both once
+            # more; the tape's own add hands v's gradient to u
             r = op("matmul", h1, h2)
             s = op("add", h1, h2)
             u = op("add", s, r)
-            out = op("matmul", u, u, b)
+            v = op("add_constant", u, np.ones((3, 3)))
+            out = op("matmul", v, v, b)
         made.append(probe_sum(t, out))
         return t, made[-1], made
 
@@ -845,11 +862,11 @@ class TestFiniteDifference:
 
         def run() -> float:
             t = Tape()
-            h = t.conv_block(t.matmul(Tensor(x), w), *conv)
+            h = t.conv_block(t.matmul(Tensor(x), w, Tensor(np.zeros(3))), *conv)
             return t.cross_entropy(h, [2, 0, 1, 1]).item()
 
         w.reset_gradient()
         t = Tape()
-        h = t.conv_block(t.matmul(Tensor(x), w), *conv)
+        h = t.conv_block(t.matmul(Tensor(x), w, Tensor(np.zeros(3))), *conv)
         t.backward(t.cross_entropy(h, [2, 0, 1, 1]))
         assert finite_difference_check(run, w, 1e-5) < 1e-7
