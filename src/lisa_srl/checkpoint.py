@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .corpus import BlobReader, LabelSpace, TransitionTable, names_its_file
+from .corpus import BlobReader, LabelSpace, TransitionTable, allowed_moves, names_its_file
 from .embed import ContextualStore
 from .errors import CompatibilityError, CorpusFormatError, NonFiniteError
 from .model import EMBED_STATIC, LisaModel
@@ -125,7 +125,7 @@ def _read_tensors(reader: BlobReader) -> dict[str, np.ndarray]:
         shape = reader.unpack(f"<{rank}Q", f"shape of {name}")
         arr = reader.floats("<f8", math.prod(shape), f"data of {name}").reshape(shape)
         finite = np.isfinite(arr)
-        if name in _TRANS_KEYS:
+        if name in _TRANS_KEYS[:2]:  # matrix and start; any tag may end a sequence
             finite |= arr == -np.inf  # how the transition model forbids a BIO move
         if not finite.all():
             raise CorpusFormatError(f"tensor {name} holds NaN or infinity")
@@ -133,6 +133,19 @@ def _read_tensors(reader: BlobReader) -> dict[str, np.ndarray]:
     if reader.remaining:
         raise CorpusFormatError(f"{reader.remaining} trailing bytes in checkpoint")
     return out
+
+
+def _check_bio_rule(table: TransitionTable) -> None:
+    """Role labels that are BIO tags, and -inf exactly where the BIO rule
+    forbids a move, as `estimate_transitions` builds the table."""
+    wrong = np.isneginf(np.vstack([table.start, table.matrix])) == allowed_moves(table.labels)
+    if wrong.any():
+        prev, tag = np.argwhere(wrong)[0]
+        names = ("start", *table.labels)
+        raise CorpusFormatError(
+            f"transitions.{'matrix' if prev else 'start'} breaks the BIO rule at"
+            f" {names[prev]} -> {names[tag + 1]}"
+        )
 
 
 def _check_metadata_types(meta: dict) -> None:
@@ -203,6 +216,7 @@ def load_checkpoint(path) -> LoadedCheckpoint:
     transitions = TransitionTable(
         roles, *(pop(key, shape) for key, shape in zip(_TRANS_KEYS, [(n, n), (n,), (n,)]))
     )
+    _check_bio_rule(transitions)
     if config.embedding == EMBED_STATIC:
         words, rows = meta["pretrained_words"], pop(_PRETRAINED_KEY)
         if len(words) != rows.shape[0]:

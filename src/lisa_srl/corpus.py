@@ -422,8 +422,6 @@ def build_role_space(corpus: Sequence[AnnotatedSentence]) -> LabelSpace:
 
 def build_joint_pos_pred_space(corpus: Sequence[AnnotatedSentence]) -> LabelSpace:
     """POS tags plus a TAG:predicate twin for each tag seen on a predicate."""
-    if not corpus:
-        raise EstimationError("cannot build a label space from an empty corpus")
     plain = set()
     composed = set()
     for sent in corpus:
@@ -463,6 +461,15 @@ class TransitionTable:
         return float(np.abs(values[np.isfinite(values)]).max(initial=0.0))
 
 
+def allowed_moves(role_space: LabelSpace) -> np.ndarray:
+    """The BIO rule as an [L + 1, L] mask: row 0 tells which tags may open a
+    sequence (OUTSIDE stands before the first), row i + 1 which may follow
+    tag i. A malformed tag raises."""
+    tags = role_space.labels
+    allowed = [valid_successor(prev, tag) for prev in (OUTSIDE, *tags) for tag in tags]
+    return np.array(allowed, dtype=bool).reshape(len(tags) + 1, len(tags))
+
+
 def estimate_transitions(
     corpus: Sequence[AnnotatedSentence], role_space: LabelSpace
 ) -> TransitionTable:
@@ -487,15 +494,16 @@ def estimate_transitions(
     if n_frames == 0:
         raise EstimationError("no frames in corpus; cannot estimate transitions")
 
+    allowed = allowed_moves(role_space)
     matrix = np.full((n, n), -np.inf)
-    for i, prev in enumerate(role_space):
-        valid = [j for j, nxt in enumerate(role_space) if valid_successor(prev, nxt)]
+    for i in range(n):
+        valid = np.flatnonzero(allowed[i + 1])
         total = bigram[i, valid].sum() + len(valid)
         for j in valid:
             matrix[i, j] = np.log((bigram[i, j] + 1.0) / total)
 
     start = np.full(n, -np.inf)
-    valid_starts = [j for j, tag in enumerate(role_space) if valid_successor(OUTSIDE, tag)]
+    valid_starts = np.flatnonzero(allowed[0])
     total = start_count[valid_starts].sum() + len(valid_starts)
     for j in valid_starts:
         start[j] = np.log((start_count[j] + 1.0) / total)

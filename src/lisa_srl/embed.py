@@ -1,10 +1,10 @@
 """Token vectors: static path, contextual scalar mix, positional encodings.
 
-The static path adds a learned residual to fixed pretrained vectors and
-runs the sum through K width-3 residual convolutions, then adds sinusoidal
-positional encodings. The contextual path is one `Tape.scalar_mix` op: it
-mixes precomputed frozen layer representations with softmax weights and a
-global scale and adds the same encodings. The frozen vectors, layers and
+Both paths return token vectors; encoder layer 1 adds the encodings. The
+static path adds a learned residual to fixed pretrained vectors and runs
+the sum through K width-3 residual convolutions. The contextual path is one
+`Tape.scalar_mix` op mixing precomputed frozen layer representations with
+softmax weights and a global scale. The frozen vectors, layers and
 encodings are constants and take no gradient.
 """
 
@@ -101,12 +101,12 @@ def init_conv_stack(
 
 
 def static_embed(tape: Tape, tokens, table: StaticTable, convs) -> Tensor:
-    """(pretrained + residual) per token, K residual convolutions, encodings."""
+    """(pretrained + residual) per token, then K residual convolutions."""
     base, rows = table.lookup(tokens)
     x = tape.gather_add(base, table.residual, rows)
     for conv in convs:
         x = tape.conv_block(x, *conv)
-    return tape.add(x, positional_encoding(len(tokens), x.shape[1]))
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -133,15 +133,15 @@ class ScalarMix:
 
 
 def contextual_embed(tape: Tape, layers: np.ndarray, mix: ScalarMix) -> Tensor:
-    """gamma * sum_l softmax(w)_l * layers[l] plus encodings, in one tape op;
-    gradients reach w and gamma only."""
+    """gamma * sum_l softmax(w)_l * layers[l] in one tape op; gradients
+    reach w and gamma only."""
     if layers.ndim != 3:
         raise ConfigError(f"expected [L, T, d] layer stack, got {layers.shape}")
     if layers.shape[0] != mix.n_layers:
         raise ConfigError(
             f"mix has {mix.n_layers} weights for {layers.shape[0]} layers"
         )
-    return tape.scalar_mix(mix.w, mix.gamma, layers, positional_encoding(*layers.shape[1:]))
+    return tape.scalar_mix(mix.w, mix.gamma, layers)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,16 @@
 """Multi-head self-attention encoder with one syntactically-supervised head.
 
-Each layer runs H scaled dot-product attention heads, with queries, keys
-and values d / H wide, whose concatenation spans the model width d, then
-adds a width-3 convolution of it as a residual feed-forward sublayer. Head
-0 of one designated layer carries the parse: its attention row for token t
-is trained to put its mass on t's syntactic head (root attends to itself),
-and at that head an externally supplied parse can be injected as a one-hot
-adjacency matrix in place of the predicted distribution. Injection changes
-nothing anywhere else, which is what makes gold-parse oracles possible
-without retraining. The layer and head counts and the parse and POS
-layers are fields of the run configuration record.
+Positions enter the model once: layer 1 adds sinusoidal encodings to its
+input. Each layer runs H scaled dot-product attention heads, with queries,
+keys and values d / H wide, then adds a width-3 convolution of them as a
+residual feed-forward sublayer. Head 0 of one designated layer carries
+the parse: its attention row for token t is trained to put its mass on t's
+syntactic head (root attends to itself), and at that head an externally
+supplied parse can be injected as a one-hot adjacency matrix in place of
+the predicted distribution. Injection changes nothing anywhere else, which
+is what makes gold-parse oracles possible without retraining. The layer
+and head counts and the parse and POS layers are fields of the run
+configuration record.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .embed import init_conv_stack
+from .embed import init_conv_stack, positional_encoding
 from .errors import InjectionError
 from .numerics import Tape, Tensor, new_parameter
 
@@ -89,7 +90,7 @@ class Encoder:
         injected_heads=None,
         harden: bool = False,
     ) -> tuple[Tensor, EncoderTrace]:
-        """Run all layers; returns final representations and the trace.
+        """Run all layers, layer 1 adding positions; returns outputs and trace.
 
         `injected_heads` replaces the parse head's attention with that parse;
         failing that, `harden` replaces it with the one-hot of its own argmax.
@@ -105,7 +106,8 @@ class Encoder:
                     return parse_adjacency(heads, len(own))
 
             # H attention heads side by side (m), then m + conv3(relu(m))
-            m, logits, trace.attentions[j] = tape.attention(x, qkv, cfg.n_heads, inject)
+            pe = positional_encoding(len(x.data), qkv.shape[0]) if j == 1 else None
+            m, logits, trace.attentions[j] = tape.attention(x, qkv, cfg.n_heads, inject, pe)
             if j == cfg.parse_layer:
                 trace.parse_logits = logits
             x = trace.layer_outputs[j] = tape.conv_block(m, *conv)

@@ -1,11 +1,11 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-The whole model runs on eight tape ops: `add` of constant encodings,
-`matmul` plus a bias on every row (the POS/predicate head), `gather_add`
-adding learned rows to constant ones (the static embedding), `scalar_mix`
-mixing frozen layers plus encodings (the contextual embedding), `attention`
-for a whole multi-head layer from its [d, 3d] query | key | value
-projection, `conv_block` for a residual width-3 convolution x +
+The whole model runs on seven tape ops: `matmul` plus a bias on every row
+(the POS/predicate head), `gather_add` adding learned rows to constant ones
+(the static embedding), `scalar_mix` mixing frozen layers (the contextual
+embedding), `attention` for a whole multi-head layer from its [d, 3d]
+query | key | value projection, with constant positional encodings added to
+its input at layer 1, `conv_block` for a residual width-3 convolution x +
 conv3(relu(x)), `bilinear` for the whole SRL scorer (both projections, then
 every predicate scored at once in two matmuls), and `cross_entropy` for all
 losses. Constant operands are plain ndarrays and take no gradient.
@@ -121,21 +121,6 @@ class Tape:
     def __init__(self) -> None:
         self._backprops: list[Callable[[], None]] = []
 
-    # -- elementwise and shape ops ---------------------------------------
-
-    def add(self, a: Tensor, b: np.ndarray) -> Tensor:
-        """a + b for a constant ndarray `b`, which takes no gradient."""
-        if a.shape != b.shape:
-            raise DimensionError(f"add shapes differ: {a.shape} vs {b.shape}")
-        out = _unchecked(a.data + b)
-
-        def back() -> None:
-            if out.grad is not None:
-                _accumulate(a, out.grad)
-
-        self._backprops.append(back)
-        return out
-
     # -- linear algebra ---------------------------------------------------
 
     def matmul(self, a: Tensor, b: Tensor, bias: Tensor) -> Tensor:
@@ -160,6 +145,7 @@ class Tape:
         w: Tensor,
         n_heads: int,
         inject: Callable[[np.ndarray], np.ndarray] | None = None,
+        positional: np.ndarray | None = None,
     ) -> tuple[Tensor, Tensor, np.ndarray]:
         """All heads of one scaled dot-product self-attention layer.
 
@@ -167,7 +153,7 @@ class Tape:
         key and value projections side by side. `inject`, if given, receives
         head 0's softmax attention and returns the [T, T] matrix it attends
         with instead; no gradient flows through that matrix, but the head's
-        logits keep theirs.
+        logits keep theirs. A constant [T, d] `positional` is added to `x`.
 
         Returns the head outputs side by side [T, H*d_k], head 0's
         pre-softmax logits [T, T] (gradient may arrive through both) and the
@@ -177,9 +163,12 @@ class Tape:
         d_k, extra = divmod(w.shape[-1], 3 * n_heads)
         if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or extra or d_k < 1:
             raise DimensionError(f"attention: x {x.shape}, w {w.shape}, {n_heads} heads")
+        if positional is not None and positional.shape != x.shape:
+            raise DimensionError(f"attention: x {x.shape}, positional {positional.shape}")
+        x_in = x.data if positional is None else x.data + positional
         width = 3 * d_k
         c = d_k ** -0.5
-        qkv = (x.data @ w.data).reshape(t_len, n_heads, width).transpose(1, 0, 2)
+        qkv = (x_in @ w.data).reshape(t_len, n_heads, width).transpose(1, 0, 2)
         q, v = qkv[..., :d_k], qkv[..., 2 * d_k :]
         # k^T made contiguous: BLAS rounds a product with a transposed view
         # differently, and this form matches separate per-head matmuls bitwise
@@ -212,7 +201,7 @@ class Tape:
             g_q = g_scores @ k_t.transpose(0, 2, 1)
             g_k = (q.transpose(0, 2, 1) @ g_scores).transpose(0, 2, 1)
             g_qkv = np.concatenate([g_q, g_k, g_v], axis=2)
-            _accumulate(w, x.data.T @ g_qkv.transpose(1, 0, 2).reshape(t_len, -1))
+            _accumulate(w, x_in.T @ g_qkv.transpose(1, 0, 2).reshape(t_len, -1))
             # head by head in reverse, v then k then q: the summation order,
             # and so the rounding, of separate per-head projections
             for h in reversed(range(n_heads)):
@@ -344,26 +333,18 @@ class Tape:
         self._backprops.append(back)
         return out
 
-    def scalar_mix(
-        self, w: Tensor, gamma: Tensor, layers: np.ndarray, positional: np.ndarray
-    ) -> Tensor:
-        """gamma * sum_l softmax(w)_l layers[l] + positional: a contextual embedding.
+    def scalar_mix(self, w: Tensor, gamma: Tensor, layers: np.ndarray) -> Tensor:
+        """gamma * sum_l softmax(w)_l layers[l]: a contextual embedding.
 
         `w` is [1, L] and `gamma` a scalar. The frozen [L, T, d] layer stack
-        and the [T, d] positional encodings are constants, so gradients
-        reach only `w` and `gamma`.
+        is a constant, so gradients reach only `w` and `gamma`.
         """
-        if (
-            w.ndim != 2 or w.shape[0] != 1 or gamma.ndim != 0 or layers.ndim != 3
-            or w.shape[1] != layers.shape[0] or positional.shape != layers.shape[1:]
-        ):
-            raise DimensionError(
-                f"scalar_mix: w {w.shape}, gamma {gamma.shape}, layers {layers.shape},"
-                f" positional {positional.shape}"
-            )
+        if layers.ndim != 3 or w.shape != (1, layers.shape[0]) or gamma.ndim != 0:
+            shapes = f"w {w.shape}, gamma {gamma.shape}, layers {layers.shape}"
+            raise DimensionError(f"scalar_mix: {shapes}")
         coeffs = softmax(w.data)
         mixed = np.einsum("l,ltd->td", coeffs[0], layers)
-        out = _unchecked(mixed * gamma.data + positional)
+        out = _unchecked(mixed * gamma.data)
 
         def back() -> None:
             if out.grad is None:

@@ -83,9 +83,17 @@ def _check_alignment(
             )
 
 
+def read_split(config: RunConfig, prefix: str) -> list[AnnotatedSentence]:
+    """Read `<prefix>_path`, which must hold a sentence: a metric over none reads 0."""
+    path = getattr(config, f"{prefix}_path")
+    if not (corpus := read_conll(path)):
+        raise ConfigError(f"{prefix}_path {path} holds no sentences")
+    return corpus
+
+
 def load_split(config: RunConfig, prefix: str) -> SplitData:
     """Read `<prefix>_path` and whichever sidecars the config calls for."""
-    corpus = read_conll(getattr(config, f"{prefix}_path"))
+    corpus = read_split(config, prefix)
     data = SplitData(corpus)
     if config.parse_source == ParseSource.EXTERNAL.value:
         heads_path = getattr(config, f"{prefix}_heads_path")
@@ -150,8 +158,6 @@ def train(config: RunConfig, emit: Callable[[str], None] | None = None) -> Train
 
     train_data = load_split(config, "train")
     dev_data = load_split(config, "dev")
-    if not dev_data.corpus:  # dev F1 would read 0 and select nothing
-        raise ConfigError(f"dev_path {config.dev_path} holds no sentences")
     if config.embedding == EMBED_CONTEXTUAL:  # the model is built on train's shape
         shapes = [f"{d.ctx.n_layers} layers of width {d.ctx.dim}" for d in (train_data, dev_data)]
         if shapes[0] != shapes[1]:
@@ -184,25 +190,16 @@ def train(config: RunConfig, emit: Callable[[str], None] | None = None) -> Train
                     sent_source = ParseSource.SELF
             tape = Tape()
             bundle = model.loss(
-                tape,
-                train_data.corpus[i],
-                source=sent_source,
-                harden=config.harden_self_parse,
-                **train_data.forward_kwargs(int(i)),
+                tape, train_data.corpus[i], source=sent_source,
+                harden=config.harden_self_parse, **train_data.forward_kwargs(int(i)),
             )
             if not np.isfinite(bundle.total):
-                raise NonFiniteError(
-                    f"loss diverged at epoch {epoch}, sentence {int(i)}"
-                )
+                raise NonFiniteError(f"loss diverged at epoch {epoch}, sentence {int(i)}")
             model.reset_gradients()
             tape.backward(bundle.srl, bundle.parse, bundle.pos_pred)
-            norm = np.sqrt(
-                sum(float((p.grad ** 2).sum()) for p in model.parameters())
-            )
+            norm = np.sqrt(sum(float((p.grad ** 2).sum()) for p in model.parameters()))
             if not np.isfinite(norm):
-                raise NonFiniteError(
-                    f"gradient diverged at epoch {epoch}, sentence {int(i)}"
-                )
+                raise NonFiniteError(f"gradient diverged at epoch {epoch}, sentence {int(i)}")
             scale = config.lr
             if 0 < config.clip_norm < norm:
                 scale *= config.clip_norm / norm
@@ -212,9 +209,7 @@ def train(config: RunConfig, emit: Callable[[str], None] | None = None) -> Train
             for key, value in bundle.values().items():
                 sums[key] += value
 
-        dev_pred = _predict_corpus(
-            model, dev_data, transitions, source, config.harden_self_parse
-        )
+        dev_pred = _predict_corpus(model, dev_data, transitions, source, config.harden_self_parse)
         dev_f1 = srl_prf(dev_data.corpus, dev_pred)[2]
         means = {k: v / n for k, v in sums.items()}
         line = (
@@ -264,7 +259,7 @@ def evaluate(config: RunConfig) -> tuple[MetricsReport, list[str]]:
     """Score a prediction file against gold; returns the report and the
     fixed-format summary lines."""
     require_paths(config, "test_path", "predictions_path")
-    gold = read_conll(config.test_path)
+    gold = read_split(config, "test")
     predicted, repairs = read_conll_counted(config.predictions_path, repair=True)
     report = evaluate_corpus(gold, predicted, bio_repairs=repairs)
     if config.metrics_path:

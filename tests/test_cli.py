@@ -581,6 +581,66 @@ def test_cli_transitions_that_do_not_fit_the_roles_are_one_compatibility_line(
     assert not (tmp_path / "pred.conll").exists()
 
 
+@pytest.mark.parametrize("tamper", ["start and matrix", "matrix", "a valid move"])
+def test_cli_transitions_against_the_bio_rule_are_one_format_line(
+    data_dir, tmp_path, capsys, tamper
+):
+    # a table that opens a frame on I-X, or moves from O to I-X, decodes
+    # frames that the strict reader rejects; one that forbids B-X -> I-X
+    # cannot decode a span of two tokens
+    config = _tiny_config(data_dir, tmp_path, epochs=1)
+    train(config)
+    table = load_checkpoint(config.checkpoint_out).transitions
+    inside = next(label for label in table.labels if label.startswith("I-"))
+    o, b, i = (table.labels.of(x) for x in ("O", "B" + inside[1:], inside))
+    matrix, start = table.matrix.copy(), table.start.copy()
+    if tamper == "a valid move":
+        matrix[b, i] = -np.inf
+        fault = f"transitions.matrix breaks the BIO rule at B{inside[1:]} -> {inside}"
+    else:
+        matrix[o, i] = start[i] = 5.0
+        fault = f"transitions.matrix breaks the BIO rule at O -> {inside}"
+    blob = (tmp_path / "model.ckpt").read_bytes()
+    blob = _replace_tensor(blob, "transitions.matrix", matrix)
+    if tamper == "start and matrix":  # the start entry is named first
+        blob = _replace_tensor(blob, "transitions.start", start)
+        fault = f"transitions.start breaks the BIO rule at start -> {inside}"
+    broken = tmp_path / "broken.ckpt"
+    broken.write_bytes(blob)
+    capsys.readouterr()
+    code = main(["predict", "--checkpoint-in", str(broken),
+                 "--test-path", str(data_dir / "test.conll"),
+                 "--predictions-path", str(tmp_path / "pred.conll")])
+    assert code == 1
+    assert _one_error_line(capsys, "corpus-format") == (
+        f"error category=corpus-format: {broken}: {fault}"
+    )
+    assert not (tmp_path / "pred.conll").exists()
+
+
+def test_cli_checkpoint_role_label_that_is_no_bio_tag_is_one_format_line(
+    data_dir, tmp_path, capsys
+):
+    malformed = []
+
+    def edit(meta):
+        labels = meta["role_labels"]
+        at = next(k for k, label in enumerate(labels) if label.startswith("B-"))
+        labels[at] = "Q" + labels[at][1:]
+        malformed.append(labels[at])
+
+    broken = _patched_metadata(data_dir, tmp_path, edit)
+    capsys.readouterr()
+    code = main(["predict", "--checkpoint-in", str(broken),
+                 "--test-path", str(data_dir / "test.conll"),
+                 "--predictions-path", str(tmp_path / "pred.conll")])
+    assert code == 1
+    assert _one_error_line(capsys, "corpus-format") == (
+        f"error category=corpus-format: {broken}: malformed BIO tag {malformed[0]!r}"
+    )
+    assert not (tmp_path / "pred.conll").exists()
+
+
 def _patched_metadata(data_dir, tmp_path, edit) -> Path:
     """A freshly trained checkpoint whose JSON metadata `edit` has changed."""
     train(_tiny_config(data_dir, tmp_path, epochs=1))
@@ -672,7 +732,7 @@ def test_cli_checkpoint_metadata_of_the_wrong_type_is_a_format_error(
         ("frozen.pretrained", -np.inf),
         ("transitions.matrix", np.nan),
         ("transitions.start", np.inf),
-        ("transitions.end", -np.inf),  # how BIO forbids a transition: allowed
+        ("transitions.end", -np.inf),  # any tag may end a sequence
     ],
 )
 def test_checkpoint_with_a_non_finite_value_is_a_format_error(
@@ -684,9 +744,6 @@ def test_checkpoint_with_a_non_finite_value_is_a_format_error(
     struct.pack_into("<d", blob, data, value)
     patched = tmp_path / "patched.ckpt"
     patched.write_bytes(bytes(blob))
-    if name.startswith("transitions.") and value == -np.inf:
-        assert load_checkpoint(patched).transitions.end[0] == -np.inf
-        return
     with pytest.raises(CorpusFormatError, match=f"tensor {name} holds NaN or infinity"):
         load_checkpoint(patched)
 
@@ -1227,6 +1284,41 @@ def test_cli_empty_dev_file_is_one_config_error_line(data_dir, tmp_path, capsys)
     err = _one_error_line(capsys, "config")
     assert err == f"error category=config: dev_path {empty} holds no sentences"
     assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_cli_empty_train_file_is_one_config_error_line(data_dir, tmp_path, capsys):
+    empty = tmp_path / "empty.conll"
+    empty.write_text("")
+    code = main(["train", "--train-path", str(empty),
+                 "--dev-path", str(data_dir / "dev.conll"),
+                 "--pretrained-path", str(data_dir / "pretrained.vec"),
+                 "--checkpoint-out", str(tmp_path / "model.ckpt")])
+    assert code == 1
+    err = _one_error_line(capsys, "config")
+    assert err == f"error category=config: train_path {empty} holds no sentences"
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_cli_predict_and_evaluate_on_an_empty_test_file_are_one_config_error_line(
+    data_dir, tmp_path, capsys
+):
+    # an empty gold file scores nothing: no predictions, and no uas of 0 tokens
+    empty = tmp_path / "empty.conll"
+    empty.write_text("\n")
+    train(_tiny_config(data_dir, tmp_path, epochs=1))
+    capsys.readouterr()
+    code = main(["predict", "--checkpoint-in", str(tmp_path / "model.ckpt"),
+                 "--test-path", str(empty),
+                 "--predictions-path", str(tmp_path / "pred.conll")])
+    assert code == 1
+    want = f"error category=config: test_path {empty} holds no sentences"
+    assert _one_error_line(capsys, "config") == want
+    assert not (tmp_path / "pred.conll").exists()
+    code = main(["evaluate", "--test-path", str(empty), "--predictions-path", str(empty),
+                 "--metrics-path", str(tmp_path / "metrics.csv")])
+    assert code == 1
+    assert _one_error_line(capsys, "config") == want
+    assert not (tmp_path / "metrics.csv").exists()
 
 
 def test_cli_widths_and_mix_size_come_from_the_inputs(tmp_path, capsys):

@@ -46,13 +46,13 @@ def test_zero_residual_init_reproduces_pretrained():
     table = _table()
     out = static_embed(Tape(), ["the", "dog", "ran"], table, [])
     expected = np.stack([table.pretrained[w] for w in ("the", "dog", "ran")])
-    assert np.allclose(out.data - positional_encoding(3, 4), expected, rtol=0, atol=1e-15)
+    assert np.array_equal(out.data, expected)
 
 
 def test_unknown_word_uses_unk_vector():
     table = _table()
     out = static_embed(Tape(), ["wug"], table, [])
-    assert np.allclose(out.data[0] - positional_encoding(1, 4)[0], table.unk, rtol=0, atol=1e-15)
+    assert np.array_equal(out.data[0], table.unk)
 
 
 def test_training_word_missing_from_pretrained_gets_unk_plus_residual():
@@ -61,9 +61,7 @@ def test_training_word_missing_from_pretrained_gets_unk_plus_residual():
     table = StaticTable.build(["dog", "wug"], pre)
     table.residual.data[table.index["wug"]] = [1.0, 2.0, 3.0, 4.0]
     out = static_embed(Tape(), ["wug"], table, [])
-    assert np.allclose(
-        out.data[0] - positional_encoding(1, 4)[0], table.unk + [1.0, 2.0, 3.0, 4.0]
-    )
+    assert np.array_equal(out.data[0], table.unk + [1.0, 2.0, 3.0, 4.0])
 
 
 def test_conv3_matches_sliding_window_oracle():
@@ -174,9 +172,8 @@ def _layer_stack(rng, n_layers=3, t_len=4, d=6):
 
 
 def _mixed(layers, mix):
-    """The contextual embedding less its positional encodings."""
-    out = contextual_embed(Tape(), layers, mix)
-    return out.data - positional_encoding(*layers.shape[1:])
+    """The contextual embedding, which carries no positional encodings."""
+    return contextual_embed(Tape(), layers, mix).data
 
 
 def test_scalar_mix_uniform_weights_average():
@@ -191,8 +188,7 @@ def test_scalar_mix_zero_gamma_annihilates():
     layers = _layer_stack(rng)
     mix = ScalarMix.build(3)
     mix.gamma.data[...] = 0.0
-    out = contextual_embed(Tape(), layers, mix)
-    assert np.array_equal(out.data, positional_encoding(4, 6))
+    assert np.array_equal(_mixed(layers, mix), np.zeros((4, 6)))
 
 
 def test_scalar_mix_saturation_tracks_softmax_oracle():

@@ -10,6 +10,7 @@ import pytest
 
 from lisa_srl.config import RunConfig
 from lisa_srl.corpus import AnnotatedSentence
+from lisa_srl.embed import positional_encoding
 from lisa_srl.errors import ConfigError, DimensionError, InjectionError
 from lisa_srl.numerics import Parameter, Tape, Tensor, finite_difference_check
 from lisa_srl.encoder import (
@@ -139,7 +140,7 @@ def test_single_head_identity_conv_layer_is_pure_attention():
     enc = Encoder.build(config, 4, rng)
     x = Tensor(rng.normal(size=(5, 4)))
     out, _ = enc.encode(Tape(), x)
-    expected, _, _ = Tape().attention(x, enc.layers[0][0], 1)
+    expected, _, _ = Tape().attention(x, enc.layers[0][0], 1, None, positional_encoding(5, 4))
     assert np.array_equal(out.data, expected.data)
 
 

@@ -152,7 +152,7 @@ class TestTensorInvariants:
 class TestBackward:
     def test_non_scalar_loss_rejected(self):
         t = Tape()
-        out = t.add(Tensor([1.0, 2.0]), np.array([3.0, 4.0]))
+        out = tape_sum(t, Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))
         with pytest.raises(ContractError):
             t.backward(out)
 
@@ -194,20 +194,21 @@ class TestBackward:
         p = Parameter("unused", np.ones((2, 2)))
         q = Parameter("used", np.ones((2, 2)))
         t = Tape()
-        loss = probe_sum(t, t.add(q, np.ones((2, 2))), np.full((2, 2), 2.0))
+        loss = probe_sum(t, t.gather_add(np.ones((2, 2)), q, [0, 1]), np.full((2, 2), 2.0))
         t.backward(loss)
         assert np.array_equal(p.grad, np.zeros((2, 2)))
         assert np.array_equal(q.grad, 2.0 * np.ones((2, 2)))
 
     def test_constant_operand_takes_no_gradient(self):
-        x, constant = Parameter("x", np.array([1.0, 2.0])), np.array([3.0, 4.0])
+        # gather_add's base is a constant: only the gathered rows take gradient
+        x, constant = Parameter("x", np.array([[1.0, 2.0]])), np.array([[3.0, 4.0]])
         t = Tape()
-        out = t.add(x, constant)
-        t.backward(probe_sum(t, out, [5.0, 6.0]))
-        assert np.array_equal(out.data, [4.0, 6.0])
-        assert np.array_equal(x.grad, [5.0, 6.0])
+        out = t.gather_add(constant, x, [0])
+        t.backward(probe_sum(t, out, [[5.0, 6.0]]))
+        assert np.array_equal(out.data, [[4.0, 6.0]])
+        assert np.array_equal(x.grad, [[5.0, 6.0]])
         with pytest.raises(DimensionError):
-            t.add(x, np.zeros(3))
+            t.gather_add(np.zeros((1, 3)), x, [0])
 
     def test_gradient_accumulates_until_reset(self):
         p = Parameter("p", np.array([2.0, 3.0]))
@@ -324,20 +325,59 @@ class TestAttention:
                 with pytest.raises(DimensionError, match=rf"w \({self.D}, {width}\)"):
                     Tape().attention(x, w, n_heads)
 
+    def test_positional_equals_the_op_on_the_sum_bitwise(self):
+        rng, x, w = self._inputs(3, 5, seed=4)
+        positional = rng.standard_normal((5, self.D))
+        probe_out = rng.standard_normal((5, 3 * self.D_K))
+        probe_logits = rng.standard_normal((5, 5))
+        summed = Tensor(x.data + positional)
+        results = []
+        for x_in, pe in ((summed, None), (x, positional)):
+            w_in = Tensor(w.data)
+            t = Tape()
+            out, logits, weights = t.attention(x_in, w_in, 3, None, pe)
+            t.backward(probe_sum(t, out, probe_out), probe_sum(t, logits, probe_logits))
+            results.append((out.data, logits.data, weights, x_in.grad, w_in.grad))
+        for want, got in zip(*results):
+            assert np.array_equal(want, got)
+
+    def test_positional_is_a_constant_of_the_shape_of_x(self):
+        _, x, w = self._inputs(2, 3)
+        positional = np.arange(12.0).reshape(3, 4)
+        positional.setflags(write=False)  # backward may not write to it
+        t = Tape()
+        out, _, _ = t.attention(x, w, 2, None, positional)
+        t.backward(probe_sum(t, out))
+        assert np.array_equal(positional, np.arange(12.0).reshape(3, 4))
+        for bad in (positional[:2], positional[:, :2], positional[0]):
+            with pytest.raises(DimensionError, match="positional"):
+                Tape().attention(x, w, 2, None, bad)
+
     @pytest.mark.parametrize("through", ["output", "logits", "both"])
     @pytest.mark.parametrize("inject", [False, True])
     @pytest.mark.parametrize("t_len", [1, 4])
     @pytest.mark.parametrize("n_heads", [1, 3])
     def test_finite_differences(self, n_heads, t_len, inject, through):
+        self._check_finite_differences(n_heads, t_len, inject, through, positional=False)
+
+    @pytest.mark.parametrize("through", ["output", "logits", "both"])
+    @pytest.mark.parametrize("inject", [False, True])
+    @pytest.mark.parametrize("t_len", [1, 4])
+    @pytest.mark.parametrize("n_heads", [1, 3])
+    def test_finite_differences_with_positional(self, n_heads, t_len, inject, through):
+        self._check_finite_differences(n_heads, t_len, inject, through, positional=True)
+
+    def _check_finite_differences(self, n_heads, t_len, inject, through, positional):
         rng, x, w = self._inputs(n_heads, t_len, seed=n_heads * 10 + t_len)
         adjacency = _injected(t_len)
         probe_out = Tensor(rng.standard_normal((t_len, n_heads * self.D_K)))
         probe_logits = Tensor(rng.standard_normal((t_len, t_len)))
+        pe = rng.standard_normal((t_len, self.D)) if positional else None
 
         def run(backward=False) -> float:
             t = Tape()
             out, logits, _ = t.attention(
-                x, w, n_heads, (lambda own: adjacency) if inject else None
+                x, w, n_heads, (lambda own: adjacency) if inject else None, pe
             )
             terms = []
             if through in ("output", "both"):
@@ -484,14 +524,14 @@ class TestGatherAdd:
         assert np.array_equal(table.grad[3], np.zeros(3))  # a row nothing reads
 
 
-def unfused_scalar_mix(w, gamma, layers, positional, g):
-    """gamma * sum_l softmax(w)_l layers[l] + positional and the gradients of
-    w and gamma as four separate ops compute them: a row softmax, the layer
-    mix, the scale and the add, with the backward replayed in reverse."""
+def unfused_scalar_mix(w, gamma, layers, g):
+    """gamma * sum_l softmax(w)_l layers[l] and the gradients of w and gamma
+    as three separate ops compute them: a row softmax, the layer mix and the
+    scale, with the backward replayed in reverse."""
     e = np.exp(w - w.max(axis=1, keepdims=True))
     coeffs = e / e.sum(axis=1, keepdims=True)
     mixed = np.einsum("l,ltd->td", coeffs[0], layers)
-    out = np.asarray(mixed * gamma) + positional
+    out = np.asarray(mixed * gamma)
     g_gamma = np.asarray((g * mixed).sum())
     g_coeffs = np.einsum("td,ltd->l", g * gamma, layers)[None, :]
     g_w = coeffs * (g_coeffs - (g_coeffs * coeffs).sum(axis=1, keepdims=True))
@@ -506,18 +546,17 @@ class TestScalarMix:
         w = Parameter("w", rng.standard_normal((1, n_layers)) * 2.0)
         gamma = Parameter("gamma", rng.normal(1.0, 0.5))
         layers = rng.standard_normal((n_layers, t_len, self.D))
-        positional = rng.standard_normal((t_len, self.D))
-        return rng, w, gamma, layers, positional
+        return rng, w, gamma, layers
 
     @pytest.mark.parametrize("n_layers", [1, 3])
     @pytest.mark.parametrize("t_len", [1, 4])
     def test_finite_differences(self, t_len, n_layers):
-        rng, w, gamma, layers, positional = self._inputs(t_len, n_layers, t_len + n_layers)
+        rng, w, gamma, layers = self._inputs(t_len, n_layers, t_len + n_layers)
         probe = rng.standard_normal((t_len, self.D))
 
         def run(backward=False) -> float:
             t = Tape()
-            loss = probe_sum(t, t.scalar_mix(w, gamma, layers, positional), probe)
+            loss = probe_sum(t, t.scalar_mix(w, gamma, layers), probe)
             if backward:
                 t.backward(loss)
             return loss.item()
@@ -531,27 +570,24 @@ class TestScalarMix:
     @pytest.mark.parametrize("n_layers", [1, 3])
     @pytest.mark.parametrize("t_len", [1, 4])
     def test_equals_unfused_composition_bitwise(self, t_len, n_layers):
-        rng, w, gamma, layers, positional = self._inputs(t_len, n_layers, 50 + t_len)
+        rng, w, gamma, layers = self._inputs(t_len, n_layers, 50 + t_len)
         g = rng.standard_normal((t_len, self.D))
-        want, want_w, want_gamma = unfused_scalar_mix(
-            w.data, gamma.data, layers, positional, g
-        )
+        want, want_w, want_gamma = unfused_scalar_mix(w.data, gamma.data, layers, g)
         inputs = Tensor(w.data), Tensor(gamma.data)
         t = Tape()
-        out = t.scalar_mix(*inputs, layers, positional)
+        out = t.scalar_mix(*inputs, layers)
         t.backward(probe_sum(t, out, g))
         assert np.array_equal(out.data, want)
         assert np.array_equal(inputs[0].grad, want_w)
         assert np.array_equal(inputs[1].grad, want_gamma)
 
     def test_rejects_bad_shapes(self):
-        _, w, gamma, layers, positional = self._inputs(3, 2, 0)
+        _, w, gamma, layers = self._inputs(3, 2, 0)
         for args in (
-            (gamma, gamma, layers, positional),
-            (w, w, layers, positional),
-            (w, gamma, layers[:1], positional),
-            (w, gamma, layers, positional[:2]),
-            (w, gamma, layers[0], positional),
+            (gamma, gamma, layers),
+            (w, w, layers),
+            (w, gamma, layers[:1]),
+            (w, gamma, layers[0]),
         ):
             with pytest.raises(DimensionError):
                 Tape().scalar_mix(*args)
@@ -756,7 +792,7 @@ class TestFirstWriteGradients:
         made = [Tensor(TestFirstWriteGradients.X)]
         ops = {
             "add": functools.partial(tape_sum, t),  # both operands take the gradient
-            "add_constant": t.add,
+            "gather_add": t.gather_add,
             # a zero bias unless one is given: matmul always adds one
             "matmul": lambda a, c, bias=None: t.matmul(
                 a, c, Tensor(np.zeros(3)) if bias is None else bias
@@ -779,11 +815,12 @@ class TestFirstWriteGradients:
         else:
             # add(s, r) feeds s and r, s = add(h1, h2) feeds h1 and h2, and
             # the first matmul's backward, replayed last, adds into both once
-            # more; the tape's own add hands v's gradient to u
+            # more; the gather adds u's rows to constant ones, handing u v's
+            # gradient
             r = op("matmul", h1, h2)
             s = op("add", h1, h2)
             u = op("add", s, r)
-            v = op("add_constant", u, np.ones((3, 3)))
+            v = op("gather_add", np.ones((3, 3)), u, [0, 1, 2])
             out = op("matmul", v, v, b)
         made.append(probe_sum(t, out))
         return t, made[-1], made
@@ -825,12 +862,12 @@ class TestFiniteDifference:
 
     def test_softmax_conservation_gradient_near_zero(self):
         # identical layers: the mix is gamma * sum_l softmax(w)_l = gamma
-        # plus the encodings whatever w is, so w's gradient vanishes
+        # whatever w is, so w's gradient vanishes
         p = Parameter("p", np.array([[0.3, -1.2, 0.7]]))
-        gamma, layers, positional = Tensor(1.3), np.ones((3, 2, 4)), np.zeros((2, 4))
+        gamma, layers = Tensor(1.3), np.ones((3, 2, 4))
 
         def loss(t):
-            return probe_sum(t, t.scalar_mix(p, gamma, layers, positional))
+            return probe_sum(t, t.scalar_mix(p, gamma, layers))
 
         def run() -> float:
             return loss(Tape()).item()
