@@ -42,7 +42,7 @@ def run(work: Path) -> None:
     loaded = load_checkpoint(config.checkpoint_out)
     dev = load_split(config, "dev")
     predictions = _predict_corpus(loaded.model, dev, loaded.transitions,
-                                  config.source())
+                                  *config.source())
     f1 = srl_prf(dev.corpus, predictions)[2]
     print(f"reloaded checkpoint scores dev F1 {f1:.4f}, matching the "
           f"best-epoch log line: {f1 == result.best_dev_f1}.")

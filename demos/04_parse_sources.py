@@ -39,7 +39,7 @@ def run(work: Path) -> None:
     rows = []
     sources = [
         ("self (soft)", {"parse_source": "self"}),
-        ("self, hardened", {"parse_source": "self", "harden_self_parse": "true"}),
+        ("self, hardened", {"parse_source": "hardened"}),
         ("external, 30% wrong", {"parse_source": "external",
                                  "test_heads_path": str(work / "test.heads")}),
         ("gold", {"parse_source": "gold"}),

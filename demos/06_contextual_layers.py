@@ -23,7 +23,7 @@ def run(work: Path) -> None:
     gen_synth(GenSynthParams(out_dir=str(work), n_train=150, n_dev=30,
                              n_test=20, seed=23, dim=64, with_contextual=True))
     store = read_contextual(work / "train.ctxl")
-    stack = store.get("0")
+    stack = store.layers["0"]
     print(f"train.ctxl holds {len(store.layers)} frozen stacks; sentence 0 "
           f"is [L, T, d] = {stack.shape}. Layer 0 carries word identity, "
           "upper layers blend neighbors.")

@@ -3,7 +3,7 @@
 Layout, all integers little-endian:
 
     magic  b"LISA"
-    u32    format version (currently 3)
+    u32    format version (currently 4)
     u64    metadata byte length, then that many bytes of UTF-8 JSON
     u32    tensor count
     per tensor, sorted by name:
@@ -15,10 +15,11 @@ Layout, all integers little-endian:
 The JSON metadata carries the run configuration, the step counter, both
 label spaces, the training vocabulary and the pretrained word list. The
 configuration leaves out its file paths, so a run writes the same bytes
-from any directory. The tensor section carries every learned parameter
-plus the frozen pretrained rows (whose mean is the unknown-word vector) and
-the role-transition model, so a loaded checkpoint reproduces forward
-outputs bitwise with no other files present.
+from any directory; one that fails `validate`, or cannot shape a model, is
+a format error of the file. The tensor section carries every learned
+parameter plus the frozen pretrained rows (whose mean is the unknown-word
+vector) and the role-transition model, so a loaded checkpoint reproduces
+forward outputs bitwise with no other files present.
 """
 
 from __future__ import annotations
@@ -33,14 +34,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .corpus import BlobReader, LabelSpace, TransitionTable, allowed_moves, names_its_file
+from .corpus import (
+    PREDICATE_SUFFIX, BlobReader, LabelSpace, TransitionTable, allowed_moves, names_its_file,
+)
 from .embed import ContextualStore
-from .errors import CompatibilityError, CorpusFormatError, NonFiniteError
+from .errors import CompatibilityError, ConfigError, CorpusFormatError, NonFiniteError
 from .model import EMBED_STATIC, LisaModel
 from .numerics import Parameter
 
 CHECKPOINT_MAGIC = b"LISA"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 _PRETRAINED_KEY = "frozen.pretrained"
 _TRANS_KEYS = ("transitions.matrix", "transitions.start", "transitions.end")
@@ -51,7 +54,7 @@ _PATH_FIELDS = frozenset(
     f.name for f in dataclasses.fields(RunConfig) if f.name.endswith(("_path", "_in", "_out"))
 )
 # the JSON types each annotated RunConfig field may load as
-_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
 @dataclass
@@ -168,6 +171,16 @@ def _check_metadata_types(meta: dict) -> None:
             raise CompatibilityError(f"checkpoint {key} repeats {repeat!r}")
 
 
+def _check_joint_layout(path, labels: list[str]) -> None:
+    """As `build_joint_pos_pred_space` lays them out; training needs a twin."""
+    twins = {w for w in labels if w.endswith(PREDICATE_SUFFIX)}
+    plain = labels[: len(labels) - len(twins)]
+    owned = twins.intersection(t + PREDICATE_SUFFIX for t in plain)
+    if not twins or labels != sorted(plain) + sorted(owned):
+        layout = f"POS tags, sorted, then TAG{PREDICATE_SUFFIX} twins of some of them, sorted"
+        raise CompatibilityError(f"{path}: joint_labels are not {layout}")
+
+
 @names_its_file
 def load_checkpoint(path) -> LoadedCheckpoint:
     with open(path, "rb") as fh:
@@ -189,14 +202,13 @@ def load_checkpoint(path) -> LoadedCheckpoint:
     if missing:
         raise CorpusFormatError(f"checkpoint metadata lacks {sorted(missing)}")
     _check_metadata_types(meta)
+    _check_joint_layout(path, meta["joint_labels"])
     tensors = _read_tensors(reader)
     del reader  # the tensors are copies; free the bytes before the model is built
 
     unknown = sorted(set(meta["config"]) - {f.name for f in dataclasses.fields(RunConfig)})
     if unknown:
         raise CompatibilityError(f"checkpoint config has unknown keys {unknown}")
-    config = RunConfig(**meta["config"])
-    config.validate()
     joint = LabelSpace(meta["joint_labels"])
     roles = LabelSpace(meta["role_labels"])
 
@@ -217,19 +229,24 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         roles, *(pop(key, shape) for key, shape in zip(_TRANS_KEYS, [(n, n), (n,), (n,)]))
     )
     _check_bio_rule(transitions)
-    if config.embedding == EMBED_STATIC:
-        words, rows = meta["pretrained_words"], pop(_PRETRAINED_KEY)
-        if len(words) != rows.shape[0]:
-            raise CompatibilityError(
-                f"{len(words)} pretrained words for {rows.shape[0]} vector rows"
-            )
-        frozen = dict(zip(words, rows))
-    else:  # no stacks, only their shape: pos.w is [width, |joint|], mix.w [1, L]
-        try:
-            frozen = ContextualStore(tensors["mix.w"].shape[1], tensors["pos.w"].shape[0], {})
-        except (KeyError, IndexError):
-            raise CompatibilityError("checkpoint lacks a mix.w or pos.w matrix") from None
-    model = LisaModel.build(config, joint, roles, meta["train_words"], frozen, saved)
+    config = RunConfig(**meta["config"])
+    try:  # the stored config, or the model it shapes, is at fault
+        config.validate()
+        if config.embedding == EMBED_STATIC:
+            words, rows = meta["pretrained_words"], pop(_PRETRAINED_KEY)
+            if len(words) != rows.shape[0]:
+                raise CompatibilityError(
+                    f"{len(words)} pretrained words for {rows.shape[0]} vector rows"
+                )
+            frozen = dict(zip(words, rows))
+        else:  # no stacks, only their shape: pos.w is [width, |joint|], mix.w [1, L]
+            try:
+                frozen = ContextualStore(tensors["mix.w"].shape[1], tensors["pos.w"].shape[0], {})
+            except (KeyError, IndexError):
+                raise CompatibilityError("checkpoint lacks a mix.w or pos.w matrix") from None
+        model = LisaModel.build(config, joint, roles, meta["train_words"], frozen, saved)
+    except ConfigError as err:
+        raise CorpusFormatError(f"checkpoint config: {err}") from None
     if tensors:
         raise CompatibilityError(f"checkpoint holds tensors the model lacks: {sorted(tensors)}")
     return LoadedCheckpoint(model, config, meta["step"], transitions)

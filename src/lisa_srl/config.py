@@ -3,9 +3,11 @@ training and its files. The model and the encoder read their settings from
 it directly, and `validate` holds every check on it. The model width d,
 each head's width d / n_heads and the size of the contextual scalar mix
 are not settings: the model takes them from the vectors it embeds (see
-`LisaModel.build`). The record is readable from `key = value` text files
-with command-line overrides applied on top. Empty string means "not set"
-for path fields so the whole record stays representable in flat text.
+`LisaModel.build`). `parse_source` is one of four parses (`SOURCES`), which
+`source` splits into a `ParseSource` and whether to harden it. The record
+is readable from `key = value` text files with command-line overrides
+applied on top. Fields are ints, floats or strings; empty string means "not
+set" for path fields so the whole record stays representable in flat text.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from .model import EMBED_CONTEXTUAL, EMBED_STATIC, VARIANT_AGNOSTIC, VARIANT_SYN
 
 VARIANTS = (VARIANT_SYNTAX, VARIANT_AGNOSTIC)
 EMBEDDINGS = (EMBED_STATIC, EMBED_CONTEXTUAL)
-SOURCES = tuple(s.value for s in ParseSource)
+HARDENED = "hardened"  # the self parse, one-hot before the layers above use it
+SOURCES = (ParseSource.SELF.value, HARDENED, ParseSource.EXTERNAL.value, ParseSource.GOLD.value)
 
 
 @dataclass
@@ -37,7 +40,6 @@ class RunConfig:
     pos_layer: int = 1  # 1-based layer feeding the POS/predicate classifier
     d_role: int = 32
     embed_convs: int = 2  # K for the static path
-    harden_self_parse: bool = False
     # optimization
     lr: float = 0.02
     clip_norm: float = 5.0  # global gradient-norm ceiling; 0 disables
@@ -112,26 +114,20 @@ class RunConfig:
     def is_syntactic(self) -> bool:
         return self.variant == VARIANT_SYNTAX
 
-    def source(self) -> ParseSource:
-        return ParseSource(self.parse_source)
+    def source(self) -> tuple[ParseSource, bool]:
+        """The parse source to decode with, and whether to harden it."""
+        if self.parse_source == HARDENED:
+            return ParseSource.SELF, True
+        return ParseSource(self.parse_source), False
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
-_BOOL_WORDS = {
-    "true": True, "yes": True, "1": True,
-    "false": False, "no": False, "0": False,
-}
 
 
 def _coerce(key: str, raw: str):
     kind = _FIELDS[key].type
     raw = raw.strip()
     try:
-        if kind == "bool":
-            word = raw.lower()
-            if word not in _BOOL_WORDS:
-                raise ValueError(raw)
-            return _BOOL_WORDS[word]
         if kind == "int":
             return int(raw)
         if kind == "float":

@@ -3,9 +3,10 @@
 Both paths return token vectors; encoder layer 1 adds the encodings. The
 static path adds a learned residual to fixed pretrained vectors and runs
 the sum through K width-3 residual convolutions. The contextual path is one
-`Tape.scalar_mix` op mixing precomputed frozen layer representations with
-softmax weights and a global scale. The frozen vectors, layers and
-encodings are constants and take no gradient.
+`Tape.scalar_mix` op, which the model applies to a sentence's frozen layer
+stack with its `ScalarMix` weights and global scale; `train` and `predict`
+check a `.ctxl` file's stack shape before the first sentence. The frozen
+vectors, layers and encodings are constants and take no gradient.
 """
 
 from __future__ import annotations
@@ -132,18 +133,6 @@ class ScalarMix:
         return softmax(self.w.data[0])
 
 
-def contextual_embed(tape: Tape, layers: np.ndarray, mix: ScalarMix) -> Tensor:
-    """gamma * sum_l softmax(w)_l * layers[l] in one tape op; gradients
-    reach w and gamma only."""
-    if layers.ndim != 3:
-        raise ConfigError(f"expected [L, T, d] layer stack, got {layers.shape}")
-    if layers.shape[0] != mix.n_layers:
-        raise ConfigError(
-            f"mix has {mix.n_layers} weights for {layers.shape[0]} layers"
-        )
-    return tape.scalar_mix(mix.w, mix.gamma, layers)
-
-
 # ---------------------------------------------------------------------------
 # Positional encodings
 
@@ -213,11 +202,6 @@ class ContextualStore:
     n_layers: int
     dim: int
     layers: dict[str, np.ndarray]
-
-    def get(self, sentence_id: str) -> np.ndarray:
-        if sentence_id not in self.layers:
-            raise ConfigError(f"no contextual layers for sentence {sentence_id!r}")
-        return self.layers[sentence_id]
 
 
 def write_contextual(path, store: ContextualStore) -> None:

@@ -27,7 +27,6 @@ from .embed import (
     ContextualStore,
     ScalarMix,
     StaticTable,
-    contextual_embed,
     init_conv_stack,
     static_embed,
 )
@@ -153,15 +152,15 @@ class LisaModel:
     # -- forward / loss -----------------------------------------------------
 
     def _injection_heads(
-        self, source: ParseSource, sentence: AnnotatedSentence, external_heads
+        self, source: ParseSource, harden: bool, sentence: AnnotatedSentence, external_heads
     ):
         """Heads to overwrite the parse attention with, or None to keep it."""
+        if (harden or source is not ParseSource.SELF) and not self.config.is_syntactic:
+            raise ConfigError(
+                "the syntax-agnostic variant has no parse head to inject into or harden"
+            )
         if source is ParseSource.SELF:
             return None
-        if not self.config.is_syntactic:
-            raise ConfigError(
-                "the syntax-agnostic variant has no parse head to inject into"
-            )
         if source is ParseSource.GOLD:
             return list(sentence.heads)
         if external_heads is None:
@@ -173,16 +172,10 @@ class LisaModel:
             return static_embed(tape, sentence.tokens, self.static_table, self.convs)
         if ctx_layers is None:
             raise ConfigError("contextual embedding path needs layer stacks")
-        if ctx_layers.shape[2] != self.width:
-            raise ConfigError(
-                f"contextual width {ctx_layers.shape[2]} != model width {self.width}"
-            )
-        if ctx_layers.shape[1] != len(sentence):
-            raise CompatibilityError(
-                f"contextual stack covers {ctx_layers.shape[1]} tokens, "
-                f"sentence has {len(sentence)}"
-            )
-        return contextual_embed(tape, ctx_layers, self.mix)
+        if ctx_layers.shape[1:] != (len(sentence), self.width):
+            shape = f"[L, {len(sentence)}, {self.width}]"
+            raise CompatibilityError(f"contextual stack {ctx_layers.shape} is not {shape}")
+        return tape.scalar_mix(self.mix.w, self.mix.gamma, ctx_layers)
 
     def forward(
         self,
@@ -195,11 +188,9 @@ class LisaModel:
         harden: bool = False,
     ) -> ForwardOutputs:
         """`harden` one-hots the self-predicted parse before downstream use."""
-        injected = self._injection_heads(source, sentence, external_heads)
+        injected = self._injection_heads(source, harden, sentence, external_heads)
         x = self.embed(tape, sentence, ctx_layers)
-        final, trace = self.encoder.encode(
-            tape, x, injected, harden and self.config.is_syntactic
-        )
+        final, trace = self.encoder.encode(tape, x, injected, harden)
         pos_logits = pos_pred_logits(
             tape, trace.layer_outputs[self.config.pos_layer], self.pos_head
         )

@@ -63,7 +63,7 @@ class SplitData:
         if self.heads is not None:
             kw["external_heads"] = self.heads[i]
         if self.ctx is not None:
-            kw["ctx_layers"] = self.ctx.get(str(i))
+            kw["ctx_layers"] = self.ctx.layers[str(i)]
         return kw
 
 
@@ -81,6 +81,15 @@ def _check_alignment(
                 f"{path}: sentence {i} has {len(sent)} tokens but "
                 f"{'none' if n is None else n} in this file"
             )
+
+
+def _check_ctxl_shape(data: SplitData, prefix: str, n_layers: int, dim: int) -> None:
+    """The `.ctxl` stacks of a split have the shape the model is built on."""
+    if (data.ctx.n_layers, data.ctx.dim) != (n_layers, dim):
+        raise ConfigError(
+            f"{prefix} .ctxl holds {data.ctx.n_layers} layers of width {data.ctx.dim},"
+            f" the model takes {n_layers} layers of width {dim}"
+        )
 
 
 def read_split(config: RunConfig, prefix: str) -> list[AnnotatedSentence]:
@@ -159,9 +168,7 @@ def train(config: RunConfig, emit: Callable[[str], None] | None = None) -> Train
     train_data = load_split(config, "train")
     dev_data = load_split(config, "dev")
     if config.embedding == EMBED_CONTEXTUAL:  # the model is built on train's shape
-        shapes = [f"{d.ctx.n_layers} layers of width {d.ctx.dim}" for d in (train_data, dev_data)]
-        if shapes[0] != shapes[1]:
-            raise ConfigError(f"train .ctxl holds {shapes[0]}, dev .ctxl {shapes[1]}")
+        _check_ctxl_shape(dev_data, "dev", train_data.ctx.n_layers, train_data.ctx.dim)
     joint = build_joint_pos_pred_space(train_data.corpus)
     roles = build_role_space(train_data.corpus)
     transitions = estimate_transitions(train_data.corpus, roles)
@@ -172,7 +179,7 @@ def train(config: RunConfig, emit: Callable[[str], None] | None = None) -> Train
     )
     model = LisaModel.build(config, joint, roles, vocabulary(train_data.corpus), frozen)
 
-    source = config.source()
+    source, harden = config.source()
     rng = np.random.default_rng(config.seed)
     n = len(train_data.corpus)
     logs: list[str] = []
@@ -190,8 +197,8 @@ def train(config: RunConfig, emit: Callable[[str], None] | None = None) -> Train
                     sent_source = ParseSource.SELF
             tape = Tape()
             bundle = model.loss(
-                tape, train_data.corpus[i], source=sent_source,
-                harden=config.harden_self_parse, **train_data.forward_kwargs(int(i)),
+                tape, train_data.corpus[i], source=sent_source, harden=harden,
+                **train_data.forward_kwargs(int(i)),
             )
             if not np.isfinite(bundle.total):
                 raise NonFiniteError(f"loss diverged at epoch {epoch}, sentence {int(i)}")
@@ -209,7 +216,7 @@ def train(config: RunConfig, emit: Callable[[str], None] | None = None) -> Train
             for key, value in bundle.values().items():
                 sums[key] += value
 
-        dev_pred = _predict_corpus(model, dev_data, transitions, source, config.harden_self_parse)
+        dev_pred = _predict_corpus(model, dev_data, transitions, source, harden)
         dev_f1 = srl_prf(dev_data.corpus, dev_pred)[2]
         means = {k: v / n for k, v in sums.items()}
         line = (
@@ -244,13 +251,13 @@ def predict(config: RunConfig) -> list[AnnotatedSentence]:
     if not config.predictions_path:
         raise ConfigError("predictions_path is required for predict")
     loaded = load_checkpoint(config.checkpoint_in)
-    # the checkpoint decides the embedding path; the command decides the source
-    config = replace(config, embedding=loaded.config.embedding)
+    # the checkpoint decides the model; the command decides the source
+    config = replace(config, variant=loaded.config.variant, embedding=loaded.config.embedding)
+    config.validate()
     data = load_split(config, "test")
-    predictions = _predict_corpus(
-        loaded.model, data, loaded.transitions, config.source(),
-        config.harden_self_parse,
-    )
+    if data.ctx is not None:
+        _check_ctxl_shape(data, "test", loaded.model.mix.n_layers, loaded.model.width)
+    predictions = _predict_corpus(loaded.model, data, loaded.transitions, *config.source())
     write_conll(config.predictions_path, predictions)
     return predictions
 

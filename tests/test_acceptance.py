@@ -233,7 +233,7 @@ def test_distributions_are_normalized(acceptance_report):
         if contextual:
             model.mix.w.data[:] = rng.normal(0, 1.0, model.mix.w.shape)
             model.mix.gamma.data = np.asarray(float(rng.normal(1, 0.5)))
-            kwargs["ctx_layers"] = frozen.get("0")
+            kwargs["ctx_layers"] = frozen.layers["0"]
         source = ParseSource.GOLD if (variant == "lisa" and k % 2 == 0) else ParseSource.SELF
         harden = variant == "lisa" and k % 5 == 0
         tape = Tape()

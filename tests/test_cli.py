@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from lisa_srl.checkpoint import load_checkpoint, save_checkpoint
 from lisa_srl.cli import main
-from lisa_srl.config import RunConfig, build_run_config, parse_config_file
+from lisa_srl.config import SOURCES, RunConfig, build_run_config, parse_config_file
 from lisa_srl.corpus import (
     AnnotatedSentence,
     read_conll,
@@ -41,6 +41,7 @@ from lisa_srl.errors import (
     LisaError,
     NonFiniteError,
 )
+from lisa_srl.encoder import ParseSource
 from lisa_srl.evaluation import corpus_uas, srl_prf
 from lisa_srl.model import LisaModel
 from lisa_srl.numerics import Tape
@@ -74,11 +75,11 @@ def test_config_file_parsing_and_coercion(tmp_path):
         "variant = sa\n"
         "lr=0.25\n"
         "epochs = 7\n"
-        "harden_self_parse = yes\n"
+        "clip_norm = 2\n"
     )
     cfg = build_run_config(parse_config_file(path))
     assert cfg.variant == "sa" and cfg.lr == 0.25
-    assert cfg.epochs == 7 and cfg.harden_self_parse is True
+    assert cfg.epochs == 7 and cfg.clip_norm == 2.0
 
 
 def test_flags_override_file(tmp_path):
@@ -93,8 +94,8 @@ def test_config_rejects_bad_input(tmp_path):
         build_run_config({"no_such_key": "1"})
     with pytest.raises(ConfigError):
         build_run_config({"epochs": "two"})
-    with pytest.raises(ConfigError):
-        build_run_config({"harden_self_parse": "maybe"})
+    with pytest.raises(ConfigError, match="parse_source must be one of"):
+        build_run_config({"parse_source": "soft"})
     with pytest.raises(ConfigError):
         build_run_config({"variant": "tree-lstm"})
     with pytest.raises(ConfigError):
@@ -104,8 +105,9 @@ def test_config_rejects_bad_input(tmp_path):
     with pytest.raises(ConfigError, match="embed_convs"):
         build_run_config({"embed_convs": "-3"})
     # the inputs set the widths and the mix size; head 0 carries the parse;
-    # every epoch takes a fresh seeded order
-    for key in ("d_model", "d_v", "n_context_layers", "d_k", "parse_head", "shuffle"):
+    # every epoch takes a fresh seeded order; hardening is a parse source
+    for key in ("d_model", "d_v", "n_context_layers", "d_k", "parse_head", "shuffle",
+                "harden_self_parse"):
         with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
             build_run_config({key: "8"})
     for key in ("lr", "clip_norm", "early_stop_f1"):
@@ -141,15 +143,34 @@ def test_readme_config_tables_match_run_config():
         if default == "":  # path fields are listed in prose
             continue
         assert name in rows, f"README tables lack {name}"
-        expected = str(default).lower() if isinstance(default, bool) else str(default)
-        assert rows[name] == expected, f"README default of {name}: {rows[name]!r}"
+        assert rows[name] == str(default), f"README default of {name}: {rows[name]!r}"
+
+
+def test_readme_parse_source_table_matches_sources():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Parse sources", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("`")[1] for line in section.splitlines() if line.startswith("| `")]
+    assert tuple(rows) == SOURCES
+
+
+def test_run_config_has_no_bool_field():
+    assert all(f.type in ("int", "float", "str") for f in dataclasses.fields(RunConfig))
+
+
+def test_parse_sources_map_to_a_parse_source_and_hardening():
+    pairs = {name: build_run_config({"parse_source": name}).source() for name in SOURCES}
+    assert pairs == {
+        "self": (ParseSource.SELF, False),
+        "hardened": (ParseSource.SELF, True),
+        "external": (ParseSource.EXTERNAL, False),
+        "gold": (ParseSource.GOLD, False),
+    }
 
 
 def test_agnostic_variant_forbids_parse_injection_sources():
-    with pytest.raises(ConfigError):
-        build_run_config({"variant": "sa", "parse_source": "gold"})
-    with pytest.raises(ConfigError):
-        build_run_config({"variant": "sa", "parse_source": "external"})
+    for source in ("hardened", "external", "gold"):
+        with pytest.raises(ConfigError, match=f"parse_source '{source}' is impossible"):
+            build_run_config({"variant": "sa", "parse_source": source})
     build_run_config({"variant": "sa", "parse_source": "self"})
 
 
@@ -334,7 +355,7 @@ def test_best_dev_checkpoint_reproduces_best_dev_f1(data_dir, tmp_path):
     loaded = load_checkpoint(config.checkpoint_out)
     dev = load_split(config, "dev")
     predictions = _predict_corpus(
-        loaded.model, dev, loaded.transitions, config.source()
+        loaded.model, dev, loaded.transitions, *config.source()
     )
     f1 = srl_prf(dev.corpus, predictions)[2]
     assert f1 == result.best_dev_f1
@@ -472,7 +493,8 @@ def test_checkpoint_rejects_bad_magic_and_version(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(CorpusFormatError, match="magic"):
         load_checkpoint(path)
-    for version in (1, 2, 99):  # version 2 stored frozen.unk and removed settings
+    # version 2 stored frozen.unk and removed settings, version 3 harden_self_parse
+    for version in (1, 2, 3, 99):
         path.write_bytes(b"LISA" + struct.pack("<I", version) + b"\x00" * 16)
         with pytest.raises(CorpusFormatError) as err:
             load_checkpoint(path)
@@ -637,6 +659,59 @@ def test_cli_checkpoint_role_label_that_is_no_bio_tag_is_one_format_line(
     assert code == 1
     assert _one_error_line(capsys, "corpus-format") == (
         f"error category=corpus-format: {broken}: malformed BIO tag {malformed[0]!r}"
+    )
+    assert not (tmp_path / "pred.conll").exists()
+
+
+def _rename_twins(labels, suffix):
+    return [label.replace(":predicate", suffix) for label in labels]
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda labels: _rename_twins(labels, ":predicatX"),
+    lambda labels: labels[-1:] + labels[:-1],
+    lambda labels: labels[:-1] + ["~~:predicate"],  # sorts last; no POS tag ~~
+    lambda labels: sorted(_rename_twins(labels, "_p")),
+], ids=["renamed", "reordered", "orphan twin", "no twin"])
+def test_cli_checkpoint_joint_labels_out_of_layout_are_one_compatibility_line(
+    data_dir, tmp_path, capsys, tamper
+):
+    # any other layout decodes every predicate wrong, and evaluate reads 0
+    def edit(meta):
+        meta["joint_labels"] = tamper(meta["joint_labels"])
+
+    broken = _patched_metadata(data_dir, tmp_path, edit)
+    capsys.readouterr()
+    code = main(["predict", "--checkpoint-in", str(broken),
+                 "--test-path", str(data_dir / "test.conll"),
+                 "--predictions-path", str(tmp_path / "pred.conll")])
+    assert code == 1
+    assert _one_error_line(capsys, "compatibility") == (
+        f"error category=compatibility: {broken}: joint_labels are not POS tags, sorted,"
+        " then TAG:predicate twins of some of them, sorted"
+    )
+    assert not (tmp_path / "pred.conll").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("epochs", 0, "epochs must be >= 1, got 0"),
+    ("n_heads", 3, "model width 8 must be positive, even and a multiple of n_heads 3"),
+])
+def test_cli_checkpoint_with_an_invalid_stored_config_is_one_format_line(
+    data_dir, tmp_path, capsys, key, value, message
+):
+    # the stored config is at fault, not a flag of the command
+    def edit(meta):
+        meta["config"][key] = value
+
+    broken = _patched_metadata(data_dir, tmp_path, edit)
+    capsys.readouterr()
+    code = main(["predict", "--checkpoint-in", str(broken),
+                 "--test-path", str(data_dir / "test.conll"),
+                 "--predictions-path", str(tmp_path / "pred.conll")])
+    assert code == 1
+    assert _one_error_line(capsys, "corpus-format") == (
+        f"error category=corpus-format: {broken}: checkpoint config: {message}"
     )
     assert not (tmp_path / "pred.conll").exists()
 
@@ -1192,6 +1267,7 @@ def test_cli_errors_are_one_machine_parseable_line(tmp_path, capsys):
     ["train", "--d-k", "4"],
     ["train", "--parse-head", "1"],
     ["predict", "--shuffle", "false"],
+    ["predict", "--harden-self-parse", "true"],
     ["gen-synth", "--out-dir", "x", "--n-ctx-layers", "2"],
 ], ids="=".join)
 def test_cli_flags_of_removed_settings_are_refused(capsys, argv):
@@ -1351,9 +1427,11 @@ def test_cli_widths_and_mix_size_come_from_the_inputs(tmp_path, capsys):
 
 @pytest.mark.parametrize("n_layers, dim", [(2, 8), (3, 6)])
 def test_cli_predict_with_a_ctxl_of_another_shape_is_one_config_error_line(
-    data_dir, contextual_checkpoint, tmp_path, capsys, n_layers, dim
+    data_dir, contextual_checkpoint, tmp_path, capsys, monkeypatch, n_layers, dim
 ):
-    # the checkpoint was trained on 3-layer stacks of width 8
+    # the checkpoint was trained on 3-layer stacks of width 8; the stack
+    # shape is checked once, before any sentence is decoded
+    monkeypatch.setattr(LisaModel, "predict_sentence", _no_decode)
     corpus = read_conll(data_dir / "test.conll")
     write_contextual(tmp_path / "other.ctxl", gen_contextual_layers(corpus, n_layers, dim, 5))
     code = main(["predict", "--checkpoint-in", str(contextual_checkpoint),
@@ -1361,9 +1439,83 @@ def test_cli_predict_with_a_ctxl_of_another_shape_is_one_config_error_line(
                  "--test-ctxl-path", str(tmp_path / "other.ctxl"),
                  "--predictions-path", str(tmp_path / "pred.conll")])
     assert code == 1
-    err = _one_error_line(capsys, "config")
-    expected = ("3 weights for 2 layers" if n_layers == 2 else "width 6 != model width 8")
-    assert expected in err, err
+    assert _one_error_line(capsys, "config") == (
+        f"error category=config: test .ctxl holds {n_layers} layers of width {dim},"
+        " the model takes 3 layers of width 8"
+    )
+    assert not (tmp_path / "pred.conll").exists()
+
+
+def _no_decode(*args, **kwargs):
+    raise AssertionError("a sentence was decoded")
+
+
+@pytest.fixture(scope="module")
+def agnostic_checkpoint(data_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("sa") / "sa.ckpt"
+    train(_tiny_config(data_dir, out.parent, variant="sa", checkpoint_out=out, epochs=1))
+    return out
+
+
+@pytest.mark.parametrize("source", ["hardened", "external", "gold"])
+def test_cli_predict_refuses_a_parse_source_the_checkpoint_lacks_before_decoding(
+    data_dir, agnostic_checkpoint, tmp_path, capsys, monkeypatch, source
+):
+    # the variant comes from the checkpoint, so the command needs no --variant
+    monkeypatch.setattr(LisaModel, "predict_sentence", _no_decode)
+    code = main(["predict", "--checkpoint-in", str(agnostic_checkpoint),
+                 "--parse-source", source,
+                 "--test-path", str(data_dir / "test.conll"),
+                 "--test-heads-path", str(data_dir / "test.heads"),
+                 "--predictions-path", str(tmp_path / "pred.conll")])
+    assert code == 1
+    assert _one_error_line(capsys, "config") == (
+        "error category=config: the syntax-agnostic variant has no parse head, so"
+        f" parse_source {source!r} is impossible"
+    )
+    assert not (tmp_path / "pred.conll").exists()
+
+
+def test_cli_train_agnostic_variant_with_hardened_source_is_one_config_line(
+    data_dir, tmp_path, capsys
+):
+    code = main(["train", "--variant", "sa", "--parse-source", "hardened",
+                 "--train-path", str(data_dir / "train.conll"),
+                 "--dev-path", str(data_dir / "dev.conll"),
+                 "--pretrained-path", str(data_dir / "pretrained.vec"),
+                 "--checkpoint-out", str(tmp_path / "model.ckpt")])
+    assert code == 1
+    assert "parse_source 'hardened' is impossible" in _one_error_line(capsys, "config")
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_cli_predict_hardened_decodes_the_self_parse_made_one_hot(
+    data_dir, tmp_path, monkeypatch
+):
+    config = _tiny_config(data_dir, tmp_path, epochs=1)
+    train(config)
+    loaded = load_checkpoint(config.checkpoint_out)
+    want = [
+        loaded.model.predict_sentence(
+            sent, loaded.transitions, source=ParseSource.SELF, harden=True
+        ).sentence
+        for sent in read_conll(data_dir / "test.conll")
+    ]
+    calls = []
+    decode = LisaModel.predict_sentence
+
+    def spy(model, sentence, transitions, **inputs):
+        calls.append(inputs)
+        return decode(model, sentence, transitions, **inputs)
+
+    monkeypatch.setattr(LisaModel, "predict_sentence", spy)
+    assert main(["predict", "--checkpoint-in", str(config.checkpoint_out),
+                 "--parse-source", "hardened",
+                 "--test-path", str(data_dir / "test.conll"),
+                 "--predictions-path", str(tmp_path / "pred.conll")]) == 0
+    assert calls == [{"source": ParseSource.SELF, "harden": True}] * len(want)
+    write_conll(tmp_path / "want.conll", want)
+    assert (tmp_path / "pred.conll").read_bytes() == (tmp_path / "want.conll").read_bytes()
 
 
 @pytest.mark.parametrize("n_layers, dim", [(2, 8), (3, 6)])

