@@ -22,9 +22,9 @@ from lisa_srl.embed import ScalarMix, read_contextual
 def run(work: Path) -> None:
     gen_synth(GenSynthParams(out_dir=str(work), n_train=150, n_dev=30,
                              n_test=20, seed=23, dim=64, with_contextual=True))
-    store = read_contextual(work / "train.ctxl")
-    stack = store.layers["0"]
-    print(f"train.ctxl holds {len(store.layers)} frozen stacks; sentence 0 "
+    stacks = read_contextual(work / "train.ctxl")
+    stack = stacks[0]
+    print(f"train.ctxl holds {len(stacks)} frozen stacks; sentence 0 "
           f"is [L, T, d] = {stack.shape}. Layer 0 carries word identity, "
           "upper layers blend neighbors.")
 
@@ -38,7 +38,7 @@ def run(work: Path) -> None:
         "seed": "0",
     })
 
-    mix0 = ScalarMix.build(store.n_layers)  # the mix has one weight per layer
+    mix0 = ScalarMix.build(stack.shape[0])  # the mix has one weight per layer
     print(f"\nbefore training: coefficients {mix0.coefficients().round(4).tolist()} "
           f"(uniform), gamma {float(mix0.gamma.data):.4f}")
 

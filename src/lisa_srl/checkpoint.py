@@ -24,9 +24,11 @@ forward outputs bitwise with no other files present.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
+import os
 import struct
 from collections import Counter
 from dataclasses import dataclass
@@ -37,7 +39,6 @@ from .config import RunConfig
 from .corpus import (
     PREDICATE_SUFFIX, BlobReader, LabelSpace, TransitionTable, allowed_moves, names_its_file,
 )
-from .embed import ContextualStore
 from .errors import CompatibilityError, ConfigError, CorpusFormatError, NonFiniteError
 from .model import EMBED_STATIC, LisaModel
 from .numerics import Parameter
@@ -53,8 +54,6 @@ _META_KEYS = frozenset({"config", "step", *_WORD_LISTS})
 _PATH_FIELDS = frozenset(
     f.name for f in dataclasses.fields(RunConfig) if f.name.endswith(("_path", "_in", "_out"))
 )
-# the JSON types each annotated RunConfig field may load as
-_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
 @dataclass
@@ -84,6 +83,8 @@ def save_checkpoint(
     step: int,
     transitions: TransitionTable,
 ) -> None:
+    """Write a sibling `<path>.tmp`, then rename it onto `path`: a failed or
+    interrupted save leaves the checkpoint already at `path` whole."""
     for p in model.parameters():
         if not np.all(np.isfinite(p.data)):
             raise NonFiniteError(f"refusing to checkpoint non-finite parameter {p.name}")
@@ -99,21 +100,28 @@ def save_checkpoint(
     }
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     tensors = _gather_tensors(model, transitions)
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<Q", len(meta_bytes)))
-        fh.write(meta_bytes)
-        fh.write(struct.pack("<I", len(tensors)))
-        for name in sorted(tensors):
-            # asarray keeps 0-d shapes; ascontiguousarray would promote to 1-d
-            arr = np.asarray(tensors[name], dtype="<f8", order="C")
-            name_bytes = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(name_bytes)))
-            fh.write(name_bytes)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            fh.write(arr.tobytes())
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+            fh.write(struct.pack("<Q", len(meta_bytes)))
+            fh.write(meta_bytes)
+            fh.write(struct.pack("<I", len(tensors)))
+            for name in sorted(tensors):
+                # asarray keeps 0-d shapes; ascontiguousarray would promote to 1-d
+                arr = np.asarray(tensors[name], dtype="<f8", order="C")
+                name_bytes = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(name_bytes)))
+                fh.write(name_bytes)
+                fh.write(struct.pack("<I", arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+                fh.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:  # an interrupt too
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _read_tensors(reader: BlobReader) -> dict[str, np.ndarray]:
@@ -152,15 +160,10 @@ def _check_bio_rule(table: TransitionTable) -> None:
 
 
 def _check_metadata_types(meta: dict) -> None:
-    """Config values of their field's type, an int step and lists of distinct words."""
-    config = meta["config"]
-    if not isinstance(config, dict):
+    """A config object, an int step and lists of distinct words; the config's
+    values are held to their fields' types by `RunConfig.validate`."""
+    if not isinstance(meta["config"], dict):
         raise CorpusFormatError("checkpoint config is not a JSON object")
-    for field in dataclasses.fields(RunConfig):
-        if field.name in config and type(config[field.name]) not in _JSON_TYPES[field.type]:
-            raise CorpusFormatError(
-                f"checkpoint config {field.name}={config[field.name]!r} is not {field.type}"
-            )
     if type(meta["step"]) is not int:
         raise CorpusFormatError(f"checkpoint step {meta['step']!r} is not an int")
     for key in _WORD_LISTS:
@@ -239,9 +242,9 @@ def load_checkpoint(path) -> LoadedCheckpoint:
                     f"{len(words)} pretrained words for {rows.shape[0]} vector rows"
                 )
             frozen = dict(zip(words, rows))
-        else:  # no stacks, only their shape: pos.w is [width, |joint|], mix.w [1, L]
+        else:  # an empty [L, 0, width] stack: mix.w is [1, L], pos.w [width, |joint|]
             try:
-                frozen = ContextualStore(tensors["mix.w"].shape[1], tensors["pos.w"].shape[0], {})
+                frozen = np.empty((tensors["mix.w"].shape[1], 0, tensors["pos.w"].shape[0]))
             except (KeyError, IndexError):
                 raise CompatibilityError("checkpoint lacks a mix.w or pos.w matrix") from None
         model = LisaModel.build(config, joint, roles, meta["train_words"], frozen, saved)

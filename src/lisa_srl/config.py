@@ -6,8 +6,9 @@ are not settings: the model takes them from the vectors it embeds (see
 `LisaModel.build`). `parse_source` is one of four parses (`SOURCES`), which
 `source` splits into a `ParseSource` and whether to harden it. The record
 is readable from `key = value` text files with command-line overrides
-applied on top. Fields are ints, floats or strings; empty string means "not
-set" for path fields so the whole record stays representable in flat text.
+applied on top. Fields are ints, floats or strings, and `validate` checks
+each value's type first; empty string means "not set" for path fields so
+the whole record stays representable in flat text.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ VARIANTS = (VARIANT_SYNTAX, VARIANT_AGNOSTIC)
 EMBEDDINGS = (EMBED_STATIC, EMBED_CONTEXTUAL)
 HARDENED = "hardened"  # the self parse, one-hot before the layers above use it
 SOURCES = (ParseSource.SELF.value, HARDENED, ParseSource.EXTERNAL.value, ParseSource.GOLD.value)
+# the value types each annotated field takes: a bool is no int, an int is a float
+_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
 @dataclass
@@ -65,6 +68,9 @@ class RunConfig:
     metrics_path: str = ""
 
     def validate(self) -> None:
+        for name, f in _FIELDS.items():
+            if type(getattr(self, name)) not in _TYPES[f.type]:
+                raise ConfigError(f"{name}={getattr(self, name)!r} is not {f.type}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.embedding not in EMBEDDINGS:

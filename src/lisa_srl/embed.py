@@ -195,26 +195,19 @@ def write_vec_file(path, items) -> None:
 # Contextual layer files (binary, little-endian)
 
 
-@dataclass
-class ContextualStore:
-    """Frozen per-sentence layer stacks [L, T, d_c], keyed by sentence id."""
-
-    n_layers: int
-    dim: int
-    layers: dict[str, np.ndarray]
-
-
-def write_contextual(path, store: ContextualStore) -> None:
+def write_contextual(path, stacks) -> None:
+    """Write [L, T, d_c] stacks in corpus order: record i carries id i, and
+    the header takes L and d_c from the first stack."""
+    if not stacks:
+        raise ConfigError("no layer stacks to write")
+    n_layers, _, dim = stacks[0].shape
     with open(path, "wb") as fh:
         fh.write(CTXL_MAGIC)
-        header = (CTXL_VERSION, store.n_layers, store.dim, len(store.layers))
-        fh.write(struct.pack("<IIII", *header))
-        for sid, arr in store.layers.items():
-            if arr.shape[0] != store.n_layers or arr.shape[2] != store.dim:
-                raise ConfigError(
-                    f"sentence {sid!r} stack {arr.shape} does not match header"
-                )
-            sid_bytes = sid.encode("utf-8")
+        fh.write(struct.pack("<IIII", CTXL_VERSION, n_layers, dim, len(stacks)))
+        for i, arr in enumerate(stacks):
+            if arr.shape[0] != n_layers or arr.shape[2] != dim:
+                raise ConfigError(f"sentence {i} stack {arr.shape} does not match header")
+            sid_bytes = str(i).encode("utf-8")
             fh.write(struct.pack("<I", len(sid_bytes)))
             fh.write(sid_bytes)
             fh.write(struct.pack("<I", arr.shape[1]))
@@ -222,7 +215,8 @@ def write_contextual(path, store: ContextualStore) -> None:
 
 
 @names_its_file
-def read_contextual(path) -> ContextualStore:
+def read_contextual(path) -> list[np.ndarray]:
+    """The [L, T, d_c] stacks in corpus order; record i must carry id i."""
     with open(path, "rb") as fh:
         reader = BlobReader(fh.read(), "contextual file")
     magic = reader.take(4, "magic")
@@ -234,32 +228,32 @@ def read_contextual(path) -> ContextualStore:
     n_layers, dim, n_sentences = reader.unpack("<III", "header")
     if n_layers < 1:
         raise CorpusFormatError("layer count must be >= 1")
-    layers: dict[str, np.ndarray] = {}
+    stacks: list[np.ndarray] = []
     while reader.remaining:
         (sid_len,) = reader.unpack("<I", "sentence id length")
         sid = reader.text(sid_len, "sentence id")
+        if sid != str(len(stacks)):
+            raise CorpusFormatError(f"record {len(stacks)} carries id {sid!r}, not '{len(stacks)}'")
         (t_len,) = reader.unpack("<I", f"token count of sentence {sid!r}")
         arr = reader.floats("<f4", n_layers * t_len * dim, f"layers of sentence {sid!r}")
         if not np.isfinite(arr).all():
             raise CorpusFormatError(f"layers of sentence {sid!r} hold NaN or infinity")
-        layers[sid] = arr.reshape(n_layers, t_len, dim)
-    if len(layers) != n_sentences:
-        raise CorpusFormatError(f"{len(layers)} sentence stacks, header says {n_sentences}")
-    return ContextualStore(n_layers, dim, layers)
+        stacks.append(arr.reshape(n_layers, t_len, dim))
+    if len(stacks) != n_sentences:
+        raise CorpusFormatError(f"{len(stacks)} sentence stacks, header says {n_sentences}")
+    return stacks
 
 
-def gen_contextual_layers(
-    sentences, n_layers: int, dim: int, seed: int
-) -> ContextualStore:
+def gen_contextual_layers(sentences, n_layers: int, dim: int, seed: int) -> list[np.ndarray]:
     """Scripted stand-in for a pretrained LM: layer 0 is a word-hash vector,
     each later layer blends neighbors through tanh, so upper layers are
     genuinely contextual while staying deterministic under the seed.
     """
     if n_layers < 1:
         raise ConfigError("need at least one contextual layer")
-    out: dict[str, np.ndarray] = {}
+    out: list[np.ndarray] = []
     word_vectors: dict[str, np.ndarray] = {}  # one draw per word type
-    for i, sent in enumerate(sentences):
+    for sent in sentences:
         for word in set(sent.tokens).difference(word_vectors):
             rng = np.random.default_rng([seed, zlib.crc32(word.encode("utf-8"))])
             word_vectors[word] = rng.normal(0.0, 1.0 / np.sqrt(dim), dim)
@@ -269,5 +263,5 @@ def gen_contextual_layers(
             left = np.vstack([np.zeros((1, dim)), h[:-1]])
             right = np.vstack([h[1:], np.zeros((1, dim))])
             stack.append(np.tanh(0.5 * h + 0.25 * left + 0.25 * right))
-        out[str(i)] = np.stack(stack)
-    return ContextualStore(n_layers, dim, out)
+        out.append(np.stack(stack))
+    return out

@@ -23,13 +23,7 @@ from .corpus import (
     TransitionTable,
 )
 from .decode import viterbi_decode
-from .embed import (
-    ContextualStore,
-    ScalarMix,
-    StaticTable,
-    init_conv_stack,
-    static_embed,
-)
+from .embed import ScalarMix, StaticTable, init_conv_stack, static_embed
 from .encoder import Encoder, ParseSource, extract_parse, parse_loss
 from .errors import CompatibilityError, ConfigError, NonFiniteError
 from .heads import (
@@ -98,17 +92,18 @@ class LisaModel:
         joint_space: LabelSpace,
         role_space: LabelSpace,
         train_vocab,
-        frozen: dict[str, np.ndarray] | ContextualStore,
+        frozen: dict[str, np.ndarray] | np.ndarray,
         make=new_parameter,
     ) -> "LisaModel":
         """`frozen` sets the width (even, a multiple of `n_heads`): pretrained
-        vectors on the static path, the train split's layer stacks, whose count
-        sizes the mix, on the contextual one. Draws from `config.seed`; `make`
-        creates each parameter, by default a fresh one; keeps a copy of `config`.
-        The model's parameters are listed in the order they are made."""
+        vectors on the static path, one [L, T, d] layer stack on the contextual
+        one, whose L sizes the mix and whose d is the width. Draws from
+        `config.seed`; `make` creates each parameter, by default a fresh one;
+        keeps a copy of `config`. The model's parameters are listed in the
+        order they are made."""
         config.validate()
         config = replace(config)
-        if isinstance(frozen, ContextualStore) == (config.embedding == EMBED_STATIC):
+        if isinstance(frozen, np.ndarray) == (config.embedding == EMBED_STATIC):
             raise ConfigError(f"{config.embedding} embedding cannot embed {type(frozen).__name__}")
         made: list[Parameter] = []
 
@@ -124,7 +119,7 @@ class LisaModel:
             width = static_table.dim
             convs = init_conv_stack(config.embed_convs, width, "embed", record)
         else:
-            mix, width = ScalarMix.build(frozen.n_layers, make=record), frozen.dim
+            mix, width = ScalarMix.build(frozen.shape[0], make=record), frozen.shape[-1]
         if width < 1 or width % 2 or width % config.n_heads:  # d_k = width // n_heads
             raise ConfigError(
                 f"model width {width} must be positive, even and a multiple of "

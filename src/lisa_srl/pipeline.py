@@ -28,7 +28,6 @@ from .corpus import (
     write_heads_file,
 )
 from .embed import (
-    ContextualStore,
     gen_contextual_layers,
     read_contextual,
     read_vec_file,
@@ -56,38 +55,35 @@ class SplitData:
 
     corpus: list[AnnotatedSentence]
     heads: list[list[int]] | None = None
-    ctx: ContextualStore | None = None
+    ctx: list[np.ndarray] | None = None  # one [L, T, d] stack per sentence
 
     def forward_kwargs(self, i: int) -> dict:
         kw: dict = {}
         if self.heads is not None:
             kw["external_heads"] = self.heads[i]
         if self.ctx is not None:
-            kw["ctx_layers"] = self.ctx.layers[str(i)]
+            kw["ctx_layers"] = self.ctx[i]
         return kw
 
 
-def _check_alignment(
-    corpus: list[AnnotatedSentence], counts: dict[str, int], path: str
-) -> None:
-    """The sidecar at `path` covers ids 0..N-1, each with its sentence's
-    token count; `counts` maps each of its sentence ids to its count."""
+def _check_alignment(corpus: list[AnnotatedSentence], counts: list[int], path: str) -> None:
+    """The sidecar at `path` holds one record per sentence, in corpus order;
+    `counts` are the records' token counts."""
     if len(counts) != len(corpus):
         raise AlignmentError(f"{path}: {len(counts)} sentences for {len(corpus)} in the corpus")
-    for i, sent in enumerate(corpus):
-        n = counts.get(str(i))
+    for i, (sent, n) in enumerate(zip(corpus, counts)):
         if n != len(sent):
             raise AlignmentError(
-                f"{path}: sentence {i} has {len(sent)} tokens but "
-                f"{'none' if n is None else n} in this file"
+                f"{path}: sentence {i} has {len(sent)} tokens but {n} in this file"
             )
 
 
 def _check_ctxl_shape(data: SplitData, prefix: str, n_layers: int, dim: int) -> None:
     """The `.ctxl` stacks of a split have the shape the model is built on."""
-    if (data.ctx.n_layers, data.ctx.dim) != (n_layers, dim):
+    have_layers, _, have_dim = data.ctx[0].shape
+    if (have_layers, have_dim) != (n_layers, dim):
         raise ConfigError(
-            f"{prefix} .ctxl holds {data.ctx.n_layers} layers of width {data.ctx.dim},"
+            f"{prefix} .ctxl holds {have_layers} layers of width {have_dim},"
             f" the model takes {n_layers} layers of width {dim}"
         )
 
@@ -108,7 +104,7 @@ def load_split(config: RunConfig, prefix: str) -> SplitData:
         heads_path = getattr(config, f"{prefix}_heads_path")
         require_paths(config, f"{prefix}_heads_path")
         data.heads = read_heads_file(heads_path)
-        _check_alignment(corpus, {str(i): len(h) for i, h in enumerate(data.heads)}, heads_path)
+        _check_alignment(corpus, [len(h) for h in data.heads], heads_path)
         for i, heads in enumerate(data.heads):
             for h in heads:
                 if not 0 <= h < len(heads):
@@ -119,7 +115,7 @@ def load_split(config: RunConfig, prefix: str) -> SplitData:
         ctxl_path = getattr(config, f"{prefix}_ctxl_path")
         require_paths(config, f"{prefix}_ctxl_path")
         data.ctx = read_contextual(ctxl_path)
-        _check_alignment(corpus, {i: a.shape[1] for i, a in data.ctx.layers.items()}, ctxl_path)
+        _check_alignment(corpus, [a.shape[1] for a in data.ctx], ctxl_path)
     return data
 
 
@@ -168,14 +164,14 @@ def train(config: RunConfig, emit: Callable[[str], None] | None = None) -> Train
     train_data = load_split(config, "train")
     dev_data = load_split(config, "dev")
     if config.embedding == EMBED_CONTEXTUAL:  # the model is built on train's shape
-        _check_ctxl_shape(dev_data, "dev", train_data.ctx.n_layers, train_data.ctx.dim)
+        _check_ctxl_shape(dev_data, "dev", *train_data.ctx[0].shape[::2])  # L and d
     joint = build_joint_pos_pred_space(train_data.corpus)
     roles = build_role_space(train_data.corpus)
     transitions = estimate_transitions(train_data.corpus, roles)
     frozen = (
         read_vec_file(config.pretrained_path)
         if config.embedding == EMBED_STATIC
-        else train_data.ctx
+        else train_data.ctx[0]
     )
     model = LisaModel.build(config, joint, roles, vocabulary(train_data.corpus), frozen)
 
@@ -356,9 +352,9 @@ def gen_synth(params: GenSynthParams) -> list[str]:
 
     if params.with_contextual:
         for name, corpus in splits.items():
-            store = gen_contextual_layers(corpus, CTX_LAYERS, params.dim, params.seed)
+            stacks = gen_contextual_layers(corpus, CTX_LAYERS, params.dim, params.seed)
             path = out_dir / f"{name}.ctxl"
-            write_contextual(path, store)
+            write_contextual(path, stacks)
             written.append(str(path))
 
     return written

@@ -218,7 +218,7 @@ def test_distributions_are_normalized(acceptance_report):
             w: rng.normal(0, 0.5, d_model) for s in corpus for w in s.tokens
         }
         frozen = (
-            gen_contextual_layers([sent], n_context_layers, d_model, k)
+            gen_contextual_layers([sent], n_context_layers, d_model, k)[0]
             if contextual
             else pretrained
         )
@@ -233,7 +233,7 @@ def test_distributions_are_normalized(acceptance_report):
         if contextual:
             model.mix.w.data[:] = rng.normal(0, 1.0, model.mix.w.shape)
             model.mix.gamma.data = np.asarray(float(rng.normal(1, 0.5)))
-            kwargs["ctx_layers"] = frozen.layers["0"]
+            kwargs["ctx_layers"] = frozen
         source = ParseSource.GOLD if (variant == "lisa" and k % 2 == 0) else ParseSource.SELF
         harden = variant == "lisa" and k % 5 == 0
         tape = Tape()

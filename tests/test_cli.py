@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -172,6 +173,24 @@ def test_agnostic_variant_forbids_parse_injection_sources():
         with pytest.raises(ConfigError, match=f"parse_source '{source}' is impossible"):
             build_run_config({"variant": "sa", "parse_source": source})
     build_run_config({"variant": "sa", "parse_source": "self"})
+
+
+@pytest.mark.parametrize("field, value, kind", [
+    ("lr", "0.1", "float"),
+    ("n_heads", 2.0, "int"),
+    ("seed", True, "int"),
+    ("variant", None, "str"),
+])
+def test_validate_names_a_field_of_the_wrong_type(field, value, kind):
+    with pytest.raises(ConfigError) as err:
+        RunConfig(**{field: value}).validate()
+    assert str(err.value) == f"{field}={value!r} is not {kind}"
+
+
+def test_validate_takes_an_int_for_a_float_and_train_checks_types_first():
+    RunConfig(lr=1, clip_norm=0, gold_mix=1).validate()
+    with pytest.raises(ConfigError, match="lr='0.1' is not float"):
+        train(RunConfig(lr="0.1"))
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +416,37 @@ def test_divergence_aborts_and_keeps_previous_checkpoint(data_dir, tmp_path):
         with pytest.raises(NonFiniteError):
             train(bad)
     assert (tmp_path / "model.ckpt").read_bytes() == good_bytes
+
+
+@pytest.mark.parametrize("fault", [OSError(errno.ENOSPC, "disk full"), KeyboardInterrupt()])
+def test_a_failed_save_leaves_the_previous_checkpoint_whole(
+    data_dir, tmp_path, monkeypatch, fault
+):
+    config = _tiny_config(data_dir, tmp_path, epochs=1)
+    result = train(config)
+    path = tmp_path / "model.ckpt"
+    good_bytes = path.read_bytes()
+
+    class FailingFile:
+        """Opens its file, then fails at the first write."""
+
+        def __init__(self, name, mode):
+            self.fh = open(name, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            raise fault
+
+    monkeypatch.setattr("lisa_srl.checkpoint.open", FailingFile, raising=False)
+    with pytest.raises(type(fault)):
+        save_checkpoint(path, result.model, config, result.steps, result.transitions)
+    assert path.read_bytes() == good_bytes
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 @pytest.mark.parametrize("clip_norm", [5.0, 0.0])
@@ -695,6 +745,7 @@ def test_cli_checkpoint_joint_labels_out_of_layout_are_one_compatibility_line(
 
 @pytest.mark.parametrize("key, value, message", [
     ("epochs", 0, "epochs must be >= 1, got 0"),
+    ("lr", "0.1", "lr='0.1' is not float"),
     ("n_heads", 3, "model width 8 must be positive, even and a multiple of n_heads 3"),
 ])
 def test_cli_checkpoint_with_an_invalid_stored_config_is_one_format_line(
@@ -1348,6 +1399,31 @@ def test_cli_ctxl_of_another_corpus_is_one_alignment_error_line(
     assert train_ctxl in _one_error_line(capsys, "alignment")
 
 
+@pytest.mark.parametrize("split", ["train", "test-shifted"])
+def test_ctxl_stacks_written_back_reproduce_the_file(data_dir, tmp_path, split):
+    path = data_dir / f"{split}.ctxl"
+    write_contextual(tmp_path / "back.ctxl", read_contextual(path))
+    assert (tmp_path / "back.ctxl").read_bytes() == path.read_bytes()
+
+
+def test_cli_ctxl_with_a_repeated_record_id_is_one_format_line(data_dir, tmp_path, capsys):
+    path = tmp_path / "train.ctxl"
+    write_contextual(path, [np.zeros((1, 1, 2))] * 2)
+    blob = bytearray(path.read_bytes())
+    blob[24 + 17] = ord("0")  # a 20-byte header, then 17-byte records: id "0" twice
+    path.write_bytes(bytes(blob))
+    code = main(["train", "--embedding", "contextual",
+                 "--train-path", str(data_dir / "train.conll"),
+                 "--dev-path", str(data_dir / "dev.conll"),
+                 "--train-ctxl-path", str(path),
+                 "--dev-ctxl-path", str(data_dir / "dev.ctxl"),
+                 "--n-heads", "2", "--epochs", "1"])
+    assert code == 1
+    assert _one_error_line(capsys, "corpus-format") == (
+        f"error category=corpus-format: {path}: record 1 carries id '0', not '1'"
+    )
+
+
 def test_cli_empty_dev_file_is_one_config_error_line(data_dir, tmp_path, capsys):
     empty = tmp_path / "empty.conll"
     empty.write_text("\n")
@@ -1492,7 +1568,7 @@ def test_cli_train_agnostic_variant_with_hardened_source_is_one_config_line(
 def test_cli_predict_hardened_decodes_the_self_parse_made_one_hot(
     data_dir, tmp_path, monkeypatch
 ):
-    config = _tiny_config(data_dir, tmp_path, epochs=1)
+    config = _tiny_config(data_dir, tmp_path, epochs=20)  # fewer epochs decode no frame
     train(config)
     loaded = load_checkpoint(config.checkpoint_out)
     want = [
@@ -1501,6 +1577,7 @@ def test_cli_predict_hardened_decodes_the_self_parse_made_one_hot(
         ).sentence
         for sent in read_conll(data_dir / "test.conll")
     ]
+    assert any(sent.frames for sent in want)
     calls = []
     decode = LisaModel.predict_sentence
 

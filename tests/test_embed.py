@@ -15,7 +15,6 @@ from lisa_srl.corpus import CorpusFormatError
 from lisa_srl.errors import ConfigError, DimensionError
 from lisa_srl.numerics import Parameter, Tape, Tensor, finite_difference_check
 from lisa_srl.embed import (
-    ContextualStore,
     ScalarMix,
     StaticTable,
     gen_contextual_layers,
@@ -306,15 +305,28 @@ def test_vec_file_rejects_a_repeated_word(tmp_path):
 
 def test_contextual_round_trip(tmp_path):
     corpus = gen_synthetic(5, 1)
-    store = gen_contextual_layers(corpus, 3, 8, seed=2)
+    stacks = gen_contextual_layers(corpus, 3, 8, seed=2)
     path = tmp_path / "c.ctxl"
-    write_contextual(path, store)
+    write_contextual(path, stacks)
     back = read_contextual(path)
-    assert back.n_layers == 3 and back.dim == 8
-    assert set(back.layers) == set(store.layers)
-    for sid, arr in store.layers.items():
-        assert np.array_equal(back.layers[sid], arr.astype("<f4").astype(np.float64))
-        assert back.layers[sid].shape == arr.shape
+    assert len(back) == len(stacks) == 5
+    for sent, arr, want in zip(corpus, back, stacks):
+        assert arr.shape == want.shape == (3, len(sent), 8)
+        assert np.array_equal(arr, want.astype("<f4").astype(np.float64))
+
+
+@pytest.mark.parametrize("ids, record", [("00", 1), ("10", 0), ("02", 1)])
+def test_contextual_record_i_must_carry_id_i(tmp_path, ids, record):
+    # a repeated, an out-of-order and a skipped id
+    path = tmp_path / "c.ctxl"
+    write_contextual(path, [np.zeros((1, 1, 2))] * 2)
+    blob = bytearray(path.read_bytes())
+    for i, sid in enumerate(ids):  # a 20-byte header, then 17-byte records
+        blob[24 + 17 * i] = ord(sid)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CorpusFormatError) as err:
+        read_contextual(path)
+    assert str(err.value) == f"{path}: record {record} carries id {ids[record]!r}, not '{record}'"
 
 
 def test_contextual_bad_magic(tmp_path):
@@ -334,11 +346,10 @@ def test_contextual_version_1_is_refused(tmp_path):
 def test_contextual_layers_are_contextual():
     # identical words in different neighborhoods diverge above layer 0
     corpus = gen_synthetic(40, 3)
-    store = gen_contextual_layers(corpus, 2, 8, seed=0)
+    stacks = gen_contextual_layers(corpus, 2, 8, seed=0)
     seen = {}
     diverged = False
-    for i, sent in enumerate(corpus):
-        arr = store.layers[str(i)]
+    for sent, arr in zip(corpus, stacks):
         for t, w in enumerate(sent.tokens):
             if w in seen:
                 prev = seen[w]

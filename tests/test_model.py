@@ -13,7 +13,7 @@ from lisa_srl.corpus import (
     build_role_space,
     estimate_transitions,
 )
-from lisa_srl.embed import ContextualStore, gen_contextual_layers
+from lisa_srl.embed import gen_contextual_layers
 from lisa_srl.encoder import ParseSource
 from lisa_srl.errors import CompatibilityError, ConfigError, DimensionError, NonFiniteError
 from lisa_srl.heads import decode_pos_pred, srl_loss, srl_scores
@@ -99,7 +99,7 @@ def test_parameters_are_listed_in_a_pinned_order():
         "embed.c1.left", "embed.c1.center", "embed.c1.right", "embed.c1.bias",
     ] + rest
     contextual = LisaModel.build(
-        RunConfig(embedding=EMBED_CONTEXTUAL), joint, roles, [], ContextualStore(3, 8, {})
+        RunConfig(embedding=EMBED_CONTEXTUAL), joint, roles, [], np.empty((3, 0, 8))
     )
     assert [p.name for p in contextual.parameters()] == ["mix.w", "mix.gamma"] + rest
 
@@ -328,12 +328,12 @@ def test_contextual_path_records_few_tape_ops(monkeypatch):
     corpus = gen_synthetic(40, 0)
     joint, roles = _spaces(corpus)
     stacks = gen_contextual_layers(corpus, 3, 64, 0)
-    model = LisaModel.build(RunConfig(embedding=EMBED_CONTEXTUAL), joint, roles, [], stacks)
+    model = LisaModel.build(RunConfig(embedding=EMBED_CONTEXTUAL), joint, roles, [], stacks[0])
     transitions = estimate_transitions(corpus, roles)
     tapes = _record_tapes(monkeypatch)
     for i in range(3):
-        model.loss(Tape(), corpus[i], ctx_layers=stacks.layers[str(i)])
-        model.predict_sentence(corpus[i], transitions, ctx_layers=stacks.layers[str(i)])
+        model.loss(Tape(), corpus[i], ctx_layers=stacks[i])
+        model.predict_sentence(corpus[i], transitions, ctx_layers=stacks[i])
     steps = [len(tape._backprops) for tape in tapes[0::2]]
     decodes = [len(tape._backprops) for tape in tapes[1::2]]
     assert max(steps) == 10
@@ -429,7 +429,7 @@ def test_contextual_path_forward_and_gradients():
     stack = rng.normal(size=(3, 3, 6))
     model = LisaModel.build(
         _config(embedding=EMBED_CONTEXTUAL, seed=4),
-        joint, roles, vocab, ContextualStore(3, 6, {"0": stack}),
+        joint, roles, vocab, stack,
     )
 
     def run(backward=False) -> float:
