@@ -1,9 +1,12 @@
 """Seeded synthetic corpus whose role labels are a function of the parse.
 
-The grammar emits projective dependency trees over a closed vocabulary of
-determiners, nouns, verbs, prepositions, one conjunction and modals. Role
-spans are then *derived* from the tree by a fixed path->role map, so gold
-syntax strictly determines the semantic roles:
+The grammar emits projective dependency trees over a closed vocabulary,
+stated once in `VOCABULARY`: a table from each POS tag to its words in
+index order (determiners d0-d3, nouns n000-n099, verbs v00-v29,
+prepositions p0-p5, the conjunction c0 and modals m0-m1). A word's tag,
+`full_vocabulary()` and every draw read that table. Role spans are then
+*derived* from the tree by a fixed path->role map, so gold syntax strictly
+determines the semantic roles:
 
     NN child left of its VB head   -> A0 over the noun's subtree
     first NN child right of VB     -> A1 over the subtree
@@ -44,20 +47,23 @@ import numpy as np
 from .corpus import AnnotatedSentence, EncodingError, RoleSpan, spans_to_bio
 from .errors import ConfigError
 
-POS_OF_PREFIX = {"d": "DT", "n": "NN", "v": "VB", "p": "IN", "c": "CC", "m": "MD"}
-
-
-def pos_of_word(word: str) -> str:
-    return POS_OF_PREFIX[word[0]]
-
-
-N_DETS, N_NOUNS, N_VERBS, N_PREPS, N_MODALS = 4, 100, 30, 6, 2
+# each POS tag's words in index order; the tags are in pretrained_vectors'
+# centroid order
+VOCABULARY = {
+    "CC": ("c0",),
+    "DT": tuple(f"d{i}" for i in range(4)),
+    "IN": tuple(f"p{i}" for i in range(6)),
+    "MD": tuple(f"m{i}" for i in range(2)),
+    "NN": tuple(f"n{i:03d}" for i in range(100)),
+    "VB": tuple(f"v{i:02d}" for i in range(30)),
+}
+POS_OF_WORD = {word: tag for tag, words in VOCABULARY.items() for word in words}
 P_TRANSITIVE = 0.45
 P_DITRANSITIVE = 0.15
 P_INTRANSITIVE_PP = 0.5
 P_MODAL = 0.2
 # preposition index ranges by attachment cue
-VERB_CUED, NOUN_CUED, AMBIGUOUS = range(0, 2), range(2, 4), range(4, N_PREPS)
+VERB_CUED, NOUN_CUED, AMBIGUOUS = range(0, 2), range(2, 4), range(4, 6)
 
 
 @dataclass(frozen=True)
@@ -73,20 +79,12 @@ class Domain:
 
 
 IN_DOMAIN = Domain(range(0, 70), range(0, 20), 0.6, 0.15, 0.15, 2)
-SHIFTED = Domain(range(70, N_NOUNS), range(20, N_VERBS), 0.7, 0.3, 0.6, 3)
+SHIFTED = Domain(range(70, 100), range(20, 30), 0.7, 0.3, 0.6, 3)
 
 
 def full_vocabulary() -> list[str]:
     """Every word either domain can emit, in sorted order."""
-    words = (
-        [f"d{i}" for i in range(N_DETS)]
-        + [f"n{i:03d}" for i in range(N_NOUNS)]
-        + [f"v{i:02d}" for i in range(N_VERBS)]
-        + [f"p{i}" for i in range(N_PREPS)]
-        + ["c0"]
-        + [f"m{i}" for i in range(N_MODALS)]
-    )
-    return sorted(words)
+    return sorted(POS_OF_WORD)
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +142,6 @@ def roles_from_tree(pos, heads, predicates) -> dict[int, tuple[str, ...]]:
 # Generation
 
 
-def _pick(rng: np.random.Generator, prefix: str, indices: range, width: int) -> str:
-    return f"{prefix}{int(rng.integers(indices.start, indices.stop)):0{width}d}"
-
-
 class _Draw:
     """Word samplers bound to one rng and domain, plus the alternation
     state for ambiguous-preposition attachment."""
@@ -156,21 +150,17 @@ class _Draw:
         self.rng, self.domain = rng, domain
         self.amb_flips = 0
 
-    def det(self) -> str:
-        return _pick(self.rng, "d", range(N_DETS), 1)
+    def word(self, tag: str, indices: range | None = None) -> str:
+        """A uniform draw from the tag's words at `indices`, all by default."""
+        words = VOCABULARY[tag]
+        indices = range(len(words)) if indices is None else indices
+        return words[self.rng.integers(indices.start, indices.stop)]
 
     def noun(self) -> str:
-        return _pick(self.rng, "n", self.domain.nouns, 3)
+        return self.word("NN", self.domain.nouns)
 
     def verb(self) -> str:
-        return _pick(self.rng, "v", self.domain.verbs, 2)
-
-    def modal(self) -> str:
-        return _pick(self.rng, "m", range(N_MODALS), 1)
-
-    def prep(self, indices: range) -> tuple[str, int]:
-        i = int(self.rng.integers(indices.start, indices.stop))
-        return f"p{i}", i
+        return self.word("VB", self.domain.verbs)
 
     def ambiguous_attaches_to_verb(self) -> bool:
         """Alternates, so every corpus is balanced between the readings."""
@@ -187,14 +177,14 @@ def _clause(draw: _Draw):
 
     def put(w: str, h: int) -> int:
         words.append(w)
-        pos.append(pos_of_word(w))
+        pos.append(POS_OF_WORD[w])
         heads.append(h)
         return len(words) - 1
 
-    det = put(draw.det(), -1)
+    det = put(draw.word("DT"), -1)
     subj = put(draw.noun(), -1)
     heads[det] = subj
-    modal = put(draw.modal(), -1) if rng.random() < P_MODAL else None
+    modal = put(draw.word("MD"), -1) if rng.random() < P_MODAL else None
     verb = put(draw.verb(), -1)
     heads[verb] = verb
     heads[subj] = verb
@@ -203,12 +193,13 @@ def _clause(draw: _Draw):
 
     kind = rng.random()
     if kind < P_TRANSITIVE + P_DITRANSITIVE:
-        od = put(draw.det(), -1)
+        od = put(draw.word("DT"), -1)
         on = put(draw.noun(), verb)
         heads[od] = on
         if kind < P_TRANSITIVE:
             if rng.random() < draw.domain.p_object_pp:
-                word, i = draw.prep(range(N_PREPS))
+                word = draw.word("IN")
+                i = VOCABULARY["IN"].index(word)
                 if i in VERB_CUED:
                     site = verb
                 elif i in NOUN_CUED:
@@ -216,17 +207,16 @@ def _clause(draw: _Draw):
                 else:
                     site = verb if draw.ambiguous_attaches_to_verb() else on
                 prep = put(word, site)
-                pd = put(draw.det(), -1)
+                pd = put(draw.word("DT"), -1)
                 pn = put(draw.noun(), prep)
                 heads[pd] = pn
         else:
-            od2 = put(draw.det(), -1)
+            od2 = put(draw.word("DT"), -1)
             on2 = put(draw.noun(), verb)
             heads[od2] = on2
     elif rng.random() < P_INTRANSITIVE_PP:
-        word, _ = draw.prep(VERB_CUED)
-        prep = put(word, verb)
-        pd = put(draw.det(), -1)
+        prep = put(draw.word("IN", VERB_CUED), verb)
+        pd = put(draw.word("DT"), -1)
         pn = put(draw.noun(), prep)
         heads[pd] = pn
     return words, pos, heads, verb
@@ -242,7 +232,7 @@ def _sentence(draw: _Draw) -> AnnotatedSentence:
     ):
         base = len(words) + 1
         cw, cp, ch, cv = _clause(draw)
-        words.append("c0")
+        words.append(VOCABULARY["CC"][0])
         pos.append("CC")
         heads.append(main_verb)
         words.extend(cw)
@@ -251,11 +241,10 @@ def _sentence(draw: _Draw) -> AnnotatedSentence:
         heads[base + cv] = main_verb
 
     if want_front:
-        word, _ = draw.prep(VERB_CUED)
-        fw = [word, draw.det(), draw.noun()]
+        fw = [draw.word("IN", VERB_CUED), draw.word("DT"), draw.noun()]
         heads = [main_verb + 3, 2, 0] + [h + 3 for h in heads]
         words = fw + words
-        pos = [pos_of_word(w) for w in fw] + pos
+        pos = ["IN", "DT", "NN"] + pos
 
     predicates = tuple(p == "VB" for p in pos)
     frames = roles_from_tree(pos, heads, predicates)
@@ -295,13 +284,10 @@ def pretrained_vectors(dim: int, seed: int) -> list[tuple[str, np.ndarray]]:
     """
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(dim)
-    centroids = {
-        tag: rng.normal(0.0, scale, dim)
-        for tag in ("CC", "DT", "IN", "MD", "NN", "VB")
-    }
+    centroids = {tag: rng.normal(0.0, scale, dim) for tag in VOCABULARY}
     out = []
     for word in full_vocabulary():
         wrng = np.random.default_rng([seed, zlib.crc32(word.encode("utf-8"))])
-        vec = centroids[pos_of_word(word)] + wrng.normal(0.0, 0.5 * scale, dim)
+        vec = centroids[POS_OF_WORD[word]] + wrng.normal(0.0, 0.5 * scale, dim)
         out.append((word, vec))
     return out

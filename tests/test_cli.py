@@ -961,6 +961,30 @@ def test_cli_non_finite_input_values_are_format_errors(
     assert where in err[0]
 
 
+def _mutated(valid: bytes, data) -> bytes:
+    """`valid` with up to three bytes flipped, then cut at a drawn length."""
+    blob = bytearray(valid)
+    for _ in range(data.draw(st.integers(0, 3), label="flips")):
+        at = data.draw(st.integers(0, len(blob) - 1), label="flip at")
+        blob[at] ^= data.draw(st.integers(1, 255), label="xor")
+    return bytes(blob[: data.draw(st.integers(0, len(blob)), label="length")])
+
+
+def _succeeds_or_prints_one_error_line(argv: list[str]) -> str | None:
+    """Run the CLI on `argv`; it exits 0 with nothing on stderr, and then
+    its stdout is returned, or exits 1 after one `error category=` line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == [], lines
+        return out.getvalue()
+    assert code == 1 and len(lines) == 1, lines
+    assert lines[0].startswith("error category="), lines[0]
+    return None
+
+
 READERS = {
     "ckpt": load_checkpoint,
     "ctxl": read_contextual,
@@ -983,13 +1007,9 @@ def valid_inputs(data_dir, contextual_checkpoint):
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_mutated_inputs_load_or_raise_a_lisa_error(valid_inputs, tmp_path_factory, kind, data):
-    blob = bytearray(valid_inputs[kind])
-    for _ in range(data.draw(st.integers(0, 3), label="flips")):
-        at = data.draw(st.integers(0, len(blob) - 1), label="flip at")
-        blob[at] ^= data.draw(st.integers(1, 255), label="xor")
-    blob = blob[: data.draw(st.integers(0, len(blob)), label="length")]
+    blob = _mutated(valid_inputs[kind], data)
     path = tmp_path_factory.getbasetemp() / f"mutated.{kind}"
-    path.write_bytes(bytes(blob))
+    path.write_bytes(blob)
     try:
         READERS[kind](path)
     except LisaError:
@@ -1007,31 +1027,83 @@ def test_predict_on_a_mutated_input_succeeds_or_prints_one_error_line(
 ):
     # one input mutated, the others valid: a file that loads meets every
     # later check of a contextual decode under an external parse
-    blob = bytearray(valid_inputs[kind])
-    for _ in range(data.draw(st.integers(0, 3), label="flips")):
-        at = data.draw(st.integers(0, len(blob) - 1), label="flip at")
-        blob[at] ^= data.draw(st.integers(1, 255), label="xor")
-    blob = blob[: data.draw(st.integers(0, len(blob)), label="length")]
+    blob = _mutated(valid_inputs[kind], data)
     work = tmp_path_factory.getbasetemp() / "predict-mutated"
     work.mkdir(exist_ok=True)
     paths = {}
     for name in PREDICT_INPUTS:
         paths[name] = work / f"input.{name}"
-        paths[name].write_bytes(bytes(blob) if name == kind else valid_inputs[name])
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["predict", "--checkpoint-in", str(paths["ckpt"]),
-                     "--test-path", str(paths["conll"]),
-                     "--test-ctxl-path", str(paths["ctxl"]),
-                     "--test-heads-path", str(paths["heads"]),
-                     "--parse-source", "external",
-                     "--predictions-path", str(work / "pred.conll")])
-    lines = err.getvalue().splitlines()
-    if code == 0:
-        assert lines == [] and out.getvalue().startswith("wrote ")
-    else:
-        assert code == 1 and len(lines) == 1, lines
-        assert lines[0].startswith("error category="), lines[0]
+        paths[name].write_bytes(blob if name == kind else valid_inputs[name])
+    out = _succeeds_or_prints_one_error_line([
+        "predict", "--checkpoint-in", str(paths["ckpt"]),
+        "--test-path", str(paths["conll"]),
+        "--test-ctxl-path", str(paths["ctxl"]),
+        "--test-heads-path", str(paths["heads"]),
+        "--parse-source", "external",
+        "--predictions-path", str(work / "pred.conll"),
+    ])
+    assert out is None or out.startswith("wrote ")
+
+
+# the tiny model's settings as a config file; flags set the epochs, the
+# source and the files, so no mutation can lengthen a run much
+TRAIN_CONFIG = (
+    b"# tiny model\nn_layers = 2\nn_heads = 2\nparse_layer = 2\npos_layer = 1\n"
+    b"d_role = 4\nlr = 0.05\nseed = 0\n"
+)
+TRAIN_INPUTS = (
+    "train.conll", "dev.conll", "train.heads", "dev.heads",
+    "train.ctxl", "dev.ctxl", "pretrained.vec", "run.cfg",
+)
+
+
+@pytest.mark.parametrize("kind", TRAIN_INPUTS)
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_train_on_a_mutated_input_succeeds_or_prints_one_error_line(
+    data_dir, tmp_path_factory, kind, data
+):
+    # one epoch under an external parse, one input mutated; a mutated .ctxl
+    # trains the contextual path, every other input the static one
+    work = tmp_path_factory.getbasetemp() / "train-mutated"
+    work.mkdir(exist_ok=True)
+    for name in TRAIN_INPUTS:
+        valid = TRAIN_CONFIG if name == "run.cfg" else (data_dir / name).read_bytes()
+        (work / name).write_bytes(_mutated(valid, data) if name == kind else valid)
+    argv = [
+        "train", "--config", str(work / "run.cfg"), "--epochs", "1",
+        "--parse-source", "external",
+        "--embedding", "contextual" if kind.endswith(".ctxl") else "static",
+        "--pretrained-path", str(work / "pretrained.vec"),
+        "--checkpoint-out", str(work / "model.ckpt"),
+    ]
+    for split in ("train", "dev"):
+        argv += [f"--{split}-path", str(work / f"{split}.conll"),
+                 f"--{split}-heads-path", str(work / f"{split}.heads"),
+                 f"--{split}-ctxl-path", str(work / f"{split}.ctxl")]
+    out = _succeeds_or_prints_one_error_line(argv)
+    assert out is None or out.splitlines()[-1].startswith("best_epoch=1 ")
+
+
+@pytest.mark.parametrize("kind", ("gold", "predictions"))
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_evaluate_on_a_mutated_input_succeeds_or_prints_one_error_line(
+    data_dir, tmp_path_factory, kind, data
+):
+    # the gold file scores as its own predictions; a mutated predictions
+    # file is read in repair mode, a mutated gold file strictly
+    valid = (data_dir / "test.conll").read_bytes()
+    work = tmp_path_factory.getbasetemp() / "evaluate-mutated"
+    work.mkdir(exist_ok=True)
+    for name in ("gold", "predictions"):
+        (work / f"{name}.conll").write_bytes(_mutated(valid, data) if name == kind else valid)
+    out = _succeeds_or_prints_one_error_line([
+        "evaluate", "--test-path", str(work / "gold.conll"),
+        "--predictions-path", str(work / "predictions.conll"),
+        "--metrics-path", str(work / "metrics.csv"),
+    ])
+    assert out is None or out.splitlines()[-1].startswith("bio_repairs=")
 
 
 def _sentence_lengths(lines: list[str]) -> list[int]:
