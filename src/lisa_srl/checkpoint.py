@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig
+from .config import PATH_FIELDS, RunConfig
 from .corpus import (
     PREDICATE_SUFFIX, BlobReader, LabelSpace, TransitionTable, allowed_moves, names_its_file,
 )
@@ -50,10 +50,6 @@ _PRETRAINED_KEY = "frozen.pretrained"
 _TRANS_KEYS = ("transitions.matrix", "transitions.start", "transitions.end")
 _WORD_LISTS = ("joint_labels", "role_labels", "train_words", "pretrained_words")
 _META_KEYS = frozenset({"config", "step", *_WORD_LISTS})
-# where a run's files live; nothing that loads a checkpoint reads them
-_PATH_FIELDS = frozenset(
-    f.name for f in dataclasses.fields(RunConfig) if f.name.endswith(("_path", "_in", "_out"))
-)
 
 
 @dataclass
@@ -89,7 +85,7 @@ def save_checkpoint(
         if not np.all(np.isfinite(p.data)):
             raise NonFiniteError(f"refusing to checkpoint non-finite parameter {p.name}")
     meta = {
-        "config": {k: v for k, v in dataclasses.asdict(config).items() if k not in _PATH_FIELDS},
+        "config": {k: v for k, v in dataclasses.asdict(config).items() if k not in PATH_FIELDS},
         "step": int(step),
         "joint_labels": list(model.pos_head.labels),
         "role_labels": list(model.scorer.labels),

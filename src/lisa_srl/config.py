@@ -128,6 +128,7 @@ class RunConfig:
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+PATH_FIELDS = frozenset(name for name in _FIELDS if name.endswith(("_path", "_in", "_out")))
 
 
 def _coerce(key: str, raw: str):
@@ -184,3 +185,15 @@ def require_paths(config: RunConfig, *fields: str) -> None:
             raise ConfigError(f"{name} is required for this command")
         if not os.path.exists(value):
             raise ConfigError(f"{name}: no such file: {value}")
+
+
+def require_output(config: RunConfig, name: str) -> None:
+    """Check that the output path field `name`, when set, lies in an existing
+    directory and names no file another path field names, before any input is read."""
+    path = getattr(config, name)
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError(f"{name}: no such directory: {os.path.dirname(path)}")
+    for other in sorted(PATH_FIELDS - {name}):
+        given = getattr(config, other)
+        if os.path.exists(path) and os.path.exists(given) and os.path.samefile(path, given):
+            raise ConfigError(f"{name} {path} is the file {other} names")

@@ -120,11 +120,3 @@ class LossBundle:
     @property
     def total(self) -> float:
         return (self.srl.item() + self.parse.item()) + self.pos_pred.item()
-
-    def values(self) -> dict[str, float]:
-        return {
-            "srl": self.srl.item(),
-            "parse": self.parse.item(),
-            "pos_pred": self.pos_pred.item(),
-            "total": self.total,
-        }

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import RunConfig, require_paths
+from .config import RunConfig, require_output, require_paths
 from .corpus import (
     AnnotatedSentence,
     TransitionTable,
@@ -37,6 +37,7 @@ from .embed import (
 from .encoder import ParseSource
 from .errors import AlignmentError, ConfigError, NonFiniteError
 from .evaluation import MetricsReport, evaluate_corpus, export_metrics, srl_prf
+from .heads import LossBundle
 from .model import EMBED_CONTEXTUAL, EMBED_STATIC, LisaModel
 from .synth import gen_splits, pretrained_vectors
 from .numerics import Tape
@@ -134,20 +135,39 @@ class TrainResult:
 
 
 def _predict_corpus(
-    model: LisaModel,
-    data: SplitData,
-    transitions: TransitionTable,
-    source: ParseSource,
+    model: LisaModel, data: SplitData, transitions: TransitionTable, source: ParseSource,
     harden: bool = False,
 ) -> list[AnnotatedSentence]:
-    out = []
-    for i, sent in enumerate(data.corpus):
-        pred = model.predict_sentence(
-            sent, transitions, source=source, harden=harden,
-            **data.forward_kwargs(i)
-        )
-        out.append(pred.sentence)
-    return out
+    return [
+        model.predict_sentence(
+            sent, transitions, source=source, harden=harden, **data.forward_kwargs(i)
+        ).sentence
+        for i, sent in enumerate(data.corpus)
+    ]
+
+
+def sgd_step(model: LisaModel, sentence: AnnotatedSentence, **inputs) -> tuple[LossBundle, float]:
+    """One SGD step at `model.config.lr`, the gradient clipped to norm `clip_norm`
+    (0 disables); returns the loss and the pre-clip norm. A non-finite loss or
+    norm raises before any parameter moves. `inputs` are `forward`'s keywords."""
+    tape = Tape()
+    bundle = model.loss(tape, sentence, **inputs)
+    if not np.isfinite(bundle.total):
+        raise NonFiniteError("loss diverged")
+    model.reset_gradients()
+    tape.backward(bundle.srl, bundle.parse, bundle.pos_pred)
+    squares = 0.0  # left to right: `sum` of floats compensates from Python 3.12 on
+    for p in model.parameters():
+        squares += float((p.grad ** 2).sum())
+    norm = np.sqrt(squares)
+    if not np.isfinite(norm):
+        raise NonFiniteError("gradient diverged")
+    scale = model.config.lr
+    if 0 < model.config.clip_norm < norm:
+        scale *= model.config.clip_norm / norm
+    for p in model.parameters():
+        p.data -= scale * p.grad
+    return bundle, norm
 
 
 def train(config: RunConfig, emit: Callable[[str], None] | None = None) -> TrainResult:
@@ -160,7 +180,7 @@ def train(config: RunConfig, emit: Callable[[str], None] | None = None) -> Train
     require_paths(config, "train_path", "dev_path")
     if config.embedding == EMBED_STATIC:
         require_paths(config, "pretrained_path")
-
+    require_output(config, "checkpoint_out")
     train_data = load_split(config, "train")
     dev_data = load_split(config, "dev")
     if config.embedding == EMBED_CONTEXTUAL:  # the model is built on train's shape
@@ -168,14 +188,13 @@ def train(config: RunConfig, emit: Callable[[str], None] | None = None) -> Train
     joint = build_joint_pos_pred_space(train_data.corpus)
     roles = build_role_space(train_data.corpus)
     transitions = estimate_transitions(train_data.corpus, roles)
-    frozen = (
-        read_vec_file(config.pretrained_path)
-        if config.embedding == EMBED_STATIC
-        else train_data.ctx[0]
-    )
+    frozen = (read_vec_file(config.pretrained_path) if config.embedding == EMBED_STATIC
+              else train_data.ctx[0])
     model = LisaModel.build(config, joint, roles, vocabulary(train_data.corpus), frozen)
 
     source, harden = config.source()
+    # mixed injection: a `1 - gold_mix` share of sentences sees the model's own parse
+    mixed = source is ParseSource.GOLD and config.gold_mix < 1.0
     rng = np.random.default_rng(config.seed)
     n = len(train_data.corpus)
     logs: list[str] = []
@@ -183,46 +202,24 @@ def train(config: RunConfig, emit: Callable[[str], None] | None = None) -> Train
 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
-        sums = {"total": 0.0, "srl": 0.0, "parse": 0.0, "pos_pred": 0.0}
+        sums = np.zeros(4)  # the epoch line's loss, srl, parse and pos
         for i in order:
-            sent_source = source
-            if source is ParseSource.GOLD and config.gold_mix < 1.0:
-                # mixed injection: downstream layers see both the oracle
-                # adjacency and the model's own soft parse attention
-                if rng.random() >= config.gold_mix:
-                    sent_source = ParseSource.SELF
-            tape = Tape()
-            bundle = model.loss(
-                tape, train_data.corpus[i], source=sent_source, harden=harden,
-                **train_data.forward_kwargs(int(i)),
-            )
-            if not np.isfinite(bundle.total):
-                raise NonFiniteError(f"loss diverged at epoch {epoch}, sentence {int(i)}")
-            model.reset_gradients()
-            tape.backward(bundle.srl, bundle.parse, bundle.pos_pred)
-            norm = np.sqrt(sum(float((p.grad ** 2).sum()) for p in model.parameters()))
-            if not np.isfinite(norm):
-                raise NonFiniteError(f"gradient diverged at epoch {epoch}, sentence {int(i)}")
-            scale = config.lr
-            if 0 < config.clip_norm < norm:
-                scale *= config.clip_norm / norm
-            for p in model.parameters():
-                p.data -= scale * p.grad
+            own = mixed and rng.random() >= config.gold_mix
+            try:
+                bundle, _ = sgd_step(
+                    model, train_data.corpus[i], source=ParseSource.SELF if own else source,
+                    harden=harden, **train_data.forward_kwargs(int(i)),
+                )
+            except NonFiniteError as err:
+                raise NonFiniteError(f"{err} at epoch {epoch}, sentence {int(i)}") from None
             steps += 1
-            for key, value in bundle.values().items():
-                sums[key] += value
+            sums += (bundle.total, bundle.srl.item(), bundle.parse.item(), bundle.pos_pred.item())
 
         dev_pred = _predict_corpus(model, dev_data, transitions, source, harden)
         dev_f1 = srl_prf(dev_data.corpus, dev_pred)[2]
-        means = {k: v / n for k, v in sums.items()}
-        line = (
-            f"epoch={epoch}"
-            f" loss={LOG_FLOAT % means['total']}"
-            f" srl={LOG_FLOAT % means['srl']}"
-            f" parse={LOG_FLOAT % means['parse']}"
-            f" pos={LOG_FLOAT % means['pos_pred']}"
-            f" dev_f1={LOG_FLOAT % dev_f1}"
-        )
+        loss, srl, parse, pos = sums / n
+        line = (f"epoch={epoch} loss={LOG_FLOAT % loss} srl={LOG_FLOAT % srl}"
+                f" parse={LOG_FLOAT % parse} pos={LOG_FLOAT % pos} dev_f1={LOG_FLOAT % dev_f1}")
         logs.append(line)
         if emit:
             emit(line)
@@ -246,6 +243,7 @@ def predict(config: RunConfig) -> list[AnnotatedSentence]:
     require_paths(config, "checkpoint_in", "test_path")
     if not config.predictions_path:
         raise ConfigError("predictions_path is required for predict")
+    require_output(config, "predictions_path")
     loaded = load_checkpoint(config.checkpoint_in)
     # the checkpoint decides the model; the command decides the source
     config = replace(config, variant=loaded.config.variant, embedding=loaded.config.embedding)
@@ -262,6 +260,7 @@ def evaluate(config: RunConfig) -> tuple[MetricsReport, list[str]]:
     """Score a prediction file against gold; returns the report and the
     fixed-format summary lines."""
     require_paths(config, "test_path", "predictions_path")
+    require_output(config, "metrics_path")
     gold = read_split(config, "test")
     predicted, repairs = read_conll_counted(config.predictions_path, repair=True)
     report = evaluate_corpus(gold, predicted, bio_repairs=repairs)

@@ -1545,6 +1545,63 @@ def test_cli_predict_and_evaluate_on_an_empty_test_file_are_one_config_error_lin
     assert not (tmp_path / "metrics.csv").exists()
 
 
+def _overwrite_argv(command: str, data_dir, checkpoint, given: Path) -> list[str]:
+    """A command whose output path names `given`, the copy of one of its inputs."""
+    if command == "train":
+        return ["train", "--train-path", str(given), "--dev-path", str(data_dir / "dev.conll"),
+                "--pretrained-path", str(data_dir / "pretrained.vec"), "--n-heads", "2",
+                "--epochs", "1", "--checkpoint-out", str(given)]
+    if command == "predict":  # another spelling of the same file
+        return ["predict", "--checkpoint-in", str(checkpoint), "--test-path", str(given),
+                "--predictions-path", f"{given.parent}/./{given.name}"]
+    return ["evaluate", "--test-path", str(data_dir / "test.conll"),
+            "--predictions-path", str(given), "--metrics-path", str(given)]
+
+
+@pytest.mark.parametrize("command, output, source", [
+    ("train", "checkpoint_out", "train_path"),
+    ("predict", "predictions_path", "test_path"),
+    ("evaluate", "metrics_path", "predictions_path"),
+])
+def test_cli_output_path_naming_an_input_is_one_config_line_before_any_work(
+    data_dir, agnostic_checkpoint, tmp_path, capsys, monkeypatch, command, output, source
+):
+    monkeypatch.setattr(LisaModel, "predict_sentence", _no_decode)
+    given = tmp_path / "input.conll"
+    shutil.copy(data_dir / ("train.conll" if command == "train" else "test.conll"), given)
+    before = given.read_bytes()
+    assert main(_overwrite_argv(command, data_dir, agnostic_checkpoint, given)) == 1
+    err = _one_error_line(capsys, "config")
+    assert err.startswith(f"error category=config: {output} ") and err.endswith(
+        f" is the file {source} names"
+    ), err
+    assert given.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["input.conll"]
+
+
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_cli_output_in_a_missing_directory_is_one_config_line_before_any_work(
+    data_dir, agnostic_checkpoint, tmp_path, capsys, monkeypatch, command
+):
+    monkeypatch.setattr(LisaModel, "predict_sentence", _no_decode)
+    out = tmp_path / "nodir" / "out"
+    if command == "train":
+        argv, output = ["train", "--train-path", str(data_dir / "train.conll"),
+                        "--dev-path", str(data_dir / "dev.conll"),
+                        "--pretrained-path", str(data_dir / "pretrained.vec"),
+                        "--n-heads", "2", "--epochs", "1", "--checkpoint-out", str(out)
+                        ], "checkpoint_out"
+    else:
+        argv, output = ["predict", "--checkpoint-in", str(agnostic_checkpoint),
+                        "--test-path", str(data_dir / "test.conll"),
+                        "--predictions-path", str(out)], "predictions_path"
+    assert main(argv) == 1
+    assert _one_error_line(capsys, "config") == (
+        f"error category=config: {output}: no such directory: {out.parent}"
+    )
+    assert not out.parent.exists()
+
+
 def test_cli_widths_and_mix_size_come_from_the_inputs(tmp_path, capsys):
     data = tmp_path / "data"
     assert main(["gen-synth", "--out-dir", str(data), "--n-train", "8",

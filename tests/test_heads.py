@@ -154,7 +154,6 @@ def test_role_distributions_normalized():
 def test_total_loss_sums_components():
     bundle = LossBundle(Tensor(1.0), Tensor(2.0), Tensor(3.0))
     assert bundle.total == 6.0
-    assert bundle.values() == {"srl": 1.0, "parse": 2.0, "pos_pred": 3.0, "total": 6.0}
     # (srl + parse) + pos, the order the sum was once recorded on the tape
     bundle = LossBundle(Tensor(1e16), Tensor(1.0), Tensor(1.0))
     assert bundle.total == (1e16 + 1.0) + 1.0 != 1e16 + (1.0 + 1.0)

@@ -1,5 +1,7 @@
 """Full-model assembly: forward, multi-task loss, prediction, variants."""
 
+import builtins
+import math
 import sys
 
 import numpy as np
@@ -24,6 +26,7 @@ from lisa_srl.model import (
     SentencePrediction,
 )
 from lisa_srl.numerics import Tape, Tensor, finite_difference_check
+from lisa_srl.pipeline import sgd_step
 from lisa_srl.synth import gen_synthetic
 
 
@@ -454,7 +457,7 @@ def test_contextual_path_forward_and_gradients():
 
 def test_one_sgd_step_reduces_loss():
     corpus = _tiny_corpus()
-    model = _model(corpus, seed=6)
+    model = _model(corpus, seed=6, lr=0.1, clip_norm=0.0)
     sent = corpus[1]
 
     def loss_value() -> float:
@@ -462,10 +465,73 @@ def test_one_sgd_step_reduces_loss():
 
     before = loss_value()
     for _ in range(10):
-        tape = Tape()
-        bundle = model.loss(tape, sent, source=ParseSource.GOLD)
-        model.reset_gradients()
-        tape.backward(bundle.srl, bundle.parse, bundle.pos_pred)
-        for p in model.parameters():
-            p.data -= 0.1 * p.grad
+        sgd_step(model, sent, source=ParseSource.GOLD)
     assert loss_value() < before
+
+
+def _grad_norm(model) -> float:
+    squares = 0.0
+    for p in model.parameters():
+        squares += float((p.grad ** 2).sum())
+    return np.sqrt(squares)
+
+
+@pytest.mark.parametrize("clip_share", [0.5, None])  # clip at half the norm, or no clip
+def test_sgd_step_moves_each_parameter_by_the_clipped_gradient(clip_share):
+    corpus = _tiny_corpus()
+    lr = 0.3
+    _, norm = sgd_step(_model(corpus, lr=lr, clip_norm=0.0), corpus[1], source=ParseSource.GOLD)
+    clip_norm = float(norm) * clip_share if clip_share else 0.0
+    model = _model(corpus, lr=lr, clip_norm=clip_norm)
+    before = [p.data.copy() for p in model.parameters()]
+    bundle, got = sgd_step(model, corpus[1], source=ParseSource.GOLD)
+    # the gradients stay on the parameters; the norm is the one before the clip
+    assert got == norm == _grad_norm(model) and np.isfinite(bundle.total)
+    scale = lr * (clip_norm / norm) if clip_share else lr
+    for p, old in zip(model.parameters(), before):
+        np.testing.assert_array_equal(p.data, old - scale * p.grad, err_msg=p.name)
+
+
+@pytest.mark.parametrize("fault", ["loss", "gradient"])
+def test_sgd_step_that_diverges_moves_no_parameter(monkeypatch, fault):
+    corpus = _tiny_corpus()
+    model = _model(corpus)
+    if fault == "loss":  # logits past float64's range
+        model.pos_head.weight.data[...] = 1e308
+    else:
+        backward = Tape.backward
+
+        def backward_from_inf(self, *losses):
+            for loss in losses:
+                loss.grad = np.array(np.inf)  # the seed every other gradient scales
+            backward(self, *losses)
+
+        monkeypatch.setattr(Tape, "backward", backward_from_inf)
+    before = [p.data.copy() for p in model.parameters()]
+    with np.errstate(all="ignore"):
+        with pytest.raises(NonFiniteError, match=f"^{fault} diverged$"):
+            sgd_step(model, corpus[1], source=ParseSource.GOLD)
+    for p, old in zip(model.parameters(), before):
+        np.testing.assert_array_equal(p.data, old, err_msg=p.name)
+
+
+def test_sgd_step_norm_does_not_depend_on_builtin_sum(monkeypatch):
+    # Python 3.12's `sum` of floats compensates its rounding, as fsum does;
+    # the norm adds left to right on every version
+    corpus = _tiny_corpus()
+
+    def step():
+        model = _model(corpus, seed=3, clip_norm=1e-3)  # far below the norm: the scale matters
+        _, norm = sgd_step(model, corpus[1], source=ParseSource.GOLD)
+        return norm, model
+
+    plain, model = step()
+    plain_params = [p.data for p in model.parameters()]
+    # a step whose norm would change if its squared sums were compensated
+    assert np.sqrt(math.fsum(float((p.grad ** 2).sum()) for p in model.parameters())) != plain
+    monkeypatch.setattr(builtins, "sum", math.fsum)
+    fsummed, model = step()
+    monkeypatch.undo()
+    assert fsummed == plain > 1e-3
+    for a, b in zip(plain_params, model.parameters()):
+        np.testing.assert_array_equal(a, b.data)
