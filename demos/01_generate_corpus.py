@@ -28,7 +28,7 @@ def show_sentence(sent) -> None:
     print(f"  {'idx':>3}  {'token':<10} {'pos':<4} head")
     for t, (word, pos, head) in enumerate(zip(sent.tokens, sent.pos, sent.heads)):
         arrow = "root" if head == t else f"-> {head} ({sent.tokens[head]})"
-        pred = "  [predicate]" if sent.predicates[t] else ""
+        pred = "  [predicate]" if t in sent.frames else ""
         print(f"  {t:>3}  {word:<10} {pos:<4} {arrow}{pred}")
     for pred, tags in sorted(sent.frames.items()):
         print(f"  frame for predicate {pred} ({sent.tokens[pred]}):")
@@ -59,7 +59,7 @@ def main() -> None:
 
     # the path->role map makes roles a pure function of the tree
     for sent in corpus:
-        derived = roles_from_tree(sent.pos, sent.heads, sent.predicates)
+        derived = roles_from_tree(sent.pos, sent.heads)
         assert derived == sent.frames
     print("\nroles re-derived from the trees match every stored frame.")
 

@@ -189,10 +189,13 @@ def require_paths(config: RunConfig, *fields: str) -> None:
 
 def require_output(config: RunConfig, name: str) -> None:
     """Check that the output path field `name`, when set, lies in an existing
-    directory and names no file another path field names, before any input is read."""
+    directory, is not itself a directory and names no file another path
+    field names, before any input is read."""
     path = getattr(config, name)
     if path and not os.path.isdir(os.path.dirname(path) or "."):
         raise ConfigError(f"{name}: no such directory: {os.path.dirname(path)}")
+    if path and os.path.isdir(path):
+        raise ConfigError(f"{name}: {path} is a directory")
     for other in sorted(PATH_FIELDS - {name}):
         given = getattr(config, other)
         if os.path.exists(path) and os.path.exists(given) and os.path.samefile(path, given):

@@ -55,29 +55,29 @@ class RoleSpan:
 
 @dataclass(frozen=True)
 class AnnotatedSentence:
-    """One sentence with POS tags, dependency heads, predicates and frames.
+    """One sentence with POS tags, dependency heads and frames.
 
     All parallel sequences have length T. `heads[t]` is the parent of token
     t, with the root marked by a self-loop. `frames` maps each predicate's
-    token index to that predicate's BIO role sequence over all T tokens.
+    token index to that predicate's BIO role sequence over all T tokens, so
+    its keys are the sentence's predicates.
     """
 
     tokens: tuple[str, ...]
     pos: tuple[str, ...]
     heads: tuple[int, ...]
-    predicates: tuple[bool, ...]
     frames: dict[int, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         t = len(self.tokens)
-        if not (len(self.pos) == len(self.heads) == len(self.predicates) == t):
+        if not (len(self.pos) == len(self.heads) == t):
             raise CorpusFormatError("parallel sequences differ in length")
         for h in self.heads:
             if not 0 <= h < t:
                 raise CorpusFormatError(f"head index {h} outside [0, {t})")
         for k, tags in self.frames.items():
-            if not self.predicates[k]:
-                raise CorpusFormatError(f"frame for non-predicate token {k}")
+            if type(k) is not int or not 0 <= k < t:
+                raise CorpusFormatError(f"frame key {k!r} is not a token index in [0, {t})")
             if len(tags) != t:
                 raise CorpusFormatError(f"frame at {k} has length {len(tags)} != {t}")
 
@@ -86,7 +86,7 @@ class AnnotatedSentence:
 
     @property
     def predicate_indices(self) -> list[int]:
-        return [i for i, p in enumerate(self.predicates) if p]
+        return sorted(self.frames)
 
 
 class LabelSpace:
@@ -278,8 +278,7 @@ def _sentence_from_rows(
                 raise CorpusFormatError(
                     f"line {lineno}: predicate marker must be Y or -, got {mark!r}"
                 )
-    predicates = tuple([m == PRED_MARK for m in marks])
-    pred_idx = [i for i, p in enumerate(predicates) if p]
+    pred_idx = [i for i, m in enumerate(marks) if m == PRED_MARK]
     if len(bio) < len(pred_idx):
         raise CorpusFormatError(
             f"line {first_line}: {len(pred_idx)} predicates but only {len(bio)} BIO columns"
@@ -311,7 +310,7 @@ def _sentence_from_rows(
     fault = None if repair else _tree_fault(tokens, heads)
     if fault:
         raise CorpusFormatError(f"line {first_line}: {fault}")
-    return AnnotatedSentence(tokens, pos, heads, predicates, frames), repairs
+    return AnnotatedSentence(tokens, pos, heads, frames), repairs
 
 
 def _tree_fault(tokens, heads) -> str | None:
@@ -334,7 +333,7 @@ def _tree_fault(tokens, heads) -> str | None:
 def write_conll(path, sentences: Iterable[AnnotatedSentence]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for sent in sentences:
-            marks = [PRED_MARK if p else NO_PRED_MARK for p in sent.predicates]
+            marks = [PRED_MARK if t in sent.frames else NO_PRED_MARK for t in range(len(sent))]
             columns = [sent.tokens, sent.pos, map(str, sent.heads), marks]
             columns.extend(sent.frames[p] for p in sent.predicate_indices)
             # one line per token, then the blank line that ends the sentence
@@ -425,9 +424,9 @@ def build_joint_pos_pred_space(corpus: Sequence[AnnotatedSentence]) -> LabelSpac
     plain = set()
     composed = set()
     for sent in corpus:
-        for tag, is_pred in zip(sent.pos, sent.predicates):
+        for t, tag in enumerate(sent.pos):
             plain.add(tag)
-            if is_pred:
+            if t in sent.frames:
                 composed.add(tag + PREDICATE_SUFFIX)
     return LabelSpace(sorted(plain) + sorted(composed))
 
@@ -494,19 +493,13 @@ def estimate_transitions(
     if n_frames == 0:
         raise EstimationError("no frames in corpus; cannot estimate transitions")
 
+    # row 0 opens a sequence, row i + 1 follows tag i, as in `allowed_moves`;
+    # the counts are whole numbers, so each row's masked total is exact
     allowed = allowed_moves(role_space)
-    matrix = np.full((n, n), -np.inf)
-    for i in range(n):
-        valid = np.flatnonzero(allowed[i + 1])
-        total = bigram[i, valid].sum() + len(valid)
-        for j in valid:
-            matrix[i, j] = np.log((bigram[i, j] + 1.0) / total)
-
-    start = np.full(n, -np.inf)
-    valid_starts = np.flatnonzero(allowed[0])
-    total = start_count[valid_starts].sum() + len(valid_starts)
-    for j in valid_starts:
-        start[j] = np.log((start_count[j] + 1.0) / total)
+    smoothed = np.vstack([start_count, bigram]) + 1.0
+    totals = np.where(allowed, smoothed, 0.0).sum(axis=1, keepdims=True)
+    table = np.where(allowed, np.log(smoothed / totals), -np.inf)
+    start, matrix = table[0], table[1:]
 
     # any tag may end a sequence
     end = np.log((end_count + 1.0) / (end_count.sum() + n))

@@ -42,8 +42,8 @@ def pos_pred_logits(tape: Tape, s_pos_layer: Tensor, head: PosPredHead) -> Tenso
 def pos_pred_loss(tape: Tape, logits: Tensor, sentence, head: PosPredHead) -> Tensor:
     """Token-averaged cross-entropy against the joint gold labels."""
     gold = [
-        head.labels.of(joint_label(tag, is_pred))
-        for tag, is_pred in zip(sentence.pos, sentence.predicates)
+        head.labels.of(joint_label(tag, t in sentence.frames))
+        for t, tag in enumerate(sentence.pos)
     ]
     return tape.cross_entropy(logits, gold)
 

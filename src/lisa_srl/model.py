@@ -234,11 +234,5 @@ class LisaModel:
                 # built from a generator is resized, so freeing it grows
                 # CPython's tuple free lists until the next full collection
                 frames[f] = tuple([self.scorer.labels.name(i) for i in tags])
-        predicted = AnnotatedSentence(
-            sentence.tokens,
-            tuple(pos_tags),
-            tuple(heads),
-            tuple(flags),
-            frames,
-        )
+        predicted = AnnotatedSentence(sentence.tokens, tuple(pos_tags), tuple(heads), frames)
         return SentencePrediction(predicted, heads, frames)

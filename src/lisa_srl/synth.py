@@ -109,8 +109,9 @@ def subtree_span(children, root: int, n_tokens: int) -> tuple[int, int]:
     return lo, hi
 
 
-def roles_from_tree(pos, heads, predicates) -> dict[int, tuple[str, ...]]:
-    """Apply the fixed path->role map to every predicate of a tree."""
+def roles_from_tree(pos, heads) -> dict[int, tuple[str, ...]]:
+    """Apply the fixed path->role map to every predicate of a tree; the
+    predicates are the VB tokens, since the map is stated on VB heads."""
     t_len = len(pos)
     children = defaultdict(list)
     for t, h in enumerate(heads):
@@ -118,7 +119,7 @@ def roles_from_tree(pos, heads, predicates) -> dict[int, tuple[str, ...]]:
             children[h].append(t)
     frames: dict[int, tuple[str, ...]] = {}
     for p in range(t_len):
-        if not predicates[p]:
+        if pos[p] != "VB":
             continue
         spans: list[RoleSpan] = []
         kids = children[p]  # ascending: built in token order
@@ -246,9 +247,7 @@ def _sentence(draw: _Draw) -> AnnotatedSentence:
         words = fw + words
         pos = ["IN", "DT", "NN"] + pos
 
-    predicates = tuple(p == "VB" for p in pos)
-    frames = roles_from_tree(pos, heads, predicates)
-    return AnnotatedSentence(tuple(words), tuple(pos), tuple(heads), predicates, frames)
+    return AnnotatedSentence(tuple(words), tuple(pos), tuple(heads), roles_from_tree(pos, heads))
 
 
 def gen_synthetic(n: int, seed: int, *, shifted: bool = False) -> list[AnnotatedSentence]:

@@ -108,7 +108,6 @@ def _random_transitions(space, seed):
                 tuple(f"w{t}" for t in range(t_len)),
                 tuple("NN" for _ in range(t_len)),
                 tuple(0 for _ in range(t_len)),
-                tuple(t == 0 for t in range(t_len)),
                 {0: tuple(tags)},
             )
         )
@@ -149,7 +148,6 @@ def test_gradients_match_finite_differences(acceptance_report):
         ("d0", "n000", "v00"),
         ("DT", "NN", "VB"),
         (1, 2, 2),
-        (False, False, True),
         {2: ("B-A0", "I-A0", "O")},
     )
     corpus = [sent]

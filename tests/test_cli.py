@@ -326,7 +326,7 @@ class _FixedDraws:
 
 
 def _same_heads(t: int, gold: int) -> AnnotatedSentence:
-    return AnnotatedSentence(("w",) * t, ("NN",) * t, (gold,) * t, (False,) * t)
+    return AnnotatedSentence(("w",) * t, ("NN",) * t, (gold,) * t)
 
 
 def test_wrong_head_pick_is_the_kth_head_other_than_gold():
@@ -1145,7 +1145,7 @@ def test_head_rewrites_load_as_trees_or_raise_a_lisa_error(
     # repair mode keeps any heads; the role walk still returns or raises
     for sent in read_conll(path, repair=True):
         try:
-            roles_from_tree(sent.pos, sent.heads, sent.predicates)
+            roles_from_tree(sent.pos, sent.heads)
         except EncodingError:
             pass
 
@@ -1600,6 +1600,35 @@ def test_cli_output_in_a_missing_directory_is_one_config_line_before_any_work(
         f"error category=config: {output}: no such directory: {out.parent}"
     )
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("command, output", [
+    ("train", "checkpoint_out"),
+    ("predict", "predictions_path"),
+    ("evaluate", "metrics_path"),
+])
+def test_cli_output_naming_a_directory_is_one_config_line_before_any_work(
+    data_dir, agnostic_checkpoint, tmp_path, capsys, monkeypatch, command, output
+):
+    monkeypatch.setattr(LisaModel, "predict_sentence", _no_decode)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = {
+        "train": ["train", "--train-path", str(data_dir / "train.conll"),
+                  "--dev-path", str(data_dir / "dev.conll"),
+                  "--pretrained-path", str(data_dir / "pretrained.vec"),
+                  "--n-heads", "2", "--epochs", "1", "--checkpoint-out", str(out)],
+        "predict": ["predict", "--checkpoint-in", str(agnostic_checkpoint),
+                    "--test-path", str(data_dir / "test.conll"), "--predictions-path", str(out)],
+        "evaluate": ["evaluate", "--test-path", str(data_dir / "test.conll"),
+                     "--predictions-path", str(data_dir / "test.conll"),
+                     "--metrics-path", str(out)],
+    }[command]
+    assert main(argv) == 1
+    assert _one_error_line(capsys, "config") == (
+        f"error category=config: {output}: {out} is a directory"
+    )
+    assert list(out.iterdir()) == []
 
 
 def test_cli_widths_and_mix_size_come_from_the_inputs(tmp_path, capsys):

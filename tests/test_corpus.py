@@ -308,12 +308,9 @@ def test_read_accepts_exactly_the_trees(tmp_path_factory, heads):
 
 def test_roles_reject_a_cycle_of_heads():
     # each walk is bounded by the sentence length, so neither call spins
-    for pos, heads, predicates in [
-        (("NN", "VB", "DT"), (1, 0, 2), (False, True, False)),
-        (("NN", "VB"), (1, 0), (False, True)),
-    ]:
+    for pos, heads in [(("NN", "VB", "DT"), (1, 0, 2)), (("NN", "VB"), (1, 0))]:
         with pytest.raises(EncodingError, match="heads form a cycle under token 0"):
-            roles_from_tree(pos, heads, predicates)
+            roles_from_tree(pos, heads)
 
 
 def test_read_rejects_nonempty_extra_column(tmp_path):
@@ -361,6 +358,26 @@ def test_round_trip_on_synthetic_corpus(tmp_path):
     assert read_conll(path) == corpus
 
 
+@pytest.mark.parametrize("key", [-1, 3, 7, "2", 2.0, True, None])
+def test_a_frame_key_outside_the_token_indices_is_one_format_error(key):
+    # the last token stands where -1 wraps to, and 3 is T
+    with pytest.raises(CorpusFormatError, match=r"frame key .* is not a token index in \[0, 3\)"):
+        AnnotatedSentence(("d0", "n000", "v00"), ("DT", "NN", "VB"), (1, 2, 2),
+                          {key: ("B-A0", "I-A0", "O")})
+
+
+def test_written_marker_column_holds_y_exactly_at_the_frame_keys(tmp_path):
+    path = tmp_path / "c.conll"
+    for corpus in (gen_synthetic(60, 5), gen_synthetic(60, 6, shifted=True)):
+        write_conll(path, corpus)
+        blocks = path.read_text(encoding="utf-8").split("\n\n")[:-1]
+        assert len(blocks) == len(corpus)
+        for sent, block in zip(corpus, blocks):
+            marks = [line.split("\t")[3] for line in block.splitlines()]
+            assert [t for t, m in enumerate(marks) if m == "Y"] == sorted(sent.frames)
+            assert set(marks) <= {"Y", "-"}
+
+
 def test_heads_file_round_trip(tmp_path):
     heads = [[0, 0, 1], [1, 1]]
     path = tmp_path / "h.heads"
@@ -379,10 +396,8 @@ def test_label_space_bijection():
         LabelSpace(["O", "O"])
 
 
-def _sent(tokens, pos, heads, predicates, frames=None):
-    return AnnotatedSentence(
-        tuple(tokens), tuple(pos), tuple(heads), tuple(predicates), frames or {}
-    )
+def _sent(tokens, pos, heads, frames=None):
+    return AnnotatedSentence(tuple(tokens), tuple(pos), tuple(heads), frames or {})
 
 
 def test_joint_space_hand_example():
@@ -390,7 +405,6 @@ def test_joint_space_hand_example():
         ["the", "dog", "ran"],
         ["DT", "NN", "VBD"],
         [1, 2, 2],
-        [False, False, True],
         {2: ("O", "B-A0", "O")},
     )
     space = build_joint_pos_pred_space([s])
@@ -398,7 +412,7 @@ def test_joint_space_hand_example():
 
 
 def test_joint_space_no_predicates():
-    s = _sent(["a", "b"], ["DT", "NN"], [1, 1], [False, False])
+    s = _sent(["a", "b"], ["DT", "NN"], [1, 1])
     assert build_joint_pos_pred_space([s]).labels == ("DT", "NN")
 
 
@@ -407,8 +421,8 @@ def test_joint_space_matches_independent_scan():
     space = build_joint_pos_pred_space(corpus)
     pairs = set()
     for s in corpus:
-        for tag, is_pred in zip(s.pos, s.predicates):
-            pairs.add((tag, is_pred))
+        for t, tag in enumerate(s.pos):
+            pairs.add((tag, t in s.frames))
     expected = len({t for t, _ in pairs}) + sum(1 for _, ip in pairs if ip)
     assert len(space) == expected
     for tag, is_pred in pairs:
@@ -427,9 +441,7 @@ def test_role_space_outside_first():
 
 
 def _one_frame_corpus():
-    s = _sent(
-        ["a", "b"], ["NN", "NN"], [1, 1], [False, True], {1: ("B-A0", "I-A0")}
-    )
+    s = _sent(["a", "b"], ["NN", "NN"], [1, 1], {1: ("B-A0", "I-A0")})
     return [s]
 
 
@@ -451,7 +463,7 @@ def test_transitions_hand_counts():
 
 
 def test_transitions_empty_corpus_rejected():
-    s = _sent(["a"], ["NN"], [0], [False])
+    s = _sent(["a"], ["NN"], [0])
     with pytest.raises(EstimationError):
         estimate_transitions([s], LabelSpace(["O"]))
 
@@ -533,7 +545,7 @@ def test_generator_sentences_well_formed():
         assert set(s.frames) == set(s.predicate_indices)
         for tags in s.frames.values():
             assert is_valid_bio(tags)
-        assert all((p == "VB") == ip for p, ip in zip(s.pos, s.predicates))
+        assert s.predicate_indices == [t for t, p in enumerate(s.pos) if p == "VB"]
 
 
 def test_generator_roles_match_tree_walk_oracle():
@@ -545,7 +557,7 @@ def test_roles_reject_an_argument_with_a_non_contiguous_yield():
     # the A0 noun at 0 governs the determiner at 3, across the verb and object
     pos, heads = ("NN", "VB", "NN", "DT"), (1, 1, 1, 0)
     with pytest.raises(EncodingError, match="non-contiguous yield under token 0"):
-        roles_from_tree(pos, heads, (False, True, False, False))
+        roles_from_tree(pos, heads)
 
 
 def test_generator_ambiguous_preps_attach_both_ways():

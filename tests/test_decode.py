@@ -43,7 +43,6 @@ def _transitions(seed=0):
                 tuple(f"w{t}" for t in range(t_len)),
                 tuple("NN" for _ in range(t_len)),
                 tuple(0 for _ in range(t_len)),
-                tuple(t == 0 for t in range(t_len)),
                 {0: tuple(tags)},
             )
         )

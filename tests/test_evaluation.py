@@ -29,26 +29,23 @@ from lisa_srl.model import LisaModel
 from lisa_srl.synth import gen_synthetic
 
 
-def _sent(tokens, predicates=(), frames=None, heads=None):
+def _sent(tokens, frames=None, heads=None):
     t = len(tokens)
     return AnnotatedSentence(
         tuple(tokens),
         tuple("NN" for _ in tokens),
         tuple(heads) if heads is not None else tuple([min(1, t - 1)] * (t - 1) + [t - 1]),
-        tuple(i in set(predicates) for i in range(t)),
         dict(frames or {}),
     )
 
 
-G1 = _sent("abc", predicates=[2], frames={2: ("B-A0", "I-A0", "O")})
+G1 = _sent("abc", frames={2: ("B-A0", "I-A0", "O")})
 G2 = _sent(
     "abcde",
-    predicates=[2],
     frames={2: ("B-A0", "I-A0", "O", "B-A1", "I-A1")},
 )
 P2_WRONG_PRED = _sent(
     "abcde",
-    predicates=[1],
     frames={1: ("B-A0", "I-A0", "O", "B-A1", "I-A1")},
 )
 
@@ -87,7 +84,7 @@ def test_frame_spans_include_predicate_index():
 
 def test_predict_every_token_as_predicate():
     gold = [G2]
-    every = _sent("abcde", predicates=range(5))
+    every = _sent("abcde", frames={k: ("O",) * 5 for k in range(5)})
     p, r, f1 = predicate_prf(gold, [every])
     assert r == 1.0 and p == pytest.approx(1 / 5)
     assert f1 == pytest.approx(2 * (1 / 5) / (1 + 1 / 5))
@@ -124,8 +121,7 @@ def _perturbed(corpus, rng):
                 t.replace("A0", "A1") if rng.random() < 0.4 else t for t in tags
             )
             frames[k] = tags
-        preds = tuple(i in frames for i in range(len(s)))
-        out.append(AnnotatedSentence(s.tokens, s.pos, s.heads, preds, frames))
+        out.append(AnnotatedSentence(s.tokens, s.pos, s.heads, frames))
     return out
 
 
@@ -178,8 +174,8 @@ def test_bucket_count_additivity():
 
 
 def test_bucket_boundary_is_inclusive_on_the_right():
-    ten = _sent("abcdefghij", predicates=[0], frames={0: ("B-A0",) + ("O",) * 9})
-    eleven = _sent("abcdefghijk", predicates=[0], frames={0: ("B-A0",) + ("O",) * 10})
+    ten = _sent("abcdefghij", frames={0: ("B-A0",) + ("O",) * 9})
+    eleven = _sent("abcdefghijk", frames={0: ("B-A0",) + ("O",) * 10})
     buckets = bucket_by_length([ten, eleven], [ten, eleven])
     assert buckets[0].support == 1 and buckets[1].support == 1
     assert buckets[0].lo == 0 and buckets[0].hi == 10.0

@@ -31,7 +31,6 @@ def _sentence():
         ("d0", "n000", "v00"),
         ("DT", "NN", "VB"),
         (1, 2, 2),
-        (False, False, True),
         {2: ("B-A0", "I-A0", "O")},
     )
 

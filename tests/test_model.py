@@ -35,14 +35,12 @@ def _tiny_corpus():
         ("d0", "n000", "v00"),
         ("DT", "NN", "VB"),
         (1, 2, 2),
-        (False, False, True),
         {2: ("B-A0", "I-A0", "O")},
     )
     s2 = AnnotatedSentence(
         ("d1", "n001", "v00", "d0", "n000"),
         ("DT", "NN", "VB", "DT", "NN"),
         (1, 2, 2, 4, 2),
-        (False, False, True, False, False),
         {2: ("B-A0", "I-A0", "O", "B-A1", "I-A1")},
     )
     return [s1, s2]
