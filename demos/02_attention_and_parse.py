@@ -28,7 +28,7 @@ from lisa_srl.corpus import build_joint_pos_pred_space, build_role_space, vocabu
 def attention_rows(model, sentence, source, external=None):
     tape = Tape()
     fw = model.forward(tape, sentence, source=source, external_heads=external)
-    return fw.trace.consumed_parse_attention(model.config)
+    return fw.trace.parse_attention
 
 
 def main() -> None:

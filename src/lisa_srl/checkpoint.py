@@ -12,7 +12,7 @@ Layout, all integers little-endian:
         u64   extent per axis
         f64   data, C order
 
-The JSON metadata carries the run configuration, the step counter, both
+The JSON metadata carries the model's configuration, the step counter, both
 label spaces, the training vocabulary and the pretrained word list. The
 configuration leaves out its file paths, so a run writes the same bytes
 from any directory; one that fails `validate`, or cannot shape a model, is
@@ -55,7 +55,6 @@ _META_KEYS = frozenset({"config", "step", *_WORD_LISTS})
 @dataclass
 class LoadedCheckpoint:
     model: LisaModel
-    config: RunConfig
     step: int
     transitions: TransitionTable
 
@@ -75,17 +74,18 @@ def _gather_tensors(model: LisaModel, transitions: TransitionTable) -> dict[str,
 def save_checkpoint(
     path,
     model: LisaModel,
-    config: RunConfig,
     step: int,
     transitions: TransitionTable,
 ) -> None:
-    """Write a sibling `<path>.tmp`, then rename it onto `path`: a failed or
-    interrupted save leaves the checkpoint already at `path` whole."""
+    """Write `model.config` with the tensors to a sibling `<path>.tmp`, then
+    rename it onto `path`: a failed or interrupted save leaves the
+    checkpoint already at `path` whole."""
     for p in model.parameters():
         if not np.all(np.isfinite(p.data)):
             raise NonFiniteError(f"refusing to checkpoint non-finite parameter {p.name}")
+    config = dataclasses.asdict(model.config)
     meta = {
-        "config": {k: v for k, v in dataclasses.asdict(config).items() if k not in PATH_FIELDS},
+        "config": {k: v for k, v in config.items() if k not in PATH_FIELDS},
         "step": int(step),
         "joint_labels": list(model.pos_head.labels),
         "role_labels": list(model.scorer.labels),
@@ -248,4 +248,4 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         raise CorpusFormatError(f"checkpoint config: {err}") from None
     if tensors:
         raise CompatibilityError(f"checkpoint holds tensors the model lacks: {sorted(tensors)}")
-    return LoadedCheckpoint(model, config, meta["step"], transitions)
+    return LoadedCheckpoint(model, meta["step"], transitions)

@@ -66,8 +66,13 @@ def _cmd_gen_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a malformed or unknown flag is one line too
+        self.exit(2, f"error category=config: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lisa-srl",
         description="Train, run and score the syntax-aware semantic role labeler.",
     )

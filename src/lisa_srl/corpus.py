@@ -101,9 +101,6 @@ class LabelSpace:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def __contains__(self, label: str) -> bool:
-        return label in self.index
-
     def __iter__(self):
         return iter(self.labels)
 
@@ -429,10 +426,6 @@ def build_joint_pos_pred_space(corpus: Sequence[AnnotatedSentence]) -> LabelSpac
             if t in sent.frames:
                 composed.add(tag + PREDICATE_SUFFIX)
     return LabelSpace(sorted(plain) + sorted(composed))
-
-
-def joint_label(pos: str, is_predicate: bool) -> str:
-    return pos + PREDICATE_SUFFIX if is_predicate else pos
 
 
 # ---------------------------------------------------------------------------

@@ -44,15 +44,14 @@ class EncoderTrace:
     `attentions[j]` holds layer j's [H, T, T] attention as consumed by value
     attention (so the parse head's matrix is the injected adjacency when
     injecting); `parse_logits` are always the model's own pre-softmax parse
-    scores.
+    scores, and `parse_attention` is the parse head's [T, T] attention as the
+    layers above consumed it.
     """
 
     attentions: dict[int, np.ndarray] = field(default_factory=dict)
     layer_outputs: dict[int, Tensor] = field(default_factory=dict)
     parse_logits: Tensor | None = None
-
-    def consumed_parse_attention(self, config: RunConfig) -> np.ndarray:
-        return self.attentions[config.parse_layer][0]
+    parse_attention: np.ndarray | None = None
 
 
 class Encoder:
@@ -109,7 +108,7 @@ class Encoder:
             pe = positional_encoding(len(x.data), qkv.shape[0]) if j == 1 else None
             m, logits, trace.attentions[j] = tape.attention(x, qkv, cfg.n_heads, inject, pe)
             if j == cfg.parse_layer:
-                trace.parse_logits = logits
+                trace.parse_logits, trace.parse_attention = logits, trace.attentions[j][0]
             x = trace.layer_outputs[j] = tape.conv_block(m, *conv)
         return x, trace
 

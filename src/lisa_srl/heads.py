@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import PREDICATE_SUFFIX, LabelSpace, joint_label
+from .corpus import PREDICATE_SUFFIX, LabelSpace
 from .errors import ContractError
 from .numerics import Parameter, Tape, Tensor, new_parameter
 
@@ -42,22 +42,22 @@ def pos_pred_logits(tape: Tape, s_pos_layer: Tensor, head: PosPredHead) -> Tenso
 def pos_pred_loss(tape: Tape, logits: Tensor, sentence, head: PosPredHead) -> Tensor:
     """Token-averaged cross-entropy against the joint gold labels."""
     gold = [
-        head.labels.of(joint_label(tag, t in sentence.frames))
+        head.labels.of(tag + PREDICATE_SUFFIX if t in sentence.frames else tag)
         for t, tag in enumerate(sentence.pos)
     ]
     return tape.cross_entropy(logits, gold)
 
 
-def decode_pos_pred(logits, labels: LabelSpace) -> tuple[list[str], list[bool]]:
-    """Argmax decode into plain POS tags plus predicate flags."""
-    data = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
-    tags, flags = [], []
-    for j in data.argmax(axis=1).tolist():
+def decode_pos_pred(logits: Tensor, labels: LabelSpace) -> tuple[list[str], list[int]]:
+    """Argmax decode into plain POS tags plus the predicate token indices."""
+    tags, predicates = [], []
+    for t, j in enumerate(logits.data.argmax(axis=1).tolist()):
         name = labels.name(j)
-        is_pred = name.endswith(PREDICATE_SUFFIX)
-        tags.append(name[: -len(PREDICATE_SUFFIX)] if is_pred else name)
-        flags.append(is_pred)
-    return tags, flags
+        if name.endswith(PREDICATE_SUFFIX):
+            name = name[: -len(PREDICATE_SUFFIX)]
+            predicates.append(t)
+        tags.append(name)
+    return tags, predicates
 
 
 @dataclass

@@ -57,7 +57,8 @@ class ForwardOutputs:
 @dataclass
 class SentencePrediction:
     """Everything predict emits for one sentence, as an annotated sentence
-    plus the raw pieces evaluation wants individually."""
+    plus its `heads` and `frames`, which the benchmark's output checks read;
+    evaluation reads only the sentence."""
 
     sentence: AnnotatedSentence
     heads: list[int]
@@ -220,9 +221,8 @@ class LisaModel:
             )
         tape = Tape()
         fw = self.forward(tape, sentence, **inputs)
-        pos_tags, flags = decode_pos_pred(fw.pos_logits, self.pos_head.labels)
-        predicates = [i for i, flag in enumerate(flags) if flag]
-        heads = extract_parse(fw.trace.consumed_parse_attention(self.config))
+        pos_tags, predicates = decode_pos_pred(fw.pos_logits, self.pos_head.labels)
+        heads = extract_parse(fw.trace.parse_attention)
         scores = srl_scores(tape, fw.final, predicates, self.scorer)
         if not all(np.isfinite(t.data).all() for t in (fw.final, fw.pos_logits, scores)):
             raise NonFiniteError("decode met NaN or infinity in the model's outputs")

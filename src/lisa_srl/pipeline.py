@@ -226,7 +226,7 @@ def train(config: RunConfig, emit: Callable[[str], None] | None = None) -> Train
         if dev_f1 > best_f1:
             best_f1, best_epoch = dev_f1, epoch
             if config.checkpoint_out:
-                save_checkpoint(config.checkpoint_out, model, config, steps, transitions)
+                save_checkpoint(config.checkpoint_out, model, steps, transitions)
         if 0.0 <= config.early_stop_f1 <= dev_f1:
             break
 
@@ -246,7 +246,8 @@ def predict(config: RunConfig) -> list[AnnotatedSentence]:
     require_output(config, "predictions_path")
     loaded = load_checkpoint(config.checkpoint_in)
     # the checkpoint decides the model; the command decides the source
-    config = replace(config, variant=loaded.config.variant, embedding=loaded.config.embedding)
+    saved = loaded.model.config
+    config = replace(config, variant=saved.variant, embedding=saved.embedding)
     config.validate()
     data = load_split(config, "test")
     if data.ctx is not None:

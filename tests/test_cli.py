@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 
 from lisa_srl.checkpoint import load_checkpoint, save_checkpoint
 from lisa_srl.cli import main
-from lisa_srl.config import SOURCES, RunConfig, build_run_config, parse_config_file
+from lisa_srl.config import (
+    PATH_FIELDS, SOURCES, RunConfig, build_run_config, parse_config_file,
+)
 from lisa_srl.corpus import (
     AnnotatedSentence,
     read_conll,
@@ -444,7 +446,7 @@ def test_a_failed_save_leaves_the_previous_checkpoint_whole(
 
     monkeypatch.setattr("lisa_srl.checkpoint.open", FailingFile, raising=False)
     with pytest.raises(type(fault)):
-        save_checkpoint(path, result.model, config, result.steps, result.transitions)
+        save_checkpoint(path, result.model, result.steps, result.transitions)
     assert path.read_bytes() == good_bytes
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
@@ -503,7 +505,7 @@ def test_checkpoint_round_trip_is_bitwise(data_dir, tmp_path):
     for p in loaded.model.parameters():
         assert np.array_equal(p.data, model_params[p.name]), p.name
     assert loaded.step == result.steps
-    assert loaded.config == dataclasses.replace(
+    assert loaded.model.config == dataclasses.replace(
         config, train_path="", dev_path="", test_path="", pretrained_path="", checkpoint_out=""
     )
     assert np.array_equal(loaded.transitions.matrix, result.transitions.matrix)
@@ -536,6 +538,23 @@ def test_checkpoint_bytes_do_not_depend_on_the_run_directory(data_dir, tmp_path,
         train(config)
         blobs.append((work / "model.ckpt").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(parse_source="gold", gold_mix=0.25),
+    dict(variant="sa"),
+    dict(embedding="contextual", train_ctxl_path="train.ctxl", dev_ctxl_path="dev.ctxl"),
+], ids=["lisa", "sa", "contextual"])
+def test_resaving_a_loaded_checkpoint_writes_its_bytes(data_dir, tmp_path, overrides):
+    overrides = {k: data_dir / v if k.endswith("_path") else v for k, v in overrides.items()}
+    config = _tiny_config(data_dir, tmp_path, **overrides)
+    train(config)
+    loaded = load_checkpoint(config.checkpoint_out)
+    save_checkpoint(tmp_path / "again.ckpt", loaded.model, loaded.step, loaded.transitions)
+    assert (tmp_path / "again.ckpt").read_bytes() == Path(config.checkpoint_out).read_bytes()
+    assert loaded.model.config == dataclasses.replace(
+        config, **{name: "" for name in PATH_FIELDS}
+    )
 
 
 def test_checkpoint_rejects_bad_magic_and_version(tmp_path):
@@ -1190,8 +1209,7 @@ def test_checkpoint_refuses_non_finite_parameters(data_dir, tmp_path):
     result = train(config)
     result.model.parameters()[0].data[0] = np.nan
     with pytest.raises(NonFiniteError):
-        save_checkpoint(tmp_path / "nan.ckpt", result.model, config, 0,
-                        result.transitions)
+        save_checkpoint(tmp_path / "nan.ckpt", result.model, 0, result.transitions)
 
 
 # ---------------------------------------------------------------------------
@@ -1398,6 +1416,21 @@ def test_cli_flags_of_removed_settings_are_refused(capsys, argv):
         main(argv)
     assert exit_info.value.code == 2
     assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-synth", "--out-dir", "g", "--n-train", "abc"],
+    ["train", "--bogus", "1"],
+    ["gen-synth"],
+    [],
+], ids=lambda v: "=".join(v) or "bare")
+def test_cli_malformed_flags_are_one_config_error_line(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith("error category=config: "), err[0]
 
 
 @pytest.mark.parametrize("argv, field", [

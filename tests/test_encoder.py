@@ -222,27 +222,23 @@ def test_injection_changes_only_the_parse_head():
     assert np.array_equal(
         self_trace.layer_outputs[1].data, gold_trace.layer_outputs[1].data
     )
-    injected = gold_trace.consumed_parse_attention(config)
+    injected = gold_trace.parse_attention
     assert np.array_equal(injected, parse_adjacency([1, 1, 1, 2], 4))
 
 
 def test_parse_attention_is_the_heads_own_softmax():
     rng = np.random.default_rng(15)
-    config = _small_config()
-    enc = Encoder.build(config, 6, rng)
+    enc = Encoder.build(_small_config(), 6, rng)
     x = Tensor(rng.normal(size=(4, 6)))
     _, self_trace = enc.encode(Tape(), x)
     _, gold_trace = enc.encode(Tape(), x, [1, 1, 1, 2])
     _, hard_trace = enc.encode(Tape(), x, harden=True)
-    own = self_trace.consumed_parse_attention(config)
+    own = self_trace.parse_attention
     logits = self_trace.parse_logits.data
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     assert np.array_equal(own, e / e.sum(axis=1, keepdims=True))
     assert np.array_equal(gold_trace.parse_logits.data, logits)
-    assert np.array_equal(
-        hard_trace.consumed_parse_attention(config),
-        parse_adjacency(extract_parse(own), 4),
-    )
+    assert np.array_equal(hard_trace.parse_attention, parse_adjacency(extract_parse(own), 4))
 
 
 # ---------------------------------------------------------------------------

@@ -48,15 +48,15 @@ def test_predicate_set_from_argmax_suffix():
     logits[2, JOINT.of("VB:predicate")] = 5.0
     # a tie goes to the lower label index
     logits[3, [JOINT.of("VB"), JOINT.of("VB:predicate")]] = 5.0
-    tags, flags = decode_pos_pred(Tensor(logits), JOINT)
+    tags, predicates = decode_pos_pred(Tensor(logits), JOINT)
     assert tags == ["DT", "VB", "VB", "VB"]
-    assert flags == [False, False, True, False]
+    assert predicates == [2]
 
 
 def test_predicted_mode_empty_when_nothing_argmaxes_to_predicate():
     logits = np.zeros((2, 4))
     logits[:, JOINT.of("NN")] = 3.0
-    assert decode_pos_pred(logits, JOINT)[1] == [False, False]
+    assert decode_pos_pred(Tensor(logits), JOINT)[1] == []
 
 
 def test_pos_pred_loss_finite_differences():
