@@ -15,11 +15,12 @@ SGD optimizer mutates parameter storage only *between* tapes).
 
 A `Tape` records one forward computation. `Tape.backward(*losses)` seeds
 each scalar loss with gradient 1.0, so it differentiates their sum without
-an op for it, then replays the recorded operations in exact reverse order,
-accumulating gradients into the `.grad` buffers of every tensor on a path
-from a loss back to the leaves.
+an op for it, then replays the recorded operations in exact reverse order.
+A tensor on a path from a loss to the leaves gets its first gradient as
+`.grad`, then a new sum per later one: no gradient array is zero-filled,
+copied or written in place, so tensors may share one. Others keep None.
 A `Parameter` is a named leaf `Tensor` whose `grad` survives across tapes
-until `reset_gradient()` is called; ops take it like any other tensor.
+until `reset_gradient()` sets it to None; ops take it like any other tensor.
 
 Finiteness is checked where values enter, not per op: `Tensor(...)` (so
 every `Parameter`), the file readers and `load_checkpoint` reject NaN and
@@ -37,7 +38,7 @@ from .errors import ContractError, DimensionError, NonFiniteError, OracleError
 
 
 class Tensor:
-    """An immutable dense float64 array plus a gradient buffer.
+    """An immutable dense float64 array plus its gradient, None until set.
 
     `Tensor(data)` rejects NaN and infinity with NonFiniteError; tape ops
     build their outputs unchecked; see the module docstring.
@@ -75,18 +76,15 @@ def _unchecked(data: np.ndarray) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)  # a copy: g may be another grad
-    else:
-        t.grad += g
+    # a new sum, never an in-place one: tensors may share one gradient array
+    t.grad = g if t.grad is None else t.grad + g
 
 
 class Parameter(Tensor):
     """A named leaf tensor whose `grad` survives across tapes.
 
     The name must be unique within a model; checkpoints are keyed by it.
-    `grad` is all-zero after `reset_gradient()` and accumulates across
-    every `Tape.backward` call in between.
+    `grad` sums each backward since creation or `reset_gradient()`, else is None.
     """
 
     __slots__ = ("name",)
@@ -94,10 +92,9 @@ class Parameter(Tensor):
     def __init__(self, name: str, data) -> None:
         super().__init__(data)
         self.name = name
-        self.grad = np.zeros_like(self.data)
 
     def reset_gradient(self) -> None:
-        self.grad.fill(0.0)
+        self.grad = None
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Parameter({self.name!r}, shape={self.shape})"
@@ -430,9 +427,9 @@ def finite_difference_check(
     """Compare `param.grad` against central differences of `f`.
 
     `f` must be a deterministic closure over the current parameter values
-    returning the scalar loss as a plain float (no tape needed). The caller
-    is expected to have already populated `param.grad` via a backward
-    pass. For each coordinate the relative error is
+    returning the scalar loss as a plain float (no tape needed); a backward
+    pass must have set `param.grad`, or ContractError names the parameter.
+    For each coordinate the relative error is
 
         |g_tape - g_fd| / max(|g_tape|, |g_fd|, 1.0)
 
@@ -443,6 +440,8 @@ def finite_difference_check(
         raise ContractError("eps must be positive")
     if f() != f():
         raise OracleError("f is not deterministic under repeated evaluation")
+    if param.grad is None:
+        raise ContractError(f"parameter {param.name!r} has no gradient")
     worst = 0.0
     flat = param.data.reshape(-1)
     flat_grad = param.grad.reshape(-1)

@@ -156,8 +156,9 @@ def sgd_step(model: LisaModel, sentence: AnnotatedSentence, **inputs) -> tuple[L
         raise NonFiniteError("loss diverged")
     model.reset_gradients()
     tape.backward(bundle.srl, bundle.parse, bundle.pos_pred)
+    reached = [p for p in model.parameters() if p.grad is not None]
     squares = 0.0  # left to right: `sum` of floats compensates from Python 3.12 on
-    for p in model.parameters():
+    for p in reached:
         squares += float((p.grad ** 2).sum())
     norm = np.sqrt(squares)
     if not np.isfinite(norm):
@@ -165,7 +166,7 @@ def sgd_step(model: LisaModel, sentence: AnnotatedSentence, **inputs) -> tuple[L
     scale = model.config.lr
     if 0 < model.config.clip_norm < norm:
         scale *= model.config.clip_norm / norm
-    for p in model.parameters():
+    for p in reached:
         p.data -= scale * p.grad
     return bundle, norm
 

@@ -382,6 +382,21 @@ def test_best_dev_checkpoint_reproduces_best_dev_f1(data_dir, tmp_path):
     assert f1 == result.best_dev_f1
 
 
+def test_a_loaded_checkpoint_decodes_without_gradients(data_dir, tmp_path):
+    # decode runs no backward, so a model that never trains holds no gradient
+    config = _tiny_config(data_dir, tmp_path, epochs=1)
+    train(config)
+    loaded = load_checkpoint(config.checkpoint_out)
+    sent = read_conll(config.test_path)[0]
+    heads = read_heads_file(data_dir / "test.heads")[0]
+    for name in ("self", "hardened", "external", "gold"):
+        source, harden = build_run_config({"parse_source": name}).source()
+        loaded.model.predict_sentence(
+            sent, loaded.transitions, source=source, harden=harden, external_heads=heads
+        )
+        assert [p.name for p in loaded.model.parameters() if p.grad is not None] == [], name
+
+
 def test_agnostic_training_logs_zero_parse_loss(data_dir, tmp_path):
     config = _tiny_config(data_dir, tmp_path, variant="sa", checkpoint_out="")
     result = train(config)

@@ -1,6 +1,7 @@
 """Full-model assembly: forward, multi-task loss, prediction, variants."""
 
 import builtins
+import dataclasses
 import math
 import sys
 
@@ -488,6 +489,29 @@ def test_sgd_step_moves_each_parameter_by_the_clipped_gradient(clip_share):
     scale = lr * (clip_norm / norm) if clip_share else lr
     for p, old in zip(model.parameters(), before):
         np.testing.assert_array_equal(p.data, old - scale * p.grad, err_msg=p.name)
+
+
+def test_sgd_step_without_a_frame_leaves_the_role_scorer_alone():
+    # no frame, no role scores: backward never reaches the scorer, nor the
+    # last layer's convolution, which feeds only the scorer, so their
+    # parameters keep no gradient and do not move
+    corpus = _tiny_corpus()
+    no_frame = AnnotatedSentence(*dataclasses.astuple(corpus[1])[:3], {})
+    lr = 0.3
+    model = _model(corpus + [no_frame], lr=lr, clip_norm=0.0)
+    before = [p.data.copy() for p in model.parameters()]
+    _, norm = sgd_step(model, no_frame, source=ParseSource.GOLD)
+    unreached = ["srl.w_pred", "srl.w_role", "srl.u"]
+    unreached += [f"enc.l2.c0.{tap}" for tap in ("left", "center", "right", "bias")]
+    squares = 0.0  # left to right over the reached parameters, in their order
+    for p, old in zip(model.parameters(), before):
+        if p.name in unreached:
+            assert p.grad is None
+            np.testing.assert_array_equal(p.data, old, err_msg=p.name)
+        else:
+            squares += float((p.grad ** 2).sum())
+            np.testing.assert_array_equal(p.data, old - lr * p.grad, err_msg=p.name)
+    assert norm == np.sqrt(squares) > 0.0
 
 
 @pytest.mark.parametrize("fault", ["loss", "gradient"])

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conftest
 from conftest import probe_sum, tape_sum
+from lisa_srl import numerics
 from lisa_srl.errors import ContractError, DimensionError, NonFiniteError
 from lisa_srl.numerics import Parameter, Tape, Tensor, finite_difference_check, softmax
 
@@ -196,7 +198,7 @@ class TestBackward:
         t = Tape()
         loss = probe_sum(t, t.gather_add(np.ones((2, 2)), q, [0, 1]), np.full((2, 2), 2.0))
         t.backward(loss)
-        assert np.array_equal(p.grad, np.zeros((2, 2)))
+        assert p.grad is None
         assert np.array_equal(q.grad, 2.0 * np.ones((2, 2)))
 
     def test_constant_operand_takes_no_gradient(self):
@@ -212,12 +214,13 @@ class TestBackward:
 
     def test_gradient_accumulates_until_reset(self):
         p = Parameter("p", np.array([2.0, 3.0]))
+        assert p.grad is None
         for _ in range(2):
             t = Tape()
             t.backward(probe_sum(t, p))
         assert np.array_equal(p.grad, [2.0, 2.0])
         p.reset_gradient()
-        assert np.array_equal(p.grad, [0.0, 0.0])
+        assert p.grad is None
 
 
 class TestCompositeOps:
@@ -732,7 +735,7 @@ class TestBilinear:
         rows = [t_len - 1, 0, t_len - 1]  # repeated rows accumulate
         # a gradient x holds already: the order of the two sums into it shows
         held = rng.standard_normal((t_len, d)) * 1e3
-        params[0].grad[...] = held
+        params[0].grad = held
         t = Tape()
         out = self._call(t, params, rows)
         g = rng.standard_normal(out.shape)
@@ -779,9 +782,10 @@ class TestBilinear:
 
 
 class TestFirstWriteGradients:
-    """Backward stores a copy of the first gradient a tensor receives, so a
-    tensor used twice, or two tensors fed one upstream gradient, never share
-    a buffer that a later accumulation would write through."""
+    """Backward stores the first gradient a tensor receives as it is and
+    binds each later sum to a new array, so a tensor used twice, or two
+    tensors fed one upstream gradient, may share an array, but no later
+    accumulation writes through a shared buffer."""
 
     X = np.random.default_rng(21).standard_normal((3, 4))
 
@@ -826,26 +830,34 @@ class TestFirstWriteGradients:
         return t, made[-1], made
 
     @pytest.mark.parametrize("kind", ["add(x, x)", "mul(x, x)", "bias", "fan-out"])
-    def test_finite_differences_and_no_shared_buffers(self, kind):
+    def test_finite_differences_and_no_shared_buffers(self, monkeypatch, kind):
         rng = np.random.default_rng(8)
         w1 = Parameter("w1", rng.standard_normal((4, 3)))
         w2 = Parameter("w2", rng.standard_normal((4, 3)))
         b = Parameter("b", rng.standard_normal(3))
         params = (w1, w2, b)
         tape, loss, made = self.graph(kind, *params)
-        tape.backward(loss)
+        stored = []  # every array a gradient was bound to, with its values then
+        accumulate = numerics._accumulate
+
+        def recording(t, g):
+            accumulate(t, g)
+            stored.append((t.grad, t.grad.copy()))
+
+        with monkeypatch.context() as m:
+            for module in (numerics, conftest):  # the package's ops and the test ops
+                m.setattr(module, "_accumulate", recording)
+            tape.backward(loss)
 
         def run() -> float:
             return self.graph(kind, *params)[1].item()
 
         for p in params:
             assert finite_difference_check(run, p, 1e-6) < 1e-6, p.name
-        grads = [t.grad for t in made if t.grad is not None]
-        grads += [p.grad for p in params]
-        assert len(grads) == len(made) + len(params)
-        for i, g in enumerate(grads):
-            for other in grads[i + 1 :]:
-                assert not np.shares_memory(g, other)
+        assert all(t.grad is not None for t in (*made, *params))
+        assert len(stored) > len(made) + len(params)  # some tensor summed twice
+        for array, values in stored:
+            assert np.array_equal(array, values)
 
 
 class TestFiniteDifference:
@@ -889,6 +901,11 @@ class TestFiniteDifference:
 
         with pytest.raises(OracleError):
             finite_difference_check(run, p, 1e-5)
+
+    def test_parameter_without_gradient_named(self):
+        p = Parameter("never.reached", np.zeros(2))
+        with pytest.raises(ContractError, match=r"^parameter 'never\.reached' has no gradient$"):
+            finite_difference_check(lambda: 0.0, p, 1e-5)
 
     def test_composite_chain(self):
         rng = np.random.default_rng(5)
