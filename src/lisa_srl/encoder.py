@@ -5,12 +5,13 @@ input. Each layer runs H scaled dot-product attention heads, with queries,
 keys and values d / H wide, then adds a width-3 convolution of them as a
 residual feed-forward sublayer. Head 0 of one designated layer carries
 the parse: its attention row for token t is trained to put its mass on t's
-syntactic head (root attends to itself), and at that head an externally
-supplied parse can be injected as a one-hot adjacency matrix in place of
-the predicted distribution. Injection changes nothing anywhere else, which
-is what makes gold-parse oracles possible without retraining. The layer
-and head counts and the parse and POS layers are fields of the run
-configuration record.
+syntactic head (root attends to itself). A caller may hand `encode` one
+`consume` function, which maps that head's own attention to the matrix the
+layers above attend with; the model passes the one-hot adjacency of the
+parse it decodes under, so the encoder knows layers and not parse sources.
+Consuming another parse changes nothing anywhere else, which is what makes
+gold-parse oracles possible without retraining. The layer and head counts
+and the parse and POS layers are fields of the run configuration record.
 """
 
 from __future__ import annotations
@@ -42,10 +43,10 @@ class EncoderTrace:
     """Per-run record of attention activity for supervision and extraction.
 
     `attentions[j]` holds layer j's [H, T, T] attention as consumed by value
-    attention (so the parse head's matrix is the injected adjacency when
-    injecting); `parse_logits` are always the model's own pre-softmax parse
-    scores, and `parse_attention` is the parse head's [T, T] attention as the
-    layers above consumed it.
+    attention (so the parse head's matrix is what `consume` returned, when
+    one was given); `parse_logits` are always the model's own pre-softmax
+    parse scores, and `parse_attention` is the parse head's [T, T] attention
+    as the layers above consumed it.
     """
 
     attentions: dict[int, np.ndarray] = field(default_factory=dict)
@@ -82,28 +83,16 @@ class Encoder:
             layers.append((qkv, conv))
         return cls(config, layers)
 
-    def encode(
-        self,
-        tape: Tape,
-        x: Tensor,
-        injected_heads=None,
-        harden: bool = False,
-    ) -> tuple[Tensor, EncoderTrace]:
+    def encode(self, tape: Tape, x: Tensor, consume=None) -> tuple[Tensor, EncoderTrace]:
         """Run all layers, layer 1 adding positions; returns outputs and trace.
 
-        `injected_heads` replaces the parse head's attention with that parse;
-        failing that, `harden` replaces it with the one-hot of its own argmax.
+        `consume`, if given, receives the parse head's own [T, T] attention
+        and returns the matrix the layers above attend with in its place.
         """
         cfg = self.config
         trace = EncoderTrace()
         for j, (qkv, conv) in enumerate(self.layers, start=1):
-            inject = None
-            if j == cfg.parse_layer and (injected_heads is not None or harden):
-
-                def inject(own: np.ndarray) -> np.ndarray:
-                    heads = extract_parse(own) if injected_heads is None else injected_heads
-                    return parse_adjacency(heads, len(own))
-
+            inject = consume if j == cfg.parse_layer else None
             # H attention heads side by side (m), then m + conv3(relu(m))
             pe = positional_encoding(len(x.data), qkv.shape[0]) if j == 1 else None
             m, logits, trace.attentions[j] = tape.attention(x, qkv, cfg.n_heads, inject, pe)

@@ -24,7 +24,9 @@ from .corpus import (
 )
 from .decode import viterbi_decode
 from .embed import ScalarMix, StaticTable, init_conv_stack, static_embed
-from .encoder import Encoder, ParseSource, extract_parse, parse_loss
+from .encoder import (
+    Encoder, EncoderTrace, ParseSource, extract_parse, parse_adjacency, parse_loss,
+)
 from .errors import CompatibilityError, ConfigError, NonFiniteError
 from .heads import (
     LossBundle,
@@ -50,7 +52,7 @@ EMBED_CONTEXTUAL = "contextual"
 @dataclass
 class ForwardOutputs:
     final: Tensor
-    trace: object
+    trace: EncoderTrace
     pos_logits: Tensor
 
 
@@ -147,21 +149,23 @@ class LisaModel:
 
     # -- forward / loss -----------------------------------------------------
 
-    def _injection_heads(
+    def _consumed_parse(
         self, source: ParseSource, harden: bool, sentence: AnnotatedSentence, external_heads
     ):
-        """Heads to overwrite the parse attention with, or None to keep it."""
+        """The function from the parse head's own attention to the one-hot
+        parse the layers above consume, or None to keep the soft attention."""
         if (harden or source is not ParseSource.SELF) and not self.config.is_syntactic:
             raise ConfigError(
                 "the syntax-agnostic variant has no parse head to inject into or harden"
             )
         if source is ParseSource.SELF:
-            return None
-        if source is ParseSource.GOLD:
-            return list(sentence.heads)
-        if external_heads is None:
+            if not harden:
+                return None
+            return lambda own: parse_adjacency(extract_parse(own), len(own))
+        if source is ParseSource.EXTERNAL and external_heads is None:
             raise ConfigError("external parse source needs a heads sequence")
-        return list(external_heads)
+        heads = list(sentence.heads if source is ParseSource.GOLD else external_heads)
+        return lambda own: parse_adjacency(heads, len(own))
 
     def embed(self, tape: Tape, sentence: AnnotatedSentence, ctx_layers) -> Tensor:
         if self.config.embedding == EMBED_STATIC:
@@ -184,9 +188,9 @@ class LisaModel:
         harden: bool = False,
     ) -> ForwardOutputs:
         """`harden` one-hots the self-predicted parse before downstream use."""
-        injected = self._injection_heads(source, harden, sentence, external_heads)
+        consume = self._consumed_parse(source, harden, sentence, external_heads)
         x = self.embed(tape, sentence, ctx_layers)
-        final, trace = self.encoder.encode(tape, x, injected, harden)
+        final, trace = self.encoder.encode(tape, x, consume)
         pos_logits = pos_pred_logits(
             tape, trace.layer_outputs[self.config.pos_layer], self.pos_head
         )

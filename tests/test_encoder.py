@@ -23,6 +23,16 @@ from lisa_srl.encoder import (
 from lisa_srl.synth import gen_synthetic
 
 
+def _consume(heads):
+    """A `consume` function that puts `heads` in place of the parse head's attention."""
+    return lambda own: parse_adjacency(heads, len(own))
+
+
+def _harden(own):
+    """A `consume` function that one-hots the parse head's own attention."""
+    return parse_adjacency(extract_parse(own), len(own))
+
+
 def _head(rng, d_model, d_k):
     """One head's fused [wq | wk | wv] projection."""
     return Parameter("t.qkv", rng.normal(0, 0.5, (d_model, 3 * d_k)))
@@ -193,8 +203,8 @@ def test_all_attention_rows_stochastic():
     rng = np.random.default_rng(10)
     enc = Encoder.build(_small_config(), 6, rng)
     x = Tensor(rng.normal(size=(6, 6)))
-    for injected in (None, [1, 1, 4, 1, 4, 4]):
-        _, trace = enc.encode(Tape(), x, injected)
+    for consume in (None, _consume([1, 1, 4, 1, 4, 4])):
+        _, trace = enc.encode(Tape(), x, consume)
         assert sorted(trace.attentions) == [1, 2]
         for attention in trace.attentions.values():
             assert attention.shape == (2, 6, 6)
@@ -208,7 +218,7 @@ def test_injection_changes_only_the_parse_head():
     enc = Encoder.build(config, 6, rng)
     x = Tensor(rng.normal(size=(4, 6)))
     _, self_trace = enc.encode(Tape(), x)
-    _, gold_trace = enc.encode(Tape(), x, [1, 1, 1, 2])
+    _, gold_trace = enc.encode(Tape(), x, _consume([1, 1, 1, 2]))
     for layer, attention in self_trace.attentions.items():
         for head in range(config.n_heads):
             if (layer, head) == (config.parse_layer, 0):
@@ -231,8 +241,8 @@ def test_parse_attention_is_the_heads_own_softmax():
     enc = Encoder.build(_small_config(), 6, rng)
     x = Tensor(rng.normal(size=(4, 6)))
     _, self_trace = enc.encode(Tape(), x)
-    _, gold_trace = enc.encode(Tape(), x, [1, 1, 1, 2])
-    _, hard_trace = enc.encode(Tape(), x, harden=True)
+    _, gold_trace = enc.encode(Tape(), x, _consume([1, 1, 1, 2]))
+    _, hard_trace = enc.encode(Tape(), x, _harden)
     own = self_trace.parse_attention
     logits = self_trace.parse_logits.data
     e = np.exp(logits - logits.max(axis=1, keepdims=True))

@@ -18,7 +18,13 @@ from lisa_srl.corpus import (
 )
 from lisa_srl.embed import gen_contextual_layers
 from lisa_srl.encoder import ParseSource
-from lisa_srl.errors import CompatibilityError, ConfigError, DimensionError, NonFiniteError
+from lisa_srl.errors import (
+    CompatibilityError,
+    ConfigError,
+    DimensionError,
+    InjectionError,
+    NonFiniteError,
+)
 from lisa_srl.heads import decode_pos_pred, srl_loss, srl_scores
 from lisa_srl.model import (
     EMBED_CONTEXTUAL,
@@ -218,6 +224,45 @@ def test_external_injection_uses_provided_heads():
     assert pred.heads == external
     with pytest.raises(ConfigError):
         model.predict_sentence(corpus[0], table, source=ParseSource.EXTERNAL)
+
+
+def test_external_source_without_heads_is_one_config_error_before_any_op():
+    corpus = _tiny_corpus()
+    model = _model(corpus)
+    tape = Tape()
+    with pytest.raises(ConfigError, match="external parse source needs a heads sequence"):
+        model.forward(tape, corpus[0], source=ParseSource.EXTERNAL)
+    assert tape._backprops == []
+
+
+@pytest.mark.parametrize(
+    "external, message",
+    [
+        ([2, 2], "2 heads for 3 tokens"),
+        ([2, 2, 2, 2], "4 heads for 3 tokens"),
+        ([], "0 heads for 3 tokens"),  # an empty parse is not "no parse"
+        ([1, 3, 2], r"head index 3 outside \[0, 3\)"),
+        ([1, -1, 2], r"head index -1 outside \[0, 3\)"),
+    ],
+)
+def test_malformed_external_heads_raise_injection_error_through_forward(external, message):
+    corpus = _tiny_corpus()
+    model = _model(corpus)
+    with pytest.raises(InjectionError, match=message):
+        model.forward(Tape(), corpus[0], source=ParseSource.EXTERNAL, external_heads=external)
+
+
+def test_predict_rejects_a_transition_table_over_another_role_space():
+    corpus = _tiny_corpus()
+    model = _model(corpus)
+    other = gen_synthetic(8, 0)
+    roles = build_role_space(other)
+    assert roles != model.scorer.labels
+    table = estimate_transitions(other, roles)
+    with pytest.raises(
+        CompatibilityError, match="transition table and scorer disagree on the role space"
+    ):
+        model.predict_sentence(corpus[0], table)
 
 
 def test_prediction_is_well_formed():
