@@ -15,8 +15,9 @@ Layout, all integers little-endian:
 The JSON metadata carries the model's configuration, the step counter, both
 label spaces, the training vocabulary and the pretrained word list. The
 configuration leaves out its file paths, so a run writes the same bytes
-from any directory; one that fails `validate`, or cannot shape a model, is
-a format error of the file. The tensor section carries every learned
+from any directory. One that lacks any other field, or has an unknown one,
+is incompatible; one that fails `validate`, or cannot shape a model, is a
+format error of the file. The tensor section carries every learned
 parameter plus the frozen pretrained rows (whose mean is the unknown-word
 vector) and the role-transition model, so a loaded checkpoint reproduces
 forward outputs bitwise with no other files present.
@@ -205,9 +206,13 @@ def load_checkpoint(path) -> LoadedCheckpoint:
     tensors = _read_tensors(reader)
     del reader  # the tensors are copies; free the bytes before the model is built
 
-    unknown = sorted(set(meta["config"]) - {f.name for f in dataclasses.fields(RunConfig)})
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    unknown = sorted(set(meta["config"]) - fields)
     if unknown:
         raise CompatibilityError(f"checkpoint config has unknown keys {unknown}")
+    lacking = sorted(fields - PATH_FIELDS - set(meta["config"]))
+    if lacking:  # a default would stand in for the trained value
+        raise CompatibilityError(f"checkpoint config lacks keys {lacking}")
     joint = LabelSpace(meta["joint_labels"])
     roles = LabelSpace(meta["role_labels"])
 

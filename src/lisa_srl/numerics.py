@@ -13,12 +13,14 @@ Everything is float64 and row-major; there is no broadcasting beyond the
 few shapes the ops below accept. Tensors are immutable once created (the
 SGD optimizer mutates parameter storage only *between* tapes).
 
-A `Tape` records one forward computation. `Tape.backward(*losses)` seeds
-each scalar loss with gradient 1.0, so it differentiates their sum without
-an op for it, then replays the recorded operations in exact reverse order.
-A tensor on a path from a loss to the leaves gets its first gradient as
-`.grad`, then a new sum per later one: no gradient array is zero-filled,
-copied or written in place, so tensors may share one. Others keep None.
+A `Tape` records one forward computation: each op records its outputs and
+a backward that takes their gradients, and the tape runs that backward
+only when one of them has a gradient. `Tape.backward(*losses)` seeds each
+scalar loss with gradient 1.0, so it differentiates their sum without an
+op for it, then replays the records in exact reverse order. A tensor on a
+path from a loss to the leaves gets its first gradient as `.grad`, then a
+new sum per later one: no gradient array is zero-filled, copied or
+written in place, so tensors may share one. Others keep None.
 A `Parameter` is a named leaf `Tensor` whose `grad` survives across tapes
 until `reset_gradient()` sets it to None; ops take it like any other tensor.
 
@@ -109,14 +111,16 @@ def new_parameter(name: str, shape, draw: Callable[[], np.ndarray] | None = None
 class Tape:
     """Ordered record of differentiable operations for one forward pass.
 
-    Single-writer: one training step owns one tape. Ops are methods so the
-    ownership is explicit at every call site.
+    Each op records its outputs and a backward taking one gradient per
+    output, run only when one of them has a gradient and given None for
+    any other. Single-writer: one training step owns one tape. Ops are
+    methods so the ownership is explicit at every call site.
     """
 
     __slots__ = ("_backprops",)
 
     def __init__(self) -> None:
-        self._backprops: list[Callable[[], None]] = []
+        self._backprops: list[tuple[tuple[Tensor, ...], Callable[..., None]]] = []
 
     # -- linear algebra ---------------------------------------------------
 
@@ -126,14 +130,12 @@ class Tape:
             raise DimensionError(f"matmul shapes: {a.shape} x {b.shape} + {bias.shape}")
         out = _unchecked(a.data @ b.data + bias.data)
 
-        def back() -> None:
-            if out.grad is None:
-                return
-            _accumulate(bias, out.grad.sum(axis=0))
-            _accumulate(a, out.grad @ b.data.T)
-            _accumulate(b, a.data.T @ out.grad)
+        def back(g: np.ndarray) -> None:
+            _accumulate(bias, g.sum(axis=0))
+            _accumulate(a, g @ b.data.T)
+            _accumulate(b, a.data.T @ g)
 
-        self._backprops.append(back)
+        self._backprops.append(((out,), back))
         return out
 
     def attention(
@@ -177,14 +179,12 @@ class Tape:
             weights[0] = inject(weights[0])
         out = _unchecked((weights @ v).transpose(1, 0, 2).reshape(t_len, n_heads * d_k))
 
-        def back() -> None:
-            if out.grad is None and logits.grad is None:
-                return
-            if out.grad is None:
+        def back(g: np.ndarray | None, g_logits: np.ndarray | None) -> None:
+            if g is None:  # gradient reached only the logits
                 g_scores = np.zeros_like(scores)
                 g_v = np.zeros_like(v)
             else:
-                g_out = out.grad.reshape(t_len, n_heads, d_k).transpose(1, 0, 2)
+                g_out = g.reshape(t_len, n_heads, d_k).transpose(1, 0, 2)
                 g_weights = g_out @ v.transpose(0, 2, 1)
                 g_v = weights.transpose(0, 2, 1) @ g_out
                 g_scores = weights * (
@@ -192,8 +192,8 @@ class Tape:
                 )
                 if inject is not None:
                     g_scores[0] = 0.0
-            if logits.grad is not None:
-                g_scores[0] = logits.grad + g_scores[0]
+            if g_logits is not None:
+                g_scores[0] = g_logits + g_scores[0]
             g_scores = g_scores * c
             g_q = g_scores @ k_t.transpose(0, 2, 1)
             g_k = (q.transpose(0, 2, 1) @ g_scores).transpose(0, 2, 1)
@@ -206,7 +206,7 @@ class Tape:
                     cols = slice(h * width + lo, h * width + hi)
                     _accumulate(x, g_qkv[h, :, lo:hi] @ w.data[:, cols].T)
 
-        self._backprops.append(back)
+        self._backprops.append(((out, logits), back))
         return out, logits, weights
 
     def conv_block(
@@ -233,10 +233,7 @@ class Tape:
             + (before @ w_left.data + h @ w_center.data + after @ w_right.data + bias.data)
         )
 
-        def back() -> None:
-            if out.grad is None:
-                return
-            g = out.grad
+        def back(g: np.ndarray) -> None:
             # the residual's gradient reaches x before the convolution's
             _accumulate(x, g)
             _accumulate(bias, g.sum(axis=0))
@@ -248,7 +245,7 @@ class Tape:
             g_h[:-1] += (g @ w_left.data.T)[1:]
             _accumulate(x, g_h * (x.data > 0.0))
 
-        self._backprops.append(back)
+        self._backprops.append(((out,), back))
         return out
 
     def gather_add(self, base: np.ndarray, table: Tensor, rows) -> Tensor:
@@ -273,14 +270,12 @@ class Tape:
             out = _unchecked(base.copy())
             out.data[known] += table.data[idx[known]]
 
-        def back() -> None:
-            if out.grad is None:
-                return
+        def back(g: np.ndarray) -> None:
             one_hot = np.zeros((len(idx), table.shape[0]))
             one_hot[known, idx[known]] = 1.0
-            _accumulate(table, one_hot.T @ out.grad)
+            _accumulate(table, one_hot.T @ g)
 
-        self._backprops.append(back)
+        self._backprops.append(((out,), back))
         return out
 
     def bilinear(
@@ -312,10 +307,7 @@ class Tape:
         pu = (picked @ u_flat).reshape(len(idx), *u.shape[1:])
         out = _unchecked((pu @ r.T).transpose(0, 2, 1))
 
-        def back() -> None:
-            if out.grad is None:
-                return
-            g = out.grad
+        def back(g: np.ndarray) -> None:
             g_pu = (g.transpose(0, 2, 1) @ r).reshape(len(idx), -1)
             g_r = g.transpose(1, 0, 2).reshape(r.shape[0], -1) @ pu.reshape(-1, r.shape[1])
             _accumulate(u, (picked.T @ g_pu).reshape(u.shape))
@@ -327,7 +319,7 @@ class Tape:
             _accumulate(x, g_p @ w_pred.data.T)
             _accumulate(w_pred, x.data.T @ g_p)
 
-        self._backprops.append(back)
+        self._backprops.append(((out,), back))
         return out
 
     def scalar_mix(self, w: Tensor, gamma: Tensor, layers: np.ndarray) -> Tensor:
@@ -343,16 +335,13 @@ class Tape:
         mixed = np.einsum("l,ltd->td", coeffs[0], layers)
         out = _unchecked(mixed * gamma.data)
 
-        def back() -> None:
-            if out.grad is None:
-                return
-            g = out.grad
+        def back(g: np.ndarray) -> None:
             _accumulate(gamma, np.asarray((g * mixed).sum()))
             # through the layer mix, then the softmax's Jacobian
             g_c = np.einsum("td,ltd->l", g * gamma.data, layers)[None, :]
             _accumulate(w, coeffs * (g_c - (g_c * coeffs).sum(axis=1, keepdims=True)))
 
-        self._backprops.append(back)
+        self._backprops.append(((out,), back))
         return out
 
     def cross_entropy(self, logits: Tensor, gold) -> Tensor:
@@ -379,16 +368,14 @@ class Tape:
         # frames summed left to right, then scaled by the reciprocal
         out = _unchecked(np.asarray(np.add.accumulate(frame_losses)[-1] * (1.0 / n_frames)))
 
-        def back() -> None:
-            if out.grad is None:
-                return
+        def back(g: np.ndarray) -> None:
             # the reverse of the forward's scale, negation and token mean
-            g_gold = out.grad * (1.0 / n_frames) * -1.0 / t_len
-            g = np.zeros_like(log_probs)
-            g[at] = g_gold
-            _accumulate(logits, (g - np.exp(log_probs) * g_gold).reshape(logits.shape))
+            g_gold = g * (1.0 / n_frames) * -1.0 / t_len
+            at_gold = np.zeros_like(log_probs)
+            at_gold[at] = g_gold
+            _accumulate(logits, (at_gold - np.exp(log_probs) * g_gold).reshape(logits.shape))
 
-        self._backprops.append(back)
+        self._backprops.append(((out,), back))
         return out
 
     # -- reverse pass -------------------------------------------------------
@@ -397,16 +384,19 @@ class Tape:
         """Accumulate d(sum of losses)/d(leaf) into every reachable tensor's grad.
 
         Seeds each scalar loss with 1.0, then replays the recorded ops in
-        exact reverse execution order. Tensors (and therefore Parameters)
-        not on any path to a loss are untouched.
+        exact reverse execution order, skipping an op none of whose outputs
+        has a gradient. Tensors (and therefore Parameters) not on any path
+        to a loss are untouched.
         """
         if not losses or not all(isinstance(x, Tensor) and x.ndim == 0 for x in losses):
             got = [x.shape if isinstance(x, Tensor) else type(x).__name__ for x in losses]
             raise ContractError(f"backward needs one or more scalar loss tensors, got {got}")
         for loss in losses:
             _accumulate(loss, np.ones(()))
-        for fn in reversed(self._backprops):
-            fn()
+        for outputs, back in reversed(self._backprops):
+            grads = [t.grad for t in outputs]
+            if any(g is not None for g in grads):
+                back(*grads)
 
 
 def softmax(x: np.ndarray) -> np.ndarray:

@@ -4,7 +4,9 @@ Acceptance tests record a one-line verdict each; the hook below replays
 those lines in the terminal summary so they are visible in any run,
 captured output or not. `probe_sum` turns any tensor into a scalar loss
 on a tape, and `tape_sum` adds two tensors there, which the package's own
-ops never need.
+ops never need. Like the package's ops, each records its output and a
+backward that takes the output's gradient; the tape runs that backward
+only when the output has a gradient.
 """
 
 import numpy as np
@@ -37,11 +39,10 @@ def probe_sum(tape: Tape, x: Tensor, probe=None) -> Tensor:
     p = np.ones_like(x.data) if probe is None else np.asarray(getattr(probe, "data", probe))
     out = _unchecked(np.asarray((x.data * p).sum()))
 
-    def back() -> None:
-        if out.grad is not None:
-            _accumulate(x, out.grad * p)
+    def back(g: np.ndarray) -> None:
+        _accumulate(x, g * p)
 
-    tape._backprops.append(back)
+    tape._backprops.append(((out,), back))
     return out
 
 
@@ -49,10 +50,9 @@ def tape_sum(tape: Tape, a: Tensor, b: Tensor) -> Tensor:
     """a + b recorded on `tape`, both operands taking the gradient."""
     out = _unchecked(a.data + b.data)
 
-    def back() -> None:
-        if out.grad is not None:
-            _accumulate(a, out.grad)
-            _accumulate(b, out.grad)
+    def back(g: np.ndarray) -> None:
+        _accumulate(a, g)
+        _accumulate(b, g)
 
-    tape._backprops.append(back)
+    tape._backprops.append(((out,), back))
     return out

@@ -823,6 +823,26 @@ def test_checkpoint_with_unknown_config_key_is_incompatible(data_dir, tmp_path):
         load_checkpoint(broken)
 
 
+@pytest.mark.parametrize("keys", [["n_heads"], ["lr", "parse_layer"]])
+def test_cli_checkpoint_whose_config_lacks_a_field_is_one_compatibility_line(
+    data_dir, tmp_path, capsys, keys
+):
+    # neither field shapes a tensor, so the default would load in its place
+    def edit(meta):
+        for key in keys:
+            del meta["config"][key]
+
+    broken = _patched_metadata(data_dir, tmp_path, edit)
+    capsys.readouterr()
+    code = main(["predict", "--checkpoint-in", str(broken),
+                 "--test-path", str(data_dir / "test.conll"),
+                 "--predictions-path", str(tmp_path / "pred.conll")])
+    assert code == 1
+    assert _one_error_line(capsys, "compatibility") == (
+        f"error category=compatibility: checkpoint config lacks keys {keys}"
+    )
+
+
 def test_cli_checkpoint_with_a_repeated_pretrained_word_is_one_compatibility_line(
     data_dir, tmp_path, capsys
 ):
@@ -1138,6 +1158,135 @@ def test_evaluate_on_a_mutated_input_succeeds_or_prints_one_error_line(
         "--metrics-path", str(work / "metrics.csv"),
     ])
     assert out is None or out.splitlines()[-1].startswith("bio_repairs=")
+
+
+# ---------------------------------------------------------------------------
+# Field-level .conll mutations, each kind aimed at one check of the reader
+
+
+def _conll_sentences(text: str) -> list[list[list[str]]]:
+    """Each sentence of a .conll text as its rows, split into fields."""
+    return [[line.split("\t") for line in block.split("\n")]
+            for block in text.strip("\n").split("\n\n")]
+
+
+def _conll_text(sentences: list[list[list[str]]]) -> str:
+    return "".join("\n".join(map("\t".join, rows)) + "\n\n" for rows in sentences)
+
+
+def _framed(sentences, rng) -> list[list[str]]:
+    """The rows of a random sentence that holds a role column."""
+    framed = [rows for rows in sentences if len(rows[0]) > 4]
+    return framed[rng.integers(len(framed))]
+
+
+def _swap_rows(sentences, rng) -> None:
+    rows = sentences[rng.integers(len(sentences))]
+    i, j = rng.choice(len(rows), 2, replace=False)
+    rows[i], rows[j] = rows[j], rows[i]
+
+
+def _rewrite_head(sentences, rng) -> None:
+    # another in-range index: cycles and second roots included
+    rows = sentences[rng.integers(len(sentences))]
+    row = rows[rng.integers(len(rows))]
+    k = int(rng.integers(len(rows) - 1))
+    row[2] = str(k + (k >= int(row[2])))
+
+
+def _rewrite_tag(sentences, rng) -> None:
+    # another tag of the file's role space: a valid or an invalid BIO successor
+    tags = sorted({tag for rows in sentences for row in rows for tag in row[4:]})
+    rows = _framed(sentences, rng)
+    row = rows[rng.integers(len(rows))]
+    col = 4 + rng.integers(len(row) - 4)
+    others = [tag for tag in tags if tag != row[col]]
+    row[col] = others[rng.integers(len(others))]
+
+
+def _move_marker(sentences, rng) -> None:
+    rows = _framed(sentences, rng)
+    marked = [i for i, row in enumerate(rows) if row[3] == "Y"]
+    plain = [i for i, row in enumerate(rows) if row[3] == "-"]
+    rows[rng.choice(marked)][3], rows[rng.choice(plain)][3] = "-", "Y"
+
+
+def _drop_column(sentences, rng) -> None:
+    rows = _framed(sentences, rng)
+    col = 4 + rng.integers(len(rows[0]) - 4)
+    for row in rows:
+        del row[col]
+
+
+def _bio_repairs(ending: str) -> int:
+    last = ending.splitlines()[-1]
+    return int(last.removeprefix("bio_repairs=")) if last.startswith("bio_repairs=") else 0
+
+
+# kind: (mutation, whether the ending of a run shows the check it aims at)
+CONLL_MUTATIONS = {
+    "swap-rows": (_swap_rows, lambda ending: True),
+    "rewrite-head": (
+        _rewrite_head,
+        lambda ending: "heads form a cycle" in ending or "self-loop root" in ending,
+    ),
+    "rewrite-tag": (_rewrite_tag, lambda ending: _bio_repairs(ending) > 0),
+    "move-marker": (_move_marker, lambda ending: True),
+    "drop-column": (_drop_column, lambda ending: "predicates but only" in ending),
+}
+
+
+def _mutated_conll(valid: Path, kind: str, rng) -> str:
+    sentences = _conll_sentences(valid.read_text(encoding="utf-8"))
+    CONLL_MUTATIONS[kind][0](sentences, rng)
+    return _conll_text(sentences)
+
+
+@pytest.fixture
+def cli_endings(monkeypatch):
+    """What `_succeeds_or_prints_one_error_line` saw of each CLI run: its
+    stdout when it exited 0, else its one error line."""
+    endings, real_main = [], main
+
+    def recording(argv) -> int:
+        code = real_main(argv)
+        endings.append(sys.stdout.getvalue() if code == 0 else sys.stderr.getvalue())
+        return code
+
+    monkeypatch.setitem(globals(), "main", recording)
+    return endings
+
+
+@pytest.mark.parametrize("kind", CONLL_MUTATIONS)
+def test_conll_field_mutations_reach_their_checks_in_one_line(
+    data_dir, tmp_path, cli_endings, kind
+):
+    # 30 seeded examples: evaluate on a mutated test split read as gold
+    # (strictly) and as predictions (repaired), and a one-epoch tiny train
+    # on a mutated train split
+    seed, reached = list(CONLL_MUTATIONS).index(kind), CONLL_MUTATIONS[kind][1]
+    (tmp_path / "run.cfg").write_bytes(TRAIN_CONFIG)
+    test, train_split = tmp_path / "mutated.conll", tmp_path / "train.conll"
+    valid, mutated = str(data_dir / "test.conll"), str(test)
+    train_argv = [
+        "train", "--config", str(tmp_path / "run.cfg"), "--epochs", "1",
+        "--train-path", str(train_split),
+        "--dev-path", str(data_dir / "dev.conll"),
+        "--pretrained-path", str(data_dir / "pretrained.vec"),
+        "--checkpoint-out", str(tmp_path / "model.ckpt"),
+    ]
+    for example in range(30):
+        rng = np.random.default_rng([seed, example])
+        test.write_text(_mutated_conll(data_dir / "test.conll", kind, rng))
+        train_split.write_text(_mutated_conll(data_dir / "train.conll", kind, rng))
+        for gold, predictions in ((mutated, valid), (valid, mutated)):
+            out = _succeeds_or_prints_one_error_line(
+                ["evaluate", "--test-path", gold, "--predictions-path", predictions]
+            )
+            assert out is None or out.splitlines()[-1].startswith("bio_repairs=")
+        out = _succeeds_or_prints_one_error_line(train_argv)
+        assert out is None or out.splitlines()[-1].startswith("best_epoch=1 ")
+    assert any(map(reached, cli_endings)), cli_endings
 
 
 def _sentence_lengths(lines: list[str]) -> list[int]:

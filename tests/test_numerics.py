@@ -212,6 +212,39 @@ class TestBackward:
         with pytest.raises(DimensionError):
             t.gather_add(np.zeros((1, 3)), x, [0])
 
+    def test_an_op_no_gradient_reached_is_not_run(self):
+        # recorded beside the loss, before and after it: its backward raises
+        x, y = Tensor([1.0, 2.0]), Tensor([3.0, 4.0])
+        t = Tape()
+
+        def back(g):
+            raise AssertionError("ran the backward of an op off every loss path")
+
+        unused = numerics._unchecked(x.data * 2.0)
+        t._backprops.append(((unused,), back))
+        loss = probe_sum(t, y)
+        t._backprops.append(((numerics._unchecked(x.data),), back))
+        t.backward(loss)
+        assert x.grad is None and unused.grad is None
+        assert np.array_equal(y.grad, [1.0, 1.0])
+
+    @pytest.mark.parametrize("through", ["output", "logits", "both"])
+    def test_attention_backward_takes_none_for_an_output_without_gradient(self, through):
+        rng = np.random.default_rng(4)
+        x, w = Tensor(rng.standard_normal((3, 4))), Tensor(rng.standard_normal((4, 12)))
+        t = Tape()
+        out, logits, _ = t.attention(x, w, 2)
+        (outputs, back), = t._backprops
+        received = []
+        t._backprops[0] = (outputs, lambda *grads: received.append(grads) or back(*grads))
+        reached = {"output": [out], "logits": [logits], "both": [out, logits]}[through]
+        t.backward(*[probe_sum(t, r) for r in reached])
+        assert outputs[0] is out and outputs[1] is logits
+        (grads,) = received
+        for output, g in zip(outputs, grads):
+            assert (g is None) == (output not in reached)
+        assert x.grad is not None and w.grad is not None
+
     def test_gradient_accumulates_until_reset(self):
         p = Parameter("p", np.array([2.0, 3.0]))
         assert p.grad is None
