@@ -171,14 +171,14 @@ def _check_metadata_types(meta: dict) -> None:
             raise CompatibilityError(f"checkpoint {key} repeats {repeat!r}")
 
 
-def _check_joint_layout(path, labels: list[str]) -> None:
+def _check_joint_layout(labels: list[str]) -> None:
     """As `build_joint_pos_pred_space` lays them out; training needs a twin."""
     twins = {w for w in labels if w.endswith(PREDICATE_SUFFIX)}
     plain = labels[: len(labels) - len(twins)]
     owned = twins.intersection(t + PREDICATE_SUFFIX for t in plain)
     if not twins or labels != sorted(plain) + sorted(owned):
         layout = f"POS tags, sorted, then TAG{PREDICATE_SUFFIX} twins of some of them, sorted"
-        raise CompatibilityError(f"{path}: joint_labels are not {layout}")
+        raise CompatibilityError(f"joint_labels are not {layout}")
 
 
 @names_its_file
@@ -202,7 +202,7 @@ def load_checkpoint(path) -> LoadedCheckpoint:
     if missing:
         raise CorpusFormatError(f"checkpoint metadata lacks {sorted(missing)}")
     _check_metadata_types(meta)
-    _check_joint_layout(path, meta["joint_labels"])
+    _check_joint_layout(meta["joint_labels"])
     tensors = _read_tensors(reader)
     del reader  # the tensors are copies; free the bytes before the model is built
 

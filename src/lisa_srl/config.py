@@ -153,11 +153,11 @@ def parse_config_file(path) -> dict[str, str]:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}: line {lineno}: expected key=value, got {line!r}")
+            raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         if key in out:
-            raise ConfigError(f"{path}: line {lineno}: duplicate key {key!r}")
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         out[key] = value.strip()
     return out
 

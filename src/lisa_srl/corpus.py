@@ -16,7 +16,7 @@ reported first, then the first line with a bad head index or predicate
 marker (on one line, the head index first), then the BIO columns (in
 each, a malformed tag before the BIO rule), then, unless repairing, a
 root count other than one and last a cycle of heads: gold heads must
-form a tree. A reader's format error begins with its path.
+form a tree. Any error a reader raises begins with its path.
 
 One rule, `valid_successor`, says that I-X may only follow B-X or I-X, with
 OUTSIDE before the first tag. Spans, repairs and the transition table are
@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CorpusFormatError, EncodingError, EstimationError
+from .errors import CorpusFormatError, EncodingError, EstimationError, LisaError
 
 OUTSIDE = "O"
 PREDICATE_SUFFIX = ":predicate"
@@ -190,14 +190,14 @@ MARKS = frozenset((PRED_MARK, NO_PRED_MARK))
 
 
 def names_its_file(read):
-    """Prefix `<path>: ` to a CorpusFormatError of `read`, whose first argument is a path."""
+    """Prefix `<path>: ` to any LisaError of `read`, whose first argument is a path."""
 
     @functools.wraps(read)
     def reader(path, *args, **kwargs):
         try:
             return read(path, *args, **kwargs)
-        except CorpusFormatError as err:
-            raise CorpusFormatError(f"{path}: {err}") from None
+        except LisaError as err:
+            raise type(err)(f"{path}: {err}") from None
 
     return reader
 

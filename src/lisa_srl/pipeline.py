@@ -79,14 +79,12 @@ def _check_alignment(corpus: list[AnnotatedSentence], counts: list[int], path: s
             )
 
 
-def _check_ctxl_shape(data: SplitData, prefix: str, n_layers: int, dim: int) -> None:
-    """The `.ctxl` stacks of a split have the shape the model is built on."""
+def _check_ctxl_shape(data: SplitData, path: str, n_layers: int, dim: int) -> None:
+    """The `.ctxl` stacks read from `path` have the shape the model is built on."""
     have_layers, _, have_dim = data.ctx[0].shape
     if (have_layers, have_dim) != (n_layers, dim):
-        raise ConfigError(
-            f"{prefix} .ctxl holds {have_layers} layers of width {have_dim},"
-            f" the model takes {n_layers} layers of width {dim}"
-        )
+        raise ConfigError(f"{path}: holds {have_layers} layers of width {have_dim},"
+                          f" the model takes {n_layers} layers of width {dim}")
 
 
 def read_split(config: RunConfig, prefix: str) -> list[AnnotatedSentence]:
@@ -185,7 +183,7 @@ def train(config: RunConfig, emit: Callable[[str], None] | None = None) -> Train
     train_data = load_split(config, "train")
     dev_data = load_split(config, "dev")
     if config.embedding == EMBED_CONTEXTUAL:  # the model is built on train's shape
-        _check_ctxl_shape(dev_data, "dev", *train_data.ctx[0].shape[::2])  # L and d
+        _check_ctxl_shape(dev_data, config.dev_ctxl_path, *train_data.ctx[0].shape[::2])  # L and d
     joint = build_joint_pos_pred_space(train_data.corpus)
     roles = build_role_space(train_data.corpus)
     transitions = estimate_transitions(train_data.corpus, roles)
@@ -252,7 +250,8 @@ def predict(config: RunConfig) -> list[AnnotatedSentence]:
     config.validate()
     data = load_split(config, "test")
     if data.ctx is not None:
-        _check_ctxl_shape(data, "test", loaded.model.mix.n_layers, loaded.model.width)
+        model = loaded.model
+        _check_ctxl_shape(data, config.test_ctxl_path, model.mix.n_layers, model.width)
     predictions = _predict_corpus(loaded.model, data, loaded.transitions, *config.source())
     write_conll(config.predictions_path, predictions)
     return predictions

@@ -801,19 +801,26 @@ def test_cli_checkpoint_with_an_invalid_stored_config_is_one_format_line(
     assert not (tmp_path / "pred.conll").exists()
 
 
+def _metadata(blob: bytes) -> dict:
+    (meta_len,) = struct.unpack_from("<Q", blob, 8)
+    return json.loads(blob[16 : 16 + meta_len])
+
+
+def _with_metadata(blob: bytes, meta: dict) -> bytes:
+    """A checkpoint's bytes with `meta` in place of its JSON metadata."""
+    (meta_len,) = struct.unpack_from("<Q", blob, 8)
+    meta_bytes = json.dumps(meta, sort_keys=True).encode()
+    return blob[:8] + struct.pack("<Q", len(meta_bytes)) + meta_bytes + blob[16 + meta_len :]
+
+
 def _patched_metadata(data_dir, tmp_path, edit) -> Path:
     """A freshly trained checkpoint whose JSON metadata `edit` has changed."""
     train(_tiny_config(data_dir, tmp_path, epochs=1))
     blob = (tmp_path / "model.ckpt").read_bytes()
-    (meta_len,) = struct.unpack_from("<Q", blob, 8)
-    meta = json.loads(blob[16 : 16 + meta_len])
+    meta = _metadata(blob)
     edit(meta)
-    meta_bytes = json.dumps(meta, sort_keys=True).encode()
     broken = tmp_path / "broken.ckpt"
-    broken.write_bytes(
-        blob[:8] + struct.pack("<Q", len(meta_bytes)) + meta_bytes
-        + blob[16 + meta_len :]
-    )
+    broken.write_bytes(_with_metadata(blob, meta))
     return broken
 
 
@@ -839,7 +846,7 @@ def test_cli_checkpoint_whose_config_lacks_a_field_is_one_compatibility_line(
                  "--predictions-path", str(tmp_path / "pred.conll")])
     assert code == 1
     assert _one_error_line(capsys, "compatibility") == (
-        f"error category=compatibility: checkpoint config lacks keys {keys}"
+        f"error category=compatibility: {broken}: checkpoint config lacks keys {keys}"
     )
 
 
@@ -879,7 +886,97 @@ def test_cli_checkpoint_list_that_repeats_an_entry_is_one_compatibility_line(
                  "--predictions-path", str(tmp_path / "pred.conll")])
     assert code == 1
     assert _one_error_line(capsys, "compatibility") == (
-        f"error category=compatibility: checkpoint {key} repeats {repeated[0]!r}"
+        f"error category=compatibility: {broken}: checkpoint {key} repeats {repeated[0]!r}"
+    )
+    assert not (tmp_path / "pred.conll").exists()
+
+
+@pytest.fixture(scope="module")
+def static_checkpoint(data_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("static") / "static.ckpt"
+    train(_tiny_config(data_dir, out.parent, checkpoint_out=out, epochs=1))
+    return out
+
+
+def _repeated_word(blob: bytes) -> tuple[bytes, str]:
+    meta = _metadata(blob)
+    word = meta["train_words"][1]
+    meta["train_words"].append(word)
+    return _with_metadata(blob, meta), f"checkpoint train_words repeats {word!r}"
+
+
+def _unknown_key(blob: bytes) -> tuple[bytes, str]:
+    meta = _metadata(blob)
+    meta["config"]["d_q"] = 4
+    return _with_metadata(blob, meta), "checkpoint config has unknown keys ['d_q']"
+
+
+def _missing_key(blob: bytes) -> tuple[bytes, str]:
+    meta = _metadata(blob)
+    del meta["config"]["n_heads"]
+    return _with_metadata(blob, meta), "checkpoint config lacks keys ['n_heads']"
+
+
+def _short_tensor(blob: bytes) -> tuple[bytes, str]:
+    _, data, end = _tensor_records(blob)["pos.b"]
+    n = (end - data) // 8
+    short = np.frombuffer(blob[data : end - 8], "<f8")
+    return (_replace_tensor(blob, "pos.b", short),
+            f"pos.b: checkpoint shape ({n - 1},) != model ({n},)")
+
+
+def _fewer_words(blob: bytes) -> tuple[bytes, str]:
+    meta = _metadata(blob)
+    n = len(meta["pretrained_words"])
+    meta["pretrained_words"].pop()
+    return _with_metadata(blob, meta), f"{n - 1} pretrained words for {n} vector rows"
+
+
+def _extra_tensor(blob: bytes) -> tuple[bytes, str]:
+    # a copy of pos.b named pos.x appended
+    start, _, end = _tensor_records(blob)["pos.b"]
+    count_at = 16 + struct.unpack_from("<Q", blob, 8)[0]
+    (count,) = struct.unpack_from("<I", blob, count_at)
+    record = blob[start:end].replace(b"pos.b", b"pos.x", 1)
+    blob = blob[:count_at] + struct.pack("<I", count + 1) + blob[count_at + 4 :] + record
+    return blob, "checkpoint holds tensors the model lacks: ['pos.x']"
+
+
+# fault: (the embedding of the checkpoint it tampers with, tamper)
+LOAD_FAULTS = {
+    "repeated word": ("static", _repeated_word),
+    "unknown key": ("static", _unknown_key),
+    "missing key": ("static", _missing_key),
+    "missing tensor": (
+        "static", lambda blob: (_drop_tensor(blob, "pos.b"), "checkpoint is missing tensor 'pos.b'")
+    ),
+    "tensor shape": ("static", _short_tensor),
+    "pretrained count": ("static", _fewer_words),
+    "no mix.w": (
+        "contextual",
+        lambda blob: (_drop_tensor(blob, "mix.w"), "checkpoint lacks a mix.w or pos.w matrix"),
+    ),
+    "leftover tensor": ("static", _extra_tensor),
+}
+
+
+@pytest.mark.parametrize("fault", LOAD_FAULTS)
+def test_cli_checkpoint_compatibility_line_begins_with_its_path(
+    data_dir, static_checkpoint, contextual_checkpoint, tmp_path, capsys, fault
+):
+    embedding, tamper = LOAD_FAULTS[fault]
+    valid = static_checkpoint if embedding == "static" else contextual_checkpoint
+    blob, message = tamper(valid.read_bytes())
+    broken = tmp_path / "broken.ckpt"
+    broken.write_bytes(blob)
+    capsys.readouterr()
+    code = main(["predict", "--checkpoint-in", str(broken),
+                 "--test-path", str(data_dir / "test.conll"),
+                 "--test-ctxl-path", str(data_dir / "test.ctxl"),
+                 "--predictions-path", str(tmp_path / "pred.conll")])
+    assert code == 1
+    assert _one_error_line(capsys, "compatibility") == (
+        f"error category=compatibility: {broken}: {message}"
     )
     assert not (tmp_path / "pred.conll").exists()
 
@@ -1286,6 +1383,181 @@ def test_conll_field_mutations_reach_their_checks_in_one_line(
             assert out is None or out.splitlines()[-1].startswith("bio_repairs=")
         out = _succeeds_or_prints_one_error_line(train_argv)
         assert out is None or out.splitlines()[-1].startswith("best_epoch=1 ")
+    assert any(map(reached, cli_endings)), cli_endings
+
+
+# ---------------------------------------------------------------------------
+# Field-level .heads, .ctxl and checkpoint mutations, each kind aimed at one
+# check; a failed run's line begins with the mutated file's path
+
+
+def _heads_records(blob: bytes) -> list[list[str]]:
+    return [line.split() for line in blob.decode().splitlines()]
+
+
+def _heads_blob(records: list[list[str]]) -> bytes:
+    return "".join(" ".join(record) + "\n" for record in records).encode()
+
+
+def _add_head(blob: bytes, rng) -> bytes:
+    records = _heads_records(blob)
+    record = records[rng.integers(len(records))]
+    record.insert(rng.integers(len(record) + 1), str(rng.integers(len(record) + 1)))
+    return _heads_blob(records)
+
+
+def _drop_head(blob: bytes, rng) -> bytes:
+    records = _heads_records(blob)
+    record = records[rng.integers(len(records))]
+    del record[rng.integers(len(record))]
+    return _heads_blob(records)
+
+
+def _head_past_end(blob: bytes, rng) -> bytes:
+    records = _heads_records(blob)
+    record = records[rng.integers(len(records))]
+    record[rng.integers(len(record))] = str(len(record) + rng.integers(3))
+    return _heads_blob(records)
+
+
+CTXL_HEADER = 20  # magic, then version, layer count, width and sentence count
+
+
+def _ctxl_records(blob: bytes) -> list[bytes]:
+    """The sentence records of a .ctxl file: id length, id, token count, stack."""
+    n_layers, dim = struct.unpack_from("<II", blob, 8)
+    records, at = [], CTXL_HEADER
+    while at < len(blob):
+        (sid_len,) = struct.unpack_from("<I", blob, at)
+        (t_len,) = struct.unpack_from("<I", blob, at + 4 + sid_len)
+        end = at + 8 + sid_len + 4 * n_layers * t_len * dim
+        records.append(blob[at:end])
+        at = end
+    return records
+
+
+def _swap_records(blob: bytes, rng) -> bytes:
+    # each record keeps its id, so two ids fall out of corpus order
+    records = _ctxl_records(blob)
+    i, j = rng.choice(len(records), 2, replace=False)
+    records[i], records[j] = records[j], records[i]
+    return blob[:CTXL_HEADER] + b"".join(records)
+
+
+def _recount_header(blob: bytes, rng) -> bytes:
+    (count,) = struct.unpack_from("<I", blob, CTXL_HEADER - 4)
+    count += int(rng.choice([-2, -1, 1, 2]))
+    return blob[: CTXL_HEADER - 4] + struct.pack("<I", count) + blob[CTXL_HEADER:]
+
+
+def _retoken_record(blob: bytes, rng) -> bytes:
+    # one token more or fewer, with the stack grown or cut to match
+    n_layers, dim = struct.unpack_from("<II", blob, 8)
+    step = 4 * n_layers * dim
+    records = _ctxl_records(blob)
+    k = rng.integers(len(records))
+    record = records[k]
+    (sid_len,) = struct.unpack_from("<I", record)
+    (t_len,) = struct.unpack_from("<I", record, 4 + sid_len)
+    stack = record[8 + sid_len :]
+    if t_len > 1 and rng.random() < 0.5:
+        t_len, stack = t_len - 1, stack[:-step]
+    else:
+        t_len, stack = t_len + 1, stack + stack[:step]
+    records[k] = record[: 4 + sid_len] + struct.pack("<I", t_len) + stack
+    return blob[:CTXL_HEADER] + b"".join(records)
+
+
+def _renamed_label(key: str):
+    """A mutation that overwrites one character of one label in the `key` list."""
+    def rename(blob: bytes, rng) -> bytes:
+        meta = _metadata(blob)
+        labels = meta[key]
+        k = rng.integers(len(labels))
+        at = rng.integers(len(labels[k]))
+        char = rng.choice([c for c in "BIOZ-:" if c != labels[k][at]])
+        labels[k] = labels[k][:at] + char + labels[k][at + 1 :]
+        return _with_metadata(blob, meta)
+
+    return rename
+
+
+def _swap_extents(blob: bytes, rng) -> bytes:
+    # a matrix read with its two extents swapped, its data bytes unchanged
+    records = _tensor_records(blob)
+    shapes = {}
+    for name, (start, data, _) in records.items():
+        (rank,) = struct.unpack_from("<I", blob, start + 4 + len(name))
+        shapes[name] = struct.unpack_from(f"<{rank}Q", blob, data - 8 * rank)
+    names = sorted(name for name, shape in shapes.items()
+                   if len(shape) == 2 and shape[0] != shape[1])
+    name = names[rng.integers(len(names))]
+    _, data, end = records[name]
+    matrix = np.frombuffer(blob[data:end], "<f8").reshape(shapes[name][::-1])
+    return _replace_tensor(blob, name, matrix)
+
+
+# kind: (the input it mutates, mutation, whether the ending of a run shows
+# the check it aims at)
+FIELD_MUTATIONS = {
+    "add-head": ("heads", _add_head, lambda ending: " tokens but " in ending),
+    "drop-head": ("heads", _drop_head, lambda ending: " tokens but " in ending),
+    "head-past-end": ("heads", _head_past_end, lambda ending: " outside [0, " in ending),
+    "swap-records": ("ctxl", _swap_records, lambda ending: " carries id " in ending),
+    "recount-header": ("ctxl", _recount_header, lambda ending: " header says " in ending),
+    "retoken-record": ("ctxl", _retoken_record, lambda ending: " tokens but " in ending),
+    "rename-role": ("ckpt", _renamed_label("role_labels"), lambda ending: " BIO " in ending),
+    "rename-joint": (
+        "ckpt", _renamed_label("joint_labels"), lambda ending: "joint_labels are not" in ending
+    ),
+    "swap-extents": ("ckpt", _swap_extents, lambda ending: ": checkpoint shape (" in ending),
+}
+
+
+@pytest.mark.parametrize("kind", FIELD_MUTATIONS)
+def test_field_mutations_of_sidecars_and_checkpoints_reach_their_checks_in_one_line(
+    data_dir, contextual_checkpoint, tmp_path, cli_endings, kind
+):
+    # 30 seeded examples: a contextual predict under an external parse with
+    # the mutated test input, and for a .heads or .ctxl a one-epoch tiny
+    # train with the mutated train input
+    suffix, mutate, reached = FIELD_MUTATIONS[kind]
+    seed = len(CONLL_MUTATIONS) + list(FIELD_MUTATIONS).index(kind)
+    valid = {"ckpt": contextual_checkpoint, "ctxl": data_dir / "test.ctxl",
+             "heads": data_dir / "test.heads"}
+    test = {**valid, suffix: tmp_path / f"test.{suffix}"}
+    runs = [(test[suffix], valid[suffix], [
+        "predict", "--checkpoint-in", str(test["ckpt"]),
+        "--test-path", str(data_dir / "test.conll"),
+        "--test-ctxl-path", str(test["ctxl"]),
+        "--test-heads-path", str(test["heads"]),
+        "--parse-source", "external",
+        "--predictions-path", str(tmp_path / "pred.conll"),
+    ])]
+    if suffix != "ckpt":
+        (tmp_path / "run.cfg").write_bytes(TRAIN_CONFIG)
+        train_split = {"heads": data_dir / "train.heads", "ctxl": data_dir / "train.ctxl",
+                       suffix: tmp_path / f"train.{suffix}"}
+        runs.append((train_split[suffix], data_dir / f"train.{suffix}", [
+            "train", "--config", str(tmp_path / "run.cfg"), "--epochs", "1",
+            "--parse-source", "external",
+            "--embedding", "contextual" if suffix == "ctxl" else "static",
+            "--pretrained-path", str(data_dir / "pretrained.vec"),
+            "--checkpoint-out", str(tmp_path / "model.ckpt"),
+            "--train-path", str(data_dir / "train.conll"),
+            "--train-heads-path", str(train_split["heads"]),
+            "--train-ctxl-path", str(train_split["ctxl"]),
+            "--dev-path", str(data_dir / "dev.conll"),
+            "--dev-heads-path", str(data_dir / "dev.heads"),
+            "--dev-ctxl-path", str(data_dir / "dev.ctxl"),
+        ]))
+    for example in range(30):
+        rng = np.random.default_rng([seed, example])
+        for mutated, valid, argv in runs:
+            mutated.write_bytes(mutate(valid.read_bytes(), rng))
+            if _succeeds_or_prints_one_error_line(argv) is None:
+                line = cli_endings[-1]
+                assert line.split(": ", 1)[1].startswith(f"{mutated}: "), line
     assert any(map(reached, cli_endings)), cli_endings
 
 
@@ -1871,8 +2143,8 @@ def test_cli_predict_with_a_ctxl_of_another_shape_is_one_config_error_line(
                  "--predictions-path", str(tmp_path / "pred.conll")])
     assert code == 1
     assert _one_error_line(capsys, "config") == (
-        f"error category=config: test .ctxl holds {n_layers} layers of width {dim},"
-        " the model takes 3 layers of width 8"
+        f"error category=config: {tmp_path / 'other.ctxl'}: holds {n_layers} layers of"
+        f" width {dim}, the model takes 3 layers of width 8"
     )
     assert not (tmp_path / "pred.conll").exists()
 
