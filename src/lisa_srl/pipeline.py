@@ -229,6 +229,7 @@ def train(config: RunConfig, emit: Callable[[str], None] | None = None) -> Train
         if 0.0 <= config.early_stop_f1 <= dev_f1:
             break
 
+    model.reset_gradients()  # like a loaded checkpoint, the result holds no gradient
     return TrainResult(model, transitions, logs, best_epoch, best_f1, steps)
 
 

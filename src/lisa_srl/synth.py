@@ -64,22 +64,23 @@ P_INTRANSITIVE_PP = 0.5
 P_MODAL = 0.2
 # preposition index ranges by attachment cue
 VERB_CUED, NOUN_CUED, AMBIGUOUS = range(0, 2), range(2, 4), range(4, 6)
+VERB_CUED_WORDS = tuple(VOCABULARY["IN"][i] for i in VERB_CUED)
 
 
 @dataclass(frozen=True)
 class Domain:
     """The content words a split draws from and how its sentences grow."""
 
-    nouns: range
-    verbs: range
+    nouns: tuple[str, ...]
+    verbs: tuple[str, ...]
     p_object_pp: float
     p_front_pp: float
     p_extra_clause: float
     max_clauses: int
 
 
-IN_DOMAIN = Domain(range(0, 70), range(0, 20), 0.6, 0.15, 0.15, 2)
-SHIFTED = Domain(range(70, 100), range(20, 30), 0.7, 0.3, 0.6, 3)
+IN_DOMAIN = Domain(VOCABULARY["NN"][:70], VOCABULARY["VB"][:20], 0.6, 0.15, 0.15, 2)
+SHIFTED = Domain(VOCABULARY["NN"][70:], VOCABULARY["VB"][20:], 0.7, 0.3, 0.6, 3)
 
 
 def full_vocabulary() -> list[str]:
@@ -144,24 +145,16 @@ def roles_from_tree(pos, heads) -> dict[int, tuple[str, ...]]:
 
 
 class _Draw:
-    """Word samplers bound to one rng and domain, plus the alternation
+    """A word sampler bound to one rng and domain, plus the alternation
     state for ambiguous-preposition attachment."""
 
     def __init__(self, rng, domain: Domain):
         self.rng, self.domain = rng, domain
         self.amb_flips = 0
 
-    def word(self, tag: str, indices: range | None = None) -> str:
-        """A uniform draw from the tag's words at `indices`, all by default."""
-        words = VOCABULARY[tag]
-        indices = range(len(words)) if indices is None else indices
-        return words[self.rng.integers(indices.start, indices.stop)]
-
-    def noun(self) -> str:
-        return self.word("NN", self.domain.nouns)
-
-    def verb(self) -> str:
-        return self.word("VB", self.domain.verbs)
+    def pick(self, words: tuple[str, ...]) -> str:
+        """A uniform draw from `words`."""
+        return words[self.rng.integers(len(words))]
 
     def ambiguous_attaches_to_verb(self) -> bool:
         """Alternates, so every corpus is balanced between the readings."""
@@ -171,7 +164,7 @@ class _Draw:
 
 def _clause(draw: _Draw):
     """One clause as (words, pos, heads-local); the verb is a self-loop."""
-    rng = draw.rng
+    rng, domain, pick = draw.rng, draw.domain, draw.pick
     words: list[str] = []
     pos: list[str] = []
     heads: list[int] = []
@@ -182,11 +175,16 @@ def _clause(draw: _Draw):
         heads.append(h)
         return len(words) - 1
 
-    det = put(draw.word("DT"), -1)
-    subj = put(draw.noun(), -1)
-    heads[det] = subj
-    modal = put(draw.word("MD"), -1) if rng.random() < P_MODAL else None
-    verb = put(draw.verb(), -1)
+    def noun_phrase(head: int) -> int:
+        """A determiner and a noun under `head`; returns the noun."""
+        det = put(pick(VOCABULARY["DT"]), -1)
+        noun = put(pick(domain.nouns), head)
+        heads[det] = noun
+        return noun
+
+    subj = noun_phrase(-1)
+    modal = put(pick(VOCABULARY["MD"]), -1) if rng.random() < P_MODAL else None
+    verb = put(pick(domain.verbs), -1)
     heads[verb] = verb
     heads[subj] = verb
     if modal is not None:
@@ -194,43 +192,30 @@ def _clause(draw: _Draw):
 
     kind = rng.random()
     if kind < P_TRANSITIVE + P_DITRANSITIVE:
-        od = put(draw.word("DT"), -1)
-        on = put(draw.noun(), verb)
-        heads[od] = on
+        obj = noun_phrase(verb)
         if kind < P_TRANSITIVE:
-            if rng.random() < draw.domain.p_object_pp:
-                word = draw.word("IN")
-                i = VOCABULARY["IN"].index(word)
+            if rng.random() < domain.p_object_pp:
+                prep = pick(VOCABULARY["IN"])
+                i = VOCABULARY["IN"].index(prep)
                 if i in VERB_CUED:
                     site = verb
                 elif i in NOUN_CUED:
-                    site = on
+                    site = obj
                 else:
-                    site = verb if draw.ambiguous_attaches_to_verb() else on
-                prep = put(word, site)
-                pd = put(draw.word("DT"), -1)
-                pn = put(draw.noun(), prep)
-                heads[pd] = pn
+                    site = verb if draw.ambiguous_attaches_to_verb() else obj
+                noun_phrase(put(prep, site))
         else:
-            od2 = put(draw.word("DT"), -1)
-            on2 = put(draw.noun(), verb)
-            heads[od2] = on2
+            noun_phrase(verb)
     elif rng.random() < P_INTRANSITIVE_PP:
-        prep = put(draw.word("IN", VERB_CUED), verb)
-        pd = put(draw.word("DT"), -1)
-        pn = put(draw.noun(), prep)
-        heads[pd] = pn
+        noun_phrase(put(pick(VERB_CUED_WORDS), verb))
     return words, pos, heads, verb
 
 
 def _sentence(draw: _Draw) -> AnnotatedSentence:
-    rng, domain = draw.rng, draw.domain
+    rng, domain, pick = draw.rng, draw.domain, draw.pick
     want_front = rng.random() < domain.p_front_pp
     words, pos, heads, main_verb = _clause(draw)
-    while (
-        len([p for p in pos if p == "VB"]) < domain.max_clauses
-        and rng.random() < domain.p_extra_clause
-    ):
+    while pos.count("VB") < domain.max_clauses and rng.random() < domain.p_extra_clause:
         base = len(words) + 1
         cw, cp, ch, cv = _clause(draw)
         words.append(VOCABULARY["CC"][0])
@@ -242,7 +227,7 @@ def _sentence(draw: _Draw) -> AnnotatedSentence:
         heads[base + cv] = main_verb
 
     if want_front:
-        fw = [draw.word("IN", VERB_CUED), draw.word("DT"), draw.noun()]
+        fw = [pick(VERB_CUED_WORDS), pick(VOCABULARY["DT"]), pick(domain.nouns)]
         heads = [main_verb + 3, 2, 0] + [h + 3 for h in heads]
         words = fw + words
         pos = ["IN", "DT", "NN"] + pos

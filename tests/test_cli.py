@@ -397,6 +397,13 @@ def test_a_loaded_checkpoint_decodes_without_gradients(data_dir, tmp_path):
         assert [p.name for p in loaded.model.parameters() if p.grad is not None] == [], name
 
 
+def test_a_trained_model_holds_no_gradients(data_dir, tmp_path):
+    # train's result, like a loaded checkpoint, keeps no last-step gradient
+    result = train(_tiny_config(data_dir, tmp_path, epochs=1, checkpoint_out=""))
+    assert result.steps > 0
+    assert [p.name for p in result.model.parameters() if p.grad is not None] == []
+
+
 def test_agnostic_training_logs_zero_parse_loss(data_dir, tmp_path):
     config = _tiny_config(data_dir, tmp_path, variant="sa", checkpoint_out="")
     result = train(config)
@@ -981,6 +988,42 @@ def test_cli_checkpoint_compatibility_line_begins_with_its_path(
     assert not (tmp_path / "pred.conll").exists()
 
 
+def _config_list(blob: bytes) -> tuple[bytes, str]:
+    meta = _metadata(blob)
+    meta["config"] = sorted(meta["config"])
+    return _with_metadata(blob, meta), "checkpoint config is not a JSON object"
+
+
+def _no_step(blob: bytes) -> tuple[bytes, str]:
+    meta = _metadata(blob)
+    del meta["step"]
+    return _with_metadata(blob, meta), "checkpoint metadata lacks ['step']"
+
+
+FORMAT_FAULTS = {
+    "trailing byte": lambda blob: (blob + b"\0", "1 trailing bytes in checkpoint"),
+    "config list": _config_list,
+    "no step": _no_step,
+}
+
+
+@pytest.mark.parametrize("fault", FORMAT_FAULTS)
+def test_cli_checkpoint_format_line_begins_with_its_path(
+    data_dir, static_checkpoint, tmp_path, capsys, fault
+):
+    blob, message = FORMAT_FAULTS[fault](static_checkpoint.read_bytes())
+    broken = tmp_path / "broken.ckpt"
+    broken.write_bytes(blob)
+    code = main(["predict", "--checkpoint-in", str(broken),
+                 "--test-path", str(data_dir / "test.conll"),
+                 "--predictions-path", str(tmp_path / "pred.conll")])
+    assert code == 1
+    assert _one_error_line(capsys, "corpus-format") == (
+        f"error category=corpus-format: {broken}: {message}"
+    )
+    assert not (tmp_path / "pred.conll").exists()
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("lr", "x"), ("n_layers", 2.5), ("step", "abc"), ("joint_labels", 5)],
@@ -1077,6 +1120,23 @@ def test_cli_truncated_binary_inputs_are_format_errors(
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error category=corpus-format:"), err[0]
+
+
+def test_cli_ctxl_header_of_no_layers_is_one_format_line(
+    data_dir, contextual_checkpoint, tmp_path, capsys
+):
+    blob = bytearray((data_dir / "test.ctxl").read_bytes())
+    struct.pack_into("<I", blob, 8, 0)  # the header's layer count
+    broken = tmp_path / "none.ctxl"
+    broken.write_bytes(bytes(blob))
+    code = main(["predict", "--checkpoint-in", str(contextual_checkpoint),
+                 "--test-path", str(data_dir / "test.conll"),
+                 "--test-ctxl-path", str(broken),
+                 "--predictions-path", str(tmp_path / "pred.conll")])
+    assert code == 1
+    assert _one_error_line(capsys, "corpus-format") == (
+        f"error category=corpus-format: {broken}: layer count must be >= 1"
+    )
 
 
 @pytest.mark.parametrize("kind", ["ctxl", "vec"])
@@ -1840,6 +1900,32 @@ def test_cli_errors_are_one_machine_parseable_line(tmp_path, capsys):
     assert err.startswith("error category=config:")
 
 
+def test_cli_gen_synth_into_an_existing_file_is_one_io_line(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    assert main(["gen-synth", "--out-dir", str(taken)]) == 1
+    assert _one_error_line(capsys, "io") == (
+        f"error category=io: [Errno {errno.EEXIST}] File exists: '{taken}'"
+    )
+    assert taken.read_text() == "kept"
+
+
+@pytest.mark.parametrize("missing, message", [
+    ("--predictions-path", "predictions_path is required for predict"),
+    ("--checkpoint-in", "checkpoint_in is required for this command"),
+])
+def test_cli_predict_without_a_required_path_is_one_config_line(
+    data_dir, static_checkpoint, tmp_path, capsys, missing, message
+):
+    flags = {"--checkpoint-in": str(static_checkpoint),
+             "--test-path": str(data_dir / "test.conll"),
+             "--predictions-path": str(tmp_path / "pred.conll")}
+    del flags[missing]
+    assert main(["predict", *(part for flag in flags.items() for part in flag)]) == 1
+    assert _one_error_line(capsys, "config") == f"error category=config: {message}"
+    assert not (tmp_path / "pred.conll").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "--d-k", "4"],
     ["train", "--parse-head", "1"],
@@ -1883,6 +1969,11 @@ def test_cli_malformed_flags_are_one_config_error_line(capsys, argv):
     (["train", "--clip-norm", "nan"], "clip_norm"),
     (["train", "--early-stop-f1", "nan"], "early_stop_f1"),
     (["train", "--seed", "-1"], "seed"),
+    (["train", "--lr", "0"], "lr"),
+    (["train", "--clip-norm", "-1"], "clip_norm"),
+    (["train", "--early-stop-f1", "2"], "early_stop_f1"),
+    (["train", "--n-layers", "0"], "need at least one layer"),
+    (["train", "--embedding", "foo"], "embedding"),
 ], ids=lambda v: v if isinstance(v, str) else "=".join(v))
 def test_cli_bad_parameters_are_one_config_error_line(tmp_path, capsys, argv, field):
     out = tmp_path / "synth"

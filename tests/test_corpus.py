@@ -366,6 +366,17 @@ def test_a_frame_key_outside_the_token_indices_is_one_format_error(key):
                           {key: ("B-A0", "I-A0", "O")})
 
 
+@pytest.mark.parametrize("pos, heads, frames, message", [
+    (("DT", "NN"), (1, 2, 2), {}, "parallel sequences differ in length"),
+    (("DT", "NN", "VB"), (1, 3, 2), {}, "head index 3 outside [0, 3)"),
+    (("DT", "NN", "VB"), (1, 2, 2), {2: ("B-A0", "O")}, "frame at 2 has length 2 != 3"),
+], ids=["short pos", "head out of range", "short frame"])
+def test_a_sentence_whose_fields_disagree_is_one_format_error(pos, heads, frames, message):
+    with pytest.raises(CorpusFormatError) as err:
+        AnnotatedSentence(("d0", "n000", "v00"), pos, heads, frames)
+    assert str(err.value) == message
+
+
 def test_written_marker_column_holds_y_exactly_at_the_frame_keys(tmp_path):
     path = tmp_path / "c.conll"
     for corpus in (gen_synthetic(60, 5), gen_synthetic(60, 6, shifted=True)):
@@ -383,6 +394,12 @@ def test_heads_file_round_trip(tmp_path):
     path = tmp_path / "h.heads"
     write_heads_file(path, heads)
     assert read_heads_file(path) == heads
+
+
+def test_heads_file_skips_blank_lines(tmp_path):
+    path = tmp_path / "h.heads"
+    path.write_text("\n0 0 1\n  \n1 1\n\n", encoding="utf-8")
+    assert read_heads_file(path) == [[0, 0, 1], [1, 1]]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from lisa_srl.corpus import (
     AnnotatedSentence,
     LabelSpace,
     TransitionTable,
+    build_role_space,
     estimate_transitions,
     valid_successor,
 )
@@ -18,6 +19,7 @@ from lisa_srl.decode import (
     viterbi_decode,
 )
 from lisa_srl.errors import ContractError, DecodeError, OracleSizeError
+from lisa_srl.synth import gen_synthetic
 
 SPACE = LabelSpace(["O", "B-A0", "I-A0", "B-A1", "I-A1"])
 
@@ -186,6 +188,32 @@ def test_frame_stack_validation_and_per_frame_oracles():
         brute_force_decode(stack, table)
     with pytest.raises(ContractError):
         sequence_score(stack, table, [0, 0, 0])
+
+
+def test_sequence_score_needs_one_tag_per_token():
+    with pytest.raises(ContractError, match=r"^sequence length 2 != 3$"):
+        sequence_score(np.zeros((3, 5)), _transitions(), [0, 0])
+
+
+def test_frames_of_other_sentences_stacked_decode_to_their_own_tags():
+    # a corpus decode may stack every frame of one length into one call; a
+    # loud companion frame widens the stack's near-tie tolerance, so the
+    # frames with gaps of 1e-10 go to the greedy rebuild there and not alone
+    corpus = gen_synthetic(80, 4)
+    table = estimate_transitions(corpus, build_role_space(corpus))
+    rng = np.random.default_rng(16)
+    n_labels = len(table.labels)
+    for t_len in (1, 2, 5, 9):
+        frames = [rng.normal(scale=s, size=(t_len, n_labels)) for s in (0.5, 4.0) for _ in range(6)]
+        frames = [f - np.log(np.exp(f).sum(axis=1, keepdims=True)) for f in frames]
+        frames += [np.round(f) for f in frames[:6]]  # exact ties
+        for i, row in enumerate(table.matrix):  # from tag i, tag j next scores 1e-10 * j
+            gaps = np.where(np.isfinite(row), 1e-10 * np.arange(n_labels) - row - table.end, 0.0)
+            frames.append(np.vstack([frames[i % 12][:-1], gaps]))
+        alone = [viterbi_decode(f[None], table)[0] for f in frames]
+        assert viterbi_decode(np.stack(frames), table) == alone
+        loud = -1e6 * rng.random((1, t_len, n_labels))
+        assert viterbi_decode(np.concatenate([np.stack(frames), loud]), table)[:-1] == alone
 
 
 def test_constant_shift_invariance():

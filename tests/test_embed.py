@@ -40,6 +40,21 @@ def _table(d=4, extra_pretrained=()):
 # Static path
 
 
+
+@pytest.mark.parametrize("pretrained, message", [
+    ({}, "empty pretrained map"),
+    ({"a": np.zeros(2), "b": np.zeros(3)}, "pretrained vectors disagree on dimension"),
+], ids=["empty", "two widths"])
+def test_static_table_build_refuses_an_unusable_pretrained_map(pretrained, message):
+    with pytest.raises(ConfigError, match=message):
+        StaticTable.build(["a"], pretrained)
+
+
+def test_static_table_refuses_a_residual_of_another_row_count():
+    residual = Parameter("embed.residual", np.zeros((3, 2)))
+    with pytest.raises(ConfigError, match="^residual table has 3 rows for 2 training words$"):
+        StaticTable(("a", "b"), {"a": np.zeros(2)}, np.zeros(2), residual)
+
 def test_zero_residual_init_reproduces_pretrained():
     table = _table()
     out = static_embed(Tape(), ["the", "dog", "ran"], table, [])
@@ -303,6 +318,14 @@ def test_vec_file_rejects_a_repeated_word(tmp_path):
     assert str(err.value) == f"{path}: line 3: repeats the word 'a'"
 
 
+def test_vec_file_skips_blank_lines(tmp_path):
+    path = tmp_path / "w.vec"
+    path.write_text("\na 1.0 2.0\n  \nb 3.0 4.0\n\n")
+    table = read_vec_file(path)
+    assert list(table) == ["a", "b"]
+    assert table["a"].tolist() == [1.0, 2.0] and table["b"].tolist() == [3.0, 4.0]
+
+
 def test_contextual_round_trip(tmp_path):
     corpus = gen_synthetic(5, 1)
     stacks = gen_contextual_layers(corpus, 3, 8, seed=2)
@@ -327,6 +350,20 @@ def test_contextual_record_i_must_carry_id_i(tmp_path, ids, record):
     with pytest.raises(CorpusFormatError) as err:
         read_contextual(path)
     assert str(err.value) == f"{path}: record {record} carries id {ids[record]!r}, not '{record}'"
+
+
+@pytest.mark.parametrize("stacks, message", [
+    ([], "no layer stacks to write"),
+    ([np.zeros((2, 1, 4)), np.zeros((2, 1, 6))], r"sentence 1 stack \(2, 1, 6\) does not match"),
+], ids=["none", "two widths"])
+def test_write_contextual_refuses_stacks_that_fit_no_header(tmp_path, stacks, message):
+    with pytest.raises(ConfigError, match=message):
+        write_contextual(tmp_path / "c.ctxl", stacks)
+
+
+def test_gen_contextual_layers_needs_a_layer():
+    with pytest.raises(ConfigError, match="^need at least one contextual layer$"):
+        gen_contextual_layers(gen_synthetic(2, 0), 0, 8, seed=0)
 
 
 def test_contextual_bad_magic(tmp_path):

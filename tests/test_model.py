@@ -90,6 +90,13 @@ def test_build_validates_and_keeps_its_own_config():
     assert model.config.is_syntactic and model.config.pos_layer == 1
 
 
+def test_build_refuses_a_layer_stack_on_the_static_path():
+    corpus = _tiny_corpus()
+    joint, roles = _spaces(corpus)
+    with pytest.raises(ConfigError, match="^static embedding cannot embed ndarray$"):
+        LisaModel.build(_config(), joint, roles, [], np.zeros((3, 2, 6)))
+
+
 def test_parameters_are_listed_in_a_pinned_order():
     # the gradient norm and the clip scale sum in this order, so a reorder
     # would change their rounding

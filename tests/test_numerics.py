@@ -935,6 +935,11 @@ class TestFiniteDifference:
         with pytest.raises(OracleError):
             finite_difference_check(run, p, 1e-5)
 
+    def test_eps_must_be_positive(self):
+        p = Parameter("p", np.zeros(2))
+        with pytest.raises(ContractError, match="^eps must be positive$"):
+            finite_difference_check(lambda: 0.0, p, 0.0)
+
     def test_parameter_without_gradient_named(self):
         p = Parameter("never.reached", np.zeros(2))
         with pytest.raises(ContractError, match=r"^parameter 'never\.reached' has no gradient$"):
